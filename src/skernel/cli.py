@@ -12,27 +12,18 @@ import argparse
 import json
 import sys
 
-from .complexes import ChainComplex, ValidationError, sigma_tower_report
+from .complexes import ValidationError, sigma_tower_report
 from .homotopy import cylinder, homotopy_pushout, skeleton_pushout_check, weq_certificate, wrap
 from .serialization import (
     ParseError,
     certificate_to_doc,
-    chain_complex_from_doc,
     parse_file,
-    serialize,
     simplicial_set_from_doc,
     ref_from_text,
 )
-from .simpab import (
-    SimplicialAbGroup,
-    bar_B,
-    ez_maps,
-    kn_roundtrip_ok,
-    nk_roundtrip_iso,
-    normalize_N,
-)
-from .simplicial import SimplicialMap, SimplicialSet
-from .spaces import chains, homology_space
+from .simpab import bar_B, ez_maps, kn_roundtrip_ok, nk_roundtrip_iso, normalize_N
+from .simplicial import SimplicialMap
+from .spaces import chains
 from .suite import run_suite
 
 
@@ -96,8 +87,10 @@ def cmd_space_homology(args, out):
 
 def cmd_nk_roundtrip(args, out):
     _need(args.inputs, 1, "a chain complex or simplicial group")
-    kind, obj = _load(args.inputs[0])
     d = args.dim if args.dim is not None else 3
+    if d < 0:
+        raise CliError("--dim must be nonnegative, got %d" % d)
+    kind, obj = _load(args.inputs[0])
     if kind == "chain-complex":
         try:
             iso = nk_roundtrip_iso(obj, d)

@@ -13,38 +13,27 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import NamedTuple
 
-from .complexes import ChainMap, ValidationError, cone
+from .complexes import ValidationError, cone
 from .simplicial import BiSimplexRef, BisimplicialSet, SimplexRef, SimplicialMap, SimplicialSet
 from .spaces import (
+    _compact,
     arrow_of,
     boundary,
     chain_map_of,
-    chains,
     component_map,
-    diagonal,
     groupoid_presentation,
-    homology_space,
     interval_pointed,
-    pair_id,
+    normalize_relations,
     pi0,
     pi1_presentation,
-    point,
-    product,
     product_pair_ref,
     product_pairs,
     pushout_inj,
-    quotient,
     simplex,
     skeleton,
     smash,
     wedge,
 )
-
-
-def _ref_id(ref: SimplexRef) -> str:
-    if not ref.word:
-        return ref.base
-    return "".join("s%d" % i for i in ref.word) + "." + ref.base
 
 
 class WrapResult(NamedTuple):
@@ -67,7 +56,7 @@ def wrap(x: SimplicialSet, trunc_dim: int) -> WrapResult:
     for n in range(trunc_dim + 1):
         ids = []
         for r in x.simplices(n):
-            cid = _ref_id(r)
+            cid = _compact(r)
             ids.append(cid)
             refs[cid] = r
         if ids:
@@ -77,7 +66,7 @@ def wrap(x: SimplicialSet, trunc_dim: int) -> WrapResult:
         for cid in cells.get(n, ()):
             r = refs[cid]
             for i in range(n + 1):
-                faces[(cid, i)] = SimplexRef((), _ref_id(x.face(r, i)))
+                faces[(cid, i)] = SimplexRef((), _compact(x.face(r, i)))
     space = SimplicialSet(cells, faces, pointed=x.pointed,
                           basepoint=x.basepoint if x.pointed else None)
     counit = SimplicialMap(space, x, {cid: refs[cid] for cid in refs})
@@ -138,8 +127,8 @@ def skeleton_pushout_check(x: SimplicialSet, n: int, trunc_dim: int) -> Skeleton
     wr = wrap(x, trunc_dim).space
     sk_lo = skeleton(wr, n)
     sk_hi = skeleton(wr, n + 1)
-    labels = [_ref_id(r) for r in x.simplices(n + 1)]
-    label_ref = {_ref_id(r): r for r in x.simplices(n + 1)}
+    labels = [_compact(r) for r in x.simplices(n + 1)]
+    label_ref = {_compact(r): r for r in x.simplices(n + 1)}
     bnd = boundary(n + 1)
     full = simplex(n + 1)
     a = _labelled_copies(labels, bnd, "a|")
@@ -160,7 +149,7 @@ def skeleton_pushout_check(x: SimplicialSet, n: int, trunc_dim: int) -> Skeleton
         for m, c in bnd.all_cells():
             keep = tuple(int(v) for v in c.split("."))
             face_ref = _iterated_face(x, s, keep)
-            attach_assignment["a|%s#%s" % (label, c)] = SimplexRef((), _ref_id(face_ref))
+            attach_assignment["a|%s#%s" % (label, c)] = SimplexRef((), _compact(face_ref))
     attach = SimplicialMap(a, sk_lo, attach_assignment)
 
     po = pushout_inj(include, attach)
@@ -469,7 +458,7 @@ def groupoid_comparison(f: SimplicialMap) -> str:
         len(set(objects)) == len(tgt.objects) == len(set(tgt.objects))
         and sorted(set(objects)) == sorted(tgt.objects)
         and pushed_gens == sorted(tgt.generators)
-        and _normalize_relations(relations) == tgt.normalized_relations()
+        and normalize_relations(relations) == tgt.normalized_relations()
     ):
         return "equal"
     # fall back to abelianized vertex groups, componentwise
@@ -492,19 +481,6 @@ def groupoid_comparison(f: SimplicialMap) -> str:
         if a != b:
             return "contradicted"
     return "abelianized"
-
-
-def _normalize_relations(relations) -> frozenset:
-    out = []
-    for a1, a0, a2 in relations:
-        if a0[0] == "id" and a2 == a1:
-            continue
-        if a2[0] == "id" and a0 == a1:
-            continue
-        if a0[0] == "id" and a2[0] == "id" and a1[0] == "id":
-            continue
-        out.append((a1, a0, a2))
-    return frozenset(out)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 """Dense integer matrices with exact arithmetic.
 
-Everything in this package reduces to integer linear algebra: kernels,
-cokernels and homology presentations all come out of the Smith normal
-form computed here.  Matrices are immutable, row-major, and carry plain
-Python integers, so entry growth during elimination is harmless.
+Everything in this package reduces to integer linear algebra over the
+Smith normal form computed here.  Invariants (homology, cokernels,
+unimodularity) need only its diagonal, `invariant_factors`, which builds
+no transform; the unimodular transforms U and V are computed only for
+callers that consume them (kernel bases, exact solves and the base
+changes built on those).  Matrices are immutable, row-major, and carry
+plain Python integers, so entry growth during elimination is harmless.
 """
 
 from __future__ import annotations
@@ -308,9 +311,11 @@ def diagonal_of(d: IntMatrix) -> list:
     return [d.at(i, i) for i in range(min(d.rows, d.cols))]
 
 
-def rank(m: IntMatrix) -> int:
+def invariant_factors(m: IntMatrix) -> tuple:
+    """The nonzero diagonal d1 | d2 | ... of the Smith normal form of m,
+    computed without transforms; there are rank(m) of them."""
     _, d, _ = smith_normal_form(m, want_u=False, want_v=False)
-    return sum(1 for x in diagonal_of(d) if x != 0)
+    return tuple(x for x in diagonal_of(d) if x)
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -363,20 +368,4 @@ def inverse_unimodular(m: IntMatrix) -> IntMatrix:
 
 
 def is_unimodular(m: IntMatrix) -> bool:
-    if m.rows != m.cols:
-        return False
-    _, d, _ = smith_normal_form(m, want_u=False, want_v=False)
-    return all(x == 1 for x in diagonal_of(d)) and min(d.rows, d.cols) == m.rows
-
-
-def cokernel_invariants(m: IntMatrix) -> tuple:
-    """Invariant factors of Z^rows / column-lattice(m).
-
-    Returns (free_rank, torsion) with torsion the diagonal entries > 1 in
-    divisibility order.
-    """
-    _, d, _ = smith_normal_form(m, want_u=False, want_v=False)
-    diag = diagonal_of(d)
-    r = sum(1 for x in diag if x != 0)
-    torsion = tuple(x for x in diag if x > 1)
-    return m.rows - r, torsion
+    return m.rows == m.cols and invariant_factors(m) == (1,) * m.rows

@@ -13,13 +13,16 @@ Three object kinds travel through files:
 
 Matrices serialize row-major; a face entry like "s1 s0 v3" is the
 degeneracy word (indices strictly decreasing) applied to the base cell.
-Structural validation (d d = 0, the simplicial identities) runs at load
-time, so a parsed object is always usable.
+Ranks, degrees and matrix entries must be JSON integers: strings, floats
+and booleans are refused, never coerced.  Structural validation (d d = 0,
+the simplicial identities) runs at load time, so a parsed object is
+always usable.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .complexes import ChainComplex, ValidationError
 from .matrices import IntMatrix
@@ -43,26 +46,55 @@ def detect_kind(doc: dict) -> str:
     raise ParseError("cannot recognise the document kind (no cells/D/ranks field)")
 
 
+def _integer(value, field: str) -> int:
+    if type(value) is not int:
+        raise ParseError("%s must be an integer, got %s" % (field, json.dumps(value)))
+    return value
+
+
+def _ranks(doc: dict) -> dict:
+    ranks = doc.get("ranks", {})
+    if not isinstance(ranks, dict):
+        raise ParseError("ranks must be an object")
+    out = {}
+    for key, v in ranks.items():
+        try:
+            n = int(key)
+        except ValueError:
+            raise ParseError("rank key %r is not an integer" % key)
+        out[n] = _integer(v, "ranks[%r]" % key)
+    return out
+
+
+def _matrix(rows, cols: int, field: str) -> IntMatrix:
+    if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
+        raise ParseError("%s must be a list of rows" % field)
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        bad = next(x for x in chain.from_iterable(rows) if type(x) is not int)
+        raise ParseError("%s has a non-integer entry %s" % (field, json.dumps(bad)))
+    try:
+        return IntMatrix.from_rows(rows, cols=cols)
+    except ValueError as exc:
+        raise ParseError("%s: %s" % (field, exc))
+
+
 # -- chain complexes --------------------------------------------------------
 
 
 def chain_complex_from_doc(doc: dict) -> ChainComplex:
     try:
-        lo = int(doc["min"])
-        hi = int(doc["max"])
-        ranks = {int(k): int(v) for k, v in doc.get("ranks", {}).items()}
-    except (KeyError, TypeError) as exc:
+        lo = _integer(doc["min"], "min")
+        hi = _integer(doc["max"], "max")
+    except KeyError as exc:
         raise ParseError("chain complex document needs min, max and ranks: %s" % exc)
+    ranks = _ranks(doc)
     d = {}
     for key, rows in doc.get("d", {}).items():
         try:
             n = int(key)
         except ValueError:
             raise ParseError("differential key %r is not a degree" % key)
-        if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
-            raise ParseError("differential %r must be a list of rows" % key)
-        cols = ranks.get(n, 0)
-        d[n] = IntMatrix.from_rows(rows, cols=cols)
+        d[n] = _matrix(rows, ranks.get(n, 0), "differential %r" % key)
     try:
         return ChainComplex(lo, hi, ranks, d)
     except ValidationError as exc:
@@ -94,12 +126,6 @@ def ref_from_text(text: str) -> SimplexRef:
     if len(tokens) >= 2 and not word:
         raise ParseError("bad face entry %r" % text)
     return SimplexRef(tuple(word), tokens[-1])
-
-
-def _ref_to_text(ref: SimplexRef) -> str:
-    if not ref.word:
-        return ref.base
-    return " ".join("s%d" % i for i in ref.word) + " " + ref.base
 
 
 def simplicial_set_from_doc(doc: dict) -> SimplicialSet:
@@ -140,7 +166,7 @@ def simplicial_set_to_doc(x: SimplicialSet) -> dict:
         if n == 0:
             continue
         for c in x.cells(n):
-            faces[c] = [_ref_to_text(x.stored_face(c, i)) for i in range(n + 1)]
+            faces[c] = [str(x.stored_face(c, i)) for i in range(n + 1)]
     doc = {"pointed": x.pointed, "cells": cells, "faces": faces}
     if x.pointed:
         doc["basepoint"] = x.basepoint
@@ -151,16 +177,8 @@ def simplicial_set_to_doc(x: SimplicialSet) -> dict:
 
 
 def simplicial_group_from_doc(doc: dict) -> SimplicialAbGroup:
-    try:
-        trunc = int(doc["D"])
-    except (KeyError, TypeError, ValueError):
-        raise ParseError("simplicial group document needs an integer D")
-    ranks = {}
-    for key, v in doc.get("ranks", {}).items():
-        try:
-            ranks[int(key)] = int(v)
-        except ValueError:
-            raise ParseError("rank key %r is not an integer" % key)
+    trunc = _integer(doc["D"], "D")
+    ranks = _ranks(doc)
 
     def parse_ops(field):
         out = {}
@@ -172,7 +190,7 @@ def simplicial_group_from_doc(doc: dict) -> SimplicialAbGroup:
                 n, i = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ParseError("%s key %r must look like 'n,i'" % (field, key))
-            out[(n, i)] = IntMatrix.from_rows(rows, cols=ranks.get(n, 0))
+            out[(n, i)] = _matrix(rows, ranks.get(n, 0), "%s %r" % (field, key))
         return out
 
     try:

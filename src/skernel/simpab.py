@@ -20,6 +20,7 @@ from .matrices import (
     block_diag,
     hstack,
     inverse_unimodular,
+    is_unimodular,
     kernel_basis,
     smith_normal_form,
     diagonal_of,
@@ -666,7 +667,6 @@ def nk_roundtrip_iso(c: ChainComplex, trunc_dim: int):
     kc = dold_kan_K(c0, trunc_dim)
     bases = moore_basis(kc)
     out = {}
-    prev = None
     for n in range(min(trunc_dim, c0.max_deg) + 1):
         offset = 0
         for eta in level_summands(n):
@@ -684,7 +684,6 @@ def nk_roundtrip_iso(c: ChainComplex, trunc_dim: int):
             raise ValidationError("identity summand is not the normalized part at level %d" % n)
         inverse_unimodular(expressed)  # raises when not a base change
         out[n] = expressed
-        prev = expressed
     # chain-map condition against the normalized differential
     nk = normalize_N(kc)
     for n in range(1, min(trunc_dim, c0.max_deg) + 1):
@@ -730,7 +729,7 @@ def kn_roundtrip_ok(a: SimplicialAbGroup) -> bool:
     for n in range(a.D + 1):
         if kna.rank(n) != a.rank(n):
             return False
-        if a.rank(n) and not _is_unimodular_square(psi[n]):
+        if a.rank(n) and not is_unimodular(psi[n]):
             return False
     for n in range(1, a.D + 1):
         for i in range(n + 1):
@@ -740,14 +739,4 @@ def kn_roundtrip_ok(a: SimplicialAbGroup) -> bool:
         for j in range(n + 1):
             if a.degen(n, j) @ psi[n] != psi[n + 1] @ kna.degen(n, j):
                 return False
-    return True
-
-
-def _is_unimodular_square(m: IntMatrix) -> bool:
-    if m.rows != m.cols:
-        return False
-    try:
-        inverse_unimodular(m)
-    except ValueError:
-        return False
     return True

@@ -512,18 +512,22 @@ class GroupoidPresentation:
     relations: tuple  # triples (d1 arrow, d0 arrow, d2 arrow)
 
     def normalized_relations(self) -> frozenset:
-        """Relations with tautologies dropped (those asserting a = a
-        after composing with identity arrows)."""
-        out = []
-        for a1, a0, a2 in self.relations:
-            if a0[0] == "id" and a2 == a1:
-                continue
-            if a2[0] == "id" and a0 == a1:
-                continue
-            if a0[0] == "id" and a2[0] == "id" and a1[0] == "id":
-                continue
-            out.append((a1, a0, a2))
-        return frozenset(out)
+        return normalize_relations(self.relations)
+
+
+def normalize_relations(relations) -> frozenset:
+    """Relations (d1 arrow, d0 arrow, d2 arrow) with tautologies dropped
+    (those asserting a = a after composing with identity arrows)."""
+    out = []
+    for a1, a0, a2 in relations:
+        if a0[0] == "id" and a2 == a1:
+            continue
+        if a2[0] == "id" and a0 == a1:
+            continue
+        if a0[0] == "id" and a2[0] == "id" and a1[0] == "id":
+            continue
+        out.append((a1, a0, a2))
+    return frozenset(out)
 
 
 def groupoid_presentation(x: SimplicialSet) -> GroupoidPresentation:

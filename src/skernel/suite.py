@@ -8,21 +8,18 @@ equivalences, the bar shift, strict Eilenberg-Zilber cancellation,
 smash/suspension behaviour of the free reduction, horn filling, the
 wrapping functor and its skeletal squares, cylinders and homotopy
 pushouts.  The report is line-oriented and byte-deterministic for a
-fixed seed; checks are independent and may run on a thread pool.
+fixed seed; checks are independent and run one after another.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 
-from .complexes import ChainMap, check_quasi_iso, sigma_tower_report, single
+from .complexes import check_quasi_iso, sigma_tower_report, single
 from .generators import random_complex, random_matrix, random_pointed_space, random_sab
 from .homotopy import (
     bar_column_bisimplicial,
     cylinder,
-    groupoid_comparison,
     homotopy_pushout,
     skeleton_pushout_check,
     weq_certificate,
@@ -37,7 +34,6 @@ from .simpab import (
     free_reduced_Z,
     horn_filler,
     kn_roundtrip_ok,
-    moore_basis,
     nk_roundtrip_iso,
     normalize_N,
     tensor_sab,
@@ -536,7 +532,7 @@ CHECKS = [
 ]
 
 
-def run_suite(seed: int, size: str = "small", threads: int | None = None, checks=None):
+def run_suite(seed: int, size: str = "small", checks=None):
     """Run every check with per-check derived seeds; returns (report
     text, all_passed).  The report is byte-identical for identical
     (seed, size)."""
@@ -545,33 +541,17 @@ def run_suite(seed: int, size: str = "small", threads: int | None = None, checks
     if checks is None:
         checks = CHECKS
     scale = 1 if size == "small" else 2
-    if threads is None:
-        try:
-            threads = int(os.environ.get("SKERNEL_THREADS", "0") or "0")
-        except ValueError:
-            threads = 0
-
-    def run_one(item):
-        name, statement, fn = item
+    lines = []
+    passed = 0
+    for name, statement, fn in checks:
         rng = random.Random("%d:%s" % (seed, name))
         try:
             detail = fn(rng, scale)
-            return name, statement, True, detail
+            ok = True
         except CheckFailure as exc:
-            return name, statement, False, str(exc)
+            detail, ok = str(exc), False
         except Exception as exc:  # pragma: no cover - defensive
-            return name, statement, False, "%s: %s" % (type(exc).__name__, exc)
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = {r[0]: r for r in pool.map(run_one, checks)}
-        ordered = [results[name] for name, _, _ in checks]
-    else:
-        ordered = [run_one(item) for item in checks]
-
-    lines = []
-    passed = 0
-    for name, statement, ok, detail in ordered:
+            detail, ok = "%s: %s" % (type(exc).__name__, exc), False
         tag = "PASS" if ok else "FAIL"
         lines.append("%s %-24s %s [%s]" % (tag, name, statement, detail))
         passed += ok

@@ -12,7 +12,7 @@ import random
 from math import gcd
 
 from skernel.complexes import ChainComplex, HomologyGroup
-from skernel.matrices import IntMatrix
+from skernel.matrices import IntMatrix, kernel_basis, solve_exact
 
 
 def naive_snf_diagonal(m: IntMatrix) -> list:
@@ -108,6 +108,20 @@ def group_of_divisors(divs) -> HomologyGroup:
         out.append(t)
     out.reverse()
     return HomologyGroup(free, tuple(out))
+
+
+def homology_by_presentation(c: ChainComplex, n: int) -> HomologyGroup:
+    """H_n presented on a basis of the cycles: solve the boundaries in
+    that basis, then read off the cokernel of the relation matrix.  This
+    is the transform-heavy recipe that ChainComplex.homology replaced,
+    kept as a reference."""
+    z = kernel_basis(c.d(n))
+    if z.cols == 0:
+        return HomologyGroup(0)
+    relations = solve_exact(z, c.d(n + 1))
+    assert relations is not None, "boundaries escape the cycles"
+    diag = [x for x in naive_snf_diagonal(relations) if x]
+    return group_of_divisors([0] * (z.cols - len(diag)) + diag)
 
 
 def tensor_groups(a: HomologyGroup, b: HomologyGroup) -> HomologyGroup:

@@ -29,6 +29,8 @@ def files(tmp_path):
     write("bad.json", json.dumps(
         {"min": 0, "max": 2, "ranks": {"0": 1, "1": 1, "2": 1},
          "d": {"1": [[1]], "2": [[1]]}}))
+    write("bad-rank.json", '{"min": 0, "max": 0, "ranks": {"0": "x"}}')
+    write("bad-entry.json", '{"min": 0, "max": 1, "ranks": {"0": 1, "1": 1}, "d": {"1": [[1.5]]}}')
     s0doc = simplicial_set_to_doc(sphere(0))
     ptdoc = simplicial_set_to_doc(point())
     write("diagram.json", json.dumps({
@@ -126,6 +128,20 @@ def test_exit_code_2_on_invalid_input(files, capsys):
     rc = main(["homology", "--in", files["bad.json"] + ".missing"])
     assert rc == 2
 
+    capsys.readouterr()
+    assert main(["homology", "--in", files["bad-rank.json"]]) == 2
+    assert "ranks['0'] must be an integer" in capsys.readouterr().err
+
+    assert main(["homology", "--in", files["bad-entry.json"]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "differential '1' has a non-integer entry 1.5" in captured.err
+
+    assert main(["nk-roundtrip", "--in", files["s2.json"], "--dim", "-2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--dim" in captured.err
+
 
 def test_exit_code_2_on_wrong_kind(files, capsys):
     rc = main(["homology", "--in", files["s1.json"]])
@@ -145,16 +161,13 @@ def test_suite_determinism():
     assert out1 == out2
 
 
-def test_suite_respects_thread_cap(files):
-    import os
+@pytest.mark.parametrize("size, seeds", [("small", range(20)), ("medium", range(5))])
+def test_suite_passes_a_seed_sweep(size, seeds):
+    from skernel.suite import run_suite
 
-    env = dict(os.environ, SKERNEL_THREADS="4")
-    p1 = subprocess.run([sys.executable, "-m", "skernel", "suite", "--seed", "0"],
-                        capture_output=True, env=env)
-    p2 = subprocess.run([sys.executable, "-m", "skernel", "suite", "--seed", "0"],
-                        capture_output=True)
-    assert p1.returncode == p2.returncode == 0
-    assert p1.stdout == p2.stdout
+    for seed in seeds:
+        report, ok = run_suite(seed, size)
+        assert ok, report
 
 
 def test_suite_reports_failures_with_exit_1():

@@ -15,9 +15,10 @@ from skernel.complexes import (
     single,
     zero_complex,
 )
+import skernel.matrices
 from skernel.matrices import IntMatrix
 
-from helpers import kunneth_homology, random_complex
+from helpers import homology_by_presentation, kunneth_homology, random_complex
 
 Z = HomologyGroup(1)
 Z2 = HomologyGroup(0, (2,))
@@ -211,6 +212,59 @@ def test_check_quasi_iso():
     assert report.verdicts[2].isomorphism
     incl0 = d.truncation_inclusion(0)
     assert check_quasi_iso(incl0).is_quasi_iso
+
+
+def test_check_quasi_iso_answers_every_degree():
+    c = ChainComplex(1, 3, {1: 1, 2: 1, 3: 1}, {2: [[2]]})
+    report = check_quasi_iso(c.truncation_inclusion(0))
+    assert report.verdicts[0].isomorphism
+    assert report.verdicts[-5].isomorphism and report.verdicts[9].isomorphism
+    assert report.is_quasi_iso
+
+
+def test_check_quasi_iso_can_say_no():
+    zz = single(1, 0)
+    double = check_quasi_iso(ChainMap(zz, zz, {0: [[2]]})).verdicts[0]
+    assert double.groups_agree
+    assert not double.surjective and not double.isomorphism
+
+    # (Z --4--> Z) -> (Z --2--> Z) with f1 = 2, f0 = 1: Z/4 onto Z/2
+    z4 = ChainComplex(0, 1, {0: 1, 1: 1}, {1: [[4]]})
+    report = check_quasi_iso(ChainMap(z4, mod2_complex(), {1: [[2]], 0: [[1]]}))
+    assert report.verdicts[0].surjective and not report.verdicts[0].groups_agree
+    assert not report.verdicts[0].isomorphism
+    assert not report.is_quasi_iso
+
+
+def test_homology_matches_presentation_reference(rng):
+    with_torsion = 0
+    for _ in range(60):
+        c = random_complex(rng, max_rank=4)
+        for n in range(-1, c.max_deg + 2):
+            h = c.homology(n)
+            assert h == homology_by_presentation(c, n)
+            with_torsion += bool(h.torsion)
+    assert with_torsion
+
+
+def test_homology_reduces_each_nonzero_differential_once(rng, monkeypatch):
+    complexes = [boundary_of_tetrahedron(), mod2_complex(), single(2, 1)]
+    complexes += [random_complex(rng) for _ in range(10)]
+    calls = []
+    original = skernel.matrices.smith_normal_form
+
+    def counting(m, want_u=True, want_v=True):
+        calls.append((want_u, want_v))
+        return original(m, want_u, want_v)
+
+    monkeypatch.setattr(skernel.matrices, "smith_normal_form", counting)
+    for c in complexes:
+        calls.clear()
+        c.homology_all()
+        c.homology_all()
+        nonzero = sum(1 for n in c.degrees() if not c.d(n).is_zero())
+        assert len(calls) == nonzero
+        assert set(calls) <= {(False, False)}
 
 
 def test_cone_detects_quasi_iso(rng):

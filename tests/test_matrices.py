@@ -3,10 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skernel.complexes import HomologyGroup, group_from_presentation
 from skernel.matrices import (
     IntMatrix,
-    cokernel_invariants,
     diagonal_of,
+    invariant_factors,
     inverse_unimodular,
     is_unimodular,
     kernel_basis,
@@ -59,6 +60,7 @@ def _check_snf(m):
         else:
             assert b == 0
     assert diag == naive_snf_diagonal(m)
+    assert invariant_factors(m) == tuple(x for x in diag if x)
 
 
 @given(
@@ -103,9 +105,10 @@ def test_solve_exact_and_inverse():
 
 
 def test_cokernel_invariants():
-    assert cokernel_invariants(M([[2, 0], [0, 3]])) == (0, (6,))
-    free, torsion = cokernel_invariants(IntMatrix.zero(3, 1))
-    assert (free, torsion) == (3, ())
+    assert invariant_factors(M([[2, 0], [0, 3]])) == (1, 6)
+    assert group_from_presentation(2, M([[2, 0], [0, 3]])) == HomologyGroup(0, (6,))
+    assert invariant_factors(IntMatrix.zero(3, 1)) == ()
+    assert group_from_presentation(3, IntMatrix.zero(3, 1)) == HomologyGroup(3)
 
 
 def test_kron_row_major_convention():
