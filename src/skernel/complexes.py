@@ -109,9 +109,9 @@ class ChainComplex:
                 diffs[n] = m
         self._d = diffs
         self._factors = {}
-        for n in range(self._min, self._max + 1):
-            comp = self.d(n) @ self.d(n + 1)
-            if not comp.is_zero():
+        # a product with an absent (zero) differential is zero
+        for n in sorted(diffs):
+            if n + 1 in diffs and not (diffs[n] @ diffs[n + 1]).is_zero():
                 raise ValidationError("d(%d) @ d(%d) is nonzero" % (n, n + 1))
 
     @property

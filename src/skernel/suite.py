@@ -25,7 +25,7 @@ from .homotopy import (
     weq_certificate,
     wrap,
 )
-from .matrices import IntMatrix, diagonal_of, is_unimodular, smith_normal_form
+from .matrices import IntMatrix, diagonal_of, invariant_factors, is_unimodular, smith_normal_form
 from .simpab import (
     bar_B,
     constant_group,
@@ -98,6 +98,8 @@ def check_smith_normal_form(rng, scale):
         diag = diagonal_of(d)
         for a, b in zip(diag, diag[1:]):
             _require((a == 0 and b == 0) or (a != 0 and b % a == 0), "divisibility chain broke")
+        _require(invariant_factors(m) == tuple(x for x in diag if x),
+                 "invariant factors disagree with the diagonal of D")
     return "%d random matrices" % count
 
 

@@ -184,3 +184,18 @@ def test_suite_reports_failures_with_exit_1():
     assert not ok
     assert "FAIL corrupted-differential" in report
     assert "d(1) @ d(2) is nonzero" in report
+
+
+def test_suite_smith_check_catches_wrong_invariant_factors(monkeypatch):
+    """The smith-normal-form check compares invariant_factors with the
+    diagonal of D, so dropping a factor turns it into a FAIL line."""
+    import skernel.suite
+    from skernel.suite import CHECKS, run_suite
+
+    original = skernel.suite.invariant_factors
+    monkeypatch.setattr(skernel.suite, "invariant_factors", lambda m: original(m)[1:])
+    smith = [c for c in CHECKS if c[0] == "smith-normal-form"]
+    report, ok = run_suite(0, "small", checks=smith)
+    assert not ok
+    assert "FAIL smith-normal-form" in report
+    assert "invariant factors disagree with the diagonal of D" in report

@@ -15,7 +15,9 @@ from skernel.complexes import (
     single,
     zero_complex,
 )
+import skernel.complexes
 import skernel.matrices
+from skernel import spaces
 from skernel.matrices import IntMatrix
 
 from helpers import homology_by_presentation, kunneth_homology, random_complex
@@ -251,20 +253,55 @@ def test_homology_reduces_each_nonzero_differential_once(rng, monkeypatch):
     complexes = [boundary_of_tetrahedron(), mod2_complex(), single(2, 1)]
     complexes += [random_complex(rng) for _ in range(10)]
     calls = []
-    original = skernel.matrices.smith_normal_form
+    original = skernel.complexes.invariant_factors
 
-    def counting(m, want_u=True, want_v=True):
-        calls.append((want_u, want_v))
-        return original(m, want_u, want_v)
+    def counting(m):
+        calls.append(m.shape)
+        return original(m)
 
-    monkeypatch.setattr(skernel.matrices, "smith_normal_form", counting)
+    monkeypatch.setattr(skernel.complexes, "invariant_factors", counting)
     for c in complexes:
         calls.clear()
         c.homology_all()
         c.homology_all()
         nonzero = sum(1 for n in c.degrees() if not c.d(n).is_zero())
         assert len(calls) == nonzero
-        assert set(calls) <= {(False, False)}
+
+
+def test_unit_heavy_homology_needs_no_dense_smith_reduction(monkeypatch):
+    """Boundary matrices of simplices and of S2 x S2 x S2 reduce to
+    nothing by unit pivots, so the dense Smith loop never runs."""
+    calls = []
+    original = skernel.matrices.smith_normal_form
+
+    def counting(m, want_u=True, want_v=True):
+        calls.append(m.shape)
+        return original(m, want_u, want_v)
+
+    monkeypatch.setattr(skernel.matrices, "smith_normal_form", counting)
+    s2 = spaces.sphere(2)
+    cases = [(spaces.boundary(n), {0: Z, n - 1: Z}) for n in range(2, 9)]
+    s2_cubed = spaces.product(spaces.product(s2, s2), s2)
+    cases.append((s2_cubed, {2: HomologyGroup(3), 4: HomologyGroup(3), 6: Z}))
+    for x, want in cases:
+        got = spaces.chains(x).homology_all()
+        assert {n: h for n, h in got.items() if not h.is_zero()} == want
+    assert calls == []
+
+
+def test_complex_without_differentials_multiplies_nothing(monkeypatch):
+    calls = []
+    original = IntMatrix.__matmul__
+
+    def counting(a, b):
+        calls.append((a.shape, b.shape))
+        return original(a, b)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counting)
+    c = ChainComplex(0, 1, {0: 30000, 1: 30000}, {})
+    assert c.homology(1) == HomologyGroup(30000)
+    ChainComplex(0, 2, {0: 1, 1: 2, 2: 1}, {1: [[1, -1]], 2: [[1], [1]]})
+    assert calls == [((1, 2), (2, 1))]
 
 
 def test_cone_detects_quasi_iso(rng):

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import skernel.matrices
 from skernel.complexes import HomologyGroup, group_from_presentation
 from skernel.matrices import (
     IntMatrix,
@@ -109,6 +110,89 @@ def test_cokernel_invariants():
     assert group_from_presentation(2, M([[2, 0], [0, 3]])) == HomologyGroup(0, (6,))
     assert invariant_factors(IntMatrix.zero(3, 1)) == ()
     assert group_from_presentation(3, IntMatrix.zero(3, 1)) == HomologyGroup(3)
+
+
+def _random_unimodular(rng, n):
+    """A product of elementary row operations on the identity."""
+    a = IntMatrix.identity(n).to_lists()
+    for _ in range(2 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            a[i] = [-x for x in a[i]]
+        else:
+            c = rng.choice((-2, -1, 1, 2))
+            a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+    return M(a)
+
+
+def _sparse_matrix(rng, rows, cols, density, values):
+    return IntMatrix.from_rows(
+        [[rng.choice(values) if rng.random() < density else 0 for _ in range(cols)]
+         for _ in range(rows)],
+        cols=cols,
+    )
+
+
+def test_invariant_factors_match_naive_oracle(monkeypatch):
+    """Sparse unit-pivot elimination against the naive gcd oracle, with
+    the dense Smith calls it makes counted per family: none when the
+    unit pivots clear everything, at least one when a factor above 1 or
+    a unit-free residue is left."""
+    dense = []
+    original = skernel.matrices.smith_normal_form
+
+    def counting(m, want_u=True, want_v=True):
+        dense.append(m.shape)
+        return original(m, want_u, want_v)
+
+    monkeypatch.setattr(skernel.matrices, "smith_normal_form", counting)
+    rng = random.Random(2024)
+    checked = 0
+
+    def check(m):
+        nonlocal checked
+        want = tuple(x for x in naive_snf_diagonal(m) if x)
+        dense.clear()
+        assert invariant_factors(m) == want, m.to_lists()
+        checked += 1
+        return want
+
+    for n in range(4):
+        for shape in [(0, n), (n, 0)]:
+            assert check(IntMatrix.zero(*shape)) == () and dense == []
+    for x in range(-4, 5):
+        check(M([[x]]))
+        assert dense == ([] if x in (-1, 0, 1) else [(1, 1)])
+    for density in (0.05, 0.1, 0.25, 0.5, 0.75, 1.0):
+        for _ in range(50):
+            check(_sparse_matrix(rng, rng.randint(1, 8), rng.randint(1, 8), density,
+                                 [x for x in range(-5, 6) if x]))
+    for _ in range(80):
+        m = _sparse_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), rng.choice((0.3, 0.6, 1.0)),
+                           (-6, -4, -3, -2, 2, 3, 4, 6))
+        check(m)
+        assert len(dense) == (0 if m.is_zero() else 1)
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        m = M([[rng.choice((-1, 1)) if j == perm[i] else 0 for j in range(n)] for i in range(n)])
+        assert check(m) == (1,) * n and dense == []
+    both = 0
+    for _ in range(60):
+        rows, cols = rng.randint(2, 7), rng.randint(2, 7)
+        units = rng.randint(0, min(rows, cols) - 1)
+        t = rng.choice((2, 3))
+        torsion = [t, t * rng.choice((1, 2, 3))][: min(rows, cols) - units]
+        diag = [1] * units + torsion
+        d = M([[diag[i] if i == j and i < len(diag) else 0 for j in range(cols)]
+               for i in range(rows)])
+        m = _random_unimodular(rng, rows) @ d @ _random_unimodular(rng, cols)
+        assert check(m) == tuple(diag)
+        assert len(dense) == 1
+        both += dense[0] != m.shape  # unit pivots shrank what the dense loop saw
+    assert both >= 30
+    assert checked >= 500
 
 
 def test_kron_row_major_convention():
