@@ -170,7 +170,7 @@ def cmd_wr_verify(args, out):
 
 
 def _map_from_doc(doc, source, target, label):
-    if not isinstance(doc, dict) or "cells" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("cells"), dict):
         raise CliError("map %r needs a cells table" % label)
     try:
         assignment = {c: ref_from_text(str(t)) for c, t in doc["cells"].items()}
@@ -179,9 +179,8 @@ def _map_from_doc(doc, source, target, label):
         raise CliError("map %r: %s" % (label, exc))
 
 
-def cmd_pushout(args, out):
-    _need(args.inputs, 1, "a diagram document")
-    path = args.inputs[0]
+def _load_diagram(path, parts, needs):
+    """The JSON object at path and the simplicial sets stored under parts."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -189,14 +188,25 @@ def cmd_pushout(args, out):
         raise CliError("no such file: %s" % path)
     except json.JSONDecodeError as exc:
         raise CliError("%s: invalid JSON: %s" % (path, exc.msg))
-    try:
-        k = simplicial_set_from_doc(doc["K"])
-        l = simplicial_set_from_doc(doc["L"])
-        m = simplicial_set_from_doc(doc["M"])
-    except KeyError as exc:
-        raise CliError("%s: diagram needs K, L, M and maps f, g (missing %s)" % (path, exc))
-    except (ParseError, ValidationError) as exc:
-        raise CliError("%s: %s" % (path, exc))
+    if not isinstance(doc, dict):
+        raise CliError("%s: expected a JSON object, found %s" % (path, type(doc).__name__))
+    spaces = []
+    for name in parts:
+        if name not in doc:
+            raise CliError("%s: %s (missing %r)" % (path, needs, name))
+        if not isinstance(doc[name], dict):
+            raise CliError("%s: %s must be a JSON object" % (path, name))
+        try:
+            spaces.append(simplicial_set_from_doc(doc[name]))
+        except (ParseError, ValidationError) as exc:
+            raise CliError("%s: %s" % (path, exc))
+    return doc, spaces
+
+
+def cmd_pushout(args, out):
+    _need(args.inputs, 1, "a diagram document")
+    doc, (k, l, m) = _load_diagram(args.inputs[0], ("K", "L", "M"),
+                                   "diagram needs K, L, M and maps f, g")
     f = _map_from_doc(doc.get("f"), k, l, "f")
     g = _map_from_doc(doc.get("g"), k, m, "g")
     hp = homotopy_pushout(f, g)
@@ -212,21 +222,8 @@ def cmd_pushout(args, out):
 
 def cmd_cylinder(args, out):
     _need(args.inputs, 1, "a map document")
-    path = args.inputs[0]
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise CliError("no such file: %s" % path)
-    except json.JSONDecodeError as exc:
-        raise CliError("%s: invalid JSON: %s" % (path, exc.msg))
-    try:
-        k = simplicial_set_from_doc(doc["source"])
-        l = simplicial_set_from_doc(doc["target"])
-    except KeyError as exc:
-        raise CliError("%s: need source, target and map (missing %s)" % (path, exc))
-    except (ParseError, ValidationError) as exc:
-        raise CliError("%s: %s" % (path, exc))
+    doc, (k, l) = _load_diagram(args.inputs[0], ("source", "target"),
+                                "need source, target and map")
     f = _map_from_doc(doc.get("map"), k, l, "map")
     cyl = cylinder(f)
     strict = cyl.retraction.compose(cyl.from_target) == SimplicialMap.identity(l)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from .complexes import ChainComplex
-from .matrices import IntMatrix, kernel_basis
+from .matrices import IntMatrix, diagonal_of, smith_normal_form
 from .simpab import SimplicialAbGroup, bar_B, dold_kan_K, free_reduced_Z, tensor_sab
 from .simplicial import SimplexRef, SimplicialSet
 from .spaces import sphere
@@ -23,7 +23,11 @@ def random_complex(rng: random.Random, max_deg: int = 3, max_rank: int = 3,
                    span: int = 3) -> ChainComplex:
     """A random bounded complex in degrees [0, max_deg]; the top
     differential is free and each one below factors through the kernel
-    of its successor, so d d = 0 holds by construction."""
+    of its successor, so d d = 0 holds by construction.
+
+    That kernel is spanned by the columns of the dense Smith V over the
+    zero diagonal, a fixed recipe that keeps every seeded instance the
+    same whatever basis `kernel_basis` returns."""
     ranks = [rng.randint(0, max_rank) for _ in range(max_deg + 1)]
     if all(r == 0 for r in ranks):
         ranks[0] = 1
@@ -46,7 +50,9 @@ def random_complex(rng: random.Random, max_deg: int = 3, max_rank: int = 3,
             )
             mat = prev_kernel @ coeff
         d[n] = mat
-        prev_kernel = kernel_basis(mat)
+        _, dm, v = smith_normal_form(mat, want_u=False)
+        r = sum(1 for x in diagonal_of(dm) if x)
+        prev_kernel = IntMatrix.from_rows([v.row(i)[r:] for i in range(v.rows)], cols=v.cols - r)
     return ChainComplex(0, max_deg, {n: r for n, r in enumerate(ranks)}, d)
 
 

@@ -1,23 +1,31 @@
-"""Dense integer matrices with exact arithmetic.
+"""Integer matrices with exact arithmetic: dense storage, sparse work.
 
 Everything in this package reduces to integer linear algebra over the
-Smith normal form computed here.  Invariants (homology, cokernels,
-unimodularity) need only its diagonal, `invariant_factors`, which builds
-no transform and eliminates sparsely: unit pivots are cleared on
-dict-of-rows storage, and only the residue without a +-1 entry reaches
-the dense Smith loop.  Storage stays dense, and so do the unimodular
-transforms U and V, computed only for callers that consume them (kernel
-bases, exact solves and the base changes built on those): kernel bases
-feed the random complexes of `generators`, so a different V would change
-every seeded instance the suite checks.  Matrices are immutable,
-row-major, and carry plain Python integers, so entry growth during
-elimination is harmless.
+Smith normal form computed here.  Matrices are immutable, row-major and
+carry plain Python integers, so entry growth during elimination is
+harmless.  Storage is a dense tuple, but each matrix caches its nonzero
+entries per row the first time it is multiplied or reduced, and products and
+matrix-vector products touch only those: the structure maps this package
+validates are 0/+-1 and a few percent nonzero.
+
+Kernels and invariants eliminate sparsely too.  `invariant_factors`
+(homology, cokernels, unimodularity) and `kernel_basis` (cycles, Moore
+bases) share one unit-pivot elimination on dict-of-rows storage; only the
+residue without a +-1 entry reaches the dense Smith loop, which computes
+V for a kernel and no transform for the factors.  The full transforms U
+and V of `smith_normal_form` stay dense and are computed only for callers
+that consume them (exact solves and the base changes built on those).
+The suite's random complexes in `generators` take their kernels from the
+dense Smith V directly, a fixed recipe, so changing `kernel_basis` never
+re-seeds an instance the suite checks.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
 
@@ -37,6 +45,18 @@ class IntMatrix:
                 "expected %d entries, got %d" % (self.rows * self.cols, len(self.data))
             )
 
+    @cached_property
+    def _row_nonzeros(self) -> tuple:
+        """Per row, the (columns, values) of its nonzero entries; computed
+        once, and not a field, so equality, hash and repr ignore it."""
+        out = []
+        span = range(self.cols)
+        for i in range(self.rows):
+            row = self.row(i)
+            js = tuple(compress(span, row))
+            out.append((js, tuple(filter(None, row))) if js else ((), ()))
+        return tuple(out)
+
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
         rows = [list(r) for r in rows]
@@ -46,12 +66,13 @@ class IntMatrix:
                 raise ValueError("ragged rows")
         else:
             ncols = 0 if cols is None else cols
-        flat = tuple(int(x) for r in rows for x in r)
-        return cls(len(rows), ncols, flat)
+        return cls(len(rows), ncols, tuple(map(int, chain.from_iterable(rows))))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        data = [0] * (n * n)
+        data[:: n + 1] = [1] * n
+        return cls(n, n, tuple(data))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
@@ -105,27 +126,21 @@ class IntMatrix:
             raise ValueError(
                 "shape mismatch in product: %r @ %r" % (self.shape, other.shape)
             )
-        n, k, m = self.rows, self.cols, other.cols
-        a, b = self.data, other.data
-        out = [0] * (n * m)
-        for i in range(n):
-            arow = a[i * k : (i + 1) * k]
+        m = other.cols
+        brows = other._row_nonzeros
+        out = [0] * (self.rows * m)
+        for i, (ts, cs) in enumerate(self._row_nonzeros):
             base = i * m
-            for t in range(k):
-                c = arow[t]
-                if c:
-                    brow = b[t * m : (t + 1) * m]
-                    for j in range(m):
-                        out[base + j] += c * brow[j]
-        return IntMatrix(n, m, tuple(out))
+            for t, c in zip(ts, cs):
+                js, ys = brows[t]
+                for j, y in zip(js, ys):
+                    out[base + j] += c * y
+        return IntMatrix(self.rows, m, tuple(out))
 
     def mul_vec(self, v: Sequence[int]) -> tuple:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(
-            sum(self.data[i * self.cols + j] * v[j] for j in range(self.cols))
-            for i in range(self.rows)
-        )
+        return tuple(sum(x * v[j] for j, x in zip(js, xs)) for js, xs in self._row_nonzeros)
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":
         """Kronecker product; compatible with row-major vectorisation, so
@@ -317,30 +332,28 @@ def diagonal_of(d: IntMatrix) -> list:
     return [d.at(i, i) for i in range(min(d.rows, d.cols))]
 
 
-def invariant_factors(m: IntMatrix) -> tuple:
-    """The nonzero diagonal d1 | d2 | ... of the Smith normal form of m,
-    computed without transforms; there are rank(m) of them.
+def _unit_pivots(m: IntMatrix):
+    """Sparse unit-pivot elimination by row operations (Kaczynski-Mrozek-
+    Slusarek; Dumas-Saunders-Villard).
 
-    Sparse unit-pivot elimination first (Kaczynski-Mrozek-Slusarek;
-    Dumas-Saunders-Villard): the nonzero rows are held as {col: value}
-    dicts with a column -> rows occupancy index, and while some entry is
-    +-1 the sparsest column holding one (ties: lowest column index) is
-    cleared from the other rows with the shortest such row (ties: lowest
-    row index) as pivot.  Pivot row and column are then dropped, each
-    step counting one factor 1.  Every step is unimodular and SNF(diag(I_k,
-    R)) = diag(I_k, SNF(R)), so only the residue R left without a unit
-    entry, typically empty or small, goes through the dense
-    `smith_normal_form`.
+    The nonzero rows of m are held as {col: value} dicts with a column ->
+    rows occupancy index, and while some entry is +-1 the sparsest column
+    holding one (ties: lowest column index) is cleared from the other
+    rows with the shortest such row (ties: lowest row index) as pivot.
+    Pivot row and column are then dropped.  Returns (pivots, rows, cols):
+    pivots lists (column, sign, rest of the pivot row) in elimination
+    order, each rest naming only columns still present at its step; rows
+    and cols are the residue, which holds no +-1 entry, keyed by its
+    nonzero rows and nonempty columns.
     """
     rows = {}
     cols = {}
-    for i in range(m.rows):
-        row = {j: x for j, x in enumerate(m.row(i)) if x}
-        if row:
-            rows[i] = row
-            for j in row:
+    for i, (js, xs) in enumerate(m._row_nonzeros):
+        if js:
+            rows[i] = dict(zip(js, xs))
+            for j in js:
                 cols.setdefault(j, set()).add(i)
-    units = 0
+    pivots = []
     # candidate columns keyed (occupancy, index); an entry is stale once
     # the column's occupancy has changed, and every column whose entries
     # change is pushed again
@@ -351,10 +364,10 @@ def invariant_factors(m: IntMatrix) -> tuple:
         occ = cols.get(q)
         if occ is None or len(occ) != count:
             continue
-        pivots = [(len(rows[i]), i) for i in occ if rows[i][q] in (1, -1)]
-        if not pivots:
+        candidates = [(len(rows[i]), i) for i in occ if rows[i][q] in (1, -1)]
+        if not candidates:
             continue
-        p = min(pivots)[1]
+        p = min(candidates)[1]
         prow = rows.pop(p)
         s = prow.pop(q)
         del cols[q]
@@ -381,31 +394,67 @@ def invariant_factors(m: IntMatrix) -> tuple:
                 heapq.heappush(heap, (len(cols[j]), j))
             else:
                 del cols[j]
-        units += 1
+        pivots.append((q, s, prow))
+    return pivots, rows, cols
+
+
+def _residue(rows: dict, keep: list) -> IntMatrix:
+    return IntMatrix.from_rows([[rows[i].get(j, 0) for j in keep] for i in sorted(rows)])
+
+
+def invariant_factors(m: IntMatrix) -> tuple:
+    """The nonzero diagonal d1 | d2 | ... of the Smith normal form of m,
+    computed without transforms; there are rank(m) of them.
+
+    Each unit pivot of `_unit_pivots` counts one factor 1.  Every step is
+    unimodular and SNF(diag(I_k, R)) = diag(I_k, SNF(R)), so only the
+    residue R left without a unit entry, typically empty or small, goes
+    through the dense `smith_normal_form`.
+    """
+    pivots, rows, cols = _unit_pivots(m)
+    units = (1,) * len(pivots)
     if not rows:
-        return (1,) * units
-    keep = sorted(cols)
-    residue = IntMatrix.from_rows([[rows[i].get(j, 0) for j in keep] for i in sorted(rows)])
-    _, d, _ = smith_normal_form(residue, want_u=False, want_v=False)
-    return (1,) * units + tuple(x for x in diagonal_of(d) if x)
+        return units
+    _, d, _ = smith_normal_form(_residue(rows, sorted(cols)), want_u=False, want_v=False)
+    return units + tuple(x for x in diagonal_of(d) if x)
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Basis of the integer kernel lattice of m, as columns.
 
-    The kernel of a unimodular column transform is spanned by the columns
-    of V sitting over zero diagonal entries, and that span is saturated,
-    so the basis generates ker(m) exactly (not a finite-index sublattice).
+    Row operations keep the kernel.  After `_unit_pivots`, each pivot
+    row fixes its pivot coordinate in terms of coordinates pivoted later
+    or not at all, and the residue R constrains only non-pivot ones.  So
+    projecting ker(m) onto the non-pivot coordinates is an isomorphism
+    onto ker(R) times the coordinates no residue row touches; its inverse
+    is back-substitution through the pivot rows in reverse order,
+    integral because the pivots are +-1.  The basis is the unit vectors
+    of the untouched coordinates, then the columns of the dense Smith V
+    of R over its zero diagonal, each completed by back-substitution.
+    Those images form a saturated basis, so this one generates ker(m)
+    exactly (not a finite-index sublattice).
     """
-    if m.rows == 0:
-        return IntMatrix.identity(m.cols)
-    _, d, v = smith_normal_form(m, want_u=False)
-    diag = diagonal_of(d)
-    r = sum(1 for x in diag if x != 0)
-    cols = [v.col(j) for j in range(r, m.cols)]
-    return IntMatrix.from_rows(
-        [[c[i] for c in cols] for i in range(m.cols)], cols=len(cols)
-    )
+    pivots, rows, cols = _unit_pivots(m)
+    pivoted = {q for q, _, _ in pivots}
+    vectors = []
+    for j in range(m.cols):
+        if j not in pivoted and j not in cols:
+            x = [0] * m.cols
+            x[j] = 1
+            vectors.append(x)
+    if rows:
+        keep = sorted(cols)
+        _, d, v = smith_normal_form(_residue(rows, keep), want_u=False)
+        r = sum(1 for x in diagonal_of(d) if x)
+        for t in range(r, len(keep)):
+            x = [0] * m.cols
+            for j, y in zip(keep, v.col(t)):
+                x[j] = y
+            vectors.append(x)
+    for x in vectors:
+        for q, s, prow in reversed(pivots):
+            x[q] = -s * sum(x[j] * c for j, c in prow.items())
+    return IntMatrix(m.cols, len(vectors), tuple(x[j] for j in range(m.cols) for x in vectors))
 
 
 def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:

@@ -181,7 +181,13 @@ def tensor_sab(a: SimplicialAbGroup, b: SimplicialAbGroup) -> SimplicialAbGroup:
 
 def moore_basis(a: SimplicialAbGroup) -> dict:
     """Per level, a lattice basis (columns) of the intersection of the
-    kernels of all faces except the zeroth."""
+    kernels of all faces except the zeroth.
+
+    It is the `kernel_basis` of the faces d_1, ..., d_n stacked: their
+    entries are 0/+-1 and almost monomial, so the unit-pivot elimination
+    clears them and the dense Smith loop sees a small residue at most
+    (none for the free reductions of spheres).  The basis is saturated,
+    which `moore_projection` relies on."""
     bases = {0: IntMatrix.identity(a.rank(0))}
     for n in range(1, a.D + 1):
         if a.rank(n) == 0:

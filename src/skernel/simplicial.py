@@ -258,16 +258,6 @@ def _descending_words(n: int, k: int):
         yield combo
 
 
-def apply_operator(x: SimplicialSet, ref: SimplexRef, kind: str, index: int) -> SimplexRef:
-    """Apply a face ("d") or degeneracy ("s") operator to a simplex and
-    return the canonical representative."""
-    if kind in ("d", "face"):
-        return x.face(ref, index)
-    if kind in ("s", "degeneracy"):
-        return x.degeneracy(ref, index)
-    raise ValueError("operator kind must be a face or a degeneracy, not %r" % kind)
-
-
 class SimplicialMap:
     """A simplicial map, recorded on nondegenerate cells of the source.
 

@@ -31,8 +31,12 @@ def files(tmp_path):
          "d": {"1": [[1]], "2": [[1]]}}))
     write("bad-rank.json", '{"min": 0, "max": 0, "ranks": {"0": "x"}}')
     write("bad-entry.json", '{"min": 0, "max": 1, "ranks": {"0": 1, "1": 1}, "d": {"1": [[1.5]]}}')
+    write("top-level-list.json", "[]")
     s0doc = simplicial_set_to_doc(sphere(0))
     ptdoc = simplicial_set_to_doc(point())
+    write("scalar-parts.json", '{"K": 5, "L": 1, "M": 2}')
+    write("cells-list-map.json", json.dumps({"source": s0doc, "target": s0doc,
+                                             "map": {"cells": []}}))
     write("diagram.json", json.dumps({
         "K": s0doc, "L": ptdoc, "M": ptdoc,
         "f": {"cells": {"*": "*", "p": "*"}},
@@ -141,6 +145,21 @@ def test_exit_code_2_on_invalid_input(files, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--dim" in captured.err
+
+    for command in ("pushout", "cylinder"):
+        assert main([command, "--in", files["top-level-list.json"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "expected a JSON object, found list" in captured.err
+
+    assert main(["pushout", "--in", files["scalar-parts.json"]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "K must be a JSON object" in captured.err
+
+    assert main(["cylinder", "--in", files["cells-list-map.json"]]) == 2
+    assert "map 'map' needs a cells table" in capsys.readouterr().err
 
 
 def test_exit_code_2_on_wrong_kind(files, capsys):

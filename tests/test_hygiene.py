@@ -1,4 +1,5 @@
-"""Static hygiene of the package: no module-level import goes unused."""
+"""Static hygiene of the package: no module-level import goes unused,
+and no module-level function or class goes unreferenced."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "skernel"
+TESTS = Path(__file__).resolve().parent
 
 
 def _imported_names(tree: ast.Module):
@@ -36,3 +38,20 @@ def test_no_unused_module_imports(path):
     unused = ["%s (line %d)" % (name, line) for name, line in _imported_names(tree)
               if name not in used]
     assert not unused, "unused imports in %s: %s" % (path.name, ", ".join(unused))
+
+
+def test_no_unreferenced_module_definitions():
+    """Every function and class defined at module level in the package is
+    referenced by name (or as an attribute) somewhere in the package or
+    its tests, or re-exported through an __all__."""
+    defined = []
+    used = set()
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used |= _used_names(tree)
+        used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        if path.parent == SRC:
+            defined += [(node.name, path.name, node.lineno) for node in tree.body
+                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    unreferenced = ["%s (%s line %d)" % d for d in defined if d[0] not in used]
+    assert not unreferenced, "never referenced: %s" % ", ".join(unreferenced)

@@ -14,9 +14,12 @@ from skernel.matrices import (
     kernel_basis,
     smith_normal_form,
     solve_exact,
+    vstack,
 )
+from skernel.simpab import bar_B, dold_kan_K, free_reduced_Z, moore_basis
+from skernel.spaces import sphere
 
-from helpers import naive_snf_diagonal
+from helpers import naive_snf_diagonal, random_complex
 
 
 def M(rows):
@@ -133,19 +136,24 @@ def _sparse_matrix(rng, rows, cols, density, values):
     )
 
 
+def _count_dense_calls(monkeypatch):
+    calls = []
+    original = skernel.matrices.smith_normal_form
+
+    def counting(m, want_u=True, want_v=True):
+        calls.append(m.shape)
+        return original(m, want_u, want_v)
+
+    monkeypatch.setattr(skernel.matrices, "smith_normal_form", counting)
+    return calls
+
+
 def test_invariant_factors_match_naive_oracle(monkeypatch):
     """Sparse unit-pivot elimination against the naive gcd oracle, with
     the dense Smith calls it makes counted per family: none when the
     unit pivots clear everything, at least one when a factor above 1 or
     a unit-free residue is left."""
-    dense = []
-    original = skernel.matrices.smith_normal_form
-
-    def counting(m, want_u=True, want_v=True):
-        dense.append(m.shape)
-        return original(m, want_u, want_v)
-
-    monkeypatch.setattr(skernel.matrices, "smith_normal_form", counting)
+    dense = _count_dense_calls(monkeypatch)
     rng = random.Random(2024)
     checked = 0
 
@@ -193,6 +201,112 @@ def test_invariant_factors_match_naive_oracle(monkeypatch):
         both += dense[0] != m.shape  # unit pivots shrank what the dense loop saw
     assert both >= 30
     assert checked >= 500
+
+
+def _naive_product(a, b):
+    return [[sum(a.at(i, t) * b.at(t, j) for t in range(a.cols)) for j in range(b.cols)]
+            for i in range(a.rows)]
+
+
+def _stacked_faces(a):
+    """The matrices whose kernels are the Moore bases of a."""
+    return [vstack([a.face(n, i) for i in range(1, n + 1)])
+            for n in range(1, a.D + 1) if a.rank(n)]
+
+
+def test_kernel_basis_defining_properties(monkeypatch):
+    """Over seeded families, kernel_basis(m) = K satisfies m K = 0, has
+    nullity(m) columns, and is saturated: the invariant factors of K^T
+    are all 1, so K spans ker(m) and not a finite-index sublattice."""
+    dense = _count_dense_calls(monkeypatch)
+    rng = random.Random(4048)
+    checked = 0
+    kernel_dense = 0
+
+    def check(m):
+        nonlocal checked, kernel_dense
+        dense.clear()
+        k = kernel_basis(m)
+        kernel_dense = len(dense)
+        assert k.rows == m.cols
+        assert all(x == 0 for row in _naive_product(m, k) for x in row), m.to_lists()
+        assert k.cols == m.cols - len(invariant_factors(m))
+        assert invariant_factors(k.transpose()) == (1,) * k.cols, m.to_lists()
+        checked += 1
+        return k
+
+    for n in range(5):
+        assert check(IntMatrix.zero(0, n)) == IntMatrix.identity(n)
+        assert check(IntMatrix.zero(n, 0)).shape == (0, 0)
+    for x in range(-4, 5):
+        assert check(M([[x]])).cols == (1 if x == 0 else 0)
+    for density in (0.1, 0.3, 0.6, 1.0):
+        for _ in range(25):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 8)
+            m = _sparse_matrix(rng, rows, cols, density, [x for x in range(-4, 5) if x])
+            zeroed = set(rng.sample(range(cols), rng.randint(1, cols)))
+            check(M([[0 if j in zeroed else x for j, x in enumerate(r)] for r in m.to_lists()]))
+            check(m)
+    for _ in range(60):
+        m = _sparse_matrix(rng, rng.randint(1, 6), rng.randint(1, 7), rng.choice((0.3, 0.6, 1.0)),
+                           (-6, -4, -3, -2, 2, 3, 4, 6))
+        check(m)
+        assert kernel_dense == (0 if m.is_zero() else 1)  # the unit-free residue path
+    for _ in range(40):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        diag = [rng.choice((1, 1, 2, 3, 6)) for _ in range(rng.randint(0, min(rows, cols)))]
+        diag.sort(key=lambda x: (x != 1, x))
+        d = M([[diag[i] if i == j and i < len(diag) else 0 for j in range(cols)]
+               for i in range(rows)])
+        check(_random_unimodular(rng, rows) @ d @ _random_unimodular(rng, cols))
+    structured = [free_reduced_Z(sphere(2), 5), bar_B(free_reduced_Z(sphere(2), 4)),
+                  bar_B(free_reduced_Z(sphere(1), 5))]
+    structured += [dold_kan_K(random_complex(rng, max_deg=3, max_rank=2, span=2), 4)
+                   for _ in range(4)]
+    for a in structured:
+        for m in _stacked_faces(a):
+            check(m)
+    assert checked >= 300
+
+
+def test_moore_basis_of_reduced_spheres_needs_no_dense_smith_reduction(monkeypatch):
+    dense = _count_dense_calls(monkeypatch)
+    for k in (1, 2):
+        for d in range(1, 7):
+            a = free_reduced_Z(sphere(k), d)
+            bases = moore_basis(a)
+            assert dense == [], (k, d)
+            for n in range(1, d + 1):
+                for i in range(1, n + 1):
+                    assert (a.face(n, i) @ bases[n]).is_zero()
+            assert [bases[n].cols for n in range(d + 1)] == [1 if n == k else 0 for n in range(d + 1)]
+
+
+def test_products_match_a_naive_triple_loop():
+    rng = random.Random(77)
+    shapes = [(0, 0, 0), (0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 1, 1)]
+    shapes += [(rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)) for _ in range(80)]
+    for n, k, m in shapes:
+        density = rng.choice((0.05, 0.3, 1.0))
+        a = _sparse_matrix(rng, n, k, density, (-3, -1, 1, 2, 5))
+        b = _sparse_matrix(rng, k, m, density, (-2, -1, 1, 4))
+        assert (a @ b).shape == (n, m)
+        assert (a @ b).to_lists() == _naive_product(a, b)
+        v = [rng.randint(-5, 5) for _ in range(k)]
+        assert a.mul_vec(v) == tuple(sum(a.at(i, t) * v[t] for t in range(k)) for i in range(n))
+    with pytest.raises(ValueError):
+        M([[1, 2]]) @ M([[1, 2]])
+    with pytest.raises(ValueError):
+        M([[1, 2]]).mul_vec([1])
+
+
+def test_nonzero_cache_stays_out_of_equality_and_hash():
+    a, b = M([[0, 2, 0], [1, 0, -3]]), M([[0, 2, 0], [1, 0, -3]])
+    a @ IntMatrix.identity(3)
+    a.mul_vec([1, 1, 1])
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert {a: "filled"}[b] == "filled"
+    assert a != M([[0, 2, 0], [1, 0, 3]])
 
 
 def test_kron_row_major_convention():

@@ -46,6 +46,27 @@ def test_validation_rejects_broken_identities():
         )
 
 
+def test_validation_names_the_identity_a_flipped_bar_face_breaks():
+    """Flipping one entry of any one face of a bar construction and
+    rebuilding it is caught by the sparse products of the validation."""
+    b = bar_B(free_reduced_Z(sphere(2), 5))
+    faces = {(n, i): b.face(n, i) for n in range(1, b.D + 1) for i in range(n + 1)}
+    degen = {(n, j): b.degen(n, j) for n in range(b.D) for j in range(n + 1)}
+    assert SimplicialAbGroup(b.D, b.ranks(), faces, degen) == b
+    flipped = 0
+    for key, f in faces.items():
+        if not f.data:
+            continue
+        data = list(f.data)
+        data[len(data) // 2] = 1 - data[len(data) // 2]
+        broken = dict(faces)
+        broken[key] = IntMatrix(f.rows, f.cols, tuple(data))
+        with pytest.raises(ValidationError, match=r"^identity d_\d+ [ds]_\d+ failed at level \d+$"):
+            SimplicialAbGroup(b.D, b.ranks(), broken, degen)
+        flipped += 1
+    assert flipped == 15  # every face of levels 3, 4 and 5
+
+
 def test_surjection_counts():
     # rank of K(Z[1]) at level 2 counts the two surjections [2] ->> [1]
     assert len(surjection_tuples(2, 1)) == 2
