@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .matrices import IntMatrix, hstack, invariant_factors, kernel_basis, solve_exact
+from .matrices import IntMatrix, hstack, invariant_factors, kernel_basis, solve_exact, vstack
 
 
 class ValidationError(ValueError):
@@ -258,28 +258,20 @@ class ChainComplex:
             tgt_at = {i: off for i, off, _ in tgt}
             rows = sum(r for _, _, r in tgt)
             cols = sum(r for _, _, r in src)
-            out = [[0] * cols for _ in range(rows)]
+            entries = []
             for i, coff, _ in src:
                 j = n - i
                 ra, rb = self.rank(i), other.rank(j)
                 if i - 1 in tgt_at and self.rank(i - 1):
                     blk = self.d(i).kron(IntMatrix.identity(rb))
                     roff = tgt_at[i - 1]
-                    for a in range(blk.rows):
-                        row = out[roff + a]
-                        for b in range(blk.cols):
-                            row[coff + b] += blk.at(a, b)
+                    entries.extend((roff + a, coff + b, x) for a, b, x in blk.entries())
                 if i in tgt_at and other.rank(j - 1):
                     sign = -1 if i % 2 else 1
                     blk = IntMatrix.identity(ra).kron(other.d(j))
-                    if sign < 0:
-                        blk = blk.scale(-1)
                     roff = tgt_at[i]
-                    for a in range(blk.rows):
-                        row = out[roff + a]
-                        for b in range(blk.cols):
-                            row[coff + b] += blk.at(a, b)
-            d[n] = IntMatrix.from_rows(out, cols=cols)
+                    entries.extend((roff + a, coff + b, sign * x) for a, b, x in blk.entries())
+            d[n] = IntMatrix.from_entries(rows, cols, entries)
         if not ranks:
             return ChainComplex(0, 0, {}, {})
         return ChainComplex(lo, hi, ranks, d)
@@ -375,15 +367,10 @@ def cone(f: ChainMap) -> ChainComplex:
         rc, rt = src.rank(n - 2), tgt.rank(n - 1)
         if (sc + st) == 0 or (rc + rt) == 0:
             continue
-        rows = []
-        dsrc = src.d(n - 1)
-        dtgt = tgt.d(n)
-        fc = f.component(n - 1)
-        for i in range(rc):
-            rows.append([-dsrc.at(i, j) for j in range(sc)] + [0] * st)
-        for i in range(rt):
-            rows.append([-fc.at(i, j) for j in range(sc)] + [dtgt.at(i, j) for j in range(st)])
-        d[n] = IntMatrix.from_rows(rows, cols=sc + st)
+        d[n] = vstack([
+            hstack([-src.d(n - 1), IntMatrix.zero(rc, st)]),
+            hstack([-f.component(n - 1), tgt.d(n)]),
+        ])
     if not ranks:
         return zero_complex()
     return ChainComplex(lo, hi, ranks, d)
@@ -476,26 +463,20 @@ def hom_complex(k: ChainComplex, l: ChainComplex) -> ChainComplex:
         tgt_at = {i: off for i, off, _ in tgt}
         rows = sum(r for _, _, r in tgt)
         cols = sum(r for _, _, r in src)
-        out = [[0] * cols for _ in range(rows)]
+        entries = []
         sign = -1 if n % 2 else 1
         for i, coff, _ in src:
             # post-composition with d_L : block i -> block i
             if i in tgt_at and l.rank(i + n - 1):
                 blk = l.d(i + n).kron(IntMatrix.identity(k.rank(i)))
                 roff = tgt_at[i]
-                for a in range(blk.rows):
-                    row = out[roff + a]
-                    for b in range(blk.cols):
-                        row[coff + b] += blk.at(a, b)
+                entries.extend((roff + a, coff + b, x) for a, b, x in blk.entries())
             # pre-composition with d_K : block i -> block i+1
             if i + 1 in tgt_at and l.rank(i + n):
                 blk = IntMatrix.identity(l.rank(i + n)).kron(k.d(i + 1).transpose())
                 roff = tgt_at[i + 1]
-                for a in range(blk.rows):
-                    row = out[roff + a]
-                    for b in range(blk.cols):
-                        row[coff + b] -= sign * blk.at(a, b)
-        d[n] = IntMatrix.from_rows(out, cols=cols)
+                entries.extend((roff + a, coff + b, -sign * x) for a, b, x in blk.entries())
+        d[n] = IntMatrix.from_entries(rows, cols, entries)
     if not ranks:
         return zero_complex()
     return ChainComplex(lo, hi, ranks, d)

@@ -1,164 +1,204 @@
-"""Integer matrices with exact arithmetic: dense storage, sparse work.
+"""Integer matrices with exact arithmetic, stored by their nonzero entries.
 
 Everything in this package reduces to integer linear algebra over the
-Smith normal form computed here.  Matrices are immutable, row-major and
-carry plain Python integers, so entry growth during elimination is
-harmless.  Storage is a dense tuple, but each matrix caches its nonzero
-entries per row the first time it is multiplied or reduced, and products and
-matrix-vector products touch only those: the structure maps this package
-validates are 0/+-1 and a few percent nonzero.
+Smith normal form computed here.  Matrices are immutable and carry plain
+Python integers, so entry growth during elimination is harmless.  A
+matrix stores, per row, the columns and values of its nonzero entries,
+columns ascending: the structure maps this package validates are 0/+-1
+and a few percent nonzero, so products, sums and Kronecker products touch
+only those, and an n x n identity or zero map takes O(n) space.  The form
+is canonical, so equality and hashing compare storage.  Builders emit
+(row, column, value) entries through `IntMatrix.from_entries`; dense rows
+go through `from_rows`.
 
 Kernels and invariants eliminate sparsely too.  `invariant_factors`
 (homology, cokernels, unimodularity) and `kernel_basis` (cycles, Moore
 bases) share one unit-pivot elimination on dict-of-rows storage; only the
 residue without a +-1 entry reaches the dense Smith loop, which computes
 V for a kernel and no transform for the factors.  The full transforms U
-and V of `smith_normal_form` stay dense and are computed only for callers
-that consume them (exact solves and the base changes built on those).
-The suite's random complexes in `generators` take their kernels from the
-dense Smith V directly, a fixed recipe, so changing `kernel_basis` never
-re-seeds an instance the suite checks.
+and V of `smith_normal_form` are computed, on a dense list workspace,
+only for callers that consume them (exact solves and the base changes
+built on those).  The suite's random complexes in `generators` take their
+kernels from the dense Smith V directly, a fixed recipe, so changing
+`kernel_basis` never re-seeds an instance the suite checks.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, compress
+from itertools import accumulate, chain, compress
 from typing import Iterable, Sequence
 
+# the stored form of a row without nonzero entries
+_EMPTY = ((), ())
 
-@dataclass(frozen=True)
+
+def _sparse_row(acc: dict) -> tuple:
+    """The stored form of a row given as {column: value}."""
+    js = sorted(j for j, x in acc.items() if x)
+    return (tuple(js), tuple(map(acc.__getitem__, js))) if js else _EMPTY
+
+
+def _dense_to_sparse(dense: list) -> tuple:
+    js = tuple(compress(range(len(dense)), dense))
+    return (js, tuple(filter(None, dense))) if js else _EMPTY
+
+
+@dataclass(frozen=True, slots=True)
 class IntMatrix:
-    """An immutable rows x cols integer matrix, entries in row-major order."""
+    """An immutable rows x cols integer matrix.
+
+    `nonzeros` holds one (columns, values) pair per row: the columns of
+    the row's nonzero entries in ascending order and their values.  That
+    form is canonical, so build matrices with `from_entries`, `from_rows`,
+    `identity` or `zero` unless the storage is already in it.
+    """
 
     rows: int
     cols: int
-    data: tuple
+    nonzeros: tuple
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.data) != self.rows * self.cols:
-            raise ValueError(
-                "expected %d entries, got %d" % (self.rows * self.cols, len(self.data))
-            )
+        if len(self.nonzeros) != self.rows:
+            raise ValueError("expected %d rows, got %d" % (self.rows, len(self.nonzeros)))
 
-    @cached_property
-    def _row_nonzeros(self) -> tuple:
-        """Per row, the (columns, values) of its nonzero entries; computed
-        once, and not a field, so equality, hash and repr ignore it."""
-        out = []
-        span = range(self.cols)
-        for i in range(self.rows):
-            row = self.row(i)
-            js = tuple(compress(span, row))
-            out.append((js, tuple(filter(None, row))) if js else ((), ()))
-        return tuple(out)
+    @classmethod
+    def from_entries(cls, rows: int, cols: int, entries: Iterable) -> "IntMatrix":
+        """The rows x cols matrix with the given (i, j, value) entries;
+        values at a repeated position add up, and zero sums are dropped."""
+        acc = {}
+        for i, j, x in entries:
+            row = acc.setdefault(i, {})
+            row[j] = row.get(j, 0) + x
+        out = [_EMPTY] * rows
+        for i, row in acc.items():
+            if not (0 <= i < rows and 0 <= min(row) and max(row) < cols):
+                raise ValueError("entry in row %d outside a %dx%d matrix" % (i, rows, cols))
+            out[i] = _sparse_row(row)
+        return cls(rows, cols, tuple(out))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        rows = [list(r) for r in rows]
+        rows = [list(map(int, r)) for r in rows]
         if rows:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
                 raise ValueError("ragged rows")
         else:
             ncols = 0 if cols is None else cols
-        return cls(len(rows), ncols, tuple(map(int, chain.from_iterable(rows))))
+        return cls(len(rows), ncols, tuple(map(_dense_to_sparse, rows)))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        data = [0] * (n * n)
-        data[:: n + 1] = [1] * n
-        return cls(n, n, tuple(data))
+        return cls(n, n, tuple(((i,), (1,)) for i in range(n)))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
+        return cls(rows, cols, (_EMPTY,) * rows)
+
+    def entries(self):
+        """The nonzero entries as (i, j, value), in row-major order."""
+        for i, (js, xs) in enumerate(self.nonzeros):
+            for j, x in zip(js, xs):
+                yield i, j, x
 
     def at(self, i: int, j: int) -> int:
-        return self.data[i * self.cols + j]
+        js, xs = self.nonzeros[i]
+        k = bisect_left(js, j)
+        return xs[k] if k < len(js) and js[k] == j else 0
 
     def row(self, i: int) -> tuple:
-        return self.data[i * self.cols : (i + 1) * self.cols]
+        out = [0] * self.cols
+        for j, x in zip(*self.nonzeros[i]):
+            out[j] = x
+        return tuple(out)
 
     def col(self, j: int) -> tuple:
-        return tuple(self.data[i * self.cols + j] for i in range(self.rows))
+        return tuple(self.at(i, j) for i in range(self.rows))
 
     def to_lists(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
+
+    @property
+    def data(self) -> tuple:
+        """All entries in row-major order, zeros included; computed on
+        each access, not stored."""
+        return tuple(chain.from_iterable(map(self.row, range(self.rows))))
 
     @property
     def shape(self) -> tuple:
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.data)
+        return not any(js for js, _ in self.nonzeros)
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and self == IntMatrix.identity(self.rows)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
-        )
+        return IntMatrix.from_entries(self.cols, self.rows, ((j, i, x) for i, j, x in self.entries()))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch in addition: %r vs %r" % (self.shape, other.shape))
-        return IntMatrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.data, other.data)))
+        return IntMatrix.from_entries(self.rows, self.cols, chain(self.entries(), other.entries()))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + (-other)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(-a for a in self.data))
+        return self.scale(-1)
 
     def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(c * a for a in self.data))
+        if c == 0:
+            return IntMatrix.zero(self.rows, self.cols)
+        return IntMatrix(self.rows, self.cols,
+                         tuple((js, tuple(c * x for x in xs)) for js, xs in self.nonzeros))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(
                 "shape mismatch in product: %r @ %r" % (self.shape, other.shape)
             )
-        m = other.cols
-        brows = other._row_nonzeros
-        out = [0] * (self.rows * m)
-        for i, (ts, cs) in enumerate(self._row_nonzeros):
-            base = i * m
+        brows = other.nonzeros
+        out = []
+        for ts, cs in self.nonzeros:
+            if len(ts) == 1:
+                # a monomial row selects and scales one row of other
+                js, ys = brows[ts[0]]
+                c = cs[0]
+                out.append((js, ys) if c == 1 else (js, tuple(c * y for y in ys)))
+                continue
+            acc = {}
             for t, c in zip(ts, cs):
                 js, ys = brows[t]
                 for j, y in zip(js, ys):
-                    out[base + j] += c * y
-        return IntMatrix(self.rows, m, tuple(out))
+                    acc[j] = acc.get(j, 0) + c * y
+            out.append(_sparse_row(acc))
+        return IntMatrix(self.rows, other.cols, tuple(out))
 
     def mul_vec(self, v: Sequence[int]) -> tuple:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(x * v[j] for j, x in zip(js, xs)) for js, xs in self._row_nonzeros)
+        return tuple(sum(x * v[j] for j, x in zip(js, xs)) for js, xs in self.nonzeros)
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":
         """Kronecker product; compatible with row-major vectorisation, so
         (A kron B) vec(X) = vec(A X B^T)."""
-        r = self.rows * other.rows
-        c = self.cols * other.cols
-        out = [0] * (r * c)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                a = self.at(i, j)
-                if a == 0:
-                    continue
-                for p in range(other.rows):
-                    row = (i * other.rows + p) * c
-                    obase = p * other.cols
-                    for q in range(other.cols):
-                        out[row + j * other.cols + q] = a * other.data[obase + q]
-        return IntMatrix(r, c, tuple(out))
+        m = other.cols
+        return IntMatrix(
+            self.rows * other.rows,
+            self.cols * m,
+            tuple(
+                (tuple(j * m + q for j in js for q in qs), tuple(x * y for x in xs for y in ys))
+                for js, xs in self.nonzeros
+                for qs, ys in other.nonzeros
+            ),
+        )
 
     def __str__(self) -> str:
         if self.rows == 0 or self.cols == 0:
@@ -173,11 +213,10 @@ def hstack(blocks: Iterable[IntMatrix]) -> IntMatrix:
     rows = blocks[0].rows
     if any(b.rows != rows for b in blocks):
         raise ValueError("row count mismatch in hstack")
-    data = []
-    for i in range(rows):
-        for b in blocks:
-            data.extend(b.row(i))
-    return IntMatrix(rows, sum(b.cols for b in blocks), tuple(data))
+    offs = list(accumulate((b.cols for b in blocks), initial=0))
+    return IntMatrix.from_entries(
+        rows, offs[-1], ((i, c0 + j, x) for b, c0 in zip(blocks, offs) for i, j, x in b.entries())
+    )
 
 
 def vstack(blocks: Iterable[IntMatrix]) -> IntMatrix:
@@ -187,24 +226,19 @@ def vstack(blocks: Iterable[IntMatrix]) -> IntMatrix:
     cols = blocks[0].cols
     if any(b.cols != cols for b in blocks):
         raise ValueError("column count mismatch in vstack")
-    data = []
-    for b in blocks:
-        data.extend(b.data)
-    return IntMatrix(sum(b.rows for b in blocks), cols, tuple(data))
+    return IntMatrix(sum(b.rows for b in blocks), cols,
+                     tuple(chain.from_iterable(b.nonzeros for b in blocks)))
 
 
 def block_diag(blocks: Iterable[IntMatrix]) -> IntMatrix:
     blocks = list(blocks)
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    out = [[0] * cols for _ in range(rows)]
-    r0 = c0 = 0
-    for b in blocks:
-        for i in range(b.rows):
-            out[r0 + i][c0 : c0 + b.cols] = list(b.row(i))
-        r0 += b.rows
-        c0 += b.cols
-    return IntMatrix.from_rows(out, cols=cols)
+    roffs = list(accumulate((b.rows for b in blocks), initial=0))
+    coffs = list(accumulate((b.cols for b in blocks), initial=0))
+    return IntMatrix.from_entries(
+        roffs[-1],
+        coffs[-1],
+        ((r0 + i, c0 + j, x) for b, r0, c0 in zip(blocks, roffs, coffs) for i, j, x in b.entries()),
+    )
 
 
 def _swap_rows(a, i, j):
@@ -348,7 +382,7 @@ def _unit_pivots(m: IntMatrix):
     """
     rows = {}
     cols = {}
-    for i, (js, xs) in enumerate(m._row_nonzeros):
+    for i, (js, xs) in enumerate(m.nonzeros):
         if js:
             rows[i] = dict(zip(js, xs))
             for j in js:
@@ -399,7 +433,11 @@ def _unit_pivots(m: IntMatrix):
 
 
 def _residue(rows: dict, keep: list) -> IntMatrix:
-    return IntMatrix.from_rows([[rows[i].get(j, 0) for j in keep] for i in sorted(rows)])
+    at = {j: t for t, j in enumerate(keep)}
+    return IntMatrix.from_entries(
+        len(rows), len(keep),
+        ((r, at[j], x) for r, i in enumerate(sorted(rows)) for j, x in rows[i].items()),
+    )
 
 
 def invariant_factors(m: IntMatrix) -> tuple:
@@ -436,25 +474,21 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     """
     pivots, rows, cols = _unit_pivots(m)
     pivoted = {q for q, _, _ in pivots}
-    vectors = []
-    for j in range(m.cols):
-        if j not in pivoted and j not in cols:
-            x = [0] * m.cols
-            x[j] = 1
-            vectors.append(x)
+    vectors = [{j: 1} for j in range(m.cols) if j not in pivoted and j not in cols]
     if rows:
         keep = sorted(cols)
         _, d, v = smith_normal_form(_residue(rows, keep), want_u=False)
         r = sum(1 for x in diagonal_of(d) if x)
-        for t in range(r, len(keep)):
-            x = [0] * m.cols
-            for j, y in zip(keep, v.col(t)):
-                x[j] = y
-            vectors.append(x)
+        for js, ys in v.transpose().nonzeros[r:]:
+            vectors.append({keep[j]: y for j, y in zip(js, ys)})
     for x in vectors:
         for q, s, prow in reversed(pivots):
-            x[q] = -s * sum(x[j] * c for j, c in prow.items())
-    return IntMatrix(m.cols, len(vectors), tuple(x[j] for j in range(m.cols) for x in vectors))
+            y = -s * sum(x.get(j, 0) * c for j, c in prow.items())
+            if y:
+                x[q] = y
+    return IntMatrix.from_entries(
+        m.cols, len(vectors), ((j, t, y) for t, x in enumerate(vectors) for j, y in x.items())
+    )
 
 
 def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
@@ -462,20 +496,17 @@ def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     if a.rows != b.rows:
         raise ValueError("shape mismatch in solve: %r vs %r" % (a.shape, b.shape))
     u, d, v = smith_normal_form(a)
-    ub = u @ b
     diag = diagonal_of(d)
     r = sum(1 for x in diag if x != 0)
-    y = [[0] * b.cols for _ in range(a.cols)]
-    for i in range(r):
-        for j in range(b.cols):
-            q, rem = divmod(ub.at(i, j), diag[i])
-            if rem:
-                return None
-            y[i][j] = q
-    for i in range(r, a.rows):
-        if any(ub.at(i, j) != 0 for j in range(b.cols)):
+    y = []
+    for i, j, x in (u @ b).entries():
+        if i >= r:
             return None
-    return v @ IntMatrix.from_rows(y, cols=b.cols)
+        q, rem = divmod(x, diag[i])
+        if rem:
+            return None
+        y.append((i, j, q))
+    return v @ IntMatrix.from_entries(a.cols, b.cols, y)
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:

@@ -52,12 +52,17 @@ def _integer(value, field: str) -> int:
     return value
 
 
+def _object(doc: dict, field: str) -> dict:
+    """doc[field], which must be a JSON object when present."""
+    value = doc.get(field, {})
+    if not isinstance(value, dict):
+        raise ParseError("%s must be an object" % field)
+    return value
+
+
 def _ranks(doc: dict) -> dict:
-    ranks = doc.get("ranks", {})
-    if not isinstance(ranks, dict):
-        raise ParseError("ranks must be an object")
     out = {}
-    for key, v in ranks.items():
+    for key, v in _object(doc, "ranks").items():
         try:
             n = int(key)
         except ValueError:
@@ -89,7 +94,7 @@ def chain_complex_from_doc(doc: dict) -> ChainComplex:
         raise ParseError("chain complex document needs min, max and ranks: %s" % exc)
     ranks = _ranks(doc)
     d = {}
-    for key, rows in doc.get("d", {}).items():
+    for key, rows in _object(doc, "d").items():
         try:
             n = int(key)
         except ValueError:
@@ -130,7 +135,7 @@ def ref_from_text(text: str) -> SimplexRef:
 
 def simplicial_set_from_doc(doc: dict) -> SimplicialSet:
     cells = {}
-    for key, ids in doc.get("cells", {}).items():
+    for key, ids in _object(doc, "cells").items():
         try:
             n = int(key)
         except ValueError:
@@ -140,7 +145,7 @@ def simplicial_set_from_doc(doc: dict) -> SimplicialSet:
         cells[n] = [str(c) for c in ids]
     faces = {}
     dim_of = {c: n for n, ids in cells.items() for c in ids}
-    for cell, entries in doc.get("faces", {}).items():
+    for cell, entries in _object(doc, "faces").items():
         if cell not in dim_of:
             raise ParseError("face data for unknown cell %r" % cell)
         n = dim_of[cell]
@@ -182,7 +187,7 @@ def simplicial_group_from_doc(doc: dict) -> SimplicialAbGroup:
 
     def parse_ops(field):
         out = {}
-        for key, rows in doc.get(field, {}).items():
+        for key, rows in _object(doc, field).items():
             parts = str(key).split(",")
             if len(parts) != 2:
                 raise ParseError("%s key %r must look like 'n,i'" % (field, key))

@@ -223,17 +223,11 @@ def degenerate_part_basis(a: SimplicialAbGroup, n: int) -> IntMatrix:
     level n (the complement of the normalized part)."""
     if n == 0 or a.rank(n) == 0:
         return IntMatrix.zero(a.rank(n), 0)
-    images = [a.degen(n - 1, j) for j in range(n)]
-    s = hstack(images)
-    u, dm, _ = smith_normal_form(s, want_v=False)
-    uinv = inverse_unimodular(u)
-    cols = []
-    for i, dv in enumerate(diagonal_of(dm)):
-        if dv != 0:
-            cols.append([dv * uinv.at(r, i) for r in range(a.rank(n))])
-    return IntMatrix.from_rows(
-        [[c[r] for c in cols] for r in range(a.rank(n))], cols=len(cols)
-    )
+    u, dm, _ = smith_normal_form(hstack([a.degen(n - 1, j) for j in range(n)]), want_v=False)
+    # U^-1 D spans the image; the nonzero diagonal of D is a prefix
+    factors = [dv for dv in diagonal_of(dm) if dv]
+    scale = IntMatrix.from_entries(a.rank(n), len(factors), ((i, i, dv) for i, dv in enumerate(factors)))
+    return inverse_unimodular(u) @ scale
 
 
 def moore_projection(a: SimplicialAbGroup, bases: dict, n: int) -> IntMatrix:
@@ -247,7 +241,7 @@ def moore_projection(a: SimplicialAbGroup, bases: dict, n: int) -> IntMatrix:
     m = hstack([k, dpart]) if dpart.cols else k
     if m.rows != m.cols:
         raise ValidationError("normalized and degenerate parts do not span level %d" % n)
-    return IntMatrix.from_rows(inverse_unimodular(m).to_lists()[: k.cols], cols=m.rows)
+    return IntMatrix(k.cols, m.rows, inverse_unimodular(m).nonzeros[: k.cols])
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +284,7 @@ def _operator_matrix(c: ChainComplex, summands_src, summands_tgt, alpha) -> IntM
         off += c.rank(eta[-1])
     rows = off
     cols = sum(c.rank(eta[-1]) for eta in summands_src)
-    out = [[0] * cols for _ in range(rows)]
+    entries = []
     coff = 0
     for eta in summands_src:
         k = eta[-1]
@@ -300,18 +294,14 @@ def _operator_matrix(c: ChainComplex, summands_src, summands_tgt, alpha) -> IntM
         if image == list(range(k + 1)):
             roff = tgt_offset.get(t)
             if roff is not None:
-                for s in range(r):
-                    out[roff + s][coff + s] = 1
+                entries.extend((roff + s, coff + s, 1) for s in range(r))
         elif image == list(range(1, k + 1)):
             tprime = tuple(v - 1 for v in t)
             roff = tgt_offset.get(tprime)
             if roff is not None and c.rank(k - 1):
-                dm = c.d(k)
-                for s1 in range(dm.rows):
-                    for s2 in range(r):
-                        out[roff + s1][coff + s2] = dm.at(s1, s2)
+                entries.extend((roff + s1, coff + s2, x) for s1, s2, x in c.d(k).entries())
         coff += r
-    return IntMatrix.from_rows(out, cols=cols)
+    return IntMatrix.from_entries(rows, cols, entries)
 
 
 def dold_kan_K(c: ChainComplex, trunc_dim: int) -> SimplicialAbGroup:
@@ -381,14 +371,12 @@ def free_reduced_Z(x: SimplicialSet, trunc_dim: int) -> SimplicialAbGroup:
     ranks = [len(basis[n]) for n in range(trunc_dim + 1)]
 
     def matrix_of(op, n_src, n_tgt):
-        rows, cols = ranks[n_tgt], ranks[n_src]
-        out = [[0] * cols for _ in range(rows)]
+        entries = []
         for col, s in enumerate(basis[n_src]):
-            img = op(s)
-            row = index[n_tgt].get(img)
+            row = index[n_tgt].get(op(s))
             if row is not None:
-                out[row][col] = 1
-        return IntMatrix.from_rows(out, cols=cols)
+                entries.append((row, col, 1))
+        return IntMatrix.from_entries(ranks[n_tgt], ranks[n_src], entries)
 
     face = {}
     degen = {}
@@ -422,14 +410,15 @@ def smash_comparison_iso(e: SimplicialSet, f: SimplicialSet, trunc_dim: int) -> 
         cols = len(ebasis) * len(fbasis)
         if len(tbasis) != cols:
             raise ValidationError("levelwise ranks differ at level %d" % n)
-        out = [[0] * cols for _ in range(len(tbasis))]
+        entries = []
         for ia, ra in enumerate(ebasis):
             for ib, rb in enumerate(fbasis):
                 img = sm.collapse(product_pair_ref(e, f, ra, rb))
-                out[tindex[img]][ia * len(fbasis) + ib] = 1
-        if any(sum(col) != 1 for col in zip(*out)) or any(sum(r) != 1 for r in out):
+                entries.append((tindex[img], ia * len(fbasis) + ib, 1))
+        # one entry per column, so a bijection hits every row once
+        if len({i for i, _, _ in entries}) != cols:
             raise ValidationError("comparison is not a bijection at level %d" % n)
-        mats[n] = IntMatrix.from_rows(out, cols=cols)
+        mats[n] = IntMatrix.from_entries(cols, cols, entries)
     for n in range(1, trunc_dim + 1):
         for i in range(n + 1):
             if rhs.face(n, i) @ mats[n] != mats[n - 1] @ lhs.face(n, i):
@@ -448,9 +437,7 @@ def smash_comparison_iso(e: SimplicialSet, f: SimplicialSet, trunc_dim: int) -> 
 def _bar_face_matrix(p: int, i: int, r: int) -> IntMatrix:
     """Face of the bar object at horizontal level p with blocks of rank
     r: drop the first or last entry, or add adjacent entries."""
-    rows = (p - 1) * r
-    cols = p * r
-    out = [[0] * cols for _ in range(rows)]
+    entries = []
     for t in range(p - 1):
         if i == 0:
             src = [t + 1]
@@ -460,17 +447,13 @@ def _bar_face_matrix(p: int, i: int, r: int) -> IntMatrix:
             src = [t, t + 1]
         else:
             src = [t + 1]
-        for s in src:
-            for q in range(r):
-                out[t * r + q][s * r + q] += 1
-    return IntMatrix.from_rows(out, cols=cols)
+        entries.extend((t * r + q, s * r + q, 1) for s in src for q in range(r))
+    return IntMatrix.from_entries((p - 1) * r, p * r, entries)
 
 
 def _bar_degen_matrix(p: int, j: int, r: int) -> IntMatrix:
     """Degeneracy of the bar object: insert a zero entry at slot j."""
-    rows = (p + 1) * r
-    cols = p * r
-    out = [[0] * cols for _ in range(rows)]
+    entries = []
     for t in range(p + 1):
         if t < j:
             src = t
@@ -479,9 +462,8 @@ def _bar_degen_matrix(p: int, j: int, r: int) -> IntMatrix:
         else:
             src = t - 1
         if src is not None:
-            for q in range(r):
-                out[t * r + q][src * r + q] = 1
-    return IntMatrix.from_rows(out, cols=cols)
+            entries.extend((t * r + q, src * r + q, 1) for q in range(r))
+    return IntMatrix.from_entries((p + 1) * r, p * r, entries)
 
 
 def bar_B(a: SimplicialAbGroup) -> SimplicialAbGroup:
@@ -679,12 +661,8 @@ def nk_roundtrip_iso(c: ChainComplex, trunc_dim: int):
             if eta == tuple(range(n + 1)):
                 break
             offset += c0.rank(eta[-1])
-        rows = kc.rank(n)
         cols = c0.rank(n)
-        inc = [[0] * cols for _ in range(rows)]
-        for s in range(cols):
-            inc[offset + s][s] = 1
-        inc = IntMatrix.from_rows(inc, cols=cols)
+        inc = IntMatrix.from_entries(kc.rank(n), cols, ((offset + s, s, 1) for s in range(cols)))
         expressed = solve_exact(bases[n], inc)
         if expressed is None or expressed.rows != expressed.cols:
             raise ValidationError("identity summand is not the normalized part at level %d" % n)

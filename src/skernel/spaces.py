@@ -554,18 +554,13 @@ class GroupPresentation:
     relators: tuple
 
     def abelianization(self) -> HomologyGroup:
-        gens = list(self.generators)
-        index = {g: i for i, g in enumerate(gens)}
-        cols = []
-        for rel in self.relators:
-            col = [0] * len(gens)
-            for g, e in rel:
-                col[index[g]] += e
-            cols.append(col)
-        mat = IntMatrix.from_rows(
-            [[col[i] for col in cols] for i in range(len(gens))], cols=len(cols)
+        gens = len(self.generators)
+        index = {g: i for i, g in enumerate(self.generators)}
+        mat = IntMatrix.from_entries(
+            gens, len(self.relators),
+            ((index[g], k, e) for k, rel in enumerate(self.relators) for g, e in rel),
         )
-        return group_from_presentation(len(gens), mat)
+        return group_from_presentation(gens, mat)
 
 
 def pi1_presentation(x: SimplicialSet, base: str) -> GroupPresentation:
@@ -658,7 +653,7 @@ def chains(x: SimplicialSet, normalized: bool = True, cap: int | None = None) ->
         rows, cols = len(basis.get(n - 1, ())), len(basis.get(n, ()))
         if rows == 0 or cols == 0:
             continue
-        out = [[0] * cols for _ in range(rows)]
+        entries = []
         for col, item in enumerate(basis[n]):
             ref = SimplexRef((), item) if normalized else item
             for i in range(n + 1):
@@ -671,8 +666,8 @@ def chains(x: SimplicialSet, normalized: bool = True, cap: int | None = None) ->
                     row = index[n - 1].get(fr)
                 if row is None:
                     continue
-                out[row][col] += -1 if i % 2 else 1
-        d[n] = IntMatrix.from_rows(out, cols=cols)
+                entries.append((row, col, -1 if i % 2 else 1))
+        d[n] = IntMatrix.from_entries(rows, cols, entries)
     if not ranks:
         return zero_complex()
     return ChainComplex(0, top, ranks, d)
@@ -706,7 +701,7 @@ def chain_map_of(f: SimplicialMap, top: int | None = None) -> ChainMap:
                 continue
             tgt_index[c] = i
             i += 1
-        out = [[0] * cols for _ in range(rows)]
+        entries = []
         for col, cell in enumerate(src_cells):
             img = f.cell_image(cell)
             if img.word:
@@ -714,6 +709,6 @@ def chain_map_of(f: SimplicialMap, top: int | None = None) -> ChainMap:
             row = tgt_index.get(img.base)
             if row is None:
                 continue
-            out[row][col] = 1
-        comps[n] = IntMatrix.from_rows(out, cols=cols)
+            entries.append((row, col, 1))
+        comps[n] = IntMatrix.from_entries(rows, cols, entries)
     return ChainMap(cx, cy, comps)

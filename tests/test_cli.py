@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -123,7 +124,7 @@ def test_tower_command(files, capsys):
     assert "derived limit vanishes: True" in out
 
 
-def test_exit_code_2_on_invalid_input(files, capsys):
+def test_exit_code_2_on_invalid_input(files, capsys, tmp_path):
     rc = main(["homology", "--in", files["bad.json"]])
     assert rc == 2
     err = capsys.readouterr().err
@@ -160,6 +161,27 @@ def test_exit_code_2_on_invalid_input(files, capsys):
 
     assert main(["cylinder", "--in", files["cells-list-map.json"]]) == 2
     assert "map 'map' needs a cells table" in capsys.readouterr().err
+
+    # a JSON list (or null) where an object is expected names the field
+    s0doc = simplicial_set_to_doc(sphere(0))
+    malformed = [
+        ("space-homology", {"cells": [], "faces": {}}, "cells"),
+        ("space-homology", {"cells": {"0": ["a"]}, "faces": []}, "faces"),
+        ("space-homology", {"cells": None}, "cells"),
+        ("homology", {"min": 0, "max": 0, "ranks": {"0": 1}, "d": []}, "d"),
+        ("homology", {"min": 0, "max": 0, "ranks": []}, "ranks"),
+        ("bar", {"D": 1, "ranks": {"0": 1, "1": 1}, "face": [], "degen": {}}, "face"),
+        ("bar", {"D": 1, "ranks": {"0": 1, "1": 1}, "face": {}, "degen": []}, "degen"),
+        ("pushout", {"K": {"cells": [], "faces": {}}, "L": s0doc, "M": s0doc}, "cells"),
+    ]
+    for i, (command, doc, field) in enumerate(malformed):
+        path = tmp_path / ("malformed%d.json" % i)
+        path.write_text(json.dumps(doc))
+        assert main([command, "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "%s must be an object" % field in captured.err
 
 
 def test_exit_code_2_on_wrong_kind(files, capsys):
@@ -218,3 +240,35 @@ def test_suite_smith_check_catches_wrong_invariant_factors(monkeypatch):
     assert not ok
     assert "FAIL smith-normal-form" in report
     assert "invariant factors disagree with the diagonal of D" in report
+
+
+# SHA-256 of every output `test_outputs_are_pinned` collects; a change
+# that alters one byte of a suite report or of a command's stdout, or one
+# exit code, changes it.
+OUTPUT_DIGEST = "1898ac4b581f2ada19127a7c3b01c6b7636b05c1cc8f78de8a1f88edc22e7b81"
+
+
+def test_outputs_are_pinned(files, capsys):
+    """The run_suite reports of small seeds 0-4 and medium seeds 0-1, and
+    the stdout and exit code of every command on every fixture above
+    (stderr names temporary paths, so it stays out of the digest)."""
+    from skernel.cli import COMMANDS
+    from skernel.suite import run_suite
+
+    digest = hashlib.sha256()
+    for size, seeds in (("small", range(5)), ("medium", range(2))):
+        for seed in seeds:
+            report, ok = run_suite(seed, size)
+            digest.update(("%s %d %s\n" % (size, seed, ok)).encode() + report.encode())
+    for command in COMMANDS:
+        if command == "suite":
+            runs = [["--seed", "3"]]
+        elif command == "tower-report":
+            runs = [["--in", path, "--in", files["l.json"]] for path in files.values()]
+        else:
+            runs = [["--in", path] for path in files.values()]
+        for extra in runs:
+            rc = main([command, *extra])
+            out = capsys.readouterr().out
+            digest.update(("%s %d\n" % (command, rc)).encode() + out.encode())
+    assert digest.hexdigest() == OUTPUT_DIGEST

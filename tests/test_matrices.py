@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import skernel.matrices
-from skernel.complexes import HomologyGroup, group_from_presentation
+from skernel.complexes import ChainComplex, HomologyGroup, group_from_presentation
 from skernel.matrices import (
     IntMatrix,
+    block_diag,
     diagonal_of,
+    hstack,
     invariant_factors,
     inverse_unimodular,
     is_unimodular,
@@ -300,13 +302,131 @@ def test_products_match_a_naive_triple_loop():
         M([[1, 2]]).mul_vec([1])
 
 
-def test_nonzero_cache_stays_out_of_equality_and_hash():
-    a, b = M([[0, 2, 0], [1, 0, -3]]), M([[0, 2, 0], [1, 0, -3]])
-    a @ IntMatrix.identity(3)
-    a.mul_vec([1, 1, 1])
-    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-    assert {a: "filled"}[b] == "filled"
+def _assert_canonical(m):
+    """Per row, ascending in-range columns and no stored zero."""
+    assert len(m.nonzeros) == m.rows
+    for js, xs in m.nonzeros:
+        assert len(js) == len(xs) and 0 not in xs
+        assert list(js) == sorted(set(js)) and all(0 <= j < m.cols for j in js)
+
+
+def _dense(rng, rows, cols, density):
+    return [[rng.choice((-3, -1, 1, 2, 5)) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def test_every_operation_matches_a_dense_oracle_in_canonical_form():
+    """Each constructor and operation against list arithmetic, on seeded
+    shapes including 0 x n and n x 0 and on entries that cancel; every
+    result is stored canonically."""
+    rng = random.Random(23)
+    shapes = [(0, 0), (0, 4), (4, 0), (1, 1)]
+    shapes += [(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(200)]
+    for r, c in shapes:
+        rows = _dense(rng, r, c, rng.choice((0.0, 0.1, 0.4, 1.0)))
+        other = _dense(rng, r, c, rng.choice((0.1, 0.5)))
+        k = rng.randint(0, 5)
+        right = _dense(rng, c, k, rng.choice((0.1, 0.5, 1.0)))
+        small = _dense(rng, rng.randint(0, 3), rng.randint(0, 3), 0.6)
+        sr, sc = len(small), len(small[0]) if small else rng.randint(0, 3)
+        a, b = IntMatrix.from_rows(rows, cols=c), IntMatrix.from_rows(other, cols=c)
+        rm, sm = IntMatrix.from_rows(right, cols=k), IntMatrix.from_rows(small, cols=sc)
+        entries = []
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                split = rng.randint(-2, 2)
+                entries += [(i, j, x - split), (i, j, split)]
+        rng.shuffle(entries)
+        built = IntMatrix.from_entries(r, c, entries)
+        column = lambda m, j: [row[j] for row in m]
+        expected = {  # name: (shape, rows)
+            "from_rows": ((r, c), rows),
+            "from_entries": ((r, c), rows),
+            "transpose": ((c, r), [column(rows, j) for j in range(c)]),
+            "+": ((r, c), [[x + y for x, y in zip(p, q)] for p, q in zip(rows, other)]),
+            "-": ((r, c), [[x - y for x, y in zip(p, q)] for p, q in zip(rows, other)]),
+            "a - a": ((r, c), [[0] * c for _ in range(r)]),
+            "scale 0": ((r, c), [[0] * c for _ in range(r)]),
+            "scale -3": ((r, c), [[-3 * x for x in p] for p in rows]),
+            "@": ((r, k), [[sum(p[t] * right[t][j] for t in range(c)) for j in range(k)]
+                           for p in rows]),
+            "kron": ((r * sr, c * sc), [[rows[i][j] * small[p][q] for j in range(c) for q in range(sc)]
+                                        for i in range(r) for p in range(sr)]),
+            "hstack": ((r, 2 * c + 2), [p + q + [0, 0] for p, q in zip(rows, other)]),
+            "vstack": ((2 * r, c), rows + other),
+            "block_diag": ((r + sr, c + sc),
+                           [p + [0] * sc for p in rows] + [[0] * c + q for q in small]),
+        }
+        got = {
+            "from_rows": a,
+            "from_entries": built,
+            "transpose": a.transpose(),
+            "+": a + b,
+            "-": a - b,
+            "a - a": a - a,
+            "scale 0": a.scale(0),
+            "scale -3": a.scale(-3),
+            "@": a @ rm,
+            "kron": a.kron(sm),
+            "hstack": hstack([a, b, IntMatrix.zero(r, 2)]),
+            "vstack": vstack([a, b]),
+            "block_diag": block_diag([a, sm]),
+        }
+        for name, m in got.items():
+            _assert_canonical(m)
+            shape, want = expected[name]
+            assert m.shape == shape, name
+            assert m.to_lists() == want, name
+            assert m.data == tuple(x for row in want for x in row), name
+        assert built == a and hash(built) == hash(a) and repr(built) == repr(a)
+        assert [a.row(i) for i in range(r)] == [tuple(p) for p in rows]
+        assert [a.col(j) for j in range(c)] == [tuple(column(rows, j)) for j in range(c)]
+        assert all(a.at(i, j) == rows[i][j] for i in range(r) for j in range(c))
+        v = [rng.randint(-4, 4) for _ in range(c)]
+        assert a.mul_vec(v) == tuple(sum(x * y for x, y in zip(p, v)) for p in rows)
+        text = "\n".join(" ".join(map(str, p)) for p in rows)
+        assert str(a) == (text if r and c else "[%dx%d]" % (r, c))
+    for n in (0, 1, 5):
+        assert IntMatrix.identity(n).to_lists() == [[int(i == j) for j in range(n)] for i in range(n)]
+        assert IntMatrix.zero(n, 3).to_lists() == [[0] * 3 for _ in range(n)]
+        assert IntMatrix.zero(3, n).to_lists() == [[0] * n for _ in range(3)]
+    for bad in ([(2, 0, 1)], [(-1, 0, 1)], [(0, 3, 1)], [(0, -1, 1)]):
+        with pytest.raises(ValueError):
+            IntMatrix.from_entries(2, 3, bad)
+
+
+def test_equal_matrices_built_by_different_routes_are_equal_and_hash_equal():
+    a = M([[0, 2, 0], [1, 0, -3]])
+    routes = [
+        IntMatrix.from_entries(2, 3, [(1, 2, -1), (0, 1, 2), (1, 0, 1), (1, 2, -2), (0, 0, 4), (0, 0, -4)]),
+        a.transpose().transpose(),
+        IntMatrix.identity(2) @ a @ IntMatrix.identity(3),
+        (a + a) - a,
+        a.scale(-1).scale(-1),
+        vstack([a.kron(IntMatrix.identity(1))]),
+        hstack([M([[0], [1]]), M([[2, 0], [0, -3]])]),
+        block_diag([a, IntMatrix.zero(0, 0)]),
+    ]
+    for b in routes:
+        assert b == a and hash(b) == hash(a) and repr(b) == repr(a)
+        assert b.nonzeros == (((1,), (2,)), ((0, 2), (1, -3)))
+        assert {a: "found"}[b] == "found"
     assert a != M([[0, 2, 0], [1, 0, 3]])
+    assert IntMatrix.zero(2, 3) != IntMatrix.zero(3, 2)
+
+
+def test_identity_zero_and_kernel_maps_take_linear_space():
+    """An n x n identity or zero map stores n rows and at most n entries,
+    so a complex of rank 10^5 without differentials truncates without a
+    10^10-entry allocation."""
+    n = 10**5
+    stored = lambda m: (len(m.nonzeros), sum(len(js) for js, _ in m.nonzeros))
+    assert stored(IntMatrix.identity(n)) == (n, n)
+    assert stored(IntMatrix.zero(n, n)) == (n, 0)
+    k = kernel_basis(IntMatrix.zero(0, n))
+    assert k == IntMatrix.identity(n) and stored(k) == (n, n)
+    t = ChainComplex(0, 0, {0: n}, {}).truncate_good(0)
+    assert t.rank(0) == n and t.homology(0) == HomologyGroup(n)
 
 
 def test_kron_row_major_convention():
@@ -314,7 +434,7 @@ def test_kron_row_major_convention():
     x = M([[5, 6], [7, 8]])
     b = M([[1, 0], [1, 1]])
     lhs = a.kron(b.transpose())
-    vec_x = IntMatrix(4, 1, tuple(x.data))
+    vec_x = IntMatrix.from_rows([[v] for v in x.data])
     out = lhs @ vec_x
     direct = a @ x @ b
     assert tuple(out.data) == direct.data

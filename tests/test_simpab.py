@@ -60,7 +60,9 @@ def test_validation_names_the_identity_a_flipped_bar_face_breaks():
         data = list(f.data)
         data[len(data) // 2] = 1 - data[len(data) // 2]
         broken = dict(faces)
-        broken[key] = IntMatrix(f.rows, f.cols, tuple(data))
+        broken[key] = IntMatrix.from_rows(
+            [data[r * f.cols : (r + 1) * f.cols] for r in range(f.rows)], cols=f.cols
+        )
         with pytest.raises(ValidationError, match=r"^identity d_\d+ [ds]_\d+ failed at level \d+$"):
             SimplicialAbGroup(b.D, b.ranks(), broken, degen)
         flipped += 1
