@@ -57,6 +57,14 @@ def _expect(obj, kind, want, path):
     return obj
 
 
+def _range(args, default):
+    if args.range is None:
+        return default
+    if args.range < 0:
+        raise CliError("--range must be nonnegative")
+    return args.range
+
+
 def _write_out(args, text):
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -149,7 +157,9 @@ def cmd_wr_verify(args, out):
     if not x.pointed:
         raise CliError("%s: wrap verification needs a pointed space" % args.inputs[0])
     d = args.dim if args.dim is not None else 4
-    rng_range = args.range if args.range is not None else max(0, d - 1)
+    if d < 0:
+        raise CliError("--dim must be nonnegative, got %d" % d)
+    rng_range = _range(args, max(0, d - 1))
     if rng_range > d - 1:
         raise CliError("--range must be at most dim - 1 (trusted range)")
     wr = wrap(x, d)
@@ -222,13 +232,13 @@ def cmd_pushout(args, out):
 
 def cmd_cylinder(args, out):
     _need(args.inputs, 1, "a map document")
+    rng_range = _range(args, 2)
     doc, (k, l) = _load_diagram(args.inputs[0], ("source", "target"),
                                 "need source, target and map")
     f = _map_from_doc(doc.get("map"), k, l, "map")
     cyl = cylinder(f)
     strict = cyl.retraction.compose(cyl.from_target) == SimplicialMap.identity(l)
     print("retraction o inclusion = id: %s" % ("OK" if strict else "FAIL"), file=out)
-    rng_range = args.range if args.range is not None else 2
     cert = weq_certificate(cyl.retraction, rng_range)
     print("retraction certificate: %s" % ("PASS" if cert.passed else "FAIL"), file=out)
     _write_out(args, json.dumps(certificate_to_doc(cert), indent=2, sort_keys=True) + "\n")

@@ -17,6 +17,7 @@ from .complexes import ValidationError, cone
 from .simplicial import BiSimplexRef, BisimplicialSet, SimplexRef, SimplicialMap, SimplicialSet
 from .spaces import (
     _compact,
+    _subset_id,
     arrow_of,
     boundary,
     chain_map_of,
@@ -153,7 +154,7 @@ def skeleton_pushout_check(x: SimplicialSet, n: int, trunc_dim: int) -> Skeleton
     attach = SimplicialMap(a, sk_lo, attach_assignment)
 
     po = pushout_inj(include, attach)
-    top_id = _subset_all(n + 1)
+    top_id = _subset_id(range(n + 2))
     comparison = {}
     for m, c in po.space.all_cells():
         if c.startswith("y:"):
@@ -171,10 +172,6 @@ def skeleton_pushout_check(x: SimplicialSet, n: int, trunc_dim: int) -> Skeleton
         expected_counts=sk_hi.cell_counts(),
         pushout_counts=po.space.cell_counts(),
     )
-
-
-def _subset_all(n: int) -> str:
-    return ".".join(str(v) for v in range(n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,12 @@ bases) share one unit-pivot elimination on dict-of-rows storage; only the
 residue without a +-1 entry reaches the dense Smith loop, which computes
 V for a kernel and no transform for the factors.  The full transforms U
 and V of `smith_normal_form` are computed, on a dense list workspace,
-only for callers that consume them (exact solves and the base changes
-built on those).  The suite's random complexes in `generators` take their
-kernels from the dense Smith V directly, a fixed recipe, so changing
-`kernel_basis` never re-seeds an instance the suite checks.
+only for callers that consume them: `solve_exact` (normalized
+differentials, Moore projections, good truncations) and the suite's
+check of the Smith decomposition.  The suite's random complexes in
+`generators` take their kernels from the dense Smith V directly, a fixed
+recipe, so changing `kernel_basis` never re-seeds an instance the suite
+checks.
 """
 
 from __future__ import annotations
@@ -507,16 +509,6 @@ def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
             return None
         y.append((i, j, q))
     return v @ IntMatrix.from_entries(a.cols, b.cols, y)
-
-
-def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular square matrix (raises when not invertible over Z)."""
-    if m.rows != m.cols:
-        raise ValueError("only square matrices can be inverted")
-    inv = solve_exact(m, IntMatrix.identity(m.rows))
-    if inv is None or (m @ inv) != IntMatrix.identity(m.rows):
-        raise ValueError("matrix is not invertible over the integers")
-    return inv
 
 
 def is_unimodular(m: IntMatrix) -> bool:

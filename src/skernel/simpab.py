@@ -7,6 +7,12 @@ equations at construction.  The core functors: the normalization N
 differential the zeroth face), its inverse K built from order-preserving
 surjections, the levelwise free reduction of a pointed simplicial set,
 the bar construction, and the shuffle/Alexander-Whitney comparison maps.
+
+The splitting A_n = N_n (+) D_n into the normalized and the degenerate
+part comes from the simplicial identities alone: the projection onto N_n
+along D_n is a product of the factors 1 - s_j d_{j+1}, expressed in the
+Moore basis by one exact solve.  Each verifier computes an object's
+Moore bases and normalized complex once.
 """
 
 from __future__ import annotations
@@ -15,19 +21,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .complexes import ChainComplex, ChainMap, HomologyGroup, ValidationError, zero_complex
-from .matrices import (
-    IntMatrix,
-    block_diag,
-    hstack,
-    inverse_unimodular,
-    is_unimodular,
-    kernel_basis,
-    smith_normal_form,
-    diagonal_of,
-    solve_exact,
-    vstack,
-)
+from .matrices import IntMatrix, block_diag, hstack, is_unimodular, kernel_basis, solve_exact, vstack
 from .simplicial import SimplicialSet
+from .spaces import product_pair_ref, smash
 
 
 class SimplicialAbGroup:
@@ -187,7 +183,8 @@ def moore_basis(a: SimplicialAbGroup) -> dict:
     entries are 0/+-1 and almost monomial, so the unit-pivot elimination
     clears them and the dense Smith loop sees a small residue at most
     (none for the free reductions of spheres).  The basis is saturated,
-    which `moore_projection` relies on."""
+    so every element of the normalized part, and in particular every
+    image of `moore_projection`, has integer coordinates in it."""
     bases = {0: IntMatrix.identity(a.rank(0))}
     for n in range(1, a.D + 1):
         if a.rank(n) == 0:
@@ -198,11 +195,8 @@ def moore_basis(a: SimplicialAbGroup) -> dict:
     return bases
 
 
-def normalize_N(a: SimplicialAbGroup) -> ChainComplex:
-    """The normalized complex: degree n is the joint kernel of the faces
-    d_1, ..., d_n, with differential induced by d_0.  Valid in degrees
-    up to the truncation D."""
-    bases = moore_basis(a)
+def _normalize(a: SimplicialAbGroup, bases: dict) -> ChainComplex:
+    """The normalized complex of a in the given Moore bases."""
     ranks = {n: bases[n].cols for n in range(a.D + 1)}
     d = {}
     for n in range(1, a.D + 1):
@@ -218,30 +212,32 @@ def normalize_N(a: SimplicialAbGroup) -> ChainComplex:
     return ChainComplex(0, a.D, ranks, d)
 
 
-def degenerate_part_basis(a: SimplicialAbGroup, n: int) -> IntMatrix:
-    """Lattice basis of the subgroup generated by all degeneracies into
-    level n (the complement of the normalized part)."""
-    if n == 0 or a.rank(n) == 0:
-        return IntMatrix.zero(a.rank(n), 0)
-    u, dm, _ = smith_normal_form(hstack([a.degen(n - 1, j) for j in range(n)]), want_v=False)
-    # U^-1 D spans the image; the nonzero diagonal of D is a prefix
-    factors = [dv for dv in diagonal_of(dm) if dv]
-    scale = IntMatrix.from_entries(a.rank(n), len(factors), ((i, i, dv) for i, dv in enumerate(factors)))
-    return inverse_unimodular(u) @ scale
+def normalize_N(a: SimplicialAbGroup) -> ChainComplex:
+    """The normalized complex: degree n is the joint kernel of the faces
+    d_1, ..., d_n, with differential induced by d_0.  Valid in degrees
+    up to the truncation D."""
+    return _normalize(a, moore_basis(a))
 
 
 def moore_projection(a: SimplicialAbGroup, bases: dict, n: int) -> IntMatrix:
     """The projection A_n -> N_n along the degenerate part, in the Moore
-    basis; the splitting A = N (+) (degenerate part) is integral, so the
-    combined basis matrix is unimodular."""
-    k = bases[n]
+    basis: bases[n] @ moore_projection(a, bases, n) is the idempotent
+
+        P_n = (1 - s_0 d_1)(1 - s_1 d_2) ... (1 - s_{n-1} d_n),
+
+    whose rightmost factor acts first.  P_n fixes N_n, kills every
+    degenerate simplex and lands in N_n (Goerss-Jardine, Simplicial
+    Homotopy Theory, III.2), so one exact solve against the saturated
+    basis gives its coordinates."""
     if a.rank(n) == 0:
         return IntMatrix.zero(0, 0)
-    dpart = degenerate_part_basis(a, n)
-    m = hstack([k, dpart]) if dpart.cols else k
-    if m.rows != m.cols:
-        raise ValidationError("normalized and degenerate parts do not span level %d" % n)
-    return IntMatrix(k.cols, m.rows, inverse_unimodular(m).nonzeros[: k.cols])
+    p = IntMatrix.identity(a.rank(n))
+    for j in range(n - 1, -1, -1):
+        p = p - a.degen(n - 1, j) @ (a.face(n, j + 1) @ p)
+    coords = solve_exact(bases[n], p)
+    if coords is None:
+        raise ValidationError("the Moore projection leaves the normalized part at level %d" % n)
+    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +392,6 @@ def smash_comparison_iso(e: SimplicialSet, f: SimplicialSet, trunc_dim: int) -> 
     Returns the per-level matrices after verifying each is a permutation
     matrix that intertwines all faces and degeneracies; raises otherwise.
     """
-    from .spaces import product_pair_ref, smash
-
     lhs = tensor_sab(free_reduced_Z(e, trunc_dim), free_reduced_Z(f, trunc_dim))
     sm = smash(e, f)
     rhs = free_reduced_Z(sm.space, trunc_dim)
@@ -539,11 +533,11 @@ def ez_maps(a: SimplicialAbGroup, b: SimplicialAbGroup) -> EZPair:
     d = a.D
     na_bases = moore_basis(a)
     nb_bases = moore_basis(b)
-    na = normalize_N(a)
-    nb = normalize_N(b)
+    na = _normalize(a, na_bases)
+    nb = _normalize(b, nb_bases)
     ab = tensor_sab(a, b)
     nab_bases = moore_basis(ab)
-    nab = normalize_N(ab)
+    nab = _normalize(ab, nab_bases)
     projections = {n: moore_projection(ab, nab_bases, n) for n in range(d + 1)}
     t_full = na.tensor(nb)
     t = t_full.truncate_stupid(d) if t_full.max_deg > d else t_full
@@ -664,12 +658,11 @@ def nk_roundtrip_iso(c: ChainComplex, trunc_dim: int):
         cols = c0.rank(n)
         inc = IntMatrix.from_entries(kc.rank(n), cols, ((offset + s, s, 1) for s in range(cols)))
         expressed = solve_exact(bases[n], inc)
-        if expressed is None or expressed.rows != expressed.cols:
+        if expressed is None or not is_unimodular(expressed):
             raise ValidationError("identity summand is not the normalized part at level %d" % n)
-        inverse_unimodular(expressed)  # raises when not a base change
         out[n] = expressed
     # chain-map condition against the normalized differential
-    nk = normalize_N(kc)
+    nk = _normalize(kc, bases)
     for n in range(1, min(trunc_dim, c0.max_deg) + 1):
         lhs = nk.d(n) @ out[n]
         rhs = out[n - 1] @ c0.d(n)
@@ -678,41 +671,25 @@ def nk_roundtrip_iso(c: ChainComplex, trunc_dim: int):
     return out
 
 
-def dold_kan_counit_matrices(a: SimplicialAbGroup) -> dict:
-    """Per level, the natural map K(N(A))_n -> A_n given on the summand
-    of a surjection eta by the corresponding composite degeneracy; for
-    any levelwise free input these are unimodular and intertwine all
-    structure maps."""
-    bases = moore_basis(a)
-    na = normalize_N(a)
-    kna = dold_kan_K(na, a.D)
-    out = {}
-    for n in range(a.D + 1):
-        blocks = []
-        for eta in level_summands(n):
-            k = eta[-1]
-            if na.rank(k) == 0:
-                continue
-            jumps = sorted(i for i in range(n) if eta[i] == eta[i + 1])
-            blocks.append(_degeneracy_composite(a, k, jumps) @ bases[k])
-        if blocks:
-            psi = hstack(blocks)
-        else:
-            psi = IntMatrix.zero(a.rank(n), 0)
-        if psi.shape != (a.rank(n), kna.rank(n)):
-            raise ValidationError("counit shape mismatch at level %d" % n)
-        out[n] = psi
-    return out
-
-
 def kn_roundtrip_ok(a: SimplicialAbGroup) -> bool:
-    """K(N(A)) is isomorphic to A levelwise, via the explicit counit."""
-    na = normalize_N(a)
+    """K(N(A)) is isomorphic to A levelwise, via the explicit counit
+    K(N(A))_n -> A_n: on the summand of a surjection eta it is the
+    composite degeneracy of eta applied to the Moore basis.  Each level
+    of the counit must be unimodular and intertwine all structure maps."""
+    bases = moore_basis(a)
+    na = _normalize(a, bases)
     kna = dold_kan_K(na, a.D)
-    psi = dold_kan_counit_matrices(a)
+    psi = {}
     for n in range(a.D + 1):
         if kna.rank(n) != a.rank(n):
             return False
+        blocks = []
+        for eta in level_summands(n):
+            k = eta[-1]
+            if na.rank(k):
+                jumps = [i for i in range(n) if eta[i] == eta[i + 1]]
+                blocks.append(_degeneracy_composite(a, k, jumps) @ bases[k])
+        psi[n] = hstack(blocks) if blocks else IntMatrix.zero(a.rank(n), 0)
         if a.rank(n) and not is_unimodular(psi[n]):
             return False
     for n in range(1, a.D + 1):

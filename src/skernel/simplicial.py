@@ -18,6 +18,7 @@ all the way to the base.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import NamedTuple
 
 from .complexes import ValidationError
@@ -183,7 +184,7 @@ class SimplicialSet:
             if p > n:
                 break
             k = n - p
-            words = [()] if k == 0 else list(_descending_words(n, k))
+            words = list(combinations(range(n - 1, -1, -1), k))
             for base in self._cells[p]:
                 for w in words:
                     out.append(SimplexRef(w, base))
@@ -247,15 +248,6 @@ class SimplicialSet:
     def __repr__(self) -> str:
         counts = ",".join("%d:%d" % (n, len(ids)) for n, ids in sorted(self._cells.items()))
         return "SimplicialSet(%s%s)" % (counts, ", pointed" if self.pointed else "")
-
-
-def _descending_words(n: int, k: int):
-    """Strictly decreasing words of length k over {0, ..., n-1},
-    lexicographically by the decreasing tuple."""
-    from itertools import combinations
-
-    for combo in combinations(range(n - 1, -1, -1), k):
-        yield combo
 
 
 class SimplicialMap:

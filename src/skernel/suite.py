@@ -15,7 +15,13 @@ from __future__ import annotations
 
 import random
 
-from .complexes import check_quasi_iso, sigma_tower_report, single
+from .complexes import (
+    ChainComplex,
+    check_quasi_iso,
+    homotopy_class_group,
+    sigma_tower_report,
+    single,
+)
 from .generators import random_complex, random_matrix, random_pointed_space, random_sab
 from .homotopy import (
     bar_column_bisimplicial,
@@ -42,6 +48,7 @@ from .simpab import (
 )
 from .simplicial import SimplexRef, SimplicialMap, SimplicialSet
 from .spaces import (
+    boundary,
     chain_map_of,
     chains,
     diag_id,
@@ -58,6 +65,7 @@ from .spaces import (
     pushout_inj,
     quotient,
     simplex,
+    smash,
     sphere,
     suspension,
     wedge,
@@ -143,8 +151,6 @@ def check_kunneth_ranks(rng, scale):
 
 
 def check_hom_renormalization(rng, scale):
-    from .complexes import homotopy_class_group
-
     for _ in range(3 * scale):
         k = random_complex(rng, max_deg=2)
         l = random_complex(rng, max_deg=2)
@@ -171,8 +177,6 @@ def check_tower(rng, scale):
 
 
 def check_operator_identities(rng, scale):
-    from .spaces import boundary
-
     spaces = [simplex(3), boundary(3), sphere(2), _unpoint(random_pointed_space(rng))]
     for x in spaces:
         for _ in range(20 * scale):
@@ -236,8 +240,6 @@ def _component(x, comp_vertices):
 
 
 def check_euler_product(rng, scale):
-    from .spaces import boundary
-
     pairs = [(boundary(2), simplex(1)), (sphere(1), sphere(1))]
     for _ in range(scale):
         pairs.append((_unpoint(random_pointed_space(rng, 2, 3, 1)), simplex(1)))
@@ -251,15 +253,11 @@ def check_euler_product(rng, scale):
 
 
 def check_quotient_chains(rng, scale):
-    from .spaces import boundary
-
     d2, bd2 = simplex(2), boundary(2)
     incl = SimplicialMap(bd2, d2, {c: SimplexRef((), c) for _, c in bd2.all_cells()})
     res = quotient(incl)
     cx = chains(d2)
     keep = {n: [i for i, c in enumerate(d2.cells(n)) if not bd2.has_cell(c)] for n in d2.dims()}
-    from .complexes import ChainComplex
-
     ranks = {n: len(ix) for n, ix in keep.items() if ix}
     d = {}
     for n in d2.dims():
@@ -276,8 +274,6 @@ def check_quotient_chains(rng, scale):
 
 
 def check_diagonal_product(rng, scale):
-    from .spaces import boundary
-
     cases = [(simplex(1), simplex(1)), (sphere(1), sphere(1)), (boundary(2), simplex(1))]
     for x, y in cases:
         ext = external_product(x, y)
@@ -365,8 +361,6 @@ def check_ez_kunneth(rng, scale):
 
 
 def check_zreduced_monoidality(rng, scale):
-    from .spaces import smash
-
     for e, f in [(sphere(0), sphere(1)), (sphere(1), sphere(1))]:
         d = 3
         lhs = tensor_sab(free_reduced_Z(e, d), free_reduced_Z(f, d))

@@ -147,6 +147,17 @@ def test_exit_code_2_on_invalid_input(files, capsys, tmp_path):
     assert captured.out == ""
     assert "--dim" in captured.err
 
+    assert main(["wr-verify", "--in", files["s1.json"], "--dim", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--dim must be nonnegative" in captured.err
+
+    for command, name in (("wr-verify", "s1.json"), ("cylinder", "cyl.json")):
+        assert main([command, "--in", files[name], "--range", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --range must be nonnegative\n"
+
     for command in ("pushout", "cylinder"):
         assert main([command, "--in", files["top-level-list.json"]]) == 2
         captured = capsys.readouterr()

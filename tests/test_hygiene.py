@@ -1,5 +1,5 @@
-"""Static hygiene of the package: no module-level import goes unused,
-and no module-level function or class goes unreferenced."""
+"""Static hygiene of the package: every import sits at module level and
+is used, and no module-level function or class goes unreferenced."""
 
 import ast
 from pathlib import Path
@@ -55,3 +55,16 @@ def test_no_unreferenced_module_definitions():
                         if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
     unreferenced = ["%s (%s line %d)" % d for d in defined if d[0] not in used]
     assert not unreferenced, "never referenced: %s" % ", ".join(unreferenced)
+
+
+def test_no_function_local_imports():
+    """Imports sit at module level, where the hygiene checks above see
+    them; the package has no import cycle that would need a deferred one."""
+    local = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                local += ["%s:%d in %s" % (path.name, node.lineno, fn.name)
+                          for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not local, "function-local imports: %s" % ", ".join(local)

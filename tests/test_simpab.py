@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import skernel.simpab
 from skernel.complexes import ChainComplex, HomologyGroup, ValidationError, single
 from skernel.matrices import IntMatrix
 from skernel.simpab import (
@@ -30,6 +31,8 @@ from helpers import kunneth_homology, random_complex, shuffles
 
 Z = HomologyGroup(1)
 TRIV = HomologyGroup(0)
+# H_0 = Z/2, H_1 = Z/3, H_2 = 0
+TORSION = ChainComplex(0, 2, {0: 1, 1: 2, 2: 1}, {1: [[2, 0]], 2: [[0], [3]]})
 
 
 def random_sab(rng, trunc=3):
@@ -303,10 +306,61 @@ def test_homotopy_groups_range_error():
 
 
 def test_moore_projection_identity(rng):
-    a = random_sab(rng, trunc=3)
-    bases = moore_basis(a)
-    for n in range(a.D + 1):
-        if a.rank(n) == 0:
-            continue
-        p = moore_projection(a, bases, n)
-        assert p @ bases[n] == IntMatrix.identity(bases[n].cols)
+    """The projection fixes the normalized part and kills the image of
+    every degeneracy, so N_n and the degenerate part split A_n."""
+    objects = [
+        free_reduced_Z(sphere(1), 4),
+        free_reduced_Z(sphere(2), 4),
+        bar_B(free_reduced_Z(sphere(2), 4)),
+        dold_kan_K(TORSION, 4),
+    ] + [random_sab(rng, trunc=3) for _ in range(6)]
+    for a in objects:
+        bases = moore_basis(a)
+        for n in range(a.D + 1):
+            if a.rank(n) == 0:
+                continue
+            p = moore_projection(a, bases, n)
+            assert p @ bases[n] == IntMatrix.identity(bases[n].cols)
+            for j in range(n):
+                assert (p @ a.degen(n - 1, j)).is_zero()
+
+
+def test_verifiers_reject_a_non_saturated_moore_basis(monkeypatch):
+    """Doubling the first column of every Moore basis leaves a sublattice
+    of index 2, which each verifier must notice."""
+    original = skernel.simpab.kernel_basis
+
+    def doubled(m):
+        k = original(m)
+        return IntMatrix.from_entries(
+            k.rows, k.cols, ((i, j, 2 * x if j == 0 else x) for i, j, x in k.entries())
+        )
+
+    monkeypatch.setattr(skernel.simpab, "kernel_basis", doubled)
+    zs1 = free_reduced_Z(sphere(1), 3)
+    assert not kn_roundtrip_ok(zs1)
+    with pytest.raises(ValidationError):
+        nk_roundtrip_iso(TORSION, 3)
+    with pytest.raises(ValidationError):
+        ez_maps(zs1, zs1)
+
+
+def test_verifiers_normalize_each_object_once(monkeypatch):
+    a = free_reduced_Z(sphere(1), 4)
+    b = dold_kan_K(TORSION, 4)
+    calls = []
+    original = skernel.simpab.kernel_basis
+    monkeypatch.setattr(skernel.simpab, "kernel_basis", lambda m: calls.append(m) or original(m))
+    for x in (a, b, tensor_sab(a, b)):
+        moore_basis(x)
+    expected = len(calls)
+    calls.clear()
+    ez_maps(a, b)
+    assert len(calls) == expected
+
+    builds = []
+    original_k = skernel.simpab.dold_kan_K
+    monkeypatch.setattr(skernel.simpab, "dold_kan_K",
+                        lambda *args: builds.append(args) or original_k(*args))
+    assert kn_roundtrip_ok(b)
+    assert len(builds) == 1
