@@ -161,6 +161,8 @@ def cmd_wr_verify(args, out):
         raise CliError("--dim must be nonnegative, got %d" % d)
     rng_range = _range(args, max(0, d - 1))
     if rng_range > d - 1:
+        if args.range is None:
+            raise CliError("--dim must be at least 1 (trusted range 0..dim-1)")
         raise CliError("--range must be at most dim - 1 (trusted range)")
     wr = wrap(x, d)
     cert = weq_certificate(wr.counit, rng_range)

@@ -5,11 +5,17 @@ its counit, the skeletal pushout squares it satisfies, mapping cylinders,
 homotopy pushouts built from the concrete wedge/smash formula, and the
 desk-scale weak-equivalence certificates: a certificate never decides a
 weak equivalence, it records exactly which finite checks passed.
+
+Every map out of a pushout, wedge or quotient here (comparison maps,
+retractions, projections) comes from `spaces.pushout_map`, the map its
+universal property induces; cell ids are only ever minted, never read
+apart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from itertools import product as iproduct
 from typing import NamedTuple
 
@@ -27,9 +33,11 @@ from .spaces import (
     normalize_relations,
     pi0,
     pi1_presentation,
+    point,
     product_pair_ref,
     product_pairs,
     pushout_inj,
+    pushout_map,
     simplex,
     skeleton,
     smash,
@@ -69,7 +77,7 @@ def wrap(x: SimplicialSet, trunc_dim: int) -> WrapResult:
             for i in range(n + 1):
                 faces[(cid, i)] = SimplexRef((), _compact(x.face(r, i)))
     space = SimplicialSet(cells, faces, pointed=x.pointed,
-                          basepoint=x.basepoint if x.pointed else None)
+                          basepoint=_compact(SimplexRef((), x.basepoint)) if x.pointed else None)
     counit = SimplicialMap(space, x, {cid: refs[cid] for cid in refs})
     return WrapResult(space, counit)
 
@@ -78,20 +86,24 @@ def wrap(x: SimplicialSet, trunc_dim: int) -> WrapResult:
 # skeletal pushout squares of the wrapped space
 
 
-def _labelled_copies(labels, t: SimplicialSet, tag: str) -> SimplicialSet:
-    """Disjoint copies of t indexed by labels, plus a disjoint basepoint:
-    the smash of the discrete pointed set (labels + base) with t made
-    pointed by a free basepoint."""
+def _copy_id(tag: str, label: int, cell: str) -> str:
+    return "%s%d#%s" % (tag, label, cell)
+
+
+def _labelled_copies(count: int, t: SimplicialSet, tag: str) -> SimplicialSet:
+    """Disjoint copies 0..count-1 of t, plus a disjoint basepoint: the
+    smash of the discrete pointed set (labels + base) with t made pointed
+    by a free basepoint."""
     cells = {0: ["*"]}
     faces = {}
-    for label in labels:
+    for label in range(count):
         for n in t.dims():
-            cells.setdefault(n, []).extend("%s%s#%s" % (tag, label, c) for c in t.cells(n))
+            cells.setdefault(n, []).extend(_copy_id(tag, label, c) for c in t.cells(n))
             for c in t.cells(n):
                 for i in range(n + 1) if n else ():
                     fr = t.stored_face(c, i)
-                    faces[("%s%s#%s" % (tag, label, c), i)] = SimplexRef(
-                        fr.word, "%s%s#%s" % (tag, label, fr.base)
+                    faces[(_copy_id(tag, label, c), i)] = SimplexRef(
+                        fr.word, _copy_id(tag, label, fr.base)
                     )
     return SimplicialSet(cells, faces, pointed=True, basepoint="*")
 
@@ -128,43 +140,28 @@ def skeleton_pushout_check(x: SimplicialSet, n: int, trunc_dim: int) -> Skeleton
     wr = wrap(x, trunc_dim).space
     sk_lo = skeleton(wr, n)
     sk_hi = skeleton(wr, n + 1)
-    labels = [_compact(r) for r in x.simplices(n + 1)]
-    label_ref = {_compact(r): r for r in x.simplices(n + 1)}
+    tops = x.simplices(n + 1)
     bnd = boundary(n + 1)
-    full = simplex(n + 1)
-    a = _labelled_copies(labels, bnd, "a|")
-    w = _labelled_copies(labels, full, "w|")
-
-    include = SimplicialMap(
-        a, w,
-        {"*": SimplexRef((), "*"),
-         **{
-             "a|%s#%s" % (label, c): SimplexRef((), "w|%s#%s" % (label, c))
-             for label in labels
-             for _, c in bnd.all_cells()
-         }},
-    )
-    attach_assignment = {"*": SimplexRef((), sk_lo.basepoint)}
-    for label in labels:
-        s = label_ref[label]
-        for m, c in bnd.all_cells():
-            keep = tuple(int(v) for v in c.split("."))
-            face_ref = _iterated_face(x, s, keep)
-            attach_assignment["a|%s#%s" % (label, c)] = SimplexRef((), _compact(face_ref))
-    attach = SimplicialMap(a, sk_lo, attach_assignment)
-
+    a = _labelled_copies(len(tops), bnd, "a")
+    w = _labelled_copies(len(tops), simplex(n + 1), "w")
+    # the copy for tops[label] of the face of the simplex on a vertex
+    # subset -> the cell of the wrapped space on those vertices of tops[label]
+    spans = {"*": SimplexRef((), sk_hi.basepoint)}
+    for label, s in enumerate(tops):
+        for size in range(1, n + 3):
+            for keep in combinations(range(n + 2), size):
+                spans[_copy_id("w", label, _subset_id(keep))] = SimplexRef(
+                    (), _compact(_iterated_face(x, s, keep)))
+    glued = {"*": "*", **{_copy_id("a", label, c): _copy_id("w", label, c)
+                          for label in range(len(tops)) for _, c in bnd.all_cells()}}
+    include = SimplicialMap(a, w, {c: SimplexRef((), d) for c, d in glued.items()})
+    attach = SimplicialMap(a, sk_lo, {c: spans[d] for c, d in glued.items()})
     po = pushout_inj(include, attach)
-    top_id = _subset_id(range(n + 2))
-    comparison = {}
-    for m, c in po.space.all_cells():
-        if c.startswith("y:"):
-            comparison[c] = SimplexRef((), c[2:])
-        else:
-            label = c[len("x:w|") : -(len(top_id) + 1)]
-            comparison[c] = SimplexRef((), label)
+    to_hi = SimplicialMap(w, sk_hi, spans, check=False)
+    lo_in_hi = SimplicialMap(sk_lo, sk_hi, {c: SimplexRef((), c) for _, c in sk_lo.all_cells()},
+                             check=False)
     try:
-        iso = SimplicialMap(po.space, sk_hi, comparison)
-        holds = iso.is_cellwise_iso()
+        holds = pushout_map(po, to_hi, lo_in_hi).is_cellwise_iso()
     except ValidationError:
         holds = False
     return SkeletonPushoutReport(
@@ -179,11 +176,10 @@ def skeleton_pushout_check(x: SimplicialSet, n: int, trunc_dim: int) -> Skeleton
 
 
 def _cylinder_object(k: SimplicialSet):
-    """k smashed with the pointed interval, with the two end inclusions
-    and the projection back to k."""
+    """The two end inclusions of k into k smashed with the pointed
+    interval, and the projection back to k."""
     iv = interval_pointed()
     sm = smash(k, iv)
-    pairs = product_pairs(k, iv)
 
     def end_map(vertex: str) -> SimplicialMap:
         assignment = {}
@@ -193,15 +189,16 @@ def _cylinder_object(k: SimplicialSet):
             assignment[c] = sm.collapse(product_pair_ref(k, iv, ra, rb))
         return SimplicialMap(k, sm.space, assignment)
 
-    proj_assignment = {}
-    for _, c in sm.space.all_cells():
-        if c.startswith("x:"):
-            _, ra, rb = pairs[c[2:]]
-            proj_assignment[c] = ra
-        else:
-            proj_assignment[c] = SimplexRef((), k.basepoint)
-    projection = SimplicialMap(sm.space, k, proj_assignment)
-    return sm.space, end_map("0"), end_map("1"), projection
+    # K x I+ is K x I beside K x {*}: project the first onto K and
+    # collapse the second, which lies in the wedge, to the basepoint
+    to_k = {c: ra if rb.base != iv.basepoint else k.basepoint_ref(n)
+            for c, (n, ra, rb) in product_pairs(k, iv).items()}
+    pt = point()
+    legs = (sm.space, sm.collapse,
+            SimplicialMap(pt, sm.space, {"*": SimplexRef((), sm.space.basepoint)}, check=False))
+    projection = pushout_map(legs, SimplicialMap(sm.collapse.source, k, to_k, check=False),
+                             SimplicialMap(pt, k, {"*": SimplexRef((), k.basepoint)}, check=False))
+    return end_map("0"), end_map("1"), projection
 
 
 class CylinderResult(NamedTuple):
@@ -221,18 +218,12 @@ def cylinder(f: SimplicialMap) -> CylinderResult:
     k, l = f.source, f.target
     if not (k.pointed and l.pointed and f.preserves_basepoint()):
         raise ValueError("cylinders need pointed spaces and a pointed map")
-    cyl_obj, end0, end1, projection = _cylinder_object(k)
+    end0, end1, projection = _cylinder_object(k)
     po = pushout_inj(end1, f)
     from_source = po.from_x.compose(end0)
     from_target = po.from_y
-    retraction_assignment = {}
-    for _, c in po.space.all_cells():
-        if c.startswith("y:"):
-            retraction_assignment[c] = SimplexRef((), c[2:])
-        else:
-            retraction_assignment[c] = f(projection.cell_image(c[2:]))
-    retraction = SimplicialMap(po.space, l, retraction_assignment)
     ident = SimplicialMap.identity(l)
+    retraction = pushout_map(po, f.compose(projection), ident)
     if retraction.compose(from_target) != ident:
         raise ValidationError("cylinder retraction is not a strict section")
     return CylinderResult(po.space, from_source, from_target, retraction)
@@ -262,45 +253,21 @@ def homotopy_pushout(f: SimplicialMap, g: SimplicialMap, square=None) -> Homotop
         raise ValueError("homotopy pushout needs pointed maps")
     if g.source is not k and g.source._cells != k._cells:
         raise ValueError("the two legs must share their source")
-    cyl_obj, end0, end1, projection = _cylinder_object(k)
+    end0, end1, projection = _cylinder_object(k)
     kk = wedge(k, k)
-    ends_assignment = {}
-    for _, c in kk.space.all_cells():
-        if c.startswith("x:"):
-            ends_assignment[c] = end0.cell_image(c[2:])
-        else:
-            ends_assignment[c] = end1.cell_image(c[2:])
-    ends = SimplicialMap(kk.space, cyl_obj, ends_assignment)
     ml = wedge(m, l)
-    to_ml_assignment = {}
-    for _, c in kk.space.all_cells():
-        if c.startswith("x:"):
-            to_ml_assignment[c] = ml.inl(g.cell_image(c[2:]))
-        else:
-            to_ml_assignment[c] = ml.inr(f.cell_image(c[2:]))
-    to_ml = SimplicialMap(kk.space, ml.space, to_ml_assignment)
-    po = pushout_inj(ends, to_ml)
+    ends = pushout_map(kk, end0, end1)
+    po = pushout_inj(ends, pushout_map(kk, ml.inl.compose(g), ml.inr.compose(f)))
     from_left = po.from_y.compose(ml.inr)
     from_right = po.from_y.compose(ml.inl)
 
     comparison = None
     if square is not None:
-        u, v, target = square
+        u, v, _ = square
         for _, c in k.all_cells():
             if u(f.cell_image(c)) != v(g.cell_image(c)):
                 raise ValueError("the supplied square does not commute strictly")
-        assignment = {}
-        through_k = u.compose(f).compose(projection)
-        for _, c in po.space.all_cells():
-            if c.startswith("x:"):
-                assignment[c] = through_k.cell_image(c[2:])
-            else:
-                inner = c[2:]
-                if inner.startswith("x:"):
-                    assignment[c] = v.cell_image(inner[2:])
-                else:
-                    assignment[c] = u.cell_image(inner[2:])
-        comparison = SimplicialMap(po.space, target, assignment)
+        comparison = pushout_map(po, u.compose(f).compose(projection), pushout_map(ml, v, u))
     return HomotopyPushoutResult(po.space, from_left, from_right, comparison)
 
 

@@ -138,9 +138,6 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return not any(js for js, _ in self.nonzeros)
 
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and self == IntMatrix.identity(self.rows)
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix.from_entries(self.cols, self.rows, ((j, i, x) for i, j, x in self.entries()))
 

@@ -33,7 +33,7 @@ class SimplicialAbGroup:
     degen[(n, j)] the j-th degeneracy A_n -> A_{n+1} (defined for n < D).
     """
 
-    def __init__(self, trunc_dim: int, ranks, face: dict, degen: dict, check: bool = True):
+    def __init__(self, trunc_dim: int, ranks, face: dict, degen: dict):
         if trunc_dim < 0:
             raise ValidationError("truncation dimension must be nonnegative")
         self.D = trunc_dim
@@ -56,8 +56,7 @@ class SimplicialAbGroup:
             if not isinstance(m, IntMatrix):
                 m = IntMatrix.from_rows(m)
             self._degen[(int(n), int(j))] = m
-        if check:
-            self._validate()
+        self._validate()
 
     def rank(self, n: int) -> int:
         if 0 <= n <= self.D:

@@ -143,9 +143,6 @@ class SimplicialSet:
     def cell_dim(self, c: str) -> int:
         return self._dim[c]
 
-    def cell_index(self, c: str) -> int:
-        return self._cells[self._dim[c]].index(c)
-
     def dim(self, ref: SimplexRef) -> int:
         return self._dim[ref.base] + len(ref.word)
 
@@ -368,8 +365,7 @@ class BisimplicialSet:
     vertical operators commute, which is verified at construction."""
 
     def __init__(self, cells: dict, hfaces: dict, vfaces: dict,
-                 pointed: bool = False, basepoint: str | None = None,
-                 check: bool = True):
+                 pointed: bool = False, basepoint: str | None = None):
         self._cells = {}
         self._deg = {}
         for (p, q), ids in cells.items():
@@ -385,8 +381,7 @@ class BisimplicialSet:
         self._vfaces = dict(vfaces)
         self.pointed = pointed
         self.basepoint = basepoint
-        if check:
-            self._validate()
+        self._validate()
 
     def bidegrees(self) -> list:
         return sorted(self._cells)

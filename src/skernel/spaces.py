@@ -2,15 +2,21 @@
 
 Standard spaces, products by the shuffle description of nondegenerate
 cells, wedge/smash/suspension for pointed spaces, pushouts along
-levelwise injections, skeleta, diagonals of bisimplicial sets, and the
+levelwise injections and the maps out of them that the universal
+property induces, skeleta, diagonals of bisimplicial sets, and the
 combinatorial invariants: components, fundamental groupoid and group,
 chains and homology.
+
+Constructions mint the ids of their cells injectively from the ids they
+are built from, and no code reads an id back apart: a map out of a
+pushout, wedge or quotient comes from `pushout_map`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
 from .complexes import ChainComplex, ChainMap, HomologyGroup, ValidationError, group_from_presentation, zero_complex
@@ -126,10 +132,14 @@ def standard_space(kind: str, n: int = 0, k: int = 0) -> SimplicialSet:
 # products
 
 
+def _word_id(word: tuple) -> str:
+    return "".join("s%d" % i for i in word)
+
+
 def _compact(ref: SimplexRef) -> str:
-    if not ref.word:
-        return ref.base
-    return "".join("s%d" % i for i in ref.word) + "." + ref.base
+    """An injective id for a simplex: its degeneracy word, then its base
+    quoted as a JSON string (which ends at its first unescaped quote)."""
+    return _word_id(ref.word) + _quote(ref.base)
 
 
 def pair_id(ra: SimplexRef, rb: SimplexRef) -> str:
@@ -281,6 +291,28 @@ def pushout_inj(f: SimplicialMap, g: SimplicialMap) -> PushoutResult:
     return PushoutResult(space, from_x, from_y)
 
 
+def pushout_map(legs, u: SimplicialMap, v: SimplicialMap) -> SimplicialMap:
+    """The map P -> T that the universal property induces on a pushout
+    (P, from_x, from_y) of X and Y from a cocone u: X -> T, v: Y -> T.
+
+    Each Y cell goes to its v-image, and each X cell that from_x sends
+    to a cell not yet assigned goes to its u-image.  Raises
+    ValidationError, naming the cell, when the result does not restrict
+    to u along from_x, that is when the cocone does not commute.
+    """
+    space, from_x, from_y = legs
+    assignment = {from_y.cell_image(c).base: v.cell_image(c) for _, c in from_y.source.all_cells()}
+    for _, c in from_x.source.all_cells():
+        img = from_x.cell_image(c)
+        if not img.word and img.base not in assignment:
+            assignment[img.base] = u.cell_image(c)
+    induced = SimplicialMap(space, u.target, assignment)
+    for _, c in from_x.source.all_cells():
+        if induced(from_x.cell_image(c)) != u.cell_image(c):
+            raise ValidationError("induced map does not restrict to u on %r" % c)
+    return induced
+
+
 def quotient(f: SimplicialMap) -> PushoutResult:
     """X/A for a levelwise injection f: A -> X."""
     pt = point()
@@ -319,17 +351,12 @@ def smash(x: SimplicialSet, y: SimplicialSet) -> SmashResult:
     if not (x.pointed and y.pointed):
         raise ValueError("smash requires pointed spaces")
     prod = product(x, y)
-    w, inl, inr = wedge(x, y)
-    assignment = {}
-    for n, cell in w.all_cells():
-        if cell.startswith("y:"):
-            ry = SimplexRef((), cell[2:])
-            rx = SimplexRef(tuple(range(n - 1, -1, -1)), x.basepoint)
-        else:
-            rx = SimplexRef((), cell[2:])
-            ry = SimplexRef(tuple(range(n - 1, -1, -1)), y.basepoint)
-        assignment[cell] = product_pair_ref(x, y, rx, ry)
-    include = SimplicialMap(w, prod, assignment)
+    along_x = {c: product_pair_ref(x, y, SimplexRef((), c), y.basepoint_ref(n))
+               for n, c in x.all_cells()}
+    along_y = {c: product_pair_ref(x, y, x.basepoint_ref(n), SimplexRef((), c))
+               for n, c in y.all_cells()}
+    include = pushout_map(wedge(x, y), SimplicialMap(x, prod, along_x, check=False),
+                          SimplicialMap(y, prod, along_y, check=False))
     result = quotient(include)
     return SmashResult(result.space, result.from_x)
 
@@ -365,9 +392,7 @@ def skeleton(x: SimplicialSet, n: int) -> SimplicialSet:
 
 
 def diag_id(hw: tuple, vw: tuple, base: str) -> str:
-    h = "".join("s%d" % i for i in hw)
-    v = "".join("s%d" % i for i in vw)
-    return "d(%s;%s)%s" % (h, v, base)
+    return "d(%s;%s)%s" % (_word_id(hw), _word_id(vw), _quote(base))
 
 
 def diagonal(b: BisimplicialSet) -> SimplicialSet:

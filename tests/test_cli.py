@@ -103,6 +103,22 @@ def test_wr_verify_command(files, capsys, tmp_path):
     assert set(cert) == {"pass", "pi0", "homology", "groupoid", "quotients"}
 
 
+def test_cell_ids_that_read_like_minted_ids(tmp_path, capsys):
+    """A cell named like a degenerate simplex collides with no id that
+    wrap, product or smash mint."""
+    edge = {"cells": {"0": ["*", "v"], "1": ["s0.v"]}, "faces": {"s0.v": ["v", "*"]},
+            "pointed": True, "basepoint": "*"}
+    space = tmp_path / "edge.json"
+    space.write_text(json.dumps(edge))
+    ident = tmp_path / "edge-id.json"
+    ident.write_text(json.dumps({"source": edge, "target": edge,
+                                 "map": {"cells": {"*": "*", "v": "v", "s0.v": "s0.v"}}}))
+    assert main(["wr-verify", "--in", str(space), "--dim", "2"]) == 0
+    assert "counit certificate: PASS" in capsys.readouterr().out
+    assert main(["cylinder", "--in", str(ident)]) == 0
+    assert "retraction certificate: PASS" in capsys.readouterr().out
+
+
 def test_pushout_command(files, capsys):
     rc = main(["pushout", "--in", files["diagram.json"]])
     out = capsys.readouterr().out
@@ -151,6 +167,11 @@ def test_exit_code_2_on_invalid_input(files, capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--dim must be nonnegative" in captured.err
+
+    assert main(["wr-verify", "--in", files["s1.json"], "--dim", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --dim must be at least 1 (trusted range 0..dim-1)\n"
 
     for command, name in (("wr-verify", "s1.json"), ("cylinder", "cyl.json")):
         assert main([command, "--in", files[name], "--range", "-1"]) == 2

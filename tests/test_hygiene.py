@@ -1,5 +1,6 @@
 """Static hygiene of the package: every import sits at module level and
-is used, and no module-level function or class goes unreferenced."""
+is used, no module-level function, class or method goes unreferenced,
+and only `spaces.pushout_inj` knows how it prefixes the cells of its legs."""
 
 import ast
 from pathlib import Path
@@ -40,10 +41,15 @@ def test_no_unused_module_imports(path):
     assert not unused, "unused imports in %s: %s" % (path.name, ", ".join(unused))
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def test_no_unreferenced_module_definitions():
-    """Every function and class defined at module level in the package is
-    referenced by name (or as an attribute) somewhere in the package or
-    its tests, or re-exported through an __all__."""
+    """Every function and class defined at module level in the package,
+    and every method of such a class other than a dunder, is referenced by
+    name (or as an attribute) somewhere in the package or its tests, or
+    re-exported through an __all__."""
     defined = []
     used = set()
     for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
@@ -53,6 +59,10 @@ def test_no_unreferenced_module_definitions():
         if path.parent == SRC:
             defined += [(node.name, path.name, node.lineno) for node in tree.body
                         if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+            defined += [(method.name, path.name, method.lineno)
+                        for node in tree.body if isinstance(node, ast.ClassDef)
+                        for method in node.body
+                        if isinstance(method, ast.FunctionDef) and not _is_dunder(method.name)]
     unreferenced = ["%s (%s line %d)" % d for d in defined if d[0] not in used]
     assert not unreferenced, "never referenced: %s" % ", ".join(unreferenced)
 
@@ -68,3 +78,21 @@ def test_no_function_local_imports():
                 local += ["%s:%d in %s" % (path.name, node.lineno, fn.name)
                           for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not local, "function-local imports: %s" % ", ".join(local)
+
+
+def test_pushout_leg_prefixes_stay_in_pushout_inj():
+    """The "x:" and "y:" prefixes that tell the two legs of a pushout
+    apart appear only in `spaces.pushout_inj`; maps out of a pushout come
+    from `spaces.pushout_map` and never read a cell id apart."""
+    strays = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "spaces.py":
+            allowed = {id(n) for fn in tree.body
+                       if isinstance(fn, ast.FunctionDef) and fn.name == "pushout_inj"
+                       for n in ast.walk(fn)}
+        strays += ["%s line %d" % (path.name, n.lineno) for n in ast.walk(tree)
+                   if isinstance(n, ast.Constant) and n.value in ("x:", "y:")
+                   and id(n) not in allowed]
+    assert not strays, "leg prefixes outside spaces.pushout_inj: %s" % ", ".join(strays)

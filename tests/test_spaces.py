@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from skernel.complexes import HomologyGroup
-from skernel.simplicial import SimplexRef, SimplicialMap
+from skernel.complexes import HomologyGroup, ValidationError
+from skernel.simplicial import SimplexRef, SimplicialMap, SimplicialSet
 from skernel.spaces import (
     boundary,
     chains,
@@ -21,6 +21,7 @@ from skernel.spaces import (
     point,
     product,
     pushout_inj,
+    pushout_map,
     quotient,
     simplex,
     skeleton,
@@ -74,8 +75,6 @@ def random_pointed_space(rng, n_extra_vertices=3, n_edges=5, n_triangles=2):
                 break
     if triangles:
         cells[2] = triangles
-    from skernel.simplicial import SimplicialSet
-
     return SimplicialSet(cells, faces, pointed=True, basepoint="v0")
 
 
@@ -206,6 +205,33 @@ def test_pushout_rejects_non_injection():
         pushout_inj(collapse, SimplicialMap.identity(d1))
 
 
+def test_pushout_map_restricts_to_both_legs():
+    """The fold map S1 v S1 -> S1 comes from the cocone (id, id)."""
+    s1 = sphere(1)
+    w = wedge(s1, s1)
+    ident = SimplicialMap.identity(s1)
+    fold = pushout_map(w, ident, ident)
+    assert fold.compose(w.inl) == ident
+    assert fold.compose(w.inr) == ident
+
+
+def test_pushout_map_rejects_a_cocone_that_does_not_commute():
+    """u = id and v = the swap of * and p disagree on the glued point of
+    S0 v S0, so no map out of the wedge restricts to both."""
+    s0 = sphere(0)
+    swap = SimplicialMap(s0, s0, {"*": SimplexRef((), "p"), "p": SimplexRef((), "*")})
+    with pytest.raises(ValidationError, match="does not restrict to u on '\\*'"):
+        pushout_map(wedge(s0, s0), SimplicialMap.identity(s0), swap)
+
+
+def test_product_ids_are_injective():
+    """Cell ids containing the separators of a minted id still give
+    distinct product cells: {a|b, a} x {c, b|c} has four vertices."""
+    x = SimplicialSet({0: ["a|b", "a"]}, {})
+    y = SimplicialSet({0: ["c", "b|c"]}, {})
+    assert product(x, y).cell_counts() == {0: 4}
+
+
 def test_pushout_matches_chain_quotient(rng):
     """Homology of X/A agrees with homology of chains(X)/chains(A)."""
     d2, bd2 = simplex(2), boundary(2)
@@ -249,19 +275,12 @@ def test_diagonal_of_external_product_is_product():
         assert dg.cell_counts() == pr.cell_counts()
         # the canonical relabelling d(I;J)(x|y) -> (s_I x | s_J y) is a
         # cellwise isomorphism commuting with the face structure
-        from skernel.spaces import pair_id, diag_id
+        from skernel.spaces import diag_id, pair_id, product_pairs
 
         assignment = {}
-        for n in dg.dims():
-            for cid in dg.cells(n):
-                head, base = cid[2:].split(")", 1)
-                hw_str, vw_str = head.split(";")
-                hw = tuple(int(t) for t in hw_str.split("s") if t)
-                vw = tuple(int(t) for t in vw_str.split("s") if t)
-                xs, ys = base[1:-1].split("|")
-                assignment[cid] = SimplexRef(
-                    (), pair_id(SimplexRef(hw, xs), SimplexRef(vw, ys))
-                )
+        for cid, (n, ra, rb) in product_pairs(x, y).items():
+            base = pair_id(SimplexRef((), ra.base), SimplexRef((), rb.base))
+            assignment[diag_id(ra.word, rb.word, base)] = SimplexRef((), cid)
         iso = SimplicialMap(dg, pr, assignment)
         assert iso.is_cellwise_iso()
         for n in range(4):
