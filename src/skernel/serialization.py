@@ -125,7 +125,7 @@ def ref_from_text(text: str) -> SimplexRef:
         raise ParseError("empty face entry")
     word = []
     for tok in tokens[:-1]:
-        if not (tok.startswith("s") and tok[1:].isdigit()):
+        if not (tok.startswith("s") and tok[1:].isdecimal()):
             raise ParseError("bad degeneracy token %r in %r" % (tok, text))
         word.append(int(tok[1:]))
     if len(tokens) >= 2 and not word:
@@ -155,6 +155,8 @@ def simplicial_set_from_doc(doc: dict) -> SimplicialSet:
             faces[(cell, i)] = ref_from_text(str(text))
     pointed = bool(doc.get("pointed", False))
     basepoint = doc.get("basepoint")
+    if pointed and not isinstance(basepoint, str):
+        raise ParseError("basepoint must be a cell id string, got %s" % json.dumps(basepoint))
     try:
         return SimplicialSet(cells, faces, pointed=pointed, basepoint=basepoint)
     except ValidationError as exc:

@@ -1,10 +1,18 @@
-"""Finite simplicial sets in degeneracy-word normal form.
+"""Finite simplicial sets on integer cell tables.
 
 Only nondegenerate simplices are stored.  Every simplex of the set is a
 degeneracy word applied to a nondegenerate base, written with strictly
 decreasing indices (s_{i1} s_{i2} ... s_{ik} x with i1 > i2 > ... > ik),
-and that representation is unique.  Face and degeneracy operators act on
-these words by commuting through them with the simplicial identities
+and that representation is unique.  A word is valid on an m-simplex only
+when its top index is at most m - 1.
+
+Inside a set the cells are numbered in declaration order (by dimension,
+then as listed), and a simplex is a pair (mask, cell): bit i of the mask
+is set when s_i occurs in the word, as Kenzo codes degeneracy operators
+by integers.  The face data is stored once, as a table with one row of
+(mask, cell) pairs per cell; string ids are only external names, for
+documents, printed output and map assignments.  The simplicial
+identities
 
     d_i d_j = d_{j-1} d_i            (i < j)
     s_i s_j = s_{j+1} s_i            (i <= j)
@@ -12,12 +20,24 @@ these words by commuting through them with the simplicial identities
     d_i s_j = id                     (i = j, j+1)
     d_i s_j = s_j d_{i-1}            (i > j+1)
 
-so the stored face data is consulted only when a face operator survives
-all the way to the base.
+become bit operations on masks:
+
+- d_i on s_I x cancels when bit i or bit i-1 of I is set: that bit is
+  deleted and the higher bits shift down;
+- otherwise d_i passes to the base at index i - #(I below i), and the
+  prefix is I with bit i deleted;
+- s_j shifts the bits >= j up and sets bit j;
+- composing a prefix with a stored face's word deposits the face's bits
+  into the zero positions of the prefix.
+
+So the stored face data is consulted only when a face operator survives
+all the way to the base.  `word_face` and `word_insert` are the same
+rules on tuple words.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -40,80 +60,171 @@ class SimplexRef(NamedTuple):
         return " ".join("s%d" % i for i in self.word) + " " + self.base
 
 
-def word_insert(word: tuple, j: int) -> tuple:
-    """Normal form of s_j applied after the word: commute s_j inward with
-    s_j s_i = s_{i+1} s_j (j <= i), keeping indices strictly decreasing."""
-    out = []
-    placed = False
+# -- degeneracy words as bitmasks -----------------------------------------
+
+
+def mask_of(word: tuple) -> int:
+    mask = 0
     for i in word:
-        if placed or j > i:
-            if not placed:
-                out.append(j)
-                placed = True
-            out.append(i)
-        else:
-            out.append(i + 1)
-    if not placed:
-        out.append(j)
+        mask |= 1 << i
+    return mask
+
+
+@lru_cache(maxsize=4096)
+def word_of(mask: int) -> tuple:
+    """The strictly decreasing word whose indices are the bits of mask."""
+    out = []
+    while mask:
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
     return tuple(out)
 
 
-def word_face(word: tuple, i: int):
-    """Push d_i through a degeneracy word.
+def _drop(mask: int, j: int) -> int:
+    """Delete bit j of mask and shift the higher bits down."""
+    return (mask & ((1 << j) - 1)) | (mask >> (j + 1) << j)
 
-    Returns (new_word, None) when the operator cancels against one of the
-    degeneracies, and (prefix_word, residual_face_index) when it survives
-    to hit the base.
+
+def mask_delete(mask: int, bits: int) -> int:
+    """Delete the bits of `bits` (a subset of mask's) from mask, shifting
+    the higher bits down past each."""
+    while bits:
+        top = bits.bit_length() - 1
+        mask = _drop(mask, top)
+        bits ^= 1 << top
+    return mask
+
+
+def mask_face(mask: int, i: int):
+    """Push d_i through s_mask.
+
+    Returns (mask', None) when the operator cancels against one of the
+    degeneracies, and (prefix, k) when it survives to hit the base as d_k.
     """
-    out = []
-    k = i
-    for pos, j in enumerate(word):
-        if k < j:
-            out.append(j - 1)
-        elif k == j or k == j + 1:
-            out.extend(word[pos + 1 :])
-            return tuple(out), None
-        else:
-            out.append(j)
-            k -= 1
-    return tuple(out), k
+    if mask >> i & 1:
+        return _drop(mask, i), None
+    if i and mask >> (i - 1) & 1:
+        return _drop(mask, i - 1), None
+    return _drop(mask, i), i - (mask & ((1 << i) - 1)).bit_count()
+
+
+def mask_insert(mask: int, j: int) -> int:
+    """s_j applied after s_mask."""
+    return (mask & ((1 << j) - 1)) | (1 << j) | (mask >> j << (j + 1))
+
+
+def mask_compose(outer: int, inner: int) -> int:
+    """s_outer s_inner: the bits of inner deposited into the zero
+    positions of outer."""
+    if not outer:
+        return inner
+    out = outer
+    pos = 0
+    while inner:
+        while outer >> pos & 1:
+            pos += 1
+        if inner & 1:
+            out |= 1 << pos
+        inner >>= 1
+        pos += 1
+    return out
+
+
+def word_insert(word: tuple, j: int) -> tuple:
+    """Normal form of s_j applied after the word."""
+    return word_of(mask_insert(mask_of(word), j))
+
+
+def word_face(word: tuple, i: int):
+    """Push d_i through a degeneracy word: (new_word, None) when the
+    operator cancels, (prefix_word, residual_face_index) when it survives
+    to hit the base."""
+    mask, k = mask_face(mask_of(word), i)
+    return word_of(mask), k
+
+
+def _decreasing(word: tuple) -> bool:
+    return all(a > b for a, b in zip(word, word[1:]))
+
+
+def _fits(word: tuple, m: int) -> bool:
+    """Whether a strictly decreasing word is valid on an m-simplex: its
+    indices lie in 0..m-1."""
+    return not word or (word[-1] >= 0 and word[0] <= m - 1)
 
 
 class SimplicialSet:
     """A finite simplicial set: ordered nondegenerate cells per dimension
-    plus face words for every cell of positive dimension.
+    plus face data for every cell of positive dimension.
 
-    Cell identifiers are strings, unique across all dimensions.  The
+    Cell identifiers are strings, unique across all dimensions.  Faces
+    are given either by name, as a dict {(cell, i): SimplexRef or (word,
+    base)}, or as the face table itself: a list indexed by cell number
+    whose rows hold the (mask, cell number) pairs of the faces.  The
     simplicial identities d_i d_j = d_{j-1} d_i are verified on all
-    stored cells at construction, through the operator engine, so
-    structurally broken input cannot be built.
+    stored cells at construction, so structurally broken input cannot be
+    built.
     """
 
-    def __init__(self, cells: dict, faces: dict, pointed: bool = False,
-                 basepoint: str | None = None, check: bool = True):
+    def __init__(self, cells: dict, faces, pointed: bool = False,
+                 basepoint: str | None = None):
         self._cells = {}
-        self._dim = {}
+        self._index = {}
+        self._ids = []
+        self._cdim = []
         for n in sorted(int(k) for k in cells):
             ids = tuple(cells[n] if n in cells else cells[str(n)])
             if not ids:
                 continue
+            if n < 0:
+                raise ValidationError("cell %r has negative dimension %d" % (ids[0], n))
             self._cells[n] = ids
             for c in ids:
-                if c in self._dim:
+                if c in self._index:
                     raise ValidationError("duplicate cell identifier %r" % c)
-                self._dim[c] = n
-        self._faces = {}
-        for key, ref in faces.items():
-            if not isinstance(ref, SimplexRef):
-                ref = SimplexRef(tuple(ref[0]), ref[1])
-            self._faces[key] = ref
+                self._index[c] = len(self._ids)
+                self._ids.append(c)
+                self._cdim.append(n)
         self.pointed = bool(pointed)
         self.basepoint = basepoint
         if self.pointed:
-            if basepoint not in self._dim or self._dim[basepoint] != 0:
+            if basepoint not in self._index or self._cdim[self._index[basepoint]] != 0:
                 raise ValidationError("basepoint %r is not a 0-cell" % (basepoint,))
-        if check:
-            self._validate()
+        self._table = faces if isinstance(faces, list) else self._table_from(faces)
+        self._validate()
+
+    def _table_from(self, faces: dict) -> list:
+        """The face table of faces given by name, checking each entry as
+        it is read."""
+        index, cdim = self._index, self._cdim
+        rows = [{} for _ in cdim]  # cell number -> {face index: (mask, cell)}
+        for (cell, i), ref in faces.items():
+            if not isinstance(ref, SimplexRef):
+                ref = SimplexRef(tuple(ref[0]), ref[1])
+            if cell not in index:
+                raise ValidationError("face data for unknown cell %r" % cell)
+            n = cdim[index[cell]]
+            if not (0 <= i <= n):
+                raise ValidationError("face index %d out of range on %r" % (i, cell))
+            if ref.base not in index:
+                raise ValidationError("face of %r references unknown cell %r" % (cell, ref.base))
+            if not _decreasing(ref.word):
+                raise ValidationError("face word %r of %r is not strictly decreasing" % (ref.word, cell))
+            if self.dim(ref) != n - 1:
+                raise ValidationError("face of %r has wrong dimension" % cell)
+            if not _fits(ref.word, n - 1):
+                raise ValidationError("face word %r of %r has a degeneracy index outside 0..%d"
+                                      % (ref.word, cell, n - 2))
+            rows[index[cell]][i] = (mask_of(ref.word), index[ref.base])
+        table = []
+        for c, row in enumerate(rows):
+            n = cdim[c]
+            if 0 < n and len(row) <= n:
+                missing = next(i for i in range(n + 1) if i not in row)
+                raise ValidationError("missing face %d of %r" % (missing, self._ids[c]))
+            table.append(tuple(row[i] for i in range(n + 1)) if n else ())
+        return table
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -138,18 +249,54 @@ class SimplicialSet:
         return {n: len(ids) for n, ids in self._cells.items()}
 
     def has_cell(self, c: str) -> bool:
-        return c in self._dim
+        return c in self._index
 
     def cell_dim(self, c: str) -> int:
-        return self._dim[c]
+        return self._cdim[self._index[c]]
 
     def dim(self, ref: SimplexRef) -> int:
-        return self._dim[ref.base] + len(ref.word)
+        return self._cdim[self._index[ref.base]] + len(ref.word)
 
     def stored_face(self, cell: str, i: int) -> SimplexRef:
-        return self._faces[(cell, i)]
+        mask, base = self._table[self._index[cell]][i]
+        return SimplexRef(word_of(mask), self._ids[base])
+
+    # -- cell numbers and the face table ------------------------------------
+
+    def number(self, cell: str) -> int:
+        return self._index[cell]
+
+    def cell_id(self, number: int) -> str:
+        return self._ids[number]
+
+    def numbers(self, n: int) -> range:
+        """The cell numbers of dimension n."""
+        ids = self._cells.get(n)
+        if not ids:
+            return range(0)
+        first = self._index[ids[0]]
+        return range(first, first + len(ids))
+
+    def face_table(self) -> list:
+        """Rows of (mask, cell number) face pairs, indexed by cell number;
+        a 0-cell's row is empty."""
+        return self._table
+
+    def code(self, ref: SimplexRef) -> tuple:
+        return mask_of(ref.word), self._index[ref.base]
+
+    def ref(self, mask: int, cell: int) -> SimplexRef:
+        return SimplexRef(word_of(mask), self._ids[cell])
 
     # -- the operator engine ----------------------------------------------
+
+    def face_code(self, mask: int, cell: int, i: int) -> tuple:
+        """d_i of the simplex s_mask cell, as a (mask, cell) pair."""
+        prefix, k = mask_face(mask, i)
+        if k is None:
+            return prefix, cell
+        m, base = self._table[cell][k]
+        return mask_compose(prefix, m), base
 
     def face(self, ref: SimplexRef, i: int) -> SimplexRef:
         n = self.dim(ref)
@@ -157,14 +304,7 @@ class SimplicialSet:
             raise ValueError("0-simplices have no faces")
         if not (0 <= i <= n):
             raise ValueError("face index %d out of range for dimension %d" % (i, n))
-        prefix, residual = word_face(ref.word, i)
-        if residual is None:
-            return SimplexRef(prefix, ref.base)
-        stored = self._faces[(ref.base, residual)]
-        out = stored
-        for j in reversed(prefix):
-            out = self.degeneracy(out, j)
-        return out
+        return self.ref(*self.face_code(mask_of(ref.word), self._index[ref.base], i))
 
     def degeneracy(self, ref: SimplexRef, j: int) -> SimplexRef:
         n = self.dim(ref)
@@ -192,12 +332,12 @@ class SimplicialSet:
         n = self.dim(ref)
         verts = []
         for j in range(n + 1):
-            cur = ref
+            cur = self.code(ref)
             for t in range(n, j, -1):
-                cur = self.face(cur, t)
+                cur = self.face_code(*cur, t)
             for _ in range(j):
-                cur = self.face(cur, 0)
-            verts.append(cur.base)
+                cur = self.face_code(*cur, 0)
+            verts.append(self._ids[cur[1]])
         return tuple(verts)
 
     def basepoint_ref(self, n: int) -> SimplexRef:
@@ -209,38 +349,46 @@ class SimplicialSet:
     # -- validation -------------------------------------------------------
 
     def _validate(self):
-        for (cell, i), ref in self._faces.items():
-            if cell not in self._dim:
-                raise ValidationError("face data for unknown cell %r" % cell)
-            n = self._dim[cell]
-            if not (0 <= i <= n):
-                raise ValidationError("face index %d out of range on %r" % (i, cell))
-            if ref.base not in self._dim:
-                raise ValidationError("face of %r references unknown cell %r" % (cell, ref.base))
-            if list(ref.word) != sorted(ref.word, reverse=True) or len(set(ref.word)) != len(ref.word):
-                raise ValidationError("face word %r of %r is not strictly decreasing" % (ref.word, cell))
-            if self.dim(ref) != n - 1:
-                raise ValidationError("face of %r has wrong dimension" % cell)
-        for n in self.dims():
-            if n == 0:
-                continue
-            for cell in self._cells[n]:
-                for i in range(n + 1):
-                    if (cell, i) not in self._faces:
-                        raise ValidationError("missing face %d of %r" % (i, cell))
-        for n in self.dims():
+        """Check every row of the face table, then every identity
+        d_i d_j = d_{j-1} d_i on every cell of dimension >= 2."""
+        table, ids, cdim = self._table, self._ids, self._cdim
+        if len(table) != len(ids):
+            raise ValidationError("face table has %d rows for %d cells" % (len(table), len(ids)))
+        for c, row in enumerate(table):
+            n = cdim[c]
+            if len(row) != (n + 1 if n else 0):
+                raise ValidationError("cell %r needs %d faces, got %d" % (ids[c], n + 1, len(row)))
+            for i, (mask, base) in enumerate(row):
+                if not 0 <= base < len(ids):
+                    raise ValidationError("face of %r references unknown cell %r" % (ids[c], base))
+                if mask < 0 or mask >> (n - 1):
+                    raise ValidationError("face %d of %r has a degeneracy index outside 0..%d"
+                                          % (i, ids[c], n - 2))
+                if cdim[base] + mask.bit_count() != n - 1:
+                    raise ValidationError("face of %r has wrong dimension" % ids[c])
+        face_code = self.face_code
+        faces_of = {}
+        for c, row in enumerate(table):
+            n = len(row) - 1
             if n < 2:
                 continue
-            for cell in self._cells[n]:
-                ref = SimplexRef((), cell)
-                for j in range(1, n + 1):
-                    for i in range(j):
-                        lhs = self.face(self.face(ref, j), i)
-                        rhs = self.face(self.face(ref, i), j - 1)
-                        if lhs != rhs:
-                            raise ValidationError(
-                                "simplicial identity d_%d d_%d failed on %r" % (i, j, cell)
-                            )
+            # rows[j][i] = d_i d_j c; a nondegenerate face's faces are its row
+            rows = []
+            for entry in row:
+                mask, base = entry
+                if not mask:
+                    rows.append(table[base])
+                    continue
+                found = faces_of.get(entry)
+                if found is None:
+                    found = faces_of[entry] = tuple([face_code(mask, base, i) for i in range(n)])
+                rows.append(found)
+            for j in range(1, n + 1):
+                if rows[j][:j] != tuple([r[j - 1] for r in rows[:j]]):
+                    i = next(i for i in range(j) if rows[j][i] != rows[i][j - 1])
+                    raise ValidationError(
+                        "simplicial identity d_%d d_%d failed on %r" % (i, j, ids[c])
+                    )
 
     def __repr__(self) -> str:
         counts = ",".join("%d:%d" % (n, len(ids)) for n, ids in sorted(self._cells.items()))
@@ -270,33 +418,38 @@ class SimplicialMap:
 
     def __call__(self, ref: SimplexRef) -> SimplexRef:
         out = self._map[ref.base]
-        for j in reversed(ref.word):
-            out = self.target.degeneracy(out, j)
-        return out
+        if not ref.word:
+            return out
+        return SimplexRef(word_of(mask_compose(mask_of(ref.word), mask_of(out.word))), out.base)
 
     def cell_image(self, cell: str) -> SimplexRef:
         return self._map[cell]
 
     def _validate(self):
-        for n, cell in self.source.all_cells():
+        source, target = self.source, self.target
+        codes = []
+        for n, cell in source.all_cells():
             if cell not in self._map:
                 raise ValidationError("map missing image of cell %r" % cell)
             img = self._map[cell]
-            if not self.target.has_cell(img.base):
+            if not target.has_cell(img.base):
                 raise ValidationError("image of %r uses unknown cell %r" % (cell, img.base))
-            if self.target.dim(img) != n:
+            if target.dim(img) != n:
                 raise ValidationError("image of %r has wrong dimension" % cell)
-        for n, cell in self.source.all_cells():
-            if n == 0:
-                continue
-            ref = SimplexRef((), cell)
-            img = self._map[cell]
-            for i in range(n + 1):
-                lhs = self(self.source.face(ref, i))
-                rhs = self.target.face(img, i)
-                if lhs != rhs:
+            if not _decreasing(img.word):
+                raise ValidationError("image word %r of %r is not strictly decreasing" % (img.word, cell))
+            if not _fits(img.word, n):
+                raise ValidationError("image word %r of %r has a degeneracy index outside 0..%d"
+                                      % (img.word, cell, n - 1))
+            codes.append(target.code(img))
+        face_code = target.face_code
+        for c, row in enumerate(source.face_table()):
+            mask, image = codes[c]
+            for i, (m, base) in enumerate(row):
+                bmask, bimage = codes[base]
+                if (mask_compose(m, bmask), bimage) != face_code(mask, image, i):
                     raise ValidationError(
-                        "map does not commute with d_%d on %r" % (i, cell)
+                        "map does not commute with d_%d on %r" % (i, source.cell_id(c))
                     )
 
     def preserves_basepoint(self) -> bool:

@@ -27,8 +27,10 @@ from .simplicial import (
     SimplexRef,
     SimplicialMap,
     SimplicialSet,
-    word_face,
-    word_insert,
+    mask_compose,
+    mask_delete,
+    mask_of,
+    word_of,
 )
 
 
@@ -41,23 +43,23 @@ def _subset_id(vs) -> str:
 
 
 def _simplex_cells(n: int, include_top: bool, skip: tuple = ()) -> tuple:
+    """Cells and face table of the n-simplex's vertex subsets, without
+    the top one unless include_top and without those in skip."""
     cells = {}
-    faces = {}
-    for size in range(1, n + 2):
-        if size == n + 1 and not include_top:
-            continue
+    table = []
+    number = {}
+    for size in range(1, n + 2 if include_top else n + 1):
         ids = []
         for vs in combinations(range(n + 1), size):
             if vs in skip:
                 continue
+            number[vs] = len(table)
             ids.append(_subset_id(vs))
-            if size > 1:
-                for i in range(size):
-                    sub = vs[:i] + vs[i + 1 :]
-                    faces[(_subset_id(vs), i)] = SimplexRef((), _subset_id(sub))
+            table.append(tuple((0, number[vs[:i] + vs[i + 1:]]) for i in range(size))
+                         if size > 1 else ())
         if ids:
             cells[size - 1] = ids
-    return cells, faces
+    return cells, table
 
 
 def simplex(n: int) -> SimplicialSet:
@@ -150,40 +152,36 @@ def strip_common(wa: tuple, wb: tuple):
     """Extract the shared degeneracies of two words: returns
     (word, wa0, wb0) with set(wa0) and set(wb0) disjoint, such that
     applying `word` diagonally to the stripped pair recovers the input."""
-    stripped = []
-    while True:
-        common = set(wa) & set(wb)
-        if not common:
-            break
-        j = max(common)
-        wa, ra = word_face(wa, j)
-        wb, rb = word_face(wb, j)
-        if ra is not None or rb is not None:
-            raise AssertionError("stripping a shared degeneracy must cancel")
-        stripped.append(j)
-    word = ()
-    for j in reversed(stripped):
-        word = word_insert(word, j)
-    return word, wa, wb
+    ma, mb = mask_of(wa), mask_of(wb)
+    common = ma & mb
+    return word_of(common), word_of(mask_delete(ma, common)), word_of(mask_delete(mb, common))
+
+
+def _product_codes(x: SimplicialSet, y: SimplicialSet) -> list:
+    """(n, a, b, mask_a, mask_b) for every nondegenerate n-cell of
+    product(x, y), in its declaration order: the pair of the simplices
+    s_{mask_a} a of x and s_{mask_b} b of y, whose masks are disjoint."""
+    out = []
+    for p in x.dims():
+        for q in y.dims():
+            for n in range(max(p, q), p + q + 1):
+                masks = []
+                for wa in combinations(range(n), n - p):
+                    ma = mask_of(wa)
+                    rest = [t for t in range(n) if not ma >> t & 1]
+                    masks += [(ma, mask_of(wb)) for wb in combinations(rest, n - q)]
+                out += [(n, a, b, ma, mb) for a in x.numbers(p) for b in y.numbers(q)
+                        for ma, mb in masks]
+    out.sort()
+    return out
 
 
 def product_pairs(x: SimplicialSet, y: SimplicialSet) -> dict:
     """cell id -> (ref into x, ref into y), for every nondegenerate cell
     of product(x, y), keyed in the product's declaration order."""
-    entries = []
-    for p in x.dims():
-        for q in y.dims():
-            for xi, xc in enumerate(x.cells(p)):
-                for yi, yc in enumerate(y.cells(q)):
-                    for n in range(max(p, q), p + q + 1):
-                        for wa in combinations(range(n - 1, -1, -1), n - p):
-                            rest = [t for t in range(n - 1, -1, -1) if t not in wa]
-                            for wb in combinations(rest, n - q):
-                                entries.append((n, p, xi, q, yi, wa, wb, xc, yc))
-    entries.sort()
     out = {}
-    for n, p, xi, q, yi, wa, wb, xc, yc in entries:
-        ra, rb = SimplexRef(wa, xc), SimplexRef(wb, yc)
+    for n, a, b, ma, mb in _product_codes(x, y):
+        ra, rb = x.ref(ma, a), y.ref(mb, b)
         out[pair_id(ra, rb)] = (n, ra, rb)
     return out
 
@@ -193,28 +191,28 @@ def product(x: SimplicialSet, y: SimplicialSet) -> SimplicialSet:
 
     Nondegenerate n-cells are pairs of simplices (a, b) of dimension n
     whose degeneracy words share no index; faces are computed pairwise
-    and renormalised by extracting common degeneracies.
+    and renormalised by extracting the common degeneracies, the bits
+    shared by the two masks.
     """
+    codes = _product_codes(x, y)
+    number = {code[1:]: k for k, code in enumerate(codes)}
+    x_face, y_face = x.face_code, y.face_code
     cells = {}
-    refs = {}
-    for cid, (n, ra, rb) in product_pairs(x, y).items():
-        cells.setdefault(n, []).append(cid)
-        refs[cid] = (ra, rb)
-    faces = {}
-    for n, ids in cells.items():
-        if n == 0:
-            continue
-        for cid in ids:
-            ra, rb = refs[cid]
-            for i in range(n + 1):
-                fa = x.face(ra, i)
-                fb = y.face(rb, i)
-                word, wa0, wb0 = strip_common(fa.word, fb.word)
-                base = pair_id(SimplexRef(wa0, fa.base), SimplexRef(wb0, fb.base))
-                faces[(cid, i)] = SimplexRef(word, base)
+    table = []
+    for n, a, b, ma, mb in codes:
+        cells.setdefault(n, []).append(pair_id(x.ref(ma, a), y.ref(mb, b)))
+        row = []
+        for i in range(n + 1) if n else ():
+            fma, fa = x_face(ma, a, i)
+            fmb, fb = y_face(mb, b, i)
+            common = fma & fmb
+            if common:
+                fma, fmb = mask_delete(fma, common), mask_delete(fmb, common)
+            row.append((common, number[fa, fb, fma, fmb]))
+        table.append(tuple(row))
     pointed = x.pointed and y.pointed
     bp = pair_id(SimplexRef((), x.basepoint), SimplexRef((), y.basepoint)) if pointed else None
-    return SimplicialSet(cells, faces, pointed=pointed, basepoint=bp)
+    return SimplicialSet(cells, table, pointed=pointed, basepoint=bp)
 
 
 def product_pair_ref(x: SimplicialSet, y: SimplicialSet, ra: SimplexRef, rb: SimplexRef) -> SimplexRef:
@@ -246,44 +244,48 @@ def pushout_inj(f: SimplicialMap, g: SimplicialMap) -> PushoutResult:
     if not f.is_levelwise_injective():
         raise ValueError("pushout requires the first leg to be a levelwise injection")
     a, x, y = f.source, f.target, g.target
-    hit = {}
-    for _, cell in a.all_cells():
-        hit[f.cell_image(cell).base] = cell
-
-    def translate(ref: SimplexRef) -> SimplexRef:
-        """A simplex of X, rewritten as a simplex of the pushout."""
-        if ref.base in hit:
-            img = g(SimplexRef((), hit[ref.base]))
-            word, base = img.word, "y:" + img.base
-            for j in reversed(ref.word):
-                word = word_insert(word, j)
-            return SimplexRef(word, base)
-        return SimplexRef(ref.word, "x:" + ref.base)
-
+    # X cell number -> the (mask, Y cell number) that g gives the A cell on it
+    hit = {x.number(f.cell_image(cell).base): y.code(g.cell_image(cell))
+           for _, cell in a.all_cells()}
     cells = {}
-    faces = {}
-    for n in y.dims():
-        cells.setdefault(n, []).extend("y:" + c for c in y.cells(n))
-        for c in y.cells(n):
-            for i in range(n + 1) if n else ():
-                ref = y.stored_face(c, i)
-                faces[("y:" + c, i)] = SimplexRef(ref.word, "y:" + ref.base)
-    for n in x.dims():
-        for c in x.cells(n):
-            if c in hit:
-                continue
-            cells.setdefault(n, []).append("x:" + c)
-            for i in range(n + 1) if n else ():
-                faces[("x:" + c, i)] = translate(x.stored_face(c, i))
+    # cell numbers of Y and X -> cell numbers of the pushout
+    y_num = [None] * len(y.face_table())
+    x_num = [None] * len(x.face_table())
+    count = 0
+    for n in sorted(set(x.dims()) | set(y.dims())):
+        ids = []
+        for c in y.numbers(n):
+            y_num[c] = count + len(ids)
+            ids.append("y:" + y.cell_id(c))
+        for c in x.numbers(n):
+            if c not in hit:
+                x_num[c] = count + len(ids)
+                ids.append("x:" + x.cell_id(c))
+        cells[n] = ids
+        count += len(ids)
+
+    def translate(mask: int, c: int) -> tuple:
+        """The simplex s_mask c of X as a (mask, cell) pair of the pushout."""
+        if c in hit:
+            m, b = hit[c]
+            return mask_compose(mask, m), y_num[b]
+        return mask, x_num[c]
+
+    table = [None] * count
+    for c, row in enumerate(y.face_table()):
+        table[y_num[c]] = tuple((m, y_num[b]) for m, b in row)
+    for c, row in enumerate(x.face_table()):
+        if c not in hit:
+            table[x_num[c]] = tuple(translate(m, b) for m, b in row)
     pointed = y.pointed
     bp = "y:" + y.basepoint if pointed else None
-    space = SimplicialSet(cells, faces, pointed=pointed, basepoint=bp)
+    space = SimplicialSet(cells, table, pointed=pointed, basepoint=bp)
 
     from_y = SimplicialMap(
         y, space, {c: SimplexRef((), "y:" + c) for _, c in y.all_cells()}, check=False
     )
     from_x = SimplicialMap(
-        x, space, {c: translate(SimplexRef((), c)) for _, c in x.all_cells()}
+        x, space, {c: space.ref(*translate(0, x.number(c))) for _, c in x.all_cells()}
     )
     for _, cell in a.all_cells():
         if from_x(f.cell_image(cell)) != from_y(g.cell_image(cell)):
@@ -375,15 +377,10 @@ def skeleton(x: SimplicialSet, n: int) -> SimplicialSet:
     if n < 0:
         return SimplicialSet({}, {})
     cells = {m: list(x.cells(m)) for m in x.dims() if m <= n}
-    faces = {}
-    for m, ids in cells.items():
-        if m == 0:
-            continue
-        for c in ids:
-            for i in range(m + 1):
-                faces[(c, i)] = x.stored_face(c, i)
+    # the cells of dimension <= n come first in x's numbering
+    table = x.face_table()[:sum(len(ids) for ids in cells.values())]
     pointed = x.pointed
-    return SimplicialSet(cells, faces, pointed=pointed,
+    return SimplicialSet(cells, table, pointed=pointed,
                          basepoint=x.basepoint if pointed else None)
 
 
@@ -648,9 +645,10 @@ def chains(x: SimplicialSet, normalized: bool = True, cap: int | None = None) ->
     """The chain complex of a simplicial set.
 
     Normalized: one generator per nondegenerate cell, faces that become
-    degenerate are dropped.  Unnormalized: one generator per simplex up
-    to the dimension cap, which is mandatory because degenerate simplices
-    exist in every dimension.  Pointed spaces yield reduced chains (the
+    degenerate (face table entries with a nonzero mask) are dropped.
+    Unnormalized: one generator per simplex up to the dimension cap,
+    which is mandatory because degenerate simplices exist in every
+    dimension.  Pointed spaces yield reduced chains (the
     basepoint chain subcomplex is divided out).
     """
     reduced = x.pointed
@@ -664,15 +662,20 @@ def chains(x: SimplicialSet, normalized: bool = True, cap: int | None = None) ->
             raise ValueError("unnormalized chains require a dimension cap")
         top = cap
         basis = {n: x.simplices(n) for n in range(top + 1)}
-    index = {}
     for n, items in basis.items():
         drop = None
         if reduced:
             drop = x.basepoint if normalized else x.basepoint_ref(n)
-        kept = [it for it in items if it != drop]
-        basis[n] = kept
-        index[n] = {it: i for i, it in enumerate(kept)}
+        basis[n] = [it for it in items if it != drop]
     ranks = {n: len(items) for n, items in basis.items() if items}
+    if normalized:
+        table = x.face_table()
+        row_of = [None] * len(table)  # cell number -> row in its degree
+        for items in basis.values():
+            for row, c in enumerate(items):
+                row_of[x.number(c)] = row
+    else:
+        index = {n: {it: i for i, it in enumerate(items)} for n, items in basis.items()}
     d = {}
     for n in range(1, top + 1):
         rows, cols = len(basis.get(n - 1, ())), len(basis.get(n, ()))
@@ -680,18 +683,13 @@ def chains(x: SimplicialSet, normalized: bool = True, cap: int | None = None) ->
             continue
         entries = []
         for col, item in enumerate(basis[n]):
-            ref = SimplexRef((), item) if normalized else item
-            for i in range(n + 1):
-                fr = x.face(ref, i)
-                if normalized:
-                    if fr.word:
-                        continue
-                    row = index[n - 1].get(fr.base)
-                else:
-                    row = index[n - 1].get(fr)
-                if row is None:
-                    continue
-                entries.append((row, col, -1 if i % 2 else 1))
+            if normalized:
+                face_rows = [None if mask else row_of[b] for mask, b in table[x.number(item)]]
+            else:
+                face_rows = [index[n - 1].get(x.face(item, i)) for i in range(n + 1)]
+            for i, row in enumerate(face_rows):
+                if row is not None:
+                    entries.append((row, col, -1 if i % 2 else 1))
         d[n] = IntMatrix.from_entries(rows, cols, entries)
     if not ranks:
         return zero_complex()

@@ -82,14 +82,7 @@ def _require(cond, msg):
 
 
 def _unpoint(x: SimplicialSet) -> SimplicialSet:
-    faces = {}
-    for n in x.dims():
-        if n == 0:
-            continue
-        for c in x.cells(n):
-            for i in range(n + 1):
-                faces[(c, i)] = x.stored_face(c, i)
-    return SimplicialSet({n: list(x.cells(n)) for n in x.dims()}, faces, check=False)
+    return SimplicialSet({n: list(x.cells(n)) for n in x.dims()}, x.face_table())
 
 
 # --------------------------------------------------------------------------
@@ -236,7 +229,7 @@ def _component(x, comp_vertices):
                     faces[(c, i)] = x.stored_face(c, i)
         if kept:
             cells[n] = kept
-    return SimplicialSet(cells, faces, check=False)
+    return SimplicialSet(cells, faces)
 
 
 def check_euler_product(rng, scale):

@@ -215,6 +215,26 @@ def test_exit_code_2_on_invalid_input(files, capsys, tmp_path):
         assert captured.err.startswith("error: ")
         assert "%s must be an object" % field in captured.err
 
+    # a degeneracy index above the dimension names the cell
+    s2doc, s1doc = simplicial_set_to_doc(sphere(2)), simplicial_set_to_doc(sphere(1))
+    out_of_range = [
+        ("space-homology", {"cells": {"0": ["v"], "1": ["e"], "2": ["t"]},
+                            "faces": {"e": ["v", "v"], "t": ["e", word, "e"]}},
+         "face word (%d,) of 't' has a degeneracy index outside 0..0" % index)
+        for word, index in (("s3 v", 3), ("s01 v", 1))
+    ] + [
+        ("cylinder", {"source": s2doc, "target": s1doc, "map": {"cells": {"*": "*", "c": "s5 c"}}},
+         "image word (5,) of 'c' has a degeneracy index outside 0..1"),
+    ]
+    for i, (command, doc, message) in enumerate(out_of_range):
+        path = tmp_path / ("out-of-range%d.json" % i)
+        path.write_text(json.dumps(doc))
+        assert main([command, "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+
 
 def test_exit_code_2_on_wrong_kind(files, capsys):
     rc = main(["homology", "--in", files["s1.json"]])

@@ -1,11 +1,23 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from skernel.complexes import ValidationError
-from skernel.simplicial import SimplexRef, SimplicialMap, SimplicialSet, word_face, word_insert
-from skernel.spaces import boundary, simplex, sphere
+from skernel.simplicial import (
+    SimplexRef,
+    SimplicialMap,
+    SimplicialSet,
+    mask_compose,
+    mask_face,
+    mask_insert,
+    mask_of,
+    word_face,
+    word_insert,
+    word_of,
+)
+from skernel.spaces import boundary, product, simplex, smash, sphere
 
 
 def naive_rewrite_degeneracy(word, j):
@@ -32,6 +44,125 @@ def test_word_insert_matches_rewriting_oracle():
             word = word_insert(word, rng.randint(0, dim + len(word)))
         j = rng.randint(0, dim + len(word))
         assert word_insert(word, j) == naive_rewrite_degeneracy(word, j)
+
+
+def naive_face(word, i):
+    """Oracle: push d_i through a word one degeneracy at a time with
+    d_i s_j = s_{j-1} d_i (i < j), d_i s_j = id (i = j, j+1) and
+    d_i s_j = s_j d_{i-1} (i > j+1)."""
+    out = []
+    for pos, j in enumerate(word):
+        if i < j:
+            out.append(j - 1)
+        elif i in (j, j + 1):
+            return tuple(out) + tuple(word[pos + 1:]), None
+        else:
+            out.append(j)
+            i -= 1
+    return tuple(out), i
+
+
+def all_words(top_dim):
+    """Every strictly decreasing word valid on an n-simplex, n <= top_dim,
+    as (n, word) pairs."""
+    for n in range(top_dim + 1):
+        for size in range(n + 1):
+            for word in combinations(range(n - 1, -1, -1), size):
+                yield n, word
+
+
+def test_bit_rules_agree_with_the_rewriting_oracles_exhaustively():
+    """Over every word on dimensions <= 7: s_j against exhaustive
+    rewriting, d_i against the letter-by-letter oracle, composition
+    against repeated s_j, and d_i s_j against its case analysis."""
+    words = list(all_words(7))
+    for n, word in words:
+        mask = mask_of(word)
+        assert word_of(mask) == word
+        for i in range(n + 1):
+            prefix, k = mask_face(mask, i)
+            assert (word_of(prefix), k) == naive_face(word, i)
+            assert word_face(word, i) == naive_face(word, i)
+        for j in range(n + 1):
+            inserted = mask_insert(mask, j)
+            assert word_of(inserted) == naive_rewrite_degeneracy(word, j)
+            for i in range(n + 2):
+                got = mask_face(inserted, i)
+                if i in (j, j + 1):
+                    assert got == (mask, None)
+                    continue
+                below, k = mask_face(mask, i if i < j else i - 1)
+                assert got == (mask_insert(below, j - 1 if i < j else j), k)
+    for n, outer in words:
+        for m, inner in all_words(n - len(outer)):
+            if m != n - len(outer):
+                continue
+            expected = inner
+            for j in reversed(outer):
+                expected = naive_rewrite_degeneracy(expected, j)
+            assert word_of(mask_compose(mask_of(outer), mask_of(inner))) == expected
+
+
+def _mutation_cases(x, rng):
+    """(faces dict, cell) with face i of one cell of dimension >= 2
+    replaced by another simplex of the same dimension whose faces differ
+    from the stored one's, so that an identity on that cell must fail."""
+    faces = {(c, i): x.stored_face(c, i) for n, c in x.all_cells() for i in range(n + 1) if n}
+    for n, c in x.all_cells():
+        if n < 2:
+            continue
+        i = rng.randrange(n + 1)
+        old = faces[(c, i)]
+        row = [x.face(old, k) for k in range(n)]
+        others = [r for r in x.simplices(n - 1) if [x.face(r, k) for k in range(n)] != row]
+        if not others:  # every (n-1)-simplex has the stored face's faces
+            continue
+        mutated = dict(faces)
+        mutated[(c, i)] = rng.choice(others)
+        yield mutated, c
+
+
+@pytest.mark.parametrize("build", [lambda: boundary(5), lambda: product(sphere(2), sphere(2))],
+                         ids=["bd5", "S2xS2"])
+def test_a_replaced_face_is_rejected_naming_the_identity_and_cell(build):
+    x = build()
+    rng = random.Random(8)
+    cells = {n: list(x.cells(n)) for n in x.dims()}
+    count = 0
+    for faces, cell in _mutation_cases(x, rng):
+        with pytest.raises(ValidationError) as err:
+            SimplicialSet(cells, faces, pointed=x.pointed, basepoint=x.basepoint)
+        assert "simplicial identity d_" in str(err.value)
+        assert str(err.value).endswith("failed on %r" % cell)
+        count += 1
+    assert count >= 2
+
+
+def test_a_replaced_face_of_a_smash_with_a_point_1_skeleton_is_a_valid_set():
+    """In S^1 ^ S^2 every 2-simplex has the faces s0 *, so no identity can
+    see a 3-cell's face replaced by another 2-simplex: the rebuilt set is
+    valid, and a different one."""
+    x = smash(sphere(1), sphere(2)).space
+    assert list(_mutation_cases(x, random.Random(8))) == []
+    faces = {(c, i): x.stored_face(c, i) for n, c in x.all_cells() for i in range(n + 1) if n}
+    top = x.cells(3)[0]
+    old = faces[(top, 0)]
+    faces[(top, 0)] = next(r for r in x.simplices(2) if r != old)
+    y = SimplicialSet({n: list(x.cells(n)) for n in x.dims()}, faces,
+                      pointed=True, basepoint=x.basepoint)
+    assert y.stored_face(top, 0) != x.stored_face(top, 0)
+
+
+def test_out_of_range_words_are_rejected():
+    cells = {0: ["v"], 1: ["e"], 2: ["t"]}
+    faces = {("e", 0): SimplexRef((), "v"), ("e", 1): SimplexRef((), "v"),
+             ("t", 0): SimplexRef((), "e"), ("t", 1): SimplexRef((3,), "v"),
+             ("t", 2): SimplexRef((), "e")}
+    with pytest.raises(ValidationError, match="outside 0..0"):
+        SimplicialSet(cells, faces)
+    s1, s2 = sphere(1), sphere(2)
+    with pytest.raises(ValidationError, match="image word \\(5,\\) of 'c'"):
+        SimplicialMap(s2, s1, {"*": SimplexRef((), "*"), "c": SimplexRef((5,), "c")})
 
 
 def test_word_insert_example():
@@ -145,6 +276,8 @@ def test_validation_rejects_broken_faces():
         )
     with pytest.raises(ValidationError):
         SimplicialSet({0: ["a", "a"]}, {})
+    with pytest.raises(ValidationError, match="negative dimension"):
+        SimplicialSet({-1: ["v"], 0: ["a"]}, {})
 
 
 def test_validation_rejects_identity_violation():

@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Write a before/after benchmark ledger for the simplicial engine.
+
+Compares two source trees of skernel (a parent and a change):
+
+    python3 tools/bench_ledger.py --parent ../skernel-parent --change . \
+        --pairs 10 --runs 3 --out BENCH_8.json
+
+It records
+
+- claim pairs: `perfbench/run.py --workload homology-large` run in each
+  tree, alternating which tree goes first, one pair per seed; each run
+  reports ops_per_kcu (throughput in calibration units) and peak_rss_mb;
+- scale rows: build + validate of the boundary of the 14-simplex and of
+  S^2 x S^2 x S^2 x S^2, in a fresh interpreter per tree, as cells
+  validated per second over the minimum of --runs builds, with the
+  deterministic counts of cells and identities d_i d_j = d_{j-1} d_i
+  checked (n(n+1)/2 per n-cell).
+
+Only the standard library is used; each measurement runs in its own
+subprocess with PYTHONPATH set to the tree's `src`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+SCALE = {
+    "boundary(14)": "spaces.boundary(14)",
+    "S2xS2xS2xS2": "p(p(p(spaces.sphere(2), spaces.sphere(2)), spaces.sphere(2)), spaces.sphere(2))",
+}
+
+BUILD = """
+import json, sys, time
+from skernel import spaces
+p = spaces.product
+times = []
+for _ in range({runs}):
+    t = time.perf_counter()
+    x = {expr}
+    times.append(time.perf_counter() - t)
+cells = sum(x.cell_counts().values())
+identities = sum(len(x.cells(n)) * n * (n + 1) // 2 for n in x.dims() if n >= 2)
+print(json.dumps({{"seconds": min(times), "cells": cells, "identities": identities}}))
+"""
+
+
+def _run(tree: str, argv: list, cwd: str | None = None) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    out = subprocess.run(argv, cwd=cwd or tree, env=env, capture_output=True, text=True,
+                         check=True, timeout=1800)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def claim_pairs(trees: dict, pairs: int, seconds: int) -> list:
+    rows = []
+    for k in range(pairs):
+        seed = k + 1
+        order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
+        row = {"seed": seed, "first": order[0]}
+        for name in order:
+            res = _run(trees[name], [sys.executable, "perfbench/run.py", "--workload",
+                                     "homology-large", "--seed", str(seed), "--seconds",
+                                     str(seconds), "--trace", "0"])
+            row[name] = {m: res["metrics"][m]["value"] for m in ("ops_per_kcu", "peak_rss_mb")}
+            row[name]["verified_ratio"] = res["metrics"]["verified_ratio"]["value"]
+        row["ratio"] = row["change"]["ops_per_kcu"] / row["parent"]["ops_per_kcu"]
+        rows.append(row)
+        print("pair %d: %.3fx" % (seed, row["ratio"]), file=sys.stderr)
+    return rows
+
+
+def scale_rows(trees: dict, runs: int) -> list:
+    rows = []
+    for label, expr in SCALE.items():
+        row = {"layer": "simplicial", "name": "build+validate " + label,
+               "unit": "cells/s", "better": "higher", "runs": runs}
+        for name in ("parent", "change"):
+            res = _run(trees[name], [sys.executable, "-c", BUILD.format(runs=runs, expr=expr)])
+            row[name] = round(res["cells"] / res["seconds"], 1)
+            row[name + "_min_s"] = round(res["seconds"], 4)
+            row["cells"], row["identities"] = res["cells"], res["identities"]
+        row["ratio"] = round(row["change"] / row["parent"], 3)
+        rows.append(row)
+        print("%s: %.2fx" % (label, row["ratio"]), file=sys.stderr)
+    return rows
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--parent", required=True)
+    ap.add_argument("--change", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--runs", type=int, default=3)
+    ap.add_argument("--seconds", type=int, default=20)
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args()
+    trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    pairs = claim_pairs(trees, args.pairs, args.seconds) if args.pairs else []
+    ratios = [p["ratio"] for p in pairs]
+    parent = [p["parent"]["ops_per_kcu"] for p in pairs]
+    ledger = {
+        "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                 "machine": platform.machine()},
+        "claim": {
+            "workload": "homology-large", "metric": "ops_per_kcu", "better": "higher",
+            "seconds_per_run": args.seconds, "pairs": pairs,
+            "wins": sum(r > 1 for r in ratios),
+            "median_ratio": round(statistics.median(ratios), 3) if ratios else None,
+            "median_gain": (round(statistics.median(p["change"]["ops_per_kcu"] for p in pairs)
+                                  - statistics.median(parent), 2) if pairs else None),
+            "parent_iqr": (round(statistics.quantiles(parent, n=4)[2]
+                                 - statistics.quantiles(parent, n=4)[0], 2)
+                           if len(parent) > 1 else None),
+        },
+        "rows": scale_rows(trees, args.runs),
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(ledger, fh, indent=2)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
