@@ -9,6 +9,7 @@ Twister seeded with the string "<seed>:<check name>").
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -287,6 +288,9 @@ COMMANDS = {
 }
 
 
+# built once per process: parse_args fills a fresh namespace on each call,
+# and an "append" action copies its default list before appending
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skernel",

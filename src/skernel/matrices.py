@@ -9,7 +9,10 @@ and a few percent nonzero, so products, sums and Kronecker products touch
 only those, and an n x n identity or zero map takes O(n) space.  The form
 is canonical, so equality and hashing compare storage.  Builders emit
 (row, column, value) entries through `IntMatrix.from_entries`; dense rows
-go through `from_rows`.
+go through `from_rows`.  `from_entries` canonicalizes by one sort: sorted
+as tuples, the entries are in row-major order, so one linear pass adds up
+repeated positions, drops zero sums and cuts the rows.  `transpose` needs
+no sort, since visiting the rows in order fills each column ascending.
 
 Kernels and invariants eliminate sparsely too.  `invariant_factors`
 (homology, cokernels, unimodularity) and `kernel_basis` (cycles, Moore
@@ -43,6 +46,20 @@ def _sparse_row(acc: dict) -> tuple:
     return (tuple(js), tuple(map(acc.__getitem__, js))) if js else _EMPTY
 
 
+def _merged_row(i: int, js: list, xs: list, rows: int, cols: int) -> tuple:
+    """The stored form of row i from its ascending distinct columns js
+    and their values xs, zeros included."""
+    if js[0] < 0 or js[-1] >= cols:
+        raise ValueError("entry in row %d outside a %dx%d matrix" % (i, rows, cols))
+    if 0 in xs:
+        keep = list(compress(range(len(xs)), xs))
+        if not keep:
+            return _EMPTY
+        js = map(js.__getitem__, keep)
+        xs = filter(None, xs)
+    return (tuple(js), tuple(xs))
+
+
 def _dense_to_sparse(dense: list) -> tuple:
     js = tuple(compress(range(len(dense)), dense))
     return (js, tuple(filter(None, dense))) if js else _EMPTY
@@ -71,16 +88,29 @@ class IntMatrix:
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries: Iterable) -> "IntMatrix":
         """The rows x cols matrix with the given (i, j, value) entries;
-        values at a repeated position add up, and zero sums are dropped."""
-        acc = {}
-        for i, j, x in entries:
-            row = acc.setdefault(i, {})
-            row[j] = row.get(j, 0) + x
+        values at a repeated position add up, and zero sums are dropped.
+
+        One sort puts the entries in row-major order; a linear pass then
+        merges repeated positions and cuts the rows."""
         out = [_EMPTY] * rows
-        for i, row in acc.items():
-            if not (0 <= i < rows and 0 <= min(row) and max(row) < cols):
+        ents = sorted(entries)
+        if not ents:
+            return cls(rows, cols, tuple(out))
+        for i in (ents[0][0], ents[-1][0]):
+            if not 0 <= i < rows:
                 raise ValueError("entry in row %d outside a %dx%d matrix" % (i, rows, cols))
-            out[i] = _sparse_row(row)
+        row = None
+        for i, j, x in ents:
+            if i != row:
+                if row is not None:
+                    out[row] = _merged_row(row, js, xs, rows, cols)
+                row, js, xs = i, [j], [x]
+            elif j == js[-1]:
+                xs[-1] += x
+            else:
+                js.append(j)
+                xs.append(x)
+        out[row] = _merged_row(row, js, xs, rows, cols)
         return cls(rows, cols, tuple(out))
 
     @classmethod
@@ -139,7 +169,15 @@ class IntMatrix:
         return not any(js for js, _ in self.nonzeros)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_entries(self.cols, self.rows, ((j, i, x) for i, j, x in self.entries()))
+        # rows are visited in order, so each column bucket fills ascending
+        rows = [[] for _ in range(self.cols)]
+        vals = [[] for _ in range(self.cols)]
+        for i, (js, xs) in enumerate(self.nonzeros):
+            for j, x in zip(js, xs):
+                rows[j].append(i)
+                vals[j].append(x)
+        return IntMatrix(self.cols, self.rows,
+                         tuple((tuple(r), tuple(v)) if r else _EMPTY for r, v in zip(rows, vals)))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
@@ -166,6 +204,9 @@ class IntMatrix:
         brows = other.nonzeros
         out = []
         for ts, cs in self.nonzeros:
+            if not ts:
+                out.append(_EMPTY)
+                continue
             if len(ts) == 1:
                 # a monomial row selects and scales one row of other
                 js, ys = brows[ts[0]]

@@ -153,7 +153,9 @@ def simplicial_set_from_doc(doc: dict) -> SimplicialSet:
             raise ParseError("cell %r needs %d face entries" % (cell, n + 1))
         for i, text in enumerate(entries):
             faces[(cell, i)] = ref_from_text(str(text))
-    pointed = bool(doc.get("pointed", False))
+    pointed = doc.get("pointed", False)
+    if type(pointed) is not bool:
+        raise ParseError("pointed must be a JSON boolean, got %s" % json.dumps(pointed))
     basepoint = doc.get("basepoint")
     if pointed and not isinstance(basepoint, str):
         raise ParseError("basepoint must be a cell id string, got %s" % json.dumps(basepoint))

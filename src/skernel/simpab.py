@@ -2,11 +2,19 @@
 
 Every object carries its truncation dimension D; structure maps are
 integer matrices and all simplicial identities are verified as matrix
-equations at construction.  The core functors: the normalization N
-(intersection of the kernels of all faces except the zeroth, with
-differential the zeroth face), its inverse K built from order-preserving
-surjections, the levelwise free reduction of a pointed simplicial set,
-the bar construction, and the shuffle/Alexander-Whitney comparison maps.
+equations at construction.  They are checked on the transposes, as
+d_j^T d_i^T = d_i^T d_{j-1}^T and likewise for s s and d s: transposing
+is a bijection and (AB)^T = B^T A^T holds exactly over the integers, so
+each transposed equation holds precisely when the original does.  The
+columns of face and degeneracy maps are almost all monomial, so the rows
+of their transposes are, and a product with a monomial row only selects
+and scales a row of the right factor.
+
+The core functors: the normalization N (intersection of the kernels of
+all faces except the zeroth, with differential the zeroth face), its
+inverse K built from order-preserving surjections, the levelwise free
+reduction of a pointed simplicial set, the bar construction, and the
+shuffle/Alexander-Whitney comparison maps.
 
 The splitting A_n = N_n (+) D_n into the normalized and the degenerate
 part comes from the simplicial identities alone: the projection onto N_n
@@ -93,31 +101,35 @@ class SimplicialAbGroup:
                 raise ValidationError("degeneracy (%d, %d) out of range" % (n, j))
             if m.shape != (self.rank(n + 1), self.rank(n)):
                 raise ValidationError("degeneracy (%d, %d) has shape %r" % (n, j, m.shape))
+        # transposed once each; every identity is checked transposed
+        ft = {(n, i): self.face(n, i).transpose()
+              for n in range(1, self.D + 1) for i in range(n + 1)}
+        st = {(n, j): self.degen(n, j).transpose() for n in range(self.D) for j in range(n + 1)}
         for n in range(2, self.D + 1):
             for j in range(1, n + 1):
                 for i in range(j):
-                    lhs = self.face(n - 1, i) @ self.face(n, j)
-                    rhs = self.face(n - 1, j - 1) @ self.face(n, i)
+                    lhs = ft[(n, j)] @ ft[(n - 1, i)]
+                    rhs = ft[(n, i)] @ ft[(n - 1, j - 1)]
                     if lhs != rhs:
                         raise ValidationError("identity d_%d d_%d failed at level %d" % (i, j, n))
         for n in range(0, self.D - 1):
             for j in range(n + 1):
                 for i in range(j + 1):
-                    lhs = self.degen(n + 1, i) @ self.degen(n, j)
-                    rhs = self.degen(n + 1, j + 1) @ self.degen(n, i)
+                    lhs = st[(n, j)] @ st[(n + 1, i)]
+                    rhs = st[(n, i)] @ st[(n + 1, j + 1)]
                     if lhs != rhs:
                         raise ValidationError("identity s_%d s_%d failed at level %d" % (i, j, n))
         for n in range(0, self.D):
             for j in range(n + 1):
-                s = self.degen(n, j)
+                s = st[(n, j)]
                 for i in range(n + 2):
-                    out = self.face(n + 1, i) @ s
+                    out = s @ ft[(n + 1, i)]
                     if i == j or i == j + 1:
                         expected = IntMatrix.identity(self.rank(n))
                     elif i < j:
-                        expected = self.degen(n - 1, j - 1) @ self.face(n, i)
+                        expected = ft[(n, i)] @ st[(n - 1, j - 1)]
                     else:
-                        expected = self.degen(n - 1, j) @ self.face(n, i - 1)
+                        expected = ft[(n, i - 1)] @ st[(n - 1, j)]
                     if out != expected:
                         raise ValidationError(
                             "identity d_%d s_%d failed at level %d" % (i, j, n)

@@ -324,3 +324,30 @@ def test_outputs_are_pinned(files, capsys):
             out = capsys.readouterr().out
             digest.update(("%s %d\n" % (command, rc)).encode() + out.encode())
     assert digest.hexdigest() == OUTPUT_DIGEST
+
+
+@pytest.mark.parametrize("value", ["no", 1, [0]])
+def test_pointed_must_be_a_json_boolean(value, capsys, tmp_path):
+    path = tmp_path / "pointed.json"
+    path.write_text(json.dumps({"pointed": value, "basepoint": "a",
+                                "cells": {"0": ["a"]}, "faces": {}}))
+    assert main(["space-homology", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s: pointed must be a JSON boolean, got %s\n" % (
+        path, json.dumps(value))
+
+
+def test_successive_calls_share_the_parser_but_not_its_values(monkeypatch):
+    """`--in` appends to a list default; a parser built once per process
+    must still give each call only its own inputs."""
+    from skernel import cli
+
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, "homology",
+                        (lambda args, out: seen.append(args.inputs) or 0, "record the inputs"))
+    assert main(["homology", "--in", "a.json", "--in", "b.json"]) == 0
+    assert main(["homology", "--in", "c.json"]) == 0
+    assert main(["homology"]) == 0
+    assert seen == [["a.json", "b.json"], ["c.json"], []]
+    assert cli.build_parser() is cli.build_parser()

@@ -394,6 +394,43 @@ def test_every_operation_matches_a_dense_oracle_in_canonical_form():
             IntMatrix.from_entries(2, 3, bad)
 
 
+def test_from_entries_and_transpose_edge_cases_match_the_dense_oracle():
+    """Reversed entries, a repeated position that cancels and leaves an
+    empty row, out-of-range positions, and transposes of 0 x n, n x 0 and
+    empty-row matrices, each against list arithmetic."""
+    rng = random.Random(5)
+    column = lambda rows, j: [row[j] for row in rows]
+    for r, c in [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(50)]:
+        rows = _dense(rng, r, c, rng.choice((0.2, 0.6)))
+        entries = [(i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row) if x]
+        built = IntMatrix.from_entries(r, c, reversed(entries))
+        _assert_canonical(built)
+        assert built.to_lists() == rows
+        # a row whose only position repeats with values that cancel
+        i = rng.randrange(r)
+        cancelled = [e for e in entries if e[0] != i] + [(i, 0, 4), (i, 0, -1), (i, 0, -3)]
+        rng.shuffle(cancelled)
+        empty = IntMatrix.from_entries(r, c, cancelled)
+        _assert_canonical(empty)
+        assert empty.nonzeros[i] == ((), ())
+        assert empty.to_lists() == [[0] * c if k == i else row for k, row in enumerate(rows)]
+        t = empty.transpose()
+        _assert_canonical(t)
+        assert t.to_lists() == [column(empty.to_lists(), j) for j in range(c)]
+        assert t.transpose() == empty
+        for bad in ((-1, 0, 1), (0, -1, 1), (r, 0, 1), (0, c, 1)):
+            with pytest.raises(ValueError):
+                IntMatrix.from_entries(r, c, entries + [bad])
+    for n in (0, 1, 4):
+        for shape in ((0, n), (n, 0)):
+            t = IntMatrix.zero(*shape).transpose()
+            _assert_canonical(t)
+            assert t.shape == shape[::-1] and t.to_lists() == [[] for _ in range(shape[1])]
+    # a zero sum out of range still raises
+    with pytest.raises(ValueError):
+        IntMatrix.from_entries(2, 2, [(2, 0, 1), (2, 0, -1)])
+
+
 def test_equal_matrices_built_by_different_routes_are_equal_and_hash_equal():
     a = M([[0, 2, 0], [1, 0, -3]])
     routes = [

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -70,6 +71,88 @@ def test_validation_names_the_identity_a_flipped_bar_face_breaks():
             SimplicialAbGroup(b.D, b.ranks(), broken, degen)
         flipped += 1
     assert flipped == 15  # every face of levels 3, 4 and 5
+
+
+# d_2 has the non-monomial column (1, -1, -2), and d_1 the column (1, 2)
+MIXED = ChainComplex(0, 2, {0: 2, 1: 3, 2: 1},
+                     {1: [[1, 1, 0], [2, 0, 1]], 2: [[1], [-1], [-2]]})
+
+
+def _structure_maps(a):
+    faces = {(n, i): a.face(n, i) for n in range(1, a.D + 1) for i in range(n + 1)}
+    degen = {(n, j): a.degen(n, j) for n in range(a.D) for j in range(n + 1)}
+    return faces, degen
+
+
+def _flipped(m, i, j):
+    entries = [(r, c, x) for r, c, x in m.entries() if (r, c) != (i, j)]
+    return IntMatrix.from_entries(m.rows, m.cols, entries + [(i, j, 1 - m.at(i, j))])
+
+
+def test_validation_names_the_identity_a_flipped_differential_entry_breaks():
+    """Every entry of a non-monomial column of a face of K(C), the
+    differential blocks, flipped in turn: the transposed face then has a
+    row with several terms, so the identity products take their general
+    path, and d_0 d_1 is named at the first level the face enters."""
+    a = dold_kan_K(MIXED, 5)
+    faces, degen = _structure_maps(a)
+    assert SimplicialAbGroup(a.D, a.ranks(), faces, degen) == a
+    flipped = 0
+    for (n, i), f in faces.items():
+        for j, (rows, _) in enumerate(f.transpose().nonzeros):
+            if len(rows) < 2:
+                continue
+            for r in rows:
+                broken = dict(faces)
+                broken[(n, i)] = _flipped(f, r, j)
+                message = "identity d_0 d_1 failed at level %d" % max(n, 2)
+                with pytest.raises(ValidationError, match="^%s$" % message):
+                    SimplicialAbGroup(a.D, a.ranks(), broken, degen)
+                flipped += 1
+    assert flipped == 2 + 5 + 8 + 11 + 14
+
+
+def test_validation_names_the_identity_a_flipped_degeneracy_entry_breaks():
+    """The first and last entry of every degeneracy of K(C), flipped in
+    turn, break a d_i s_j or an s_i s_j identity, which is named."""
+    a = dold_kan_K(MIXED, 5)
+    faces, degen = _structure_maps(a)
+    named = set()
+    for key, m in degen.items():
+        entries = list(m.entries())
+        for r, c, _ in (entries[0], entries[-1]):
+            broken = dict(degen)
+            broken[key] = _flipped(m, r, c)
+            with pytest.raises(ValidationError) as exc:
+                SimplicialAbGroup(a.D, a.ranks(), faces, broken)
+            family, level = re.fullmatch(r"identity (d|s)_\d+ s_\d+ failed at level (\d+)",
+                                         str(exc.value)).groups()
+            assert int(level) in (key[0] - 1, key[0])
+            named.add(family)
+    assert named == {"d", "s"}
+
+
+def test_validation_compares_every_identity_once(monkeypatch):
+    """The number of matrix comparisons of one validation is the number
+    of simplicial identities up to D: d_i d_j (i < j <= n, 2 <= n <= D),
+    s_i s_j (i <= j <= n, n <= D - 2) and d_i s_j (j <= n, i <= n + 1,
+    n <= D - 1)."""
+    b = bar_B(free_reduced_Z(sphere(2), 5))
+    faces, degen = _structure_maps(b)
+    compared = 0
+    equal = IntMatrix.__eq__
+
+    def counting(self, other):
+        nonlocal compared
+        compared += 1
+        return equal(self, other)
+
+    monkeypatch.setattr(IntMatrix, "__eq__", counting)
+    SimplicialAbGroup(b.D, b.ranks(), faces, degen)
+    D = 5
+    assert compared == (sum(n * (n + 1) // 2 for n in range(2, D + 1))
+                        + sum((n + 1) * (n + 2) // 2 for n in range(D - 1))
+                        + sum((n + 1) * (n + 2) for n in range(D))) == 124
 
 
 def test_surjection_counts():

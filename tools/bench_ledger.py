@@ -1,21 +1,28 @@
 #!/usr/bin/env python3
-"""Write a before/after benchmark ledger for the simplicial engine.
+"""Write a before/after benchmark ledger.
 
-Compares two source trees of skernel (a parent and a change):
+Compares two source trees of skernel (a parent and a change) on the
+workload a claim is made for:
 
     python3 tools/bench_ledger.py --parent ../skernel-parent --change . \
-        --pairs 10 --runs 3 --out BENCH_8.json
+        --workload simplicial-groups --pairs 10 --runs 3 --out BENCH_9.json
 
 It records
 
-- claim pairs: `perfbench/run.py --workload homology-large` run in each
-  tree, alternating which tree goes first, one pair per seed; each run
-  reports ops_per_kcu (throughput in calibration units) and peak_rss_mb;
-- scale rows: build + validate of the boundary of the 14-simplex and of
-  S^2 x S^2 x S^2 x S^2, in a fresh interpreter per tree, as cells
-  validated per second over the minimum of --runs builds, with the
-  deterministic counts of cells and identities d_i d_j = d_{j-1} d_i
-  checked (n(n+1)/2 per n-cell).
+- claim pairs: `perfbench/run.py --workload WORKLOAD` run in each tree,
+  alternating which tree goes first, one pair per seed; each run reports
+  ops_per_kcu (throughput in calibration units) and peak_rss_mb;
+- scale rows, each in a fresh interpreter per tree over the minimum of
+  --runs builds:
+  - simplicial: build + validate of the boundary of the 14-simplex and of
+    S^2 x S^2 x S^2 x S^2, as cells per second, with the deterministic
+    counts of cells and identities d_i d_j = d_{j-1} d_i checked
+    (n(n+1)/2 per n-cell);
+  - simpab: build + validate of the Dold-Kan K of a rank-12 torsion
+    complex and of the bar construction of the free reduced Z S^2, both
+    truncated at D = 10, as simplicial identities checked per second
+    (per object: n(n+1)/2 d_i d_j, (n+1)(n+2)/2 s_i s_j and (n+1)(n+2)
+    d_i s_j identities per level n); their inputs are built untimed.
 
 Only the standard library is used; each measurement runs in its own
 subprocess with PYTHONPATH set to the tree's `src`.
@@ -31,22 +38,44 @@ import statistics
 import subprocess
 import sys
 
+# label: (layer, untimed setup, timed expression, what is counted)
 SCALE = {
-    "boundary(14)": "spaces.boundary(14)",
-    "S2xS2xS2xS2": "p(p(p(spaces.sphere(2), spaces.sphere(2)), spaces.sphere(2)), spaces.sphere(2))",
+    "boundary(14)": ("simplicial", "", "spaces.boundary(14)", "cells"),
+    "S2xS2xS2xS2": (
+        "simplicial", "",
+        "p(p(p(spaces.sphere(2), spaces.sphere(2)), spaces.sphere(2)), spaces.sphere(2))",
+        "cells"),
+    "dold_kan_K(torsion rank 12, D=10)": (
+        "simpab",
+        "ranks, d, _ = reference.torsion_complex(random.Random(1), 3, 12); "
+        "c = ChainComplex(0, 3, ranks, d)",
+        "simpab.dold_kan_K(c, 10)", "identities"),
+    "bar_B(free_reduced_Z(S2, D=10))": (
+        "simpab", "z = simpab.free_reduced_Z(spaces.sphere(2), 10)", "simpab.bar_B(z)",
+        "identities"),
 }
 
 BUILD = """
-import json, sys, time
-from skernel import spaces
+import json, random, sys, time
+sys.path.insert(0, "perfbench")
+import reference
+from skernel import simpab, spaces
+from skernel.complexes import ChainComplex
 p = spaces.product
+{setup}
 times = []
 for _ in range({runs}):
     t = time.perf_counter()
     x = {expr}
     times.append(time.perf_counter() - t)
-cells = sum(x.cell_counts().values())
-identities = sum(len(x.cells(n)) * n * (n + 1) // 2 for n in x.dims() if n >= 2)
+if hasattr(x, "cell_counts"):
+    cells = sum(x.cell_counts().values())
+    identities = sum(len(x.cells(n)) * n * (n + 1) // 2 for n in x.dims() if n >= 2)
+else:
+    cells = None
+    identities = (sum(n * (n + 1) // 2 for n in range(2, x.D + 1))
+                  + sum((n + 1) * (n + 2) // 2 for n in range(x.D - 1))
+                  + sum((n + 1) * (n + 2) for n in range(x.D)))
 print(json.dumps({{"seconds": min(times), "cells": cells, "identities": identities}}))
 """
 
@@ -58,7 +87,7 @@ def _run(tree: str, argv: list, cwd: str | None = None) -> dict:
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def claim_pairs(trees: dict, pairs: int, seconds: int) -> list:
+def claim_pairs(trees: dict, workload: str, pairs: int, seconds: int) -> list:
     rows = []
     for k in range(pairs):
         seed = k + 1
@@ -66,7 +95,7 @@ def claim_pairs(trees: dict, pairs: int, seconds: int) -> list:
         row = {"seed": seed, "first": order[0]}
         for name in order:
             res = _run(trees[name], [sys.executable, "perfbench/run.py", "--workload",
-                                     "homology-large", "--seed", str(seed), "--seconds",
+                                     workload, "--seed", str(seed), "--seconds",
                                      str(seconds), "--trace", "0"])
             row[name] = {m: res["metrics"][m]["value"] for m in ("ops_per_kcu", "peak_rss_mb")}
             row[name]["verified_ratio"] = res["metrics"]["verified_ratio"]["value"]
@@ -78,12 +107,13 @@ def claim_pairs(trees: dict, pairs: int, seconds: int) -> list:
 
 def scale_rows(trees: dict, runs: int) -> list:
     rows = []
-    for label, expr in SCALE.items():
-        row = {"layer": "simplicial", "name": "build+validate " + label,
-               "unit": "cells/s", "better": "higher", "runs": runs}
+    for label, (layer, setup, expr, counted) in SCALE.items():
+        row = {"layer": layer, "name": "build+validate " + label,
+               "unit": counted + "/s", "better": "higher", "runs": runs}
         for name in ("parent", "change"):
-            res = _run(trees[name], [sys.executable, "-c", BUILD.format(runs=runs, expr=expr)])
-            row[name] = round(res["cells"] / res["seconds"], 1)
+            code = BUILD.format(runs=runs, setup=setup, expr=expr)
+            res = _run(trees[name], [sys.executable, "-c", code])
+            row[name] = round(res[counted] / res["seconds"], 1)
             row[name + "_min_s"] = round(res["seconds"], 4)
             row["cells"], row["identities"] = res["cells"], res["identities"]
         row["ratio"] = round(row["change"] / row["parent"], 3)
@@ -96,20 +126,21 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True)
     ap.add_argument("--change", required=True)
+    ap.add_argument("--workload", required=True, help="the perfbench workload of the claim")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--runs", type=int, default=3)
     ap.add_argument("--seconds", type=int, default=20)
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    pairs = claim_pairs(trees, args.pairs, args.seconds) if args.pairs else []
+    pairs = claim_pairs(trees, args.workload, args.pairs, args.seconds) if args.pairs else []
     ratios = [p["ratio"] for p in pairs]
     parent = [p["parent"]["ops_per_kcu"] for p in pairs]
     ledger = {
         "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
                  "machine": platform.machine()},
         "claim": {
-            "workload": "homology-large", "metric": "ops_per_kcu", "better": "higher",
+            "workload": args.workload, "metric": "ops_per_kcu", "better": "higher",
             "seconds_per_run": args.seconds, "pairs": pairs,
             "wins": sum(r > 1 for r in ratios),
             "median_ratio": round(statistics.median(ratios), 3) if ratios else None,
