@@ -20,7 +20,7 @@ from itertools import product as iproduct
 from typing import NamedTuple
 
 from .complexes import ValidationError, cone
-from .simplicial import BiSimplexRef, BisimplicialSet, SimplexRef, SimplicialMap, SimplicialSet
+from .simplicial import BisimplicialSet, SimplexRef, SimplicialMap, SimplicialSet
 from .spaces import (
     _compact,
     _subset_id,
@@ -60,26 +60,24 @@ def wrap(x: SimplicialSet, trunc_dim: int) -> WrapResult:
     """
     if trunc_dim < 0:
         raise ValueError("truncation must be nonnegative")
+    face_code = x.face_code
     cells = {}
-    refs = {}
+    number = {}  # (mask, cell) code of a simplex of x -> its cell number
+    table = []
+    images = {}  # cell id -> the simplex of x that the counit sends it to
     for n in range(trunc_dim + 1):
         ids = []
-        for r in x.simplices(n):
-            cid = _compact(r)
-            ids.append(cid)
-            refs[cid] = r
+        for m, c in x.simplex_codes(n):
+            number[m, c] = len(table)
+            table.append(tuple((0, number[face_code(m, c, i)]) for i in range(n + 1)) if n else ())
+            ref = x.ref(m, c)
+            ids.append(_compact(ref))
+            images[ids[-1]] = ref
         if ids:
             cells[n] = ids
-    faces = {}
-    for n in range(1, trunc_dim + 1):
-        for cid in cells.get(n, ()):
-            r = refs[cid]
-            for i in range(n + 1):
-                faces[(cid, i)] = SimplexRef((), _compact(x.face(r, i)))
-    space = SimplicialSet(cells, faces, pointed=x.pointed,
+    space = SimplicialSet(cells, table, pointed=x.pointed,
                           basepoint=_compact(SimplexRef((), x.basepoint)) if x.pointed else None)
-    counit = SimplicialMap(space, x, {cid: refs[cid] for cid in refs})
-    return WrapResult(space, counit)
+    return WrapResult(space, SimplicialMap(space, x, images))
 
 
 # ---------------------------------------------------------------------------
@@ -95,17 +93,15 @@ def _labelled_copies(count: int, t: SimplicialSet, tag: str) -> SimplicialSet:
     smash of the discrete pointed set (labels + base) with t made pointed
     by a free basepoint."""
     cells = {0: ["*"]}
-    faces = {}
-    for label in range(count):
-        for n in t.dims():
-            cells.setdefault(n, []).extend(_copy_id(tag, label, c) for c in t.cells(n))
-            for c in t.cells(n):
-                for i in range(n + 1) if n else ():
-                    fr = t.stored_face(c, i)
-                    faces[(_copy_id(tag, label, c), i)] = SimplexRef(
-                        fr.word, _copy_id(tag, label, fr.base)
-                    )
-    return SimplicialSet(cells, faces, pointed=True, basepoint="*")
+    number = {}  # (label, cell number of t) -> cell number of its copy
+    for n in t.dims():
+        for label in range(count):
+            for c in t.numbers(n):
+                number[label, c] = len(number) + 1
+                cells.setdefault(n, []).append(_copy_id(tag, label, t.cell_id(c)))
+    rows = t.face_table()
+    table = [()] + [tuple((m, number[label, b]) for m, b in rows[c]) for label, c in number]
+    return SimplicialSet(cells, table, pointed=True, basepoint="*")
 
 
 def _iterated_face(x: SimplicialSet, ref: SimplexRef, keep: tuple) -> SimplexRef:
@@ -157,9 +153,8 @@ def skeleton_pushout_check(x: SimplicialSet, n: int, trunc_dim: int) -> Skeleton
     include = SimplicialMap(a, w, {c: SimplexRef((), d) for c, d in glued.items()})
     attach = SimplicialMap(a, sk_lo, {c: spans[d] for c, d in glued.items()})
     po = pushout_inj(include, attach)
-    to_hi = SimplicialMap(w, sk_hi, spans, check=False)
-    lo_in_hi = SimplicialMap(sk_lo, sk_hi, {c: SimplexRef((), c) for _, c in sk_lo.all_cells()},
-                             check=False)
+    to_hi = SimplicialMap(w, sk_hi, spans)
+    lo_in_hi = SimplicialMap(sk_lo, sk_hi, {c: SimplexRef((), c) for _, c in sk_lo.all_cells()})
     try:
         holds = pushout_map(po, to_hi, lo_in_hi).is_cellwise_iso()
     except ValidationError:
@@ -195,9 +190,9 @@ def _cylinder_object(k: SimplicialSet):
             for c, (n, ra, rb) in product_pairs(k, iv).items()}
     pt = point()
     legs = (sm.space, sm.collapse,
-            SimplicialMap(pt, sm.space, {"*": SimplexRef((), sm.space.basepoint)}, check=False))
-    projection = pushout_map(legs, SimplicialMap(sm.collapse.source, k, to_k, check=False),
-                             SimplicialMap(pt, k, {"*": SimplexRef((), k.basepoint)}, check=False))
+            SimplicialMap(pt, sm.space, {"*": SimplexRef((), sm.space.basepoint)}))
+    projection = pushout_map(legs, SimplicialMap(sm.collapse.source, k, to_k),
+                             SimplicialMap(pt, k, {"*": SimplexRef((), k.basepoint)}))
     return end_map("0"), end_map("1"), projection
 
 
@@ -275,38 +270,24 @@ def bar_column_bisimplicial(f: SimplicialMap, g: SimplicialMap) -> BisimplicialS
     """The two-row bisimplicial object whose columns are M v K^(v n) v L,
     obtained by freely adding degeneracies to the face-only diagram
     K => M v L; its diagonal is the homotopy pushout again."""
-    k = f.source
-    ml = wedge(g.target, f.target)
-    bp0 = "b0|" + ml.space.basepoint
-    cells = {}
-    hfaces = {}
-    vfaces = {}
-    for q in ml.space.dims():
-        cells[(0, q)] = ["b0|%s" % c for c in ml.space.cells(q)]
-        for c in ml.space.cells(q):
-            for i in range(q + 1) if q else ():
-                fr = ml.space.stored_face(c, i)
-                vfaces[("b0|%s" % c, i)] = BiSimplexRef((), fr.word, "b0|" + fr.base)
-
-    def k_row_ref(ref: SimplexRef) -> BiSimplexRef:
-        # the K-copy sits inside the wedged column, so its basepoint
-        # simplices are the horizontally degenerate base of the 0-row
-        if ref.base == k.basepoint:
-            return BiSimplexRef((0,), ref.word, bp0)
-        return BiSimplexRef((), ref.word, "b1|" + ref.base)
-
+    k, ml = f.source, wedge(g.target, f.target)
+    space = ml.space
+    bottom = space.face_table()
+    to_l, to_m = ml.inr.compose(f), ml.inl.compose(g)  # horizontal d_0 and d_1
+    bp0, kb = space.number(space.basepoint), k.number(k.basepoint)
+    # the 1-row holds K's cells but its basepoint: the K-copy sits inside
+    # the wedged column, so K's basepoint is the horizontally degenerate
+    # base of the 0-row
+    row = [c for c in range(len(k.face_table())) if c != kb]
+    top = {c: len(bottom) + t for t, c in enumerate(row)}
+    cells = {(0, q): ["b0|" + c for c in space.cells(q)] for q in space.dims()}
     for q in k.dims():
-        row = [c for c in k.cells(q) if c != k.basepoint]
-        if row:
-            cells[(1, q)] = ["b1|%s" % c for c in row]
-        for c in row:
-            for i in range(q + 1) if q else ():
-                vfaces[("b1|%s" % c, i)] = k_row_ref(k.stored_face(c, i))
-            img0 = ml.inr(f.cell_image(c))  # horizontal d_0 lands in L
-            img1 = ml.inl(g.cell_image(c))  # horizontal d_1 lands in M
-            hfaces[("b1|%s" % c, 0)] = BiSimplexRef((), img0.word, "b0|" + img0.base)
-            hfaces[("b1|%s" % c, 1)] = BiSimplexRef((), img1.word, "b0|" + img1.base)
-    return BisimplicialSet(cells, hfaces, vfaces, pointed=True, basepoint=bp0)
+        cells[1, q] = ["b1|" + c for c in k.cells(q) if c != k.basepoint]
+    hfaces = [()] * len(bottom) + [
+        tuple((0, *space.code(leg.cell_image(k.cell_id(c)))) for leg in (to_l, to_m)) for c in row]
+    vfaces = [tuple((0, m, b) for m, b in r) for r in bottom] + [
+        tuple((1, m, bp0) if b == kb else (0, m, top[b]) for m, b in k.face_table()[c]) for c in row]
+    return BisimplicialSet(cells, hfaces, vfaces, pointed=True, basepoint="b0|" + space.basepoint)
 
 
 # ---------------------------------------------------------------------------

@@ -120,12 +120,13 @@ class SimplicialAbGroup:
                     if lhs != rhs:
                         raise ValidationError("identity s_%d s_%d failed at level %d" % (i, j, n))
         for n in range(0, self.D):
+            ident = IntMatrix.identity(self.rank(n))
             for j in range(n + 1):
                 s = st[(n, j)]
                 for i in range(n + 2):
                     out = s @ ft[(n + 1, i)]
                     if i == j or i == j + 1:
-                        expected = IntMatrix.identity(self.rank(n))
+                        expected = ident
                     elif i < j:
                         expected = ft[(n, i)] @ st[(n - 1, j - 1)]
                     else:

@@ -31,8 +31,8 @@ become bit operations on masks:
   into the zero positions of the prefix.
 
 So the stored face data is consulted only when a face operator survives
-all the way to the base.  `word_face` and `word_insert` are the same
-rules on tuple words.
+all the way to the base.  Bisimplicial sets use the same tables, one per
+direction, with a bisimplex coded as (hmask, vmask, cell).
 """
 
 from __future__ import annotations
@@ -129,19 +129,6 @@ def mask_compose(outer: int, inner: int) -> int:
         inner >>= 1
         pos += 1
     return out
-
-
-def word_insert(word: tuple, j: int) -> tuple:
-    """Normal form of s_j applied after the word."""
-    return word_of(mask_insert(mask_of(word), j))
-
-
-def word_face(word: tuple, i: int):
-    """Push d_i through a degeneracy word: (new_word, None) when the
-    operator cancels, (prefix_word, residual_face_index) when it survives
-    to hit the base."""
-    mask, k = mask_face(mask_of(word), i)
-    return word_of(mask), k
 
 
 def _decreasing(word: tuple) -> bool:
@@ -310,22 +297,23 @@ class SimplicialSet:
         n = self.dim(ref)
         if not (0 <= j <= n):
             raise ValueError("degeneracy index %d out of range for dimension %d" % (j, n))
-        return SimplexRef(word_insert(ref.word, j), ref.base)
+        return SimplexRef(word_of(mask_insert(mask_of(ref.word), j)), ref.base)
 
-    def simplices(self, n: int):
-        """All n-simplices, degenerate ones included, in a deterministic
-        order (base cells by dimension and declaration order, words
-        lexicographically)."""
+    def simplex_codes(self, n: int) -> list:
+        """All n-simplices as (mask, cell) pairs, degenerate ones included,
+        in a deterministic order (base cells by dimension and declaration
+        order, words lexicographically)."""
         out = []
         for p in self.dims():
             if p > n:
                 break
-            k = n - p
-            words = list(combinations(range(n - 1, -1, -1), k))
-            for base in self._cells[p]:
-                for w in words:
-                    out.append(SimplexRef(w, base))
+            masks = [mask_of(w) for w in combinations(range(n - 1, -1, -1), n - p)]
+            out += [(m, c) for c in self.numbers(p) for m in masks]
         return out
+
+    def simplices(self, n: int) -> list:
+        """All n-simplices, in the order of `simplex_codes`."""
+        return [self.ref(m, c) for m, c in self.simplex_codes(n)]
 
     def vertices_of(self, ref: SimplexRef) -> tuple:
         """The ordered tuple of vertex cells of a simplex."""
@@ -405,7 +393,7 @@ class SimplicialMap:
     """
 
     def __init__(self, source: SimplicialSet, target: SimplicialSet,
-                 assignment: dict, check: bool = True):
+                 assignment: dict):
         self.source = source
         self.target = target
         self._map = {}
@@ -413,8 +401,7 @@ class SimplicialMap:
             if not isinstance(ref, SimplexRef):
                 ref = SimplexRef(tuple(ref[0]), ref[1])
             self._map[cell] = ref
-        if check:
-            self._validate()
+        self._validate()
 
     def __call__(self, ref: SimplexRef) -> SimplexRef:
         out = self._map[ref.base]
@@ -473,12 +460,11 @@ class SimplicialMap:
         """self after other."""
         assignment = {cell: self(other.cell_image(cell))
                       for _, cell in other.source.all_cells()}
-        return SimplicialMap(other.source, self.target, assignment, check=False)
+        return SimplicialMap(other.source, self.target, assignment)
 
     @classmethod
     def identity(cls, space: SimplicialSet) -> "SimplicialMap":
-        return cls(space, space, {c: SimplexRef((), c) for _, c in space.all_cells()},
-                   check=False)
+        return cls(space, space, {c: SimplexRef((), c) for _, c in space.all_cells()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialMap):
@@ -503,117 +489,107 @@ class SimplicialMap:
         return set(self.source.dims()) == set(self.target.dims())
 
 
-class BiSimplexRef(NamedTuple):
-    """A bisimplex: horizontal and vertical degeneracy words over a
-    nondegenerate base."""
-
-    hword: tuple
-    vword: tuple
-    base: str
-
-
 class BisimplicialSet:
-    """A finite bisimplicial set: nondegenerate bisimplices by bidegree,
-    with separate horizontal and vertical face data.  Horizontal and
-    vertical operators commute, which is verified at construction."""
+    """A finite bisimplicial set on the tables of `SimplicialSet`.
 
-    def __init__(self, cells: dict, hfaces: dict, vfaces: dict,
+    The nondegenerate bisimplices are numbered by bidegree, then as
+    listed, and a bisimplex is a triple (hmask, vmask, cell) of a
+    horizontal and a vertical degeneracy mask over a cell.  The face data
+    is one table per direction, indexed by cell number, whose rows hold
+    the (hmask, vmask, cell) triples of the faces in that direction (a
+    row is empty in degree 0).  On every cell, horizontal and vertical
+    faces commute and d_i d_j = d_{j-1} d_i holds in each direction;
+    both are verified at construction.
+    """
+
+    def __init__(self, cells: dict, hfaces: list, vfaces: list,
                  pointed: bool = False, basepoint: str | None = None):
         self._cells = {}
-        self._deg = {}
-        for (p, q), ids in cells.items():
-            ids = tuple(ids)
-            if not ids:
-                continue
-            self._cells[(p, q)] = ids
-            for c in ids:
-                if c in self._deg:
-                    raise ValidationError("duplicate bisimplex identifier %r" % c)
-                self._deg[c] = (p, q)
-        self._hfaces = dict(hfaces)
-        self._vfaces = dict(vfaces)
+        self._first = {}
+        self._ids = []
+        self._deg = []
+        for pq in sorted(cells):
+            ids = tuple(cells[pq])
+            if ids:
+                self._cells[pq] = ids
+                self._first[pq] = len(self._ids)
+                self._ids += ids
+                self._deg += [pq] * len(ids)
+        if len(set(self._ids)) != len(self._ids):
+            dup = next(c for k, c in enumerate(self._ids) if c in self._ids[:k])
+            raise ValidationError("duplicate bisimplex identifier %r" % dup)
+        self._tables = (hfaces, vfaces)
         self.pointed = pointed
         self.basepoint = basepoint
         self._validate()
 
     def bidegrees(self) -> list:
-        return sorted(self._cells)
+        return list(self._cells)
 
     def cells(self, p: int, q: int) -> tuple:
         return self._cells.get((p, q), ())
 
-    def bidegree(self, ref: BiSimplexRef) -> tuple:
-        p, q = self._deg[ref.base]
-        return (p + len(ref.hword), q + len(ref.vword))
+    def numbers(self, p: int, q: int) -> range:
+        """The cell numbers of bidegree (p, q)."""
+        first = self._first.get((p, q), 0)
+        return range(first, first + len(self.cells(p, q)))
 
-    def hface(self, ref: BiSimplexRef, i: int) -> BiSimplexRef:
-        p, _ = self.bidegree(ref)
-        if p == 0:
-            raise ValueError("horizontal dimension 0 has no faces")
-        if not (0 <= i <= p):
-            raise ValueError("horizontal face index out of range")
-        prefix, residual = word_face(ref.hword, i)
-        if residual is None:
-            return BiSimplexRef(prefix, ref.vword, ref.base)
-        stored = self._hfaces[(ref.base, residual)]
-        hw = stored.hword
-        for j in reversed(prefix):
-            hw = word_insert(hw, j)
-        vw = stored.vword
-        for j in reversed(ref.vword):
-            vw = word_insert(vw, j)
-        return BiSimplexRef(hw, vw, stored.base)
+    def cell_id(self, number: int) -> str:
+        return self._ids[number]
 
-    def vface(self, ref: BiSimplexRef, i: int) -> BiSimplexRef:
-        _, q = self.bidegree(ref)
-        if q == 0:
-            raise ValueError("vertical dimension 0 has no faces")
-        if not (0 <= i <= q):
-            raise ValueError("vertical face index out of range")
-        prefix, residual = word_face(ref.vword, i)
-        if residual is None:
-            return BiSimplexRef(ref.hword, prefix, ref.base)
-        stored = self._vfaces[(ref.base, residual)]
-        vw = stored.vword
-        for j in reversed(prefix):
-            vw = word_insert(vw, j)
-        hw = stored.hword
-        for j in reversed(ref.hword):
-            hw = word_insert(hw, j)
-        return BiSimplexRef(hw, vw, stored.base)
+    def _face(self, d: int, code: tuple, i: int) -> tuple:
+        """d_i in direction d (0 horizontal, 1 vertical) of the bisimplex
+        code = (hmask, vmask, cell): the rules of `SimplicialSet.face_code`
+        on the mask of direction d, then the stored face's masks deposited
+        under the prefix and under the other direction's mask."""
+        masks = [code[0], code[1]]
+        masks[d], k = mask_face(masks[d], i)
+        if k is None:
+            return masks[0], masks[1], code[2]
+        hm, vm, base = self._tables[d][code[2]][k]
+        return mask_compose(masks[0], hm), mask_compose(masks[1], vm), base
+
+    def hface(self, code: tuple, i: int) -> tuple:
+        return self._face(0, code, i)
+
+    def vface(self, code: tuple, i: int) -> tuple:
+        return self._face(1, code, i)
 
     def _validate(self):
-        for (cell, i), ref in list(self._hfaces.items()) + list(self._vfaces.items()):
-            if cell not in self._deg or ref.base not in self._deg:
-                raise ValidationError("bisimplex face data references unknown cell")
-        for (p, q), ids in self._cells.items():
-            for cell in ids:
-                for i in range(p + 1) if p else ():
-                    if (cell, i) not in self._hfaces:
-                        raise ValidationError("missing horizontal face %d of %r" % (i, cell))
-                for i in range(q + 1) if q else ():
-                    if (cell, i) not in self._vfaces:
-                        raise ValidationError("missing vertical face %d of %r" % (i, cell))
-        # commutation of the two directions, plus identities per direction
-        for (p, q), ids in self._cells.items():
-            for cell in ids:
-                ref = BiSimplexRef((), (), cell)
-                if p >= 1 and q >= 1:
-                    for i in range(p + 1):
-                        for j in range(q + 1):
-                            lhs = self.vface(self.hface(ref, i), j)
-                            rhs = self.hface(self.vface(ref, j), i)
-                            if lhs != rhs:
-                                raise ValidationError(
-                                    "horizontal and vertical faces do not commute on %r" % cell
-                                )
-                if p >= 2:
-                    for j in range(1, p + 1):
-                        for i in range(j):
-                            if self.hface(self.hface(ref, j), i) != self.hface(self.hface(ref, i), j - 1):
-                                raise ValidationError("horizontal identity failed on %r" % cell)
-                if q >= 2:
-                    for j in range(1, q + 1):
-                        for i in range(j):
-                            if self.vface(self.vface(ref, j), i) != self.vface(self.vface(ref, i), j - 1):
-                                raise ValidationError("vertical identity failed on %r" % cell)
+        """Check every row of both face tables, then on every cell the
+        commutation d^v_j d^h_i = d^h_i d^v_j and the identities
+        d_i d_j = d_{j-1} d_i in each direction."""
+        ids, deg, tables = self._ids, self._deg, self._tables
+        for d, name in enumerate(("horizontal", "vertical")):
+            table = tables[d]
+            if len(table) != len(ids):
+                raise ValidationError("%s face table has %d rows for %d cells"
+                                      % (name, len(table), len(ids)))
+            for c, row in enumerate(table):
+                n = deg[c][d]
+                if len(row) != (n + 1 if n else 0):
+                    raise ValidationError("cell %r needs %d %s faces, got %d"
+                                          % (ids[c], n + 1 if n else 0, name, len(row)))
+                want = (deg[c][0] - (d == 0), deg[c][1] - (d == 1))
+                for hm, vm, base in row:
+                    if not 0 <= base < len(ids):
+                        raise ValidationError("bisimplex face data references unknown cell")
+                    if (min(hm, vm) < 0 or hm >> want[0] or vm >> want[1]
+                            or (deg[base][0] + hm.bit_count(), deg[base][1] + vm.bit_count()) != want):
+                        raise ValidationError("%s face of %r has wrong bidegree" % (name, ids[c]))
+        face = self._face
+        for c, (p, q) in enumerate(deg):
+            hrow, vrow = tables[0][c], tables[1][c]
+            if p and q:
+                for i in range(p + 1):
+                    for j in range(q + 1):
+                        if face(1, hrow[i], j) != face(0, vrow[j], i):
+                            raise ValidationError(
+                                "horizontal and vertical faces do not commute on %r" % ids[c]
+                            )
+            for d, row in enumerate((hrow, vrow)):
+                for j in range(1, len(row)) if len(row) > 2 else ():
+                    for i in range(j):
+                        if face(d, row[j], i) != face(d, row[i], j - 1):
+                            raise ValidationError("%s identity failed on %r"
+                                                  % (("horizontal", "vertical")[d], ids[c]))

@@ -22,7 +22,6 @@ from typing import NamedTuple
 from .complexes import ChainComplex, ChainMap, HomologyGroup, ValidationError, group_from_presentation, zero_complex
 from .matrices import IntMatrix
 from .simplicial import (
-    BiSimplexRef,
     BisimplicialSet,
     SimplexRef,
     SimplicialMap,
@@ -148,32 +147,25 @@ def pair_id(ra: SimplexRef, rb: SimplexRef) -> str:
     return "(%s|%s)" % (_compact(ra), _compact(rb))
 
 
-def strip_common(wa: tuple, wb: tuple):
-    """Extract the shared degeneracies of two words: returns
-    (word, wa0, wb0) with set(wa0) and set(wb0) disjoint, such that
-    applying `word` diagonally to the stripped pair recovers the input."""
-    ma, mb = mask_of(wa), mask_of(wb)
-    common = ma & mb
-    return word_of(common), word_of(mask_delete(ma, common)), word_of(mask_delete(mb, common))
+def _disjoint_masks(n: int, p: int, q: int) -> list:
+    """The pairs of disjoint masks on n bits with n - p and n - q bits
+    set: the words that lift a (p, q) pair of cells to a nondegenerate
+    n-cell of a product or a diagonal."""
+    out = []
+    for wa in combinations(range(n), n - p):
+        ma = mask_of(wa)
+        rest = [t for t in range(n) if not ma >> t & 1]
+        out += [(ma, mask_of(wb)) for wb in combinations(rest, n - q)]
+    return out
 
 
 def _product_codes(x: SimplicialSet, y: SimplicialSet) -> list:
     """(n, a, b, mask_a, mask_b) for every nondegenerate n-cell of
     product(x, y), in its declaration order: the pair of the simplices
     s_{mask_a} a of x and s_{mask_b} b of y, whose masks are disjoint."""
-    out = []
-    for p in x.dims():
-        for q in y.dims():
-            for n in range(max(p, q), p + q + 1):
-                masks = []
-                for wa in combinations(range(n), n - p):
-                    ma = mask_of(wa)
-                    rest = [t for t in range(n) if not ma >> t & 1]
-                    masks += [(ma, mask_of(wb)) for wb in combinations(rest, n - q)]
-                out += [(n, a, b, ma, mb) for a in x.numbers(p) for b in y.numbers(q)
-                        for ma, mb in masks]
-    out.sort()
-    return out
+    return sorted((n, a, b, ma, mb) for p in x.dims() for q in y.dims()
+                  for n in range(max(p, q), p + q + 1) for ma, mb in _disjoint_masks(n, p, q)
+                  for a in x.numbers(p) for b in y.numbers(q))
 
 
 def product_pairs(x: SimplicialSet, y: SimplicialSet) -> dict:
@@ -216,9 +208,12 @@ def product(x: SimplicialSet, y: SimplicialSet) -> SimplicialSet:
 
 
 def product_pair_ref(x: SimplicialSet, y: SimplicialSet, ra: SimplexRef, rb: SimplexRef) -> SimplexRef:
-    """The simplex of product(x, y) represented by an arbitrary pair."""
-    word, wa0, wb0 = strip_common(ra.word, rb.word)
-    return SimplexRef(word, pair_id(SimplexRef(wa0, ra.base), SimplexRef(wb0, rb.base)))
+    """The simplex of product(x, y) represented by an arbitrary pair: the
+    degeneracies the two words share, over the pair with them deleted."""
+    ma, mb = mask_of(ra.word), mask_of(rb.word)
+    common = ma & mb
+    return SimplexRef(word_of(common), pair_id(SimplexRef(word_of(mask_delete(ma, common)), ra.base),
+                                               SimplexRef(word_of(mask_delete(mb, common)), rb.base)))
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +276,7 @@ def pushout_inj(f: SimplicialMap, g: SimplicialMap) -> PushoutResult:
     bp = "y:" + y.basepoint if pointed else None
     space = SimplicialSet(cells, table, pointed=pointed, basepoint=bp)
 
-    from_y = SimplicialMap(
-        y, space, {c: SimplexRef((), "y:" + c) for _, c in y.all_cells()}, check=False
-    )
+    from_y = SimplicialMap(y, space, {c: SimplexRef((), "y:" + c) for _, c in y.all_cells()})
     from_x = SimplicialMap(
         x, space, {c: space.ref(*translate(0, x.number(c))) for _, c in x.all_cells()}
     )
@@ -321,7 +314,6 @@ def quotient(f: SimplicialMap) -> PushoutResult:
     collapse = SimplicialMap(
         f.source, pt,
         {c: SimplexRef(tuple(range(n - 1, -1, -1)), "*") for n, c in f.source.all_cells()},
-        check=False,
     )
     return pushout_inj(f, collapse)
 
@@ -337,8 +329,8 @@ def wedge(x: SimplicialSet, y: SimplicialSet) -> WedgeResult:
     if not (x.pointed and y.pointed):
         raise ValueError("wedge requires pointed spaces")
     pt = point()
-    to_x = SimplicialMap(pt, x, {"*": SimplexRef((), x.basepoint)}, check=False)
-    to_y = SimplicialMap(pt, y, {"*": SimplexRef((), y.basepoint)}, check=False)
+    to_x = SimplicialMap(pt, x, {"*": SimplexRef((), x.basepoint)})
+    to_y = SimplicialMap(pt, y, {"*": SimplexRef((), y.basepoint)})
     space, from_x, from_y = pushout_inj(to_x, to_y)
     return WedgeResult(space, from_x, from_y)
 
@@ -357,8 +349,8 @@ def smash(x: SimplicialSet, y: SimplicialSet) -> SmashResult:
                for n, c in x.all_cells()}
     along_y = {c: product_pair_ref(x, y, x.basepoint_ref(n), SimplexRef((), c))
                for n, c in y.all_cells()}
-    include = pushout_map(wedge(x, y), SimplicialMap(x, prod, along_x, check=False),
-                          SimplicialMap(y, prod, along_y, check=False))
+    include = pushout_map(wedge(x, y), SimplicialMap(x, prod, along_x),
+                          SimplicialMap(y, prod, along_y))
     result = quotient(include)
     return SmashResult(result.space, result.from_x)
 
@@ -395,60 +387,39 @@ def diag_id(hw: tuple, vw: tuple, base: str) -> str:
 def diagonal(b: BisimplicialSet) -> SimplicialSet:
     """Diagonal simplicial set: degree n is the (n, n)-level, with
     d_i = d_i^h d_i^v; nondegenerate cells are the bisimplices whose
-    horizontal and vertical words share no index."""
-    entries = []
-    for (p, q) in b.bidegrees():
-        for ci, cell in enumerate(b.cells(p, q)):
-            for n in range(max(p, q), p + q + 1):
-                for hw in combinations(range(n - 1, -1, -1), n - p):
-                    rest = [t for t in range(n - 1, -1, -1) if t not in hw]
-                    for vw in combinations(rest, n - q):
-                        entries.append((n, p, q, ci, hw, vw, cell))
-    entries.sort()
+    horizontal and vertical words share no index, and a face sheds the
+    degeneracies its two masks share, as in `product`."""
+    codes = sorted((n, c, hm, vm) for p, q in b.bidegrees() for n in range(max(p, q), p + q + 1)
+                   for hm, vm in _disjoint_masks(n, p, q) for c in b.numbers(p, q))
+    number = {code[1:]: k for k, code in enumerate(codes)}
+    hface, vface = b.hface, b.vface
     cells = {}
-    refs = {}
-    for n, p, q, ci, hw, vw, cell in entries:
-        cid = diag_id(hw, vw, cell)
-        cells.setdefault(n, []).append(cid)
-        refs[cid] = BiSimplexRef(hw, vw, cell)
-    faces = {}
-    for n, ids in cells.items():
-        if n == 0:
-            continue
-        for cid in ids:
-            ref = refs[cid]
-            for i in range(n + 1):
-                out = b.vface(b.hface(ref, i), i)
-                word, hw0, vw0 = strip_common(out.hword, out.vword)
-                faces[(cid, i)] = SimplexRef(word, diag_id(hw0, vw0, out.base))
-    pointed = b.pointed
-    bp = diag_id((), (), b.basepoint) if pointed else None
-    return SimplicialSet(cells, faces, pointed=pointed, basepoint=bp)
+    table = []
+    for n, c, hm, vm in codes:
+        cells.setdefault(n, []).append(diag_id(word_of(hm), word_of(vm), b.cell_id(c)))
+        row = []
+        for i in range(n + 1) if n else ():
+            fh, fv, fc = vface(hface((hm, vm, c), i), i)
+            common = fh & fv
+            row.append((common, number[fc, mask_delete(fh, common), mask_delete(fv, common)]))
+        table.append(tuple(row))
+    bp = diag_id((), (), b.basepoint) if b.pointed else None
+    return SimplicialSet(cells, table, pointed=b.pointed, basepoint=bp)
 
 
 def external_product(x: SimplicialSet, y: SimplicialSet) -> BisimplicialSet:
     """The bisimplicial set with (p, q)-level X_p x Y_q."""
     cells = {}
-    hfaces = {}
-    vfaces = {}
+    pairs = []  # cell number -> the pair of cell numbers of x and y
     for p in x.dims():
         for q in y.dims():
-            ids = []
-            for xc in x.cells(p):
-                for yc in y.cells(q):
-                    cid = pair_id(SimplexRef((), xc), SimplexRef((), yc))
-                    ids.append(cid)
-                    if p:
-                        for i in range(p + 1):
-                            fr = x.stored_face(xc, i)
-                            base = pair_id(SimplexRef((), fr.base), SimplexRef((), yc))
-                            hfaces[(cid, i)] = BiSimplexRef(fr.word, (), base)
-                    if q:
-                        for i in range(q + 1):
-                            fr = y.stored_face(yc, i)
-                            base = pair_id(SimplexRef((), xc), SimplexRef((), fr.base))
-                            vfaces[(cid, i)] = BiSimplexRef((), fr.word, base)
-            cells[(p, q)] = ids
+            level = [(a, b) for a in x.numbers(p) for b in y.numbers(q)]
+            cells[p, q] = [pair_id(x.ref(0, a), y.ref(0, b)) for a, b in level]
+            pairs += level
+    number = {pair: k for k, pair in enumerate(pairs)}
+    xt, yt = x.face_table(), y.face_table()
+    hfaces = [tuple((m, 0, number[f, b]) for m, f in xt[a]) for a, b in pairs]
+    vfaces = [tuple((0, m, number[a, f]) for m, f in yt[b]) for a, b in pairs]
     pointed = x.pointed and y.pointed
     bp = pair_id(SimplexRef((), x.basepoint), SimplexRef((), y.basepoint)) if pointed else None
     return BisimplicialSet(cells, hfaces, vfaces, pointed=pointed, basepoint=bp)
@@ -457,15 +428,9 @@ def external_product(x: SimplicialSet, y: SimplicialSet) -> BisimplicialSet:
 def constant_vertical(x: SimplicialSet) -> BisimplicialSet:
     """The bisimplicial set that is X in the horizontal direction and
     constant vertically; its diagonal is X again."""
-    cells = {}
-    hfaces = {}
-    for p in x.dims():
-        cells[(p, 0)] = list(x.cells(p))
-        for c in x.cells(p):
-            for i in range(p + 1) if p else ():
-                fr = x.stored_face(c, i)
-                hfaces[(c, i)] = BiSimplexRef(fr.word, (), fr.base)
-    return BisimplicialSet(cells, hfaces, {}, pointed=x.pointed, basepoint=x.basepoint)
+    hfaces = [tuple((m, 0, f) for m, f in row) for row in x.face_table()]
+    return BisimplicialSet({(p, 0): x.cells(p) for p in x.dims()}, hfaces, [()] * len(hfaces),
+                           pointed=x.pointed, basepoint=x.basepoint)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
-"""Fuzz gate for simplicial-set documents: random and mutated `cells` /
-`faces` documents, with random degeneracy words, fed to
-`skernel space-homology`.  Every document must exit 0 (it was a valid
-simplicial set) or 2 (a named diagnostic), and no traceback may escape."""
+"""Fuzz gate for input documents.
+
+Simplicial-set documents (random and mutated `cells` / `faces`, with
+random degeneracy words) go to `skernel space-homology`: each must exit 0
+(it was a valid simplicial set) or 2.  Chain-complex and simplicial-group
+documents (random and mutated, ranks <= 3, D <= 3, entries <= 9 in
+absolute value) go to `homology`, `bar` and `nk-roundtrip`: each must
+exit 0, 1 (a verification failed) or 2.  Exit 2 always comes with an
+`error:` line, and no traceback may escape."""
 
 import contextlib
 import io
@@ -12,8 +17,11 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from skernel.cli import main
-from skernel.serialization import simplicial_set_to_doc
-from skernel.spaces import boundary, horn, product, simplex, smash, sphere
+from skernel.complexes import ChainComplex
+from skernel.matrices import IntMatrix
+from skernel.serialization import chain_complex_to_doc, simplicial_group_to_doc, simplicial_set_to_doc
+from skernel.simpab import constant_group, dold_kan_K, free_reduced_Z
+from skernel.spaces import boundary, chains, horn, product, simplex, smash, sphere
 
 SEEDS = [simplicial_set_to_doc(x) for x in (
     sphere(0), sphere(2), simplex(2), boundary(3), horn(3, 1),
@@ -87,22 +95,22 @@ def mutated_document(draw):
     return doc
 
 
-def _run(doc) -> tuple:
+def _run(doc, command) -> tuple:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "doc.json"
         path.write_text(json.dumps(doc))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(["space-homology", "--in", str(path)])
+            rc = main([*command, "--in", str(path)])
     return rc, out.getvalue(), err.getvalue()
 
 
-def _check(doc):
-    rc, out, err = _run(doc)
-    assert rc in (0, 2), (doc, rc, err)
+def _check(doc, command=("space-homology",), codes=(0, 2)):
+    rc, out, err = _run(doc, command)
+    assert rc in codes, (doc, command, rc, err)
     assert "Traceback" not in err
     if rc == 2:
-        assert out == "" and err.startswith("error: "), (doc, out, err)
+        assert out == "" and err.startswith("error: "), (doc, command, out, err)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -116,3 +124,98 @@ def test_random_documents_exit_0_or_2(doc):
 def test_mutated_documents_exit_0_or_2(doc):
     _check(doc)
 
+
+
+# -- chain-complex and simplicial-group documents ----------------------------
+
+ALGEBRA_SEEDS = [chain_complex_to_doc(c) for c in (
+    chains(simplex(2)), chains(boundary(2)), chains(sphere(2)),
+    ChainComplex(-1, 1, {-1: 1, 0: 1, 1: 1}, {0: IntMatrix.from_rows([[3]])}),
+)] + [simplicial_group_to_doc(a) for a in (
+    constant_group(2, 3), free_reduced_Z(sphere(1), 3), free_reduced_Z(sphere(2), 3),
+    dold_kan_K(ChainComplex(1, 1, {1: 1}, {}), 3),
+)]
+ALGEBRA_COMMANDS = [("homology",), ("bar",), ("nk-roundtrip",), ("nk-roundtrip", "--dim", "2")]
+entry = st.integers(-9, 9)
+
+
+@st.composite
+def matrix(draw):
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def random_algebra_document(draw):
+    ranks = {str(n): draw(st.integers(0, 3)) for n in draw(st.lists(st.integers(-1, 3), max_size=4))}
+    if draw(st.booleans()):
+        lo = draw(st.integers(-1, 2))
+        doc = {"min": lo, "max": lo + draw(st.integers(0, 3)), "ranks": ranks,
+               "d": {str(n): draw(matrix()) for n in draw(st.lists(st.integers(-1, 4), max_size=4))}}
+    else:
+        ops = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=5)
+        doc = {"D": draw(st.integers(0, 3)), "ranks": ranks,
+               "face": {"%d,%d" % key: draw(matrix()) for key in draw(ops)},
+               "degen": {"%d,%d" % key: draw(matrix()) for key in draw(ops)}}
+    if draw(st.booleans()):
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(json_value)
+    return doc
+
+
+@st.composite
+def mutated_algebra_document(draw):
+    doc = json.loads(json.dumps(draw(st.sampled_from(ALGEBRA_SEEDS))))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["entry", "scale", "drop-row", "drop-entry", "drop-map", "rank",
+                                     "field"]))
+        maps = [m for field in ("d", "face", "degen") if isinstance(doc.get(field), dict)
+                for m in doc[field].values() if isinstance(m, list) and m]
+        if kind == "entry" and maps:
+            m = draw(st.sampled_from(maps))
+            row = m[draw(st.integers(0, len(m) - 1))]
+            if isinstance(row, list) and row:
+                row[draw(st.integers(0, len(row) - 1))] = draw(entry)
+        elif kind == "scale" and maps:
+            # a multiple of one differential keeps d d = 0 and adds torsion
+            m, k = draw(st.sampled_from(maps)), draw(st.integers(-3, 3))
+            m[:] = [[k * x if type(x) is int else x for x in row] if isinstance(row, list) else row
+                    for row in m]
+        elif kind == "drop-row" and maps:
+            m = draw(st.sampled_from(maps))
+            m.pop(draw(st.integers(0, len(m) - 1)))
+        elif kind == "drop-entry" and maps:
+            row = draw(st.sampled_from(draw(st.sampled_from(maps))))
+            if isinstance(row, list) and row:
+                row.pop()
+        elif kind == "drop-map":
+            field = next((f for f in ("d", "face", "degen") if isinstance(doc.get(f), dict) and doc[f]),
+                         None)
+            if field:
+                doc[field].pop(draw(st.sampled_from(sorted(doc[field]))))
+        elif kind == "rank" and isinstance(doc.get("ranks"), dict):
+            doc["ranks"][str(draw(st.integers(-1, 3)))] = draw(st.integers(0, 3))
+        elif kind == "field":
+            doc[draw(st.sampled_from(sorted(doc)))] = draw(json_value)
+    return doc
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(random_algebra_document(), st.sampled_from(ALGEBRA_COMMANDS))
+def test_random_algebra_documents_exit_0_1_or_2(doc, command):
+    _check(doc, command, codes=(0, 1, 2))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_algebra_document(), st.sampled_from(ALGEBRA_COMMANDS))
+def test_mutated_algebra_documents_exit_0_1_or_2(doc, command):
+    _check(doc, command, codes=(0, 1, 2))
+
+
+def test_algebra_seeds_pass_their_commands():
+    """The unmutated seeds are valid: each exits 0 on the commands that
+    take its kind, so the mutations start from documents that work."""
+    for doc in ALGEBRA_SEEDS:
+        commands = [("homology",), ("nk-roundtrip",)] if "ranks" in doc and "D" not in doc else \
+            [("bar",), ("nk-roundtrip",)]
+        for command in commands:
+            assert _run(doc, command)[0] == 0, (doc, command)

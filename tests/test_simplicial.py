@@ -13,11 +13,20 @@ from skernel.simplicial import (
     mask_face,
     mask_insert,
     mask_of,
-    word_face,
-    word_insert,
     word_of,
 )
 from skernel.spaces import boundary, product, simplex, smash, sphere
+
+
+def insert_word(word, j):
+    """s_j applied after a word, through the mask rules."""
+    return word_of(mask_insert(mask_of(word), j))
+
+
+def face_word(word, i):
+    """d_i pushed through a word, through the mask rules."""
+    prefix, k = mask_face(mask_of(word), i)
+    return word_of(prefix), k
 
 
 def naive_rewrite_degeneracy(word, j):
@@ -41,9 +50,9 @@ def test_word_insert_matches_rewriting_oracle():
         word = ()
         dim = rng.randint(0, 4)
         for _ in range(rng.randint(0, 4)):
-            word = word_insert(word, rng.randint(0, dim + len(word)))
+            word = insert_word(word, rng.randint(0, dim + len(word)))
         j = rng.randint(0, dim + len(word))
-        assert word_insert(word, j) == naive_rewrite_degeneracy(word, j)
+        assert insert_word(word, j) == naive_rewrite_degeneracy(word, j)
 
 
 def naive_face(word, i):
@@ -82,7 +91,7 @@ def test_bit_rules_agree_with_the_rewriting_oracles_exhaustively():
         for i in range(n + 1):
             prefix, k = mask_face(mask, i)
             assert (word_of(prefix), k) == naive_face(word, i)
-            assert word_face(word, i) == naive_face(word, i)
+            assert face_word(word, i) == naive_face(word, i)
         for j in range(n + 1):
             inserted = mask_insert(mask, j)
             assert word_of(inserted) == naive_rewrite_degeneracy(word, j)
@@ -167,17 +176,17 @@ def test_out_of_range_words_are_rejected():
 
 def test_word_insert_example():
     # s0 applied to s0 v has normal form s1 s0 v
-    assert word_insert((0,), 0) == (1, 0)
+    assert insert_word((0,), 0) == (1, 0)
 
 
 def test_word_face_cancellation():
     # d1 s0 = id and d0 s0 = id
-    assert word_face((0,), 1) == ((), None)
-    assert word_face((0,), 0) == ((), None)
+    assert face_word((0,), 1) == ((), None)
+    assert face_word((0,), 0) == ((), None)
     # d0 s1 = s0 d0
-    assert word_face((1,), 0) == ((0,), 0)
+    assert face_word((1,), 0) == ((0,), 0)
     # d3 s1 = s1 d2
-    assert word_face((1,), 3) == ((1,), 2)
+    assert face_word((1,), 3) == ((1,), 2)
 
 
 def test_face_of_degeneracy_identity():

@@ -1,9 +1,10 @@
 import random
+import re
 
 import pytest
 
 from skernel.complexes import HomologyGroup, ValidationError
-from skernel.simplicial import SimplexRef, SimplicialMap, SimplicialSet
+from skernel.simplicial import BisimplicialSet, SimplexRef, SimplicialMap, SimplicialSet
 from skernel.spaces import (
     boundary,
     chains,
@@ -266,8 +267,6 @@ def test_skeleton():
 
 
 def test_diagonal_of_external_product_is_product():
-    from skernel.simplicial import BiSimplexRef
-
     for x, y in [(simplex(1), simplex(1)), (boundary(2), simplex(1)), (sphere(1), sphere(1))]:
         ext = external_product(x, y)
         dg = diagonal(ext)
@@ -303,6 +302,57 @@ def test_diagonal_order_on_triple_products():
     assert left.cell_counts() == right.cell_counts()
     for n in range(4):
         assert homology_space(left, n) == homology_space(right, n)
+
+
+def _with_hface(b, cell, i, base, masks=(0, 0)):
+    """A copy of the bisimplicial set b whose horizontal face i of the
+    cell numbered cell is the bisimplex (*masks, base); i = None drops
+    the last face instead."""
+    hfaces, vfaces = b._tables
+    hfaces = list(hfaces)
+    row = hfaces[cell]
+    hfaces[cell] = row[:-1] if i is None else row[:i] + ((*masks, base),) + row[i + 1:]
+    return BisimplicialSet({bd: b.cells(*bd) for bd in b.bidegrees()}, hfaces, vfaces)
+
+
+def test_bisimplicial_verifier_rejects_a_broken_commutation():
+    """In Δ¹ ⊠ Δ¹, pointing d^h_0 of the (1,1)-cell at the other
+    (0,1)-cell breaks d^v_j d^h_0 = d^h_0 d^v_j on that cell."""
+    ext = external_product(simplex(1), simplex(1))
+    (top,) = ext.numbers(1, 1)
+    left, right = ext.numbers(0, 1)
+    _with_hface(ext, top, 0, right)  # the unchanged face is accepted
+    with pytest.raises(ValidationError,
+                       match="horizontal and vertical faces do not commute on %s"
+                       % re.escape(repr(ext.cell_id(top)))):
+        _with_hface(ext, top, 0, left)
+
+
+def test_bisimplicial_verifier_rejects_a_broken_horizontal_identity():
+    """In Δ² ⊠ Δ⁰, pointing d^h_0 of the (2,0)-cell at the edge 0.2 breaks
+    d_0 d_2 = d_1 d_0 in the horizontal direction."""
+    ext = external_product(simplex(2), simplex(0))
+    (top,) = ext.numbers(2, 0)
+    edges = ext.numbers(1, 0)  # the edges 0.1, 0.2, 1.2 of Δ² beside the vertex of Δ⁰
+    _with_hface(ext, top, 0, edges[2])
+    with pytest.raises(ValidationError,
+                       match="horizontal identity failed on %s" % re.escape(repr(ext.cell_id(top)))):
+        _with_hface(ext, top, 0, edges[1])
+
+
+def test_bisimplicial_verifier_rejects_malformed_face_rows():
+    """A missing face, a face on an unknown cell and faces of the wrong
+    bidegree are each refused before any identity is evaluated."""
+    ext = external_product(simplex(1), simplex(1))
+    (top,) = ext.numbers(1, 1)
+    left = ext.numbers(0, 1)[0]
+    cases = [((None, left), "needs 2 horizontal faces, got 1"),
+             ((0, 99), "references unknown cell"),
+             ((0, top), "horizontal face of .* has wrong bidegree"),
+             ((0, left, (1, 0)), "horizontal face of .* has wrong bidegree")]
+    for args, message in cases:
+        with pytest.raises(ValidationError, match=message):
+            _with_hface(ext, top, *args)
 
 
 def test_pi0_examples():

@@ -12,8 +12,9 @@ It records
 - claim pairs: `perfbench/run.py --workload WORKLOAD` run in each tree,
   alternating which tree goes first, one pair per seed; each run reports
   ops_per_kcu (throughput in calibration units) and peak_rss_mb;
-- scale rows, each in a fresh interpreter per tree over the minimum of
-  --runs builds:
+- scale rows, the minimum over --runs builds per tree, each build in a
+  fresh interpreter, alternating which tree builds first, so that drift
+  of the machine spreads over both trees:
   - simplicial: build + validate of the boundary of the 14-simplex and of
     S^2 x S^2 x S^2 x S^2, as cells per second, with the deterministic
     counts of cells and identities d_i d_j = d_{j-1} d_i checked
@@ -63,11 +64,9 @@ from skernel import simpab, spaces
 from skernel.complexes import ChainComplex
 p = spaces.product
 {setup}
-times = []
-for _ in range({runs}):
-    t = time.perf_counter()
-    x = {expr}
-    times.append(time.perf_counter() - t)
+t = time.perf_counter()
+x = {expr}
+seconds = time.perf_counter() - t
 if hasattr(x, "cell_counts"):
     cells = sum(x.cell_counts().values())
     identities = sum(len(x.cells(n)) * n * (n + 1) // 2 for n in x.dims() if n >= 2)
@@ -76,7 +75,7 @@ else:
     identities = (sum(n * (n + 1) // 2 for n in range(2, x.D + 1))
                   + sum((n + 1) * (n + 2) // 2 for n in range(x.D - 1))
                   + sum((n + 1) * (n + 2) for n in range(x.D)))
-print(json.dumps({{"seconds": min(times), "cells": cells, "identities": identities}}))
+print(json.dumps({{"seconds": seconds, "cells": cells, "identities": identities}}))
 """
 
 
@@ -110,12 +109,16 @@ def scale_rows(trees: dict, runs: int) -> list:
     for label, (layer, setup, expr, counted) in SCALE.items():
         row = {"layer": layer, "name": "build+validate " + label,
                "unit": counted + "/s", "better": "higher", "runs": runs}
-        for name in ("parent", "change"):
-            code = BUILD.format(runs=runs, setup=setup, expr=expr)
-            res = _run(trees[name], [sys.executable, "-c", code])
-            row[name] = round(res[counted] / res["seconds"], 1)
-            row[name + "_min_s"] = round(res["seconds"], 4)
-            row["cells"], row["identities"] = res["cells"], res["identities"]
+        code = BUILD.format(setup=setup, expr=expr)
+        seconds = {"parent": [], "change": []}
+        for k in range(runs):
+            for name in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+                res = _run(trees[name], [sys.executable, "-c", code])
+                seconds[name].append(res["seconds"])
+                row["cells"], row["identities"] = res["cells"], res["identities"]
+        for name, times in seconds.items():
+            row[name] = round(row[counted] / min(times), 1)
+            row[name + "_min_s"] = round(min(times), 4)
         row["ratio"] = round(row["change"] / row["parent"], 3)
         rows.append(row)
         print("%s: %.2fx" % (label, row["ratio"]), file=sys.stderr)
