@@ -137,6 +137,9 @@ def cmd_ez_verify(args, out):
     if len(args.inputs) > 1:
         kind2, b = _load(args.inputs[1])
         b = _expect(b, kind2, "simplicial-group", args.inputs[1])
+        if b.D != a.D:
+            raise CliError("%s: truncation dimension %d differs from %d in %s"
+                           % (args.inputs[1], b.D, a.D, args.inputs[0]))
     else:
         b = a
     pair = ez_maps(a, b)
@@ -222,7 +225,10 @@ def cmd_pushout(args, out):
                                    "diagram needs K, L, M and maps f, g")
     f = _map_from_doc(doc.get("f"), k, l, "f")
     g = _map_from_doc(doc.get("g"), k, m, "g")
-    hp = homotopy_pushout(f, g)
+    try:
+        hp = homotopy_pushout(f, g)
+    except ValueError as exc:  # unpointed spaces or maps
+        raise CliError("%s: %s" % (args.inputs[0], exc))
     c = chains(hp.space, normalized=True)
     top = max(c.max_deg, 0)
     print("homotopy pushout " + _homology_line((n, c.homology(n)) for n in range(top + 1)),
@@ -239,7 +245,10 @@ def cmd_cylinder(args, out):
     doc, (k, l) = _load_diagram(args.inputs[0], ("source", "target"),
                                 "need source, target and map")
     f = _map_from_doc(doc.get("map"), k, l, "map")
-    cyl = cylinder(f)
+    try:
+        cyl = cylinder(f)
+    except ValueError as exc:  # unpointed spaces or map
+        raise CliError("%s: %s" % (args.inputs[0], exc))
     strict = cyl.retraction.compose(cyl.from_target) == SimplicialMap.identity(l)
     print("retraction o inclusion = id: %s" % ("OK" if strict else "FAIL"), file=out)
     cert = weq_certificate(cyl.retraction, rng_range)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from itertools import product as iproduct
 from typing import NamedTuple
 
 from .complexes import ValidationError, cone
@@ -104,14 +103,13 @@ def _labelled_copies(count: int, t: SimplicialSet, tag: str) -> SimplicialSet:
     return SimplicialSet(cells, table, pointed=True, basepoint="*")
 
 
-def _iterated_face(x: SimplicialSet, ref: SimplexRef, keep: tuple) -> SimplexRef:
-    """The face of a simplex spanned by the ordered vertex subset `keep`."""
-    n = x.dim(ref)
-    out = ref
+def _iterated_face(x: SimplicialSet, code: tuple, n: int, keep: tuple) -> SimplexRef:
+    """The face of the n-simplex with (mask, cell) code `code` spanned by
+    the ordered vertex subset `keep`."""
     for v in range(n, -1, -1):
         if v not in keep:
-            out = x.face(out, v)
-    return out
+            code = x.face_code(*code, v)
+    return x.ref(*code)
 
 
 @dataclass(frozen=True)
@@ -136,7 +134,7 @@ def skeleton_pushout_check(x: SimplicialSet, n: int, trunc_dim: int) -> Skeleton
     wr = wrap(x, trunc_dim).space
     sk_lo = skeleton(wr, n)
     sk_hi = skeleton(wr, n + 1)
-    tops = x.simplices(n + 1)
+    tops = x.simplex_codes(n + 1)
     bnd = boundary(n + 1)
     a = _labelled_copies(len(tops), bnd, "a")
     w = _labelled_copies(len(tops), simplex(n + 1), "w")
@@ -147,7 +145,7 @@ def skeleton_pushout_check(x: SimplicialSet, n: int, trunc_dim: int) -> Skeleton
         for size in range(1, n + 3):
             for keep in combinations(range(n + 2), size):
                 spans[_copy_id("w", label, _subset_id(keep))] = SimplexRef(
-                    (), _compact(_iterated_face(x, s, keep)))
+                    (), _compact(_iterated_face(x, s, n + 1, keep)))
     glued = {"*": "*", **{_copy_id("a", label, c): _copy_id("w", label, c)
                           for label in range(len(tops)) for _, c in bnd.all_cells()}}
     include = SimplicialMap(a, w, {c: SimplexRef((), d) for c, d in glued.items()})
@@ -328,36 +326,79 @@ SMALL_GROUPS = {
 _HOM_COUNT_CAP = 500_000
 
 
+def _element_orders(table) -> list:
+    """The order of each element of the group with this table."""
+    orders = []
+    for a in range(len(table)):
+        k, x = 1, a
+        while x:
+            k, x = k + 1, table[x][a]
+        orders.append(k)
+    return orders
+
+
+def _backtrack_homs(presentation, table) -> int:
+    """Homomorphisms into any finite group, by depth-first assignment of
+    the generators in order; each relator is evaluated as soon as its
+    last generator has a value, so a failing branch is cut there."""
+    gens = presentation.generators
+    order = len(table)
+    inv = [row.index(0) for row in table]
+    index = {g: k for k, g in enumerate(gens)}
+    due = [[] for _ in gens]  # relators by the index of their last generator
+    for rel in presentation.relators:
+        if rel:
+            letters = [(index[g], e > 0) for g, e in rel]
+            due[max(k for k, _ in letters)].append(letters)
+    val = [0] * len(gens)
+
+    def holds(letters) -> bool:
+        acc = 0
+        for k, positive in letters:
+            acc = table[acc][val[k] if positive else inv[val[k]]]
+        return acc == 0
+
+    def extend(k: int) -> int:
+        if k == len(gens):
+            return 1
+        total = 0
+        for x in range(order):
+            val[k] = x
+            if all(map(holds, due[k])):
+                total += extend(k + 1)
+        return total
+
+    return extend(0)
+
+
 def count_homs(presentation, table) -> int:
     """Group homomorphisms from a presentation into the group given by a
-    multiplication table, by exhaustive assignment."""
+    multiplication table with identity 0, or -1 when the table's order
+    to the number of generators exceeds the cap.
+
+    Into an abelian group A, Hom(G, A) = Hom(G_ab, A), so with
+    G_ab = Z^f + Z/d_1 + ... the count is |A|^f times, per torsion
+    coefficient d, the number of elements of A whose order divides d.
+    Into a non-abelian group the generator assignments are searched with
+    early relator checks."""
     order = len(table)
-    gens = presentation.generators
-    if order ** len(gens) > _HOM_COUNT_CAP:
+    if order ** len(presentation.generators) > _HOM_COUNT_CAP:
         return -1
-    inv = [0] * order
-    for i in range(order):
-        for j in range(order):
-            if table[i][j] == 0:
-                inv[i] = j
-    count = 0
-    for values in iproduct(range(order), repeat=len(gens)):
-        val = dict(zip(gens, values))
-        ok = True
-        for rel in presentation.relators:
-            acc = 0
-            for gname, e in rel:
-                x = val[gname] if e > 0 else inv[val[gname]]
-                acc = table[acc][x]
-            if acc != 0:
-                ok = False
-                break
-        if ok:
-            count += 1
+    if any(table[i][j] != table[j][i] for i in range(order) for j in range(i)):
+        return _backtrack_homs(presentation, table)
+    ab = presentation.abelianization()
+    orders = _element_orders(table)
+    count = order ** ab.free_rank
+    for d in ab.torsion:
+        count *= sum(1 for k in orders if d % k == 0)
     return count
 
 
 def hom_count_profile(presentation) -> dict:
+    """Per order up to six, the total of `count_homs` over the groups of
+    that order in SMALL_GROUPS, or -1 when some count hits the cap.  The
+    presentation computes its abelianization once, for all the abelian
+    tables."""
     out = {}
     for order, tables in SMALL_GROUPS.items():
         total = 0

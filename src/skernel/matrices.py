@@ -14,18 +14,18 @@ as tuples, the entries are in row-major order, so one linear pass adds up
 repeated positions, drops zero sums and cuts the rows.  `transpose` needs
 no sort, since visiting the rows in order fills each column ascending.
 
-Kernels and invariants eliminate sparsely too.  `invariant_factors`
-(homology, cokernels, unimodularity) and `kernel_basis` (cycles, Moore
-bases) share one unit-pivot elimination on dict-of-rows storage; only the
-residue without a +-1 entry reaches the dense Smith loop, which computes
-V for a kernel and no transform for the factors.  The full transforms U
-and V of `smith_normal_form` are computed, on a dense list workspace,
-only for callers that consume them: `solve_exact` (normalized
-differentials, Moore projections, good truncations) and the suite's
-check of the Smith decomposition.  The suite's random complexes in
-`generators` take their kernels from the dense Smith V directly, a fixed
-recipe, so changing `kernel_basis` never re-seeds an instance the suite
-checks.
+Kernels, invariants and exact solves eliminate sparsely too.
+`invariant_factors` (homology, cokernels, unimodularity), `kernel_basis`
+(cycles, Moore bases) and `solve_exact` (normalized differentials, Moore
+projections, good truncations) share one unit-pivot elimination on
+dict-of-rows storage; a solve runs it on [a | b] with pivots in a's
+columns.  Only the residue without a +-1 entry reaches the dense Smith
+loop, which computes no transform for the factors, V for a kernel and U
+and V for a solve.  The dense `smith_normal_form` of a whole matrix, on
+its list workspace, is left to the suite's check of the Smith
+decomposition and to the random complexes in `generators`, which take
+their kernels from the dense Smith V directly: a fixed recipe, so
+changing the elimination never re-seeds an instance the suite checks.
 """
 
 from __future__ import annotations
@@ -406,20 +406,22 @@ def diagonal_of(d: IntMatrix) -> list:
     return [d.at(i, i) for i in range(min(d.rows, d.cols))]
 
 
-def _unit_pivots(m: IntMatrix):
+def _unit_pivots(m: IntMatrix, pivot_cols: int | None = None):
     """Sparse unit-pivot elimination by row operations (Kaczynski-Mrozek-
     Slusarek; Dumas-Saunders-Villard).
 
     The nonzero rows of m are held as {col: value} dicts with a column ->
-    rows occupancy index, and while some entry is +-1 the sparsest column
+    rows occupancy index, and while some entry is +-1 in one of the first
+    pivot_cols columns (default: all of them) the sparsest such column
     holding one (ties: lowest column index) is cleared from the other
     rows with the shortest such row (ties: lowest row index) as pivot.
     Pivot row and column are then dropped.  Returns (pivots, rows, cols):
     pivots lists (column, sign, rest of the pivot row) in elimination
     order, each rest naming only columns still present at its step; rows
-    and cols are the residue, which holds no +-1 entry, keyed by its
-    nonzero rows and nonempty columns.
+    and cols are the residue, which holds no +-1 entry in a pivot column,
+    keyed by its nonzero rows and nonempty columns.
     """
+    limit = m.cols if pivot_cols is None else pivot_cols
     rows = {}
     cols = {}
     for i, (js, xs) in enumerate(m.nonzeros):
@@ -429,9 +431,9 @@ def _unit_pivots(m: IntMatrix):
                 cols.setdefault(j, set()).add(i)
     pivots = []
     # candidate columns keyed (occupancy, index); an entry is stale once
-    # the column's occupancy has changed, and every column whose entries
-    # change is pushed again
-    heap = [(len(occ), j) for j, occ in cols.items()]
+    # the column's occupancy has changed, and every pivot column whose
+    # entries change is pushed again
+    heap = [(len(occ), j) for j, occ in cols.items() if j < limit]
     heapq.heapify(heap)
     while heap:
         count, q = heapq.heappop(heap)
@@ -465,18 +467,20 @@ def _unit_pivots(m: IntMatrix):
                 del rows[i]
         for j in prow:
             if cols[j]:
-                heapq.heappush(heap, (len(cols[j]), j))
+                if j < limit:
+                    heapq.heappush(heap, (len(cols[j]), j))
             else:
                 del cols[j]
         pivots.append((q, s, prow))
     return pivots, rows, cols
 
 
-def _residue(rows: dict, keep: list) -> IntMatrix:
+def _residue(rows: dict, keep) -> IntMatrix:
+    """The residue rows, in order, restricted to the columns in keep."""
     at = {j: t for t, j in enumerate(keep)}
     return IntMatrix.from_entries(
-        len(rows), len(keep),
-        ((r, at[j], x) for r, i in enumerate(sorted(rows)) for j, x in rows[i].items()),
+        len(rows), len(at),
+        ((r, at[j], x) for r, i in enumerate(sorted(rows)) for j, x in rows[i].items() if j in at),
     )
 
 
@@ -532,21 +536,56 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
 
 
 def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
-    """An integer solution X of a @ X = b, or None if there is none."""
+    """An integer solution X of a @ X = b, or None if there is none.
+
+    Row operations keep the solutions, so `_unit_pivots` runs on the
+    augmented matrix [a | b], taking pivots in a's columns only.  The
+    residue [R | R_b] constrains only non-pivot coordinates, and the
+    dense `smith_normal_form` U R V = D solves it.  Each pivot row then
+    fixes its pivot coordinate in terms of the right-hand side and of
+    coordinates solved before it, by back-substitution in reverse order,
+    integral because the pivots are +-1.  Non-pivot coordinates that no
+    residue row touches are free and set to 0.  When a has full column
+    rank, as every caller's saturated kernel basis does, there are none
+    and the solution is the unique one.
+    """
     if a.rows != b.rows:
         raise ValueError("shape mismatch in solve: %r vs %r" % (a.shape, b.shape))
-    u, d, v = smith_normal_form(a)
-    diag = diagonal_of(d)
-    r = sum(1 for x in diag if x != 0)
-    y = []
-    for i, j, x in (u @ b).entries():
-        if i >= r:
-            return None
-        q, rem = divmod(x, diag[i])
-        if rem:
-            return None
-        y.append((i, j, q))
-    return v @ IntMatrix.from_entries(a.cols, b.cols, y)
+    n = a.cols
+    augmented = IntMatrix(a.rows, n + b.cols, tuple(
+        (ja + tuple(n + j for j in jb), xa + xb)
+        for (ja, xa), (jb, xb) in zip(a.nonzeros, b.nonzeros)))
+    pivots, rows, cols = _unit_pivots(augmented, n)
+    x = {}  # coordinate -> {column of b: value}
+    if rows:
+        keep = sorted(j for j in cols if j < n)
+        if not keep:
+            return None  # a residue row reads 0 = a nonzero entry of b
+        u, d, v = smith_normal_form(_residue(rows, keep))
+        diag = diagonal_of(d)
+        r = sum(1 for t in diag if t)
+        y = []
+        for i, j, t in (u @ _residue(rows, range(n, n + b.cols))).entries():
+            if i >= r:
+                return None
+            q, rem = divmod(t, diag[i])
+            if rem:
+                return None
+            y.append((i, j, q))
+        for t, (js, ys) in enumerate((v @ IntMatrix.from_entries(len(keep), b.cols, y)).nonzeros):
+            if js:
+                x[keep[t]] = dict(zip(js, ys))
+    for q, s, prow in reversed(pivots):
+        acc = {}
+        for j, c in prow.items():
+            if j >= n:
+                acc[j - n] = acc.get(j - n, 0) + c
+            else:
+                for t, y in x.get(j, {}).items():
+                    acc[t] = acc.get(t, 0) - c * y
+        x[q] = {t: s * y for t, y in acc.items() if y}
+    return IntMatrix.from_entries(
+        n, b.cols, ((q, t, y) for q, row in x.items() for t, y in row.items()))
 
 
 def is_unimodular(m: IntMatrix) -> bool:

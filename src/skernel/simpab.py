@@ -30,7 +30,7 @@ from itertools import combinations
 
 from .complexes import ChainComplex, ChainMap, HomologyGroup, ValidationError, zero_complex
 from .matrices import IntMatrix, block_diag, hstack, is_unimodular, kernel_basis, solve_exact, vstack
-from .simplicial import SimplicialSet
+from .simplicial import SimplicialSet, mask_insert
 from .spaces import product_pair_ref, smash
 
 
@@ -277,6 +277,13 @@ def level_summands(n: int):
     return out
 
 
+def _summands(c: ChainComplex, n: int) -> list:
+    """The summands of K(C)_n that exist: the surjections [n] ->> [k]
+    with C_k nonzero, lexicographically.  A zero C_k adds nothing to a
+    level, an offset or a structure map, so the others are never built."""
+    return sorted(eta for k in range(n + 1) if c.rank(k) for eta in surjection_tuples(n, k))
+
+
 def _operator_matrix(c: ChainComplex, summands_src, summands_tgt, alpha) -> IntMatrix:
     """Matrix of K(C) applied to a monotone map alpha (a value tuple),
     from the level indexed by summands_src to the level of summands_tgt.
@@ -317,7 +324,7 @@ def dold_kan_K(c: ChainComplex, trunc_dim: int) -> SimplicialAbGroup:
     nonnegative part of c; level n is the sum of copies of C_k indexed by
     order-preserving surjections [n] ->> [k], truncated at trunc_dim."""
     c = c.truncate_good(0)
-    summands = {n: level_summands(n) for n in range(trunc_dim + 1)}
+    summands = {n: _summands(c, n) for n in range(trunc_dim + 1)}
     ranks = [sum(c.rank(eta[-1]) for eta in summands[n]) for n in range(trunc_dim + 1)]
     face = {}
     degen = {}
@@ -372,16 +379,16 @@ def free_reduced_Z(x: SimplicialSet, trunc_dim: int) -> SimplicialAbGroup:
     basis = {}
     index = {}
     for n in range(trunc_dim + 1):
-        bp = x.basepoint_ref(n)
-        items = [s for s in x.simplices(n) if s != bp]
+        bp = x.code(x.basepoint_ref(n))
+        items = [s for s in x.simplex_codes(n) if s != bp]
         basis[n] = items
         index[n] = {s: i for i, s in enumerate(items)}
     ranks = [len(basis[n]) for n in range(trunc_dim + 1)]
 
     def matrix_of(op, n_src, n_tgt):
         entries = []
-        for col, s in enumerate(basis[n_src]):
-            row = index[n_tgt].get(op(s))
+        for col, (mask, cell) in enumerate(basis[n_src]):
+            row = index[n_tgt].get(op(mask, cell))
             if row is not None:
                 entries.append((row, col, 1))
         return IntMatrix.from_entries(ranks[n_tgt], ranks[n_src], entries)
@@ -390,10 +397,10 @@ def free_reduced_Z(x: SimplicialSet, trunc_dim: int) -> SimplicialAbGroup:
     degen = {}
     for n in range(1, trunc_dim + 1):
         for i in range(n + 1):
-            face[(n, i)] = matrix_of(lambda s, i=i: x.face(s, i), n, n - 1)
+            face[(n, i)] = matrix_of(lambda m, c, i=i: x.face_code(m, c, i), n, n - 1)
     for n in range(trunc_dim):
         for j in range(n + 1):
-            degen[(n, j)] = matrix_of(lambda s, j=j: x.degeneracy(s, j), n, n + 1)
+            degen[(n, j)] = matrix_of(lambda m, c, j=j: (mask_insert(m, j), c), n, n + 1)
     return SimplicialAbGroup(trunc_dim, ranks, face, degen)
 
 
@@ -663,7 +670,7 @@ def nk_roundtrip_iso(c: ChainComplex, trunc_dim: int):
     out = {}
     for n in range(min(trunc_dim, c0.max_deg) + 1):
         offset = 0
-        for eta in level_summands(n):
+        for eta in _summands(c0, n):
             if eta == tuple(range(n + 1)):
                 break
             offset += c0.rank(eta[-1])
@@ -696,11 +703,9 @@ def kn_roundtrip_ok(a: SimplicialAbGroup) -> bool:
         if kna.rank(n) != a.rank(n):
             return False
         blocks = []
-        for eta in level_summands(n):
-            k = eta[-1]
-            if na.rank(k):
-                jumps = [i for i in range(n) if eta[i] == eta[i + 1]]
-                blocks.append(_degeneracy_composite(a, k, jumps) @ bases[k])
+        for eta in _summands(na, n):
+            jumps = [i for i in range(n) if eta[i] == eta[i + 1]]
+            blocks.append(_degeneracy_composite(a, eta[-1], jumps) @ bases[eta[-1]])
         psi[n] = hstack(blocks) if blocks else IntMatrix.zero(a.rank(n), 0)
         if a.rank(n) and not is_unimodular(psi[n]):
             return False

@@ -15,6 +15,7 @@ pushout, wedge or quotient comes from `pushout_map`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
@@ -541,6 +542,13 @@ class GroupPresentation:
     relators: tuple
 
     def abelianization(self) -> HomologyGroup:
+        """Z^generators modulo the relators, computed once per
+        presentation: `homotopy.count_homs` reads it for every abelian
+        group it counts into."""
+        return self._abelianization
+
+    @cached_property
+    def _abelianization(self) -> HomologyGroup:
         gens = len(self.generators)
         index = {g: i for i, g in enumerate(self.generators)}
         mat = IntMatrix.from_entries(
@@ -626,11 +634,11 @@ def chains(x: SimplicialSet, normalized: bool = True, cap: int | None = None) ->
         if cap is None:
             raise ValueError("unnormalized chains require a dimension cap")
         top = cap
-        basis = {n: x.simplices(n) for n in range(top + 1)}
+        basis = {n: x.simplex_codes(n) for n in range(top + 1)}
     for n, items in basis.items():
         drop = None
         if reduced:
-            drop = x.basepoint if normalized else x.basepoint_ref(n)
+            drop = x.basepoint if normalized else x.code(x.basepoint_ref(n))
         basis[n] = [it for it in items if it != drop]
     ranks = {n: len(items) for n, items in basis.items() if items}
     if normalized:
@@ -651,7 +659,7 @@ def chains(x: SimplicialSet, normalized: bool = True, cap: int | None = None) ->
             if normalized:
                 face_rows = [None if mask else row_of[b] for mask, b in table[x.number(item)]]
             else:
-                face_rows = [index[n - 1].get(x.face(item, i)) for i in range(n + 1)]
+                face_rows = [index[n - 1].get(x.face_code(*item, i)) for i in range(n + 1)]
             for i, row in enumerate(face_rows):
                 if row is not None:
                     entries.append((row, col, -1 if i % 2 else 1))

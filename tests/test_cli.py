@@ -241,6 +241,33 @@ def test_exit_code_2_on_wrong_kind(files, capsys):
     assert rc == 2
 
 
+def test_unpointed_diagrams_and_unequal_truncations_exit_2(tmp_path, capsys):
+    """Inputs that parse but that the construction refuses are named
+    on stderr with exit 2, not a traceback."""
+    unpointed = {"cells": {"0": ["*", "p"]}, "faces": {}}
+    ptdoc = simplicial_set_to_doc(point())
+    to_point = {"cells": {"*": "*", "p": "*"}}
+    cases = [
+        ("pushout", [{"K": unpointed, "L": ptdoc, "M": ptdoc, "f": to_point, "g": to_point}],
+         "homotopy pushout needs pointed spaces (K is unpointed)"),
+        ("cylinder", [{"source": unpointed, "target": unpointed, "map": to_point}],
+         "cylinders need pointed spaces and a pointed map"),
+        ("ez-verify", [json.loads(serialize(free_reduced_Z(sphere(1), 2))),
+                       json.loads(serialize(free_reduced_Z(sphere(1), 3)))],
+         "truncation dimension 3 differs from 2"),
+    ]
+    for command, docs, message in cases:
+        argv = [command]
+        for k, doc in enumerate(docs):
+            path = tmp_path / ("%s%d.json" % (command, k))
+            path.write_text(json.dumps(doc))
+            argv += ["--in", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_suite_runs_in_subprocess():
     rc, out, err = run_cli("suite", "--seed", "0", "--size", "small")
     assert rc == 0

@@ -2,11 +2,14 @@
 
 Simplicial-set documents (random and mutated `cells` / `faces`, with
 random degeneracy words) go to `skernel space-homology`: each must exit 0
-(it was a valid simplicial set) or 2.  Chain-complex and simplicial-group
-documents (random and mutated, ranks <= 3, D <= 3, entries <= 9 in
-absolute value) go to `homology`, `bar` and `nk-roundtrip`: each must
-exit 0, 1 (a verification failed) or 2.  Exit 2 always comes with an
-`error:` line, and no traceback may escape."""
+(it was a valid simplicial set) or 2.  They also go to `wr-verify`, and
+diagram documents built from them (spaces and maps, mutated) go to
+`pushout` and `cylinder`.  Chain-complex and simplicial-group documents
+(random and mutated, ranks <= 3, D <= 3, entries <= 9 in absolute value)
+go to `homology`, `bar`, `nk-roundtrip` and `ez-verify`, and pairs of
+them to `tower-report`.  Every command but `space-homology` must exit 0,
+1 (a verification failed) or 2.  Exit 2 always comes with an `error:`
+line, and no traceback may escape."""
 
 import contextlib
 import io
@@ -21,7 +24,7 @@ from skernel.complexes import ChainComplex
 from skernel.matrices import IntMatrix
 from skernel.serialization import chain_complex_to_doc, simplicial_group_to_doc, simplicial_set_to_doc
 from skernel.simpab import constant_group, dold_kan_K, free_reduced_Z
-from skernel.spaces import boundary, chains, horn, product, simplex, smash, sphere
+from skernel.spaces import boundary, chains, horn, point, product, simplex, smash, sphere
 
 SEEDS = [simplicial_set_to_doc(x) for x in (
     sphere(0), sphere(2), simplex(2), boundary(3), horn(3, 1),
@@ -95,13 +98,19 @@ def mutated_document(draw):
     return doc
 
 
-def _run(doc, command) -> tuple:
+def _run(docs, command) -> tuple:
+    """Run command with one --in file per document; a single document
+    may be passed bare."""
+    docs = docs if isinstance(docs, tuple) else (docs,)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "doc.json"
-        path.write_text(json.dumps(doc))
+        argv = list(command)
+        for k, doc in enumerate(docs):
+            path = Path(tmp) / ("doc%d.json" % k)
+            path.write_text(json.dumps(doc))
+            argv += ["--in", str(path)]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main([*command, "--in", str(path)])
+            rc = main(argv)
     return rc, out.getvalue(), err.getvalue()
 
 
@@ -128,13 +137,15 @@ def test_mutated_documents_exit_0_or_2(doc):
 
 # -- chain-complex and simplicial-group documents ----------------------------
 
-ALGEBRA_SEEDS = [chain_complex_to_doc(c) for c in (
+CHAIN_SEEDS = [chain_complex_to_doc(c) for c in (
     chains(simplex(2)), chains(boundary(2)), chains(sphere(2)),
     ChainComplex(-1, 1, {-1: 1, 0: 1, 1: 1}, {0: IntMatrix.from_rows([[3]])}),
-)] + [simplicial_group_to_doc(a) for a in (
+)]
+GROUP_SEEDS = [simplicial_group_to_doc(a) for a in (
     constant_group(2, 3), free_reduced_Z(sphere(1), 3), free_reduced_Z(sphere(2), 3),
     dold_kan_K(ChainComplex(1, 1, {1: 1}, {}), 3),
 )]
+ALGEBRA_SEEDS = CHAIN_SEEDS + GROUP_SEEDS
 ALGEBRA_COMMANDS = [("homology",), ("bar",), ("nk-roundtrip",), ("nk-roundtrip", "--dim", "2")]
 entry = st.integers(-9, 9)
 
@@ -163,8 +174,8 @@ def random_algebra_document(draw):
 
 
 @st.composite
-def mutated_algebra_document(draw):
-    doc = json.loads(json.dumps(draw(st.sampled_from(ALGEBRA_SEEDS))))
+def mutated_algebra_document(draw, seeds=ALGEBRA_SEEDS):
+    doc = json.loads(json.dumps(draw(st.sampled_from(seeds))))
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["entry", "scale", "drop-row", "drop-entry", "drop-map", "rank",
                                      "field"]))
@@ -219,3 +230,91 @@ def test_algebra_seeds_pass_their_commands():
             [("bar",), ("nk-roundtrip",)]
         for command in commands:
             assert _run(doc, command)[0] == 0, (doc, command)
+
+
+# -- wr-verify, diagram documents, ez-verify and tower-report -----------------
+
+WR_COMMANDS = [("wr-verify", "--dim", str(d)) for d in (1, 2, 3)] + [
+    ("wr-verify", "--dim", "3", "--range", "1")]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(st.sampled_from(SEEDS), random_document(), mutated_document()),
+       st.sampled_from(WR_COMMANDS))
+def test_wr_verify_documents_exit_0_1_or_2(doc, command):
+    _check(doc, command, codes=(0, 1, 2))
+
+
+S0, S1, S2, PT = (simplicial_set_to_doc(x) for x in (sphere(0), sphere(1), sphere(2), point()))
+TO_POINT0 = {"cells": {"*": "*", "p": "*"}}
+TO_POINT1 = {"cells": {"*": "*", "c": "s0 *"}}
+IDENTITY1 = {"cells": {"*": "*", "c": "c"}}
+DIAGRAM_SEEDS = [
+    {"K": S0, "L": PT, "M": PT, "f": TO_POINT0, "g": TO_POINT0},
+    {"K": S1, "L": PT, "M": PT, "f": TO_POINT1, "g": TO_POINT1},
+    {"K": S1, "L": S1, "M": PT, "f": IDENTITY1, "g": TO_POINT1},
+    {"source": S0, "target": S0, "map": TO_POINT0},
+    {"source": S1, "target": S1, "map": IDENTITY1},
+    {"source": S1, "target": S2, "map": {"cells": {"*": "*", "c": "s0 *"}}},
+]
+
+
+@st.composite
+def mutated_diagram(draw):
+    doc = json.loads(json.dumps(draw(st.sampled_from(DIAGRAM_SEEDS))))
+    spaces = [k for k in ("K", "L", "M", "source", "target") if k in doc]
+    maps = [k for k in ("f", "g", "map") if k in doc]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["space", "image", "drop-image", "extra-image", "field",
+                                     "drop-field"]))
+        cells = [m["cells"] for m in map(doc.get, maps)
+                 if isinstance(m, dict) and isinstance(m.get("cells"), dict)]
+        if kind == "space":
+            doc[draw(st.sampled_from(spaces))] = draw(
+                st.one_of(st.sampled_from(SEEDS), random_document(), mutated_document()))
+        elif kind == "image" and cells:
+            table = draw(st.sampled_from(cells))
+            if table:
+                cell = draw(st.sampled_from(sorted(table)))
+                table[cell] = draw(st.one_of(face_entry(NAMES + ["*", "c", "p"]), json_value))
+        elif kind == "drop-image" and cells:
+            table = draw(st.sampled_from(cells))
+            if table:
+                table.pop(draw(st.sampled_from(sorted(table))))
+        elif kind == "extra-image" and cells:
+            draw(st.sampled_from(cells))[draw(st.sampled_from(NAMES))] = draw(
+                face_entry(NAMES + ["*", "c", "p"]))
+        elif kind == "field":
+            doc[draw(st.sampled_from(spaces + maps))] = draw(json_value)
+        elif kind == "drop-field":
+            doc.pop(draw(st.sampled_from(spaces + maps)), None)
+    return doc
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_diagram(), st.sampled_from([(), ("--range", "0"), ("--range", "2")]))
+def test_diagram_documents_exit_0_1_or_2(doc, flags):
+    command = "pushout" if "K" in doc or "f" in doc else "cylinder"
+    _check(doc, (command, *flags), codes=(0, 1, 2))
+
+
+def test_diagram_seeds_pass_their_commands():
+    for doc in DIAGRAM_SEEDS:
+        command = "pushout" if "K" in doc else "cylinder"
+        assert _run(doc, (command,))[0] == 0, doc
+
+
+group_document = st.one_of(random_algebra_document(), mutated_algebra_document(GROUP_SEEDS))
+chain_document = st.one_of(random_algebra_document(), mutated_algebra_document(CHAIN_SEEDS))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(group_document, st.one_of(st.none(), group_document))
+def test_ez_verify_documents_exit_0_1_or_2(doc, other):
+    _check(doc if other is None else (doc, other), ("ez-verify",), codes=(0, 1, 2))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(chain_document, chain_document)
+def test_tower_report_documents_exit_0_1_or_2(k, l):
+    _check((k, l), ("tower-report",), codes=(0, 1, 2))

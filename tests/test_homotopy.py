@@ -1,6 +1,10 @@
 import random
+from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import skernel.homotopy
 
 from skernel.complexes import HomologyGroup, check_quasi_iso
 from skernel.homotopy import (
@@ -9,6 +13,7 @@ from skernel.homotopy import (
     count_homs,
     cylinder,
     groupoid_comparison,
+    hom_count_profile,
     homotopy_pushout,
     skeleton_pushout_check,
     weq_certificate,
@@ -16,6 +21,7 @@ from skernel.homotopy import (
 )
 from skernel.simplicial import SimplexRef, SimplicialMap
 from skernel.spaces import (
+    GroupPresentation,
     boundary,
     chain_map_of,
     chains,
@@ -243,3 +249,76 @@ def test_certificate_random_counits(rng):
         cert = weq_certificate(wrap(x, 3).counit, 2)
         assert cert.passed
         assert cert.groupoid_match == "equal"
+
+
+def _brute_force_homs(presentation, table) -> int:
+    """Reference count: every assignment of the generators, each relator
+    evaluated letter by letter."""
+    order = len(table)
+    inv = [row.index(0) for row in table]
+    count = 0
+    for values in iproduct(range(order), repeat=len(presentation.generators)):
+        val = dict(zip(presentation.generators, values))
+        ok = True
+        for rel in presentation.relators:
+            acc = 0
+            for g, e in rel:
+                acc = table[acc][val[g] if e > 0 else inv[val[g]]]
+            ok = ok and acc == 0
+        count += ok
+    return count
+
+
+@st.composite
+def presentations(draw):
+    """Up to four generators; relators with inverse and repeated letters,
+    empty relators among them."""
+    gens = tuple("g%d" % k for k in range(draw(st.integers(0, 4))))
+    letter = st.tuples(st.sampled_from(gens or ("",)), st.sampled_from((1, -1)))
+    relators = draw(st.lists(st.lists(letter, max_size=6 if gens else 0).map(tuple), max_size=4))
+    return GroupPresentation(gens, tuple(relators))
+
+
+@settings(max_examples=150, deadline=None)
+@given(presentations())
+def test_count_homs_matches_brute_force(pres):
+    profile = hom_count_profile(pres)
+    for order, tables in SMALL_GROUPS.items():
+        counts = [_brute_force_homs(pres, table) for table in tables]
+        for table, want in zip(tables, counts):
+            assert count_homs(pres, table) == want, (pres, order)
+        assert profile[order] == sum(counts)
+
+
+def test_count_homs_cap_returns_minus_one():
+    """order ** generators above the cap gives -1 without a count; just
+    below it the count is exact (free group on 8 generators: 5^8 maps
+    into C5, while 6^8 exceeds the cap)."""
+    free8 = GroupPresentation(tuple("abcdefgh"), ())
+    for table in SMALL_GROUPS[6]:
+        assert count_homs(free8, table) == -1
+    assert count_homs(free8, SMALL_GROUPS[5][0]) == 5 ** 8
+    profile = hom_count_profile(free8)
+    assert profile[6] == -1 and profile[5] == 5 ** 8 and profile[1] == 1
+
+
+def test_certificate_reports_differing_hom_counts(monkeypatch):
+    """A certificate whose source and target counts differ names the
+    first order at which they do, and fails."""
+    counit = wrap(sphere(1), 3).counit
+    assert weq_certificate(counit, 2).passed
+    original = skernel.homotopy.hom_count_profile
+    calls = []
+
+    def skewed(pres):
+        out = original(pres)
+        calls.append(pres)
+        if len(calls) == 1:  # the source side
+            out[4] += 1
+        return out
+
+    monkeypatch.setattr(skernel.homotopy, "hom_count_profile", skewed)
+    cert = weq_certificate(counit, 2)
+    assert len(calls) == 2
+    assert cert.contradiction == "hom counts into groups of order 4 differ"
+    assert not cert.passed

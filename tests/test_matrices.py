@@ -109,6 +109,88 @@ def test_solve_exact_and_inverse():
     assert solve_exact(u, IntMatrix.identity(2)) == M([[1, -1], [0, 1]])
 
 
+def _dense_solve(a, b):
+    """Reference solve through the full dense Smith decomposition
+    U a V = D: y = D^-1 U b where D allows it, X = V y."""
+    u, d, v = smith_normal_form(a)
+    diag = diagonal_of(d)
+    r = sum(1 for x in diag if x)
+    y = []
+    for i, j, x in (u @ b).entries():
+        if i >= r or x % diag[i]:
+            return None
+        y.append((i, j, x // diag[i]))
+    return v @ IntMatrix.from_entries(a.cols, b.cols, y)
+
+
+def _check_solve(a, b):
+    """solve_exact against the dense reference: the same solvability, a
+    true solution, and the reference's own when a has full column rank
+    (the solution is then unique)."""
+    x, want = solve_exact(a, b), _dense_solve(a, b)
+    assert (x is None) == (want is None), (a.to_lists(), b.to_lists())
+    if x is not None:
+        assert a @ x == b
+        d = smith_normal_form(a, want_u=False, want_v=False)[1]
+        if sum(1 for t in diagonal_of(d) if t) == a.cols:
+            assert x == want
+    return x
+
+
+def test_solve_exact_matches_the_dense_smith_reference(monkeypatch):
+    dense = _count_dense_calls(monkeypatch)
+    rng = random.Random(7)
+    # cleared completely by unit pivots: a signed permutation block over
+    # arbitrary rows; no dense Smith reduction, with or without U and V
+    for _ in range(60):
+        cols, extra, k = rng.randint(1, 6), rng.randint(0, 4), rng.randint(1, 3)
+        perm = list(range(cols))
+        rng.shuffle(perm)
+        rows = [[rng.choice((-1, 1)) if j == perm[i] else 0 for j in range(cols)]
+                for i in range(cols)]
+        rows += [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(extra)]
+        rng.shuffle(rows)
+        a = M(rows)
+        dense.clear()
+        _check_solve(a, a @ _sparse_matrix(rng, cols, k, 0.6, range(-4, 5)))
+        assert dense == []
+        if extra:
+            _check_solve(a, _sparse_matrix(rng, a.rows, k, 0.5, (-1, 1, 2)))
+            assert dense == []
+    # no +-1 entry at all: the whole matrix is the residue
+    solved = 0
+    for _ in range(80):
+        a = _sparse_matrix(rng, rng.randint(1, 5), rng.randint(1, 4), 0.7, (-6, -4, -3, -2, 2, 3, 4, 6))
+        dense.clear()
+        x = _check_solve(a, a @ _sparse_matrix(rng, a.cols, 2, 0.7, range(-3, 4)))
+        solved += x is not None
+        assert len(dense) == (0 if a.is_zero() else 1)
+        _check_solve(a, _sparse_matrix(rng, a.rows, 2, 0.5, range(-3, 4)))
+    assert solved == 80
+    # mixed entries, solvable and not
+    for _ in range(200):
+        a = _sparse_matrix(rng, rng.randint(0, 6), rng.randint(0, 5), rng.random(), (-2, -1, 1, 2, 3))
+        _check_solve(a, a @ _sparse_matrix(rng, a.cols, 2, 0.5, range(-3, 4)))
+        _check_solve(a, _sparse_matrix(rng, a.rows, 2, 0.5, range(-3, 4)))
+
+
+def test_solve_exact_edge_cases():
+    # rationally solvable, not integrally
+    assert solve_exact(M([[2]]), M([[1]])) is None
+    assert _check_solve(M([[2, 0], [0, 3]]), M([[2], [3]])) == M([[1], [1]])
+    # right-hand sides outside the column space, cleared or left in the residue
+    assert _check_solve(M([[1, 0], [0, 1], [1, 1]]), M([[1], [1], [0]])) is None
+    assert _check_solve(M([[2], [4]]), M([[2], [3]])) is None
+    assert _check_solve(M([[1], [2]]), M([[0], [1]])) is None
+    # no rows, no columns, no right-hand side
+    assert _check_solve(IntMatrix.zero(0, 3), IntMatrix.zero(0, 2)) == IntMatrix.zero(3, 2)
+    assert _check_solve(IntMatrix.zero(2, 0), IntMatrix.zero(2, 1)) == IntMatrix.zero(0, 1)
+    assert _check_solve(IntMatrix.zero(2, 0), M([[0], [1]])) is None
+    assert _check_solve(M([[1, 2]]), IntMatrix.zero(1, 0)) == IntMatrix.zero(2, 0)
+    with pytest.raises(ValueError):
+        solve_exact(M([[1]]), M([[1], [1]]))
+
+
 def test_cokernel_invariants():
     assert invariant_factors(M([[2, 0], [0, 3]])) == (1, 6)
     assert group_from_presentation(2, M([[2, 0], [0, 3]])) == HomologyGroup(0, (6,))

@@ -167,6 +167,38 @@ def test_surjection_counts():
     assert level_summands(2) == [(0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 2)]
 
 
+def test_dold_kan_visits_only_the_summands_that_exist(monkeypatch):
+    """For C in degrees 0..1, K(C)_n has n + 1 summands ([n] ->> [0] and
+    the n surjections onto [1]) out of 2^n surjections; K, the N K round
+    trip and the K N round trip enumerate only those, so the count grows
+    linearly in n."""
+    visited = {}
+    original = skernel.simpab.surjection_tuples
+
+    def counting(n, k):
+        out = original(n, k)
+        visited[n] = visited.get(n, 0) + len(out)
+        return out
+
+    monkeypatch.setattr(skernel.simpab, "surjection_tuples", counting)
+    c = ChainComplex(0, 1, {0: 1, 1: 1}, {1: [[2]]})
+    top = 9
+    k = dold_kan_K(c, top)
+    assert visited == {n: n + 1 for n in range(top + 1)}
+    assert k.ranks() == tuple(n + 1 for n in range(top + 1))
+    # the N K round trip: K, then the identity-summand offsets in the
+    # degrees 0..1 of C
+    visited.clear()
+    nk_roundtrip_iso(c, 4)
+    assert visited == {n: (n + 1) * (2 if n <= 1 else 1) for n in range(5)}
+    # the K N round trip: N(K(C)) is C again, so K of it and the counit
+    # visit n + 1 summands each
+    a = dold_kan_K(c, 4)
+    visited.clear()
+    assert kn_roundtrip_ok(a)
+    assert visited == {n: 2 * (n + 1) for n in range(5)}
+
+
 def test_constant_group_normalization():
     a = constant_group(2, 3)
     n = normalize_N(a)

@@ -21,7 +21,9 @@ It records
     (n(n+1)/2 per n-cell);
   - simpab: build + validate of the Dold-Kan K of a rank-12 torsion
     complex and of the bar construction of the free reduced Z S^2, both
-    truncated at D = 10, as simplicial identities checked per second
+    truncated at D = 10, and of the K of Z --2--> Z at D = 14, whose
+    surjections [n] ->> [k] mostly index zero summands, as simplicial
+    identities checked per second
     (per object: n(n+1)/2 d_i d_j, (n+1)(n+2)/2 s_i s_j and (n+1)(n+2)
     d_i s_j identities per level n); their inputs are built untimed.
 
@@ -51,6 +53,9 @@ SCALE = {
         "ranks, d, _ = reference.torsion_complex(random.Random(1), 3, 12); "
         "c = ChainComplex(0, 3, ranks, d)",
         "simpab.dold_kan_K(c, 10)", "identities"),
+    "dold_kan_K(Z --2--> Z, D=14)": (
+        "simpab", "c = ChainComplex(0, 1, {0: 1, 1: 1}, {1: [[2]]})",
+        "simpab.dold_kan_K(c, 14)", "identities"),
     "bar_B(free_reduced_Z(S2, D=10))": (
         "simpab", "z = simpab.free_reduced_Z(spaces.sphere(2), 10)", "simpab.bar_B(z)",
         "identities"),
