@@ -1,14 +1,15 @@
 """Dimension-truncated simplicial abelian groups, levelwise free.
 
 Every object carries its truncation dimension D; structure maps are
-integer matrices and all simplicial identities are verified as matrix
-equations at construction.  They are checked on the transposes, as
-d_j^T d_i^T = d_i^T d_{j-1}^T and likewise for s s and d s: transposing
-is a bijection and (AB)^T = B^T A^T holds exactly over the integers, so
-each transposed equation holds precisely when the original does.  The
-columns of face and degeneracy maps are almost all monomial, so the rows
-of their transposes are, and a product with a monomial row only selects
-and scales a row of the right factor.
+integer matrices and all simplicial identities are verified at
+construction, on column tables rather than matrix products: a map is the
+list of the images of the source basis elements, so f o g is read off
+column by column.  Nearly every column of a face or degeneracy is a unit
+vector e_r (all of Z~X and of the bar and tensor constructions on it,
+and K(C) outside its differential blocks), and composing with one is a
+lookup; only the other columns take a sparse combination.  This is Kenzo's
+view of simplicial operators as functions on generators (Dousson, Rubio,
+Sergeraert and Siret, The Kenzo program, 1999).
 
 The core functors: the normalization N (intersection of the kernels of
 all faces except the zeroth, with differential the zeroth face), its
@@ -29,9 +30,69 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .complexes import ChainComplex, ChainMap, HomologyGroup, ValidationError, zero_complex
-from .matrices import IntMatrix, block_diag, hstack, is_unimodular, kernel_basis, solve_exact, vstack
+from .matrices import IntMatrix, hstack, is_unimodular, kernel_basis, solve_exact, vstack
 from .simplicial import SimplicialSet, mask_insert
 from .spaces import product_pair_ref, smash
+
+
+def _columns(m: IntMatrix) -> tuple:
+    """The column table of m and whether it has a general column.
+
+    The table has one item per column: the row r when the column is the
+    unit vector e_r, -1 when it is zero, and otherwise its (rows, values)
+    pair, rows ascending; a trailing -1 makes index -1 map to zero.  Rows
+    are visited in order, so one pass over the nonzeros builds it."""
+    table = [-1] * (m.cols + 1)
+    general = False
+    for r, (js, xs) in enumerate(m.nonzeros):
+        for j, x in zip(js, xs):
+            c = table[j]
+            if c == -1:
+                if x == 1:
+                    table[j] = r
+                    continue
+                table[j] = ((r,), (x,))
+            elif c.__class__ is int:
+                table[j] = ((c, r), (1, x))
+            else:
+                table[j] = (c[0] + (r,), c[1] + (x,))
+            general = True
+    return table, general
+
+
+def _combine(f: list, col: tuple):
+    """The image under the column table f of a general column, in the
+    same encoding."""
+    acc = {}
+    for r, x in zip(*col):
+        c = f[r]
+        if c.__class__ is int:
+            if c >= 0:
+                acc[c] = acc.get(c, 0) + x
+        else:
+            for s, y in zip(*c):
+                acc[s] = acc.get(s, 0) + x * y
+    rows = sorted(s for s, x in acc.items() if x)
+    if not rows:
+        return -1
+    if len(rows) == 1 and acc[rows[0]] == 1:
+        return rows[0]
+    return tuple(rows), tuple(map(acc.__getitem__, rows))
+
+
+def _compose(f: tuple, g: tuple) -> list:
+    """The column table of f o g from the (table, general) pairs of f and g."""
+    ft = f[0]
+    gt, general = g
+    if not general:
+        return list(map(ft.__getitem__, gt))
+    return [ft[c] if c.__class__ is int else _combine(ft, c) for c in gt]
+
+
+def _same(lhs: list, rhs: list) -> bool:
+    """Whether two column tables are the same map: the encoding is
+    canonical, so the lists compare item by item."""
+    return lhs == rhs
 
 
 class SimplicialAbGroup:
@@ -39,6 +100,8 @@ class SimplicialAbGroup:
 
     face[(n, i)] is the matrix of the i-th face A_n -> A_{n-1}, and
     degen[(n, j)] the j-th degeneracy A_n -> A_{n+1} (defined for n < D).
+    Construction checks every d d, s s and d s identity up to D, each
+    once, by composing the column tables of the structure maps.
     """
 
     def __init__(self, trunc_dim: int, ranks, face: dict, degen: dict):
@@ -101,37 +164,36 @@ class SimplicialAbGroup:
                 raise ValidationError("degeneracy (%d, %d) out of range" % (n, j))
             if m.shape != (self.rank(n + 1), self.rank(n)):
                 raise ValidationError("degeneracy (%d, %d) has shape %r" % (n, j, m.shape))
-        # transposed once each; every identity is checked transposed
-        ft = {(n, i): self.face(n, i).transpose()
+        ft = {(n, i): _columns(self.face(n, i))
               for n in range(1, self.D + 1) for i in range(n + 1)}
-        st = {(n, j): self.degen(n, j).transpose() for n in range(self.D) for j in range(n + 1)}
+        st = {(n, j): _columns(self.degen(n, j)) for n in range(self.D) for j in range(n + 1)}
         for n in range(2, self.D + 1):
             for j in range(1, n + 1):
                 for i in range(j):
-                    lhs = ft[(n, j)] @ ft[(n - 1, i)]
-                    rhs = ft[(n, i)] @ ft[(n - 1, j - 1)]
-                    if lhs != rhs:
+                    lhs = _compose(ft[(n - 1, i)], ft[(n, j)])
+                    rhs = _compose(ft[(n - 1, j - 1)], ft[(n, i)])
+                    if not _same(lhs, rhs):
                         raise ValidationError("identity d_%d d_%d failed at level %d" % (i, j, n))
         for n in range(0, self.D - 1):
             for j in range(n + 1):
                 for i in range(j + 1):
-                    lhs = st[(n, j)] @ st[(n + 1, i)]
-                    rhs = st[(n, i)] @ st[(n + 1, j + 1)]
-                    if lhs != rhs:
+                    lhs = _compose(st[(n + 1, i)], st[(n, j)])
+                    rhs = _compose(st[(n + 1, j + 1)], st[(n, i)])
+                    if not _same(lhs, rhs):
                         raise ValidationError("identity s_%d s_%d failed at level %d" % (i, j, n))
         for n in range(0, self.D):
-            ident = IntMatrix.identity(self.rank(n))
+            ident = list(range(self.rank(n))) + [-1]
             for j in range(n + 1):
                 s = st[(n, j)]
                 for i in range(n + 2):
-                    out = s @ ft[(n + 1, i)]
+                    out = _compose(ft[(n + 1, i)], s)
                     if i == j or i == j + 1:
                         expected = ident
                     elif i < j:
-                        expected = ft[(n, i)] @ st[(n - 1, j - 1)]
+                        expected = _compose(st[(n - 1, j - 1)], ft[(n, i)])
                     else:
-                        expected = ft[(n, i - 1)] @ st[(n - 1, j)]
-                    if out != expected:
+                        expected = _compose(st[(n - 1, j)], ft[(n, i - 1)])
+                    if not _same(out, expected):
                         raise ValidationError(
                             "identity d_%d s_%d failed at level %d" % (i, j, n)
                         )
@@ -447,55 +509,39 @@ def smash_comparison_iso(e: SimplicialSet, f: SimplicialSet, trunc_dim: int) -> 
 # the bar construction
 
 
-def _bar_face_matrix(p: int, i: int, r: int) -> IntMatrix:
-    """Face of the bar object at horizontal level p with blocks of rank
-    r: drop the first or last entry, or add adjacent entries."""
-    entries = []
-    for t in range(p - 1):
-        if i == 0:
-            src = [t + 1]
-        elif t + 1 < i:
-            src = [t]
-        elif t + 1 == i:
-            src = [t, t + 1]
-        else:
-            src = [t + 1]
-        entries.extend((t * r + q, s * r + q, 1) for s in src for q in range(r))
-    return IntMatrix.from_entries((p - 1) * r, p * r, entries)
-
-
-def _bar_degen_matrix(p: int, j: int, r: int) -> IntMatrix:
-    """Degeneracy of the bar object: insert a zero entry at slot j."""
-    entries = []
-    for t in range(p + 1):
-        if t < j:
-            src = t
-        elif t == j:
-            src = None
-        else:
-            src = t - 1
-        if src is not None:
-            entries.extend((t * r + q, src * r + q, 1) for q in range(r))
-    return IntMatrix.from_entries((p + 1) * r, p * r, entries)
+def _bar_map(m: IntMatrix, blocks: list, targets: int, sources: int) -> IntMatrix:
+    """The map A^sources -> A'^targets that applies m to source block s
+    and puts the result in target block t for every (t, s) in blocks.  No
+    source block has two targets, so the entries are distinct and one
+    `from_entries` writes the map."""
+    r, c = m.shape
+    ents = list(m.entries())
+    return IntMatrix.from_entries(
+        targets * r, sources * c,
+        ((t * r + i, s * c + j, x) for t, s in blocks for i, j, x in ents))
 
 
 def bar_B(a: SimplicialAbGroup) -> SimplicialAbGroup:
     """Diagonal of the bar bisimplicial group with (p, q)-level A_q^p;
-    the normalized complex shifts up by one degree."""
+    the normalized complex shifts up by one degree.
+
+    A face d_i at level n applies d_i to each of the n entries and then
+    drops the first entry (i = 0), the last (i = n), or adds entries
+    i - 1 and i; a degeneracy s_j applies s_j to each entry and inserts a
+    zero entry at slot j."""
     d = a.D
     ranks = [n * a.rank(n) for n in range(d + 1)]
     face = {}
     degen = {}
     for n in range(1, d + 1):
         for i in range(n + 1):
-            vert = block_diag([a.face(n, i)] * n)
-            horiz = _bar_face_matrix(n, i, a.rank(n - 1))
-            face[(n, i)] = horiz @ vert
+            pairs = ((s if s < i else s - 1, s) for s in range(n))
+            blocks = [(t, s) for t, s in pairs if 0 <= t < n - 1]
+            face[(n, i)] = _bar_map(a.face(n, i), blocks, n - 1, n)
     for n in range(d):
         for j in range(n + 1):
-            vert = block_diag([a.degen(n, j)] * n) if n else IntMatrix.zero(0, 0)
-            horiz = _bar_degen_matrix(n, j, a.rank(n + 1))
-            degen[(n, j)] = horiz @ vert
+            blocks = [(t, t if t < j else t - 1) for t in range(n + 1) if t != j]
+            degen[(n, j)] = _bar_map(a.degen(n, j), blocks, n + 1, n)
     return SimplicialAbGroup(d, ranks, face, degen)
 
 

@@ -518,18 +518,21 @@ def normalize_relations(relations) -> frozenset:
     return frozenset(out)
 
 
+def _face_arrows(x: SimplicialSet, t: str) -> tuple:
+    """The arrows of the faces d_1, d_0 and d_2 of the 2-cell t, read
+    from the face table: a face with a degeneracy word is an identity."""
+    c = x.number(t)
+    return tuple(("id" if mask else "gen", x.cell_id(base))
+                 for mask, base in (x.face_code(0, c, i) for i in (1, 0, 2)))
+
+
 def groupoid_presentation(x: SimplicialSet) -> GroupoidPresentation:
     generators = {}
     for e in x.cells(1):
         src = x.stored_face(e, 1).base
         dst = x.stored_face(e, 0).base
         generators[e] = (src, dst)
-    relations = []
-    for t in x.cells(2):
-        ref = SimplexRef((), t)
-        relations.append(
-            (arrow_of(x.face(ref, 1)), arrow_of(x.face(ref, 0)), arrow_of(x.face(ref, 2)))
-        )
+    relations = [_face_arrows(x, t) for t in x.cells(2)]
     return GroupoidPresentation(tuple(x.cells(0)), generators, tuple(relations))
 
 
@@ -601,9 +604,7 @@ def pi1_presentation(x: SimplicialSet, base: str) -> GroupPresentation:
         verts = x.vertices_of(ref)
         if comp.get(verts[0]) != cidx:
             continue
-        a1 = arrow_of(x.face(ref, 1))
-        a0 = arrow_of(x.face(ref, 0))
-        a2 = arrow_of(x.face(ref, 2))
+        a1, a0, a2 = _face_arrows(x, t)
         word = letters(a0) + letters(a2) + [(g, -e) for g, e in reversed(letters(a1))]
         if word:
             relators.append(tuple(word))

@@ -76,7 +76,8 @@ def mutated_document(draw):
             cell = draw(st.sampled_from(sorted(faces)))
             if isinstance(faces[cell], list) and faces[cell]:
                 i = draw(st.integers(0, len(faces[cell]) - 1))
-                faces[cell][i] = draw(face_entry(names or NAMES))
+                strings = [c for c in names if isinstance(c, str)]
+                faces[cell][i] = draw(face_entry(strings or NAMES))
         elif kind == "drop-face" and isinstance(faces, dict) and faces:
             cell = draw(st.sampled_from(sorted(faces)))
             if isinstance(faces[cell], list) and faces[cell]:

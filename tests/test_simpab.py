@@ -5,7 +5,7 @@ import pytest
 
 import skernel.simpab
 from skernel.complexes import ChainComplex, HomologyGroup, ValidationError, single
-from skernel.matrices import IntMatrix
+from skernel.matrices import IntMatrix, block_diag
 from skernel.simpab import (
     EZPair,
     SimplicialAbGroup,
@@ -52,7 +52,7 @@ def test_validation_rejects_broken_identities():
 
 def test_validation_names_the_identity_a_flipped_bar_face_breaks():
     """Flipping one entry of any one face of a bar construction and
-    rebuilding it is caught by the sparse products of the validation."""
+    rebuilding it is caught by the column tables of the validation."""
     b = bar_B(free_reduced_Z(sphere(2), 5))
     faces = {(n, i): b.face(n, i) for n in range(1, b.D + 1) for i in range(n + 1)}
     degen = {(n, j): b.degen(n, j) for n in range(b.D) for j in range(n + 1)}
@@ -91,9 +91,9 @@ def _flipped(m, i, j):
 
 def test_validation_names_the_identity_a_flipped_differential_entry_breaks():
     """Every entry of a non-monomial column of a face of K(C), the
-    differential blocks, flipped in turn: the transposed face then has a
-    row with several terms, so the identity products take their general
-    path, and d_0 d_1 is named at the first level the face enters."""
+    differential blocks, flipped in turn: the column keeps several terms,
+    so composing the column tables takes its general path, and d_0 d_1
+    is named at the first level the face enters."""
     a = dold_kan_K(MIXED, 5)
     faces, degen = _structure_maps(a)
     assert SimplicialAbGroup(a.D, a.ranks(), faces, degen) == a
@@ -133,26 +133,140 @@ def test_validation_names_the_identity_a_flipped_degeneracy_entry_breaks():
 
 
 def test_validation_compares_every_identity_once(monkeypatch):
-    """The number of matrix comparisons of one validation is the number
-    of simplicial identities up to D: d_i d_j (i < j <= n, 2 <= n <= D),
-    s_i s_j (i <= j <= n, n <= D - 2) and d_i s_j (j <= n, i <= n + 1,
-    n <= D - 1)."""
+    """The number of column-table comparisons of one validation is the
+    number of simplicial identities up to D: d_i d_j (i < j <= n,
+    2 <= n <= D), s_i s_j (i <= j <= n, n <= D - 2) and d_i s_j (j <= n,
+    i <= n + 1, n <= D - 1)."""
     b = bar_B(free_reduced_Z(sphere(2), 5))
     faces, degen = _structure_maps(b)
     compared = 0
-    equal = IntMatrix.__eq__
+    same = skernel.simpab._same
 
-    def counting(self, other):
+    def counting(lhs, rhs):
         nonlocal compared
         compared += 1
-        return equal(self, other)
+        return same(lhs, rhs)
 
-    monkeypatch.setattr(IntMatrix, "__eq__", counting)
+    monkeypatch.setattr(skernel.simpab, "_same", counting)
     SimplicialAbGroup(b.D, b.ranks(), faces, degen)
     D = 5
     assert compared == (sum(n * (n + 1) // 2 for n in range(2, D + 1))
                         + sum((n + 1) * (n + 2) // 2 for n in range(D - 1))
                         + sum((n + 1) * (n + 2) for n in range(D))) == 124
+
+
+IDENTITY_FAILED = r"^identity [ds]_\d+ [ds]_\d+ failed at level \d+$"
+
+
+def _with_column(m, j, column):
+    """m with column j replaced by the given (row, value) entries."""
+    entries = [(r, c, x) for r, c, x in m.entries() if c != j]
+    return IntMatrix.from_entries(m.rows, m.cols, entries + [(r, j, x) for r, x in column])
+
+
+@pytest.mark.parametrize("build, count", [
+    (lambda: free_reduced_Z(sphere(2), 5), 354),
+    (lambda: bar_B(free_reduced_Z(sphere(2), 5)), 1452),
+    (lambda: dold_kan_K(MIXED, 5), 1500),
+], ids=["free_reduced_Z", "bar_B", "dold_kan_K"])
+def test_validation_catches_every_unit_column_edit(build, count):
+    """Every unit column e_r of every face and degeneracy, in turn:
+    negated, given a second entry at row r + 1 (mod the rows), or
+    zeroed.  Each rebuild names a broken identity, so neither a
+    coefficient -1, nor a sum of two basis elements, nor zero is taken
+    for the unit vector by the column tables."""
+    a = build()
+    faces, degen = _structure_maps(a)
+    edits = 0
+    for maps in (faces, degen):
+        for key, m in maps.items():
+            for j, (rows, values) in enumerate(m.transpose().nonzeros):
+                if values != (1,):
+                    continue
+                r = rows[0]
+                columns = [[(r, -1)], []]
+                if m.rows > 1:
+                    columns.append([(r, 1), ((r + 1) % m.rows, 1)])
+                for column in columns:
+                    broken = dict(maps)
+                    broken[key] = _with_column(m, j, column)
+                    structure = (broken, degen) if maps is faces else (faces, broken)
+                    with pytest.raises(ValidationError, match=IDENTITY_FAILED):
+                        SimplicialAbGroup(a.D, a.ranks(), *structure)
+                    edits += 1
+    assert edits == count
+
+
+def test_validation_catches_a_moved_differential_column():
+    """Every general column of a face of K(C), one from a differential
+    block, moved down by each shift of its rows (mod the rows) in turn:
+    the column tables compare the sparse combinations it now makes, and
+    a d_0 d_j identity is named."""
+    a = dold_kan_K(MIXED, 5)
+    faces, degen = _structure_maps(a)
+    moved = 0
+    for key, m in faces.items():
+        for j, (rows, values) in enumerate(m.transpose().nonzeros):
+            if not rows or values == (1,):
+                continue
+            for k in range(1, m.rows):
+                broken = dict(faces)
+                broken[key] = _with_column(m, j, [((r + k) % m.rows, x)
+                                                  for r, x in zip(rows, values)])
+                with pytest.raises(ValidationError,
+                                   match=r"^identity d_0 d_\d+ failed at level \d+$"):
+                    SimplicialAbGroup(a.D, a.ranks(), broken, degen)
+                moved += 1
+    assert moved == 180
+
+
+def _bar_by_block_products(a):
+    """The bar construction as it was first written: each face and
+    degeneracy the product of a horizontal 0/1 block matrix with the
+    block diagonal of copies of the vertical map."""
+
+    def horizontal_face(p, i, r):
+        entries = []
+        for t in range(p - 1):
+            if i == 0:
+                src = [t + 1]
+            elif t + 1 < i:
+                src = [t]
+            elif t + 1 == i:
+                src = [t, t + 1]
+            else:
+                src = [t + 1]
+            entries.extend((t * r + q, s * r + q, 1) for s in src for q in range(r))
+        return IntMatrix.from_entries((p - 1) * r, p * r, entries)
+
+    def horizontal_degen(p, j, r):
+        entries = []
+        for t in range(p + 1):
+            if t != j:
+                src = t if t < j else t - 1
+                entries.extend((t * r + q, src * r + q, 1) for q in range(r))
+        return IntMatrix.from_entries((p + 1) * r, p * r, entries)
+
+    face = {}
+    degen = {}
+    for n in range(1, a.D + 1):
+        for i in range(n + 1):
+            vert = block_diag([a.face(n, i)] * n)
+            face[(n, i)] = horizontal_face(n, i, a.rank(n - 1)) @ vert
+    for n in range(a.D):
+        for j in range(n + 1):
+            vert = block_diag([a.degen(n, j)] * n) if n else IntMatrix.zero(0, 0)
+            degen[(n, j)] = horizontal_degen(n, j, a.rank(n + 1)) @ vert
+    return SimplicialAbGroup(a.D, [n * a.rank(n) for n in range(a.D + 1)], face, degen)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_bar_matches_the_block_product_construction(k):
+    for d in range(7):
+        a = free_reduced_Z(sphere(k), d)
+        b = bar_B(a)
+        assert b == _bar_by_block_products(a)
+        assert bar_B(b) == _bar_by_block_products(b)
 
 
 def test_surjection_counts():
