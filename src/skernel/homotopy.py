@@ -61,22 +61,19 @@ def wrap(x: SimplicialSet, trunc_dim: int) -> WrapResult:
         raise ValueError("truncation must be nonnegative")
     face_code = x.face_code
     cells = {}
-    number = {}  # (mask, cell) code of a simplex of x -> its cell number
+    number = {}  # (mask, cell) code of a simplex of x -> its cell number, in order
     table = []
-    images = {}  # cell id -> the simplex of x that the counit sends it to
     for n in range(trunc_dim + 1):
         ids = []
         for m, c in x.simplex_codes(n):
             number[m, c] = len(table)
             table.append(tuple((0, number[face_code(m, c, i)]) for i in range(n + 1)) if n else ())
-            ref = x.ref(m, c)
-            ids.append(_compact(ref))
-            images[ids[-1]] = ref
+            ids.append(_compact(x.ref(m, c)))
         if ids:
             cells[n] = ids
     space = SimplicialSet(cells, table, pointed=x.pointed,
                           basepoint=_compact(SimplexRef((), x.basepoint)) if x.pointed else None)
-    return WrapResult(space, SimplicialMap(space, x, images))
+    return WrapResult(space, SimplicialMap(space, x, list(number)))
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +254,8 @@ def homotopy_pushout(f: SimplicialMap, g: SimplicialMap, square=None) -> Homotop
     comparison = None
     if square is not None:
         u, v, _ = square
-        for _, c in k.all_cells():
-            if u(f.cell_image(c)) != v(g.cell_image(c)):
-                raise ValueError("the supplied square does not commute strictly")
+        if any(u.image_code(*fc) != v.image_code(*gc) for fc, gc in zip(f.codes(), g.codes())):
+            raise ValueError("the supplied square does not commute strictly")
         comparison = pushout_map(po, u.compose(f).compose(projection), pushout_map(ml, v, u))
     return HomotopyPushoutResult(po.space, from_left, from_right, comparison)
 
@@ -282,7 +278,7 @@ def bar_column_bisimplicial(f: SimplicialMap, g: SimplicialMap) -> BisimplicialS
     for q in k.dims():
         cells[1, q] = ["b1|" + c for c in k.cells(q) if c != k.basepoint]
     hfaces = [()] * len(bottom) + [
-        tuple((0, *space.code(leg.cell_image(k.cell_id(c)))) for leg in (to_l, to_m)) for c in row]
+        tuple((0, *leg.codes()[c]) for leg in (to_l, to_m)) for c in row]
     vfaces = [tuple((0, m, b) for m, b in r) for r in bottom] + [
         tuple((1, m, bp0) if b == kb else (0, m, top[b]) for m, b in k.face_table()[c]) for c in row]
     return BisimplicialSet(cells, hfaces, vfaces, pointed=True, basepoint="b0|" + space.basepoint)

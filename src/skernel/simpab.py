@@ -346,13 +346,16 @@ def _summands(c: ChainComplex, n: int) -> list:
     return sorted(eta for k in range(n + 1) if c.rank(k) for eta in surjection_tuples(n, k))
 
 
-def _operator_matrix(c: ChainComplex, summands_src, summands_tgt, alpha) -> IntMatrix:
+def _operator_matrix(c: ChainComplex, diffs: dict, summands_src, summands_tgt,
+                     alpha) -> IntMatrix:
     """Matrix of K(C) applied to a monotone map alpha (a value tuple),
-    from the level indexed by summands_src to the level of summands_tgt.
+    from the level indexed by summands_src to the level of summands_tgt;
+    diffs[k] lists the entries of the differential C_k -> C_{k-1}.
 
     The component out of the summand eta is the identity when eta o alpha
-    is still surjective, the differential when its image misses exactly
-    the bottom value, and zero otherwise.
+    is still surjective (being monotone into [k], it takes k + 1 values),
+    the differential when its image is {1..k} (k values starting at 1),
+    and zero otherwise.
     """
     tgt_offset = {}
     off = 0
@@ -366,17 +369,16 @@ def _operator_matrix(c: ChainComplex, summands_src, summands_tgt, alpha) -> IntM
     for eta in summands_src:
         k = eta[-1]
         r = c.rank(k)
-        t = tuple(eta[v] for v in alpha)
-        image = sorted(set(t))
-        if image == list(range(k + 1)):
+        t = tuple(map(eta.__getitem__, alpha))
+        values = len(set(t))
+        if values == k + 1:
             roff = tgt_offset.get(t)
             if roff is not None:
                 entries.extend((roff + s, coff + s, 1) for s in range(r))
-        elif image == list(range(1, k + 1)):
-            tprime = tuple(v - 1 for v in t)
-            roff = tgt_offset.get(tprime)
-            if roff is not None and c.rank(k - 1):
-                entries.extend((roff + s1, coff + s2, x) for s1, s2, x in c.d(k).entries())
+        elif values == k and t[0] == 1:
+            roff = tgt_offset.get(tuple(v - 1 for v in t))
+            if roff is not None:
+                entries.extend((roff + s1, coff + s2, x) for s1, s2, x in diffs[k])
         coff += r
     return IntMatrix.from_entries(rows, cols, entries)
 
@@ -388,16 +390,17 @@ def dold_kan_K(c: ChainComplex, trunc_dim: int) -> SimplicialAbGroup:
     c = c.truncate_good(0)
     summands = {n: _summands(c, n) for n in range(trunc_dim + 1)}
     ranks = [sum(c.rank(eta[-1]) for eta in summands[n]) for n in range(trunc_dim + 1)]
+    diffs = {k: list(c.d(k).entries()) for k in range(1, trunc_dim + 1)}
     face = {}
     degen = {}
     for n in range(1, trunc_dim + 1):
         for i in range(n + 1):
             alpha = tuple(v for v in range(n + 1) if v != i)
-            face[(n, i)] = _operator_matrix(c, summands[n], summands[n - 1], alpha)
+            face[(n, i)] = _operator_matrix(c, diffs, summands[n], summands[n - 1], alpha)
     for n in range(trunc_dim):
         for j in range(n + 1):
             alpha = tuple(v if v <= j else v - 1 for v in range(n + 2))
-            degen[(n, j)] = _operator_matrix(c, summands[n], summands[n + 1], alpha)
+            degen[(n, j)] = _operator_matrix(c, diffs, summands[n], summands[n + 1], alpha)
     return SimplicialAbGroup(trunc_dim, ranks, face, degen)
 
 

@@ -10,8 +10,9 @@ Inside a set the cells are numbered in declaration order (by dimension,
 then as listed), and a simplex is a pair (mask, cell): bit i of the mask
 is set when s_i occurs in the word, as Kenzo codes degeneracy operators
 by integers.  The face data is stored once, as a table with one row of
-(mask, cell) pairs per cell; string ids are only external names, for
-documents, printed output and map assignments.  The simplicial
+(mask, cell) pairs per cell, and a simplicial map as one (mask, cell)
+image per source cell; string ids are only external names, for
+documents, printed output and maps given by name.  The simplicial
 identities
 
     d_i d_j = d_{j-1} d_i            (i < j)
@@ -50,9 +51,6 @@ class SimplexRef(NamedTuple):
 
     word: tuple
     base: str
-
-    def is_degenerate(self) -> bool:
-        return bool(self.word)
 
     def __str__(self) -> str:
         if not self.word:
@@ -388,37 +386,31 @@ class SimplicialMap:
 
     The image of a nondegenerate n-cell is an arbitrary n-simplex of the
     target; the extension to degenerate simplices applies the degeneracy
-    word to the image.  Compatibility with all face operators is checked
-    at construction.
+    word to the image.  The map is stored as its code list: one (mask,
+    target cell number) pair per source cell number.  Images are given
+    either by name, as a dict {cell: SimplexRef or (word, base)}, or as
+    the code list itself.  Names are only the external form, for
+    documents, printed output and tests.  Compatibility with all face
+    operators is checked at construction.
     """
 
-    def __init__(self, source: SimplicialSet, target: SimplicialSet,
-                 assignment: dict):
+    def __init__(self, source: SimplicialSet, target: SimplicialSet, images):
         self.source = source
         self.target = target
-        self._map = {}
-        for cell, ref in assignment.items():
-            if not isinstance(ref, SimplexRef):
-                ref = SimplexRef(tuple(ref[0]), ref[1])
-            self._map[cell] = ref
+        self._codes = images if isinstance(images, list) else self._codes_from(images)
         self._validate()
 
-    def __call__(self, ref: SimplexRef) -> SimplexRef:
-        out = self._map[ref.base]
-        if not ref.word:
-            return out
-        return SimplexRef(word_of(mask_compose(mask_of(ref.word), mask_of(out.word))), out.base)
-
-    def cell_image(self, cell: str) -> SimplexRef:
-        return self._map[cell]
-
-    def _validate(self):
+    def _codes_from(self, assignment: dict) -> list:
+        """The code list of images given by name, checking each image as
+        it is read."""
         source, target = self.source, self.target
         codes = []
         for n, cell in source.all_cells():
-            if cell not in self._map:
+            if cell not in assignment:
                 raise ValidationError("map missing image of cell %r" % cell)
-            img = self._map[cell]
+            img = assignment[cell]
+            if not isinstance(img, SimplexRef):
+                img = SimplexRef(tuple(img[0]), img[1])
             if not target.has_cell(img.base):
                 raise ValidationError("image of %r uses unknown cell %r" % (cell, img.base))
             if target.dim(img) != n:
@@ -429,64 +421,82 @@ class SimplicialMap:
                 raise ValidationError("image word %r of %r has a degeneracy index outside 0..%d"
                                       % (img.word, cell, n - 1))
             codes.append(target.code(img))
-        face_code = target.face_code
-        for c, row in enumerate(source.face_table()):
+        return codes
+
+    def codes(self) -> list:
+        """The (mask, target cell number) image of each source cell, indexed
+        by cell number."""
+        return self._codes
+
+    def image_code(self, mask: int, cell: int) -> tuple:
+        """The image of the simplex s_mask cell, as a (mask, cell) pair."""
+        m, image = self._codes[cell]
+        return mask_compose(mask, m), image
+
+    def __call__(self, ref: SimplexRef) -> SimplexRef:
+        return self.target.ref(*self.image_code(*self.source.code(ref)))
+
+    def cell_image(self, cell: str) -> SimplexRef:
+        return self.target.ref(*self._codes[self.source.number(cell)])
+
+    def _validate(self):
+        """Check, cell by cell in number order, the image for range and
+        dimension and that the map commutes with every face of the cell;
+        the faces have lower numbers, so their images are checked first."""
+        ids, cdim, tdim, codes = self.source._ids, self.source._cdim, self.target._cdim, self._codes
+        if len(codes) > len(ids):
+            raise ValidationError("map has %d images for %d cells" % (len(codes), len(ids)))
+        face_code = self.target.face_code
+        for c, row in enumerate(self.source.face_table()):
+            n = cdim[c]
+            if c >= len(codes) or codes[c] is None:
+                raise ValidationError("map missing image of cell %r" % ids[c])
             mask, image = codes[c]
+            if not 0 <= image < len(tdim):
+                raise ValidationError("image of %r uses unknown cell %r" % (ids[c], image))
+            if mask < 0 or mask >> n:
+                raise ValidationError("image of %r has a degeneracy index outside 0..%d"
+                                      % (ids[c], n - 1))
+            if tdim[image] + mask.bit_count() != n:
+                raise ValidationError("image of %r has wrong dimension" % ids[c])
             for i, (m, base) in enumerate(row):
                 bmask, bimage = codes[base]
                 if (mask_compose(m, bmask), bimage) != face_code(mask, image, i):
-                    raise ValidationError(
-                        "map does not commute with d_%d on %r" % (i, source.cell_id(c))
-                    )
+                    raise ValidationError("map does not commute with d_%d on %r" % (i, ids[c]))
 
     def preserves_basepoint(self) -> bool:
         if not (self.source.pointed and self.target.pointed):
             return False
-        return self._map[self.source.basepoint].base == self.target.basepoint
+        image = self._codes[self.source.number(self.source.basepoint)][1]
+        return image == self.target.number(self.target.basepoint)
 
     def is_levelwise_injective(self) -> bool:
         """Monomorphism test: nondegenerate cells must map to
         nondegenerate simplices, injectively in every dimension."""
-        for n in self.source.dims():
-            seen = set()
-            for cell in self.source.cells(n):
-                img = self._map[cell]
-                if img.is_degenerate() or img in seen:
-                    return False
-                seen.add(img)
-        return True
+        images = {c for m, c in self._codes if not m}
+        return len(images) == len(self._codes)
 
     def compose(self, other: "SimplicialMap") -> "SimplicialMap":
         """self after other."""
-        assignment = {cell: self(other.cell_image(cell))
-                      for _, cell in other.source.all_cells()}
-        return SimplicialMap(other.source, self.target, assignment)
+        if other.target._cells != self.source._cells:
+            raise ValueError("maps do not compose: the middle spaces differ")
+        return SimplicialMap(other.source, self.target,
+                             [self.image_code(m, c) for m, c in other._codes])
 
     @classmethod
     def identity(cls, space: SimplicialSet) -> "SimplicialMap":
-        return cls(space, space, {c: SimplexRef((), c) for _, c in space.all_cells()})
+        return cls(space, space, [(0, c) for c in range(len(space._ids))])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialMap):
             return NotImplemented
-        return (self.source is other.source or self.source._cells == other.source._cells) and \
-            self._map == other._map
+        return (self.source._cells == other.source._cells and self._codes == other._codes
+                and self.target._cells == other.target._cells)
 
     def is_cellwise_iso(self) -> bool:
         """True when the map is a bijection of nondegenerate cells in
         every dimension (hence an isomorphism of simplicial sets)."""
-        for n in self.source.dims():
-            images = set()
-            for cell in self.source.cells(n):
-                img = self._map[cell]
-                if img.is_degenerate():
-                    return False
-                images.add(img.base)
-            if len(images) != self.source.n_cells(n):
-                return False
-            if images != set(self.target.cells(n)):
-                return False
-        return set(self.source.dims()) == set(self.target.dims())
+        return self.is_levelwise_injective() and len(self._codes) == len(self.target._ids)
 
 
 class BisimplicialSet:

@@ -241,8 +241,7 @@ def pushout_inj(f: SimplicialMap, g: SimplicialMap) -> PushoutResult:
         raise ValueError("pushout requires the first leg to be a levelwise injection")
     a, x, y = f.source, f.target, g.target
     # X cell number -> the (mask, Y cell number) that g gives the A cell on it
-    hit = {x.number(f.cell_image(cell).base): y.code(g.cell_image(cell))
-           for _, cell in a.all_cells()}
+    hit = {c: code for (_, c), code in zip(f.codes(), g.codes())}
     cells = {}
     # cell numbers of Y and X -> cell numbers of the pushout
     y_num = [None] * len(y.face_table())
@@ -277,13 +276,11 @@ def pushout_inj(f: SimplicialMap, g: SimplicialMap) -> PushoutResult:
     bp = "y:" + y.basepoint if pointed else None
     space = SimplicialSet(cells, table, pointed=pointed, basepoint=bp)
 
-    from_y = SimplicialMap(y, space, {c: SimplexRef((), "y:" + c) for _, c in y.all_cells()})
-    from_x = SimplicialMap(
-        x, space, {c: space.ref(*translate(0, x.number(c))) for _, c in x.all_cells()}
-    )
-    for _, cell in a.all_cells():
-        if from_x(f.cell_image(cell)) != from_y(g.cell_image(cell)):
-            raise ValidationError("pushout square does not commute on %r" % cell)
+    from_y = SimplicialMap(y, space, [(0, p) for p in y_num])
+    from_x = SimplicialMap(x, space, [translate(0, c) for c in range(len(x_num))])
+    for cell, (fc, gc) in enumerate(zip(f.codes(), g.codes())):
+        if from_x.image_code(*fc) != from_y.image_code(*gc):
+            raise ValidationError("pushout square does not commute on %r" % a.cell_id(cell))
     return PushoutResult(space, from_x, from_y)
 
 
@@ -297,25 +294,23 @@ def pushout_map(legs, u: SimplicialMap, v: SimplicialMap) -> SimplicialMap:
     to u along from_x, that is when the cocone does not commute.
     """
     space, from_x, from_y = legs
-    assignment = {from_y.cell_image(c).base: v.cell_image(c) for _, c in from_y.source.all_cells()}
-    for _, c in from_x.source.all_cells():
-        img = from_x.cell_image(c)
-        if not img.word and img.base not in assignment:
-            assignment[img.base] = u.cell_image(c)
-    induced = SimplicialMap(space, u.target, assignment)
-    for _, c in from_x.source.all_cells():
-        if induced(from_x.cell_image(c)) != u.cell_image(c):
-            raise ValidationError("induced map does not restrict to u on %r" % c)
+    codes = [None] * len(space.face_table())
+    for (_, p), image in zip(from_y.codes(), v.codes()):
+        codes[p] = image
+    for (m, p), image in zip(from_x.codes(), u.codes()):
+        if not m and codes[p] is None:
+            codes[p] = image
+    induced = SimplicialMap(space, u.target, codes)
+    for c, (code, image) in enumerate(zip(from_x.codes(), u.codes())):
+        if induced.image_code(*code) != image:
+            raise ValidationError("induced map does not restrict to u on %r"
+                                  % from_x.source.cell_id(c))
     return induced
 
 
 def quotient(f: SimplicialMap) -> PushoutResult:
     """X/A for a levelwise injection f: A -> X."""
-    pt = point()
-    collapse = SimplicialMap(
-        f.source, pt,
-        {c: SimplexRef(tuple(range(n - 1, -1, -1)), "*") for n, c in f.source.all_cells()},
-    )
+    collapse = SimplicialMap(f.source, point(), [((1 << n) - 1, 0) for n, _ in f.source.all_cells()])
     return pushout_inj(f, collapse)
 
 
@@ -330,8 +325,8 @@ def wedge(x: SimplicialSet, y: SimplicialSet) -> WedgeResult:
     if not (x.pointed and y.pointed):
         raise ValueError("wedge requires pointed spaces")
     pt = point()
-    to_x = SimplicialMap(pt, x, {"*": SimplexRef((), x.basepoint)})
-    to_y = SimplicialMap(pt, y, {"*": SimplexRef((), y.basepoint)})
+    to_x = SimplicialMap(pt, x, [(0, x.number(x.basepoint))])
+    to_y = SimplicialMap(pt, y, [(0, y.number(y.basepoint))])
     space, from_x, from_y = pushout_inj(to_x, to_y)
     return WedgeResult(space, from_x, from_y)
 
@@ -438,6 +433,13 @@ def constant_vertical(x: SimplicialSet) -> BisimplicialSet:
 # invariants
 
 
+def _edge_ends(x: SimplicialSet, e: str) -> tuple:
+    """The source d_1 e and target d_0 e of the edge e, read from the face
+    table."""
+    (_, dst), (_, src) = x.face_table()[x.number(e)]
+    return x.cell_id(src), x.cell_id(dst)
+
+
 def pi0(x: SimplicialSet):
     """Connected components: the coequalizer of the two vertex maps on
     edges, computed by union-find; components are ordered by their first
@@ -452,9 +454,8 @@ def pi0(x: SimplicialSet):
         return v
 
     for e in x.cells(1):
-        a = x.stored_face(e, 0).base
-        b = x.stored_face(e, 1).base
-        ra, rb = find(a), find(b)
+        src, dst = _edge_ends(x, e)
+        ra, rb = find(dst), find(src)
         if ra != rb:
             parent[ra] = rb
     comps = {}
@@ -527,11 +528,7 @@ def _face_arrows(x: SimplicialSet, t: str) -> tuple:
 
 
 def groupoid_presentation(x: SimplicialSet) -> GroupoidPresentation:
-    generators = {}
-    for e in x.cells(1):
-        src = x.stored_face(e, 1).base
-        dst = x.stored_face(e, 0).base
-        generators[e] = (src, dst)
+    generators = {e: _edge_ends(x, e) for e in x.cells(1)}
     relations = [_face_arrows(x, t) for t in x.cells(2)]
     return GroupoidPresentation(tuple(x.cells(0)), generators, tuple(relations))
 
@@ -573,8 +570,7 @@ def pi1_presentation(x: SimplicialSet, base: str) -> GroupPresentation:
     adjacency = {}
     gens = {}
     for e in x.cells(1):
-        src = x.stored_face(e, 1).base
-        dst = x.stored_face(e, 0).base
+        src, dst = _edge_ends(x, e)
         if comp[src] != cidx:
             continue
         gens[e] = (src, dst)
@@ -685,27 +681,21 @@ def chain_map_of(f: SimplicialMap, top: int | None = None) -> ChainMap:
     cx = chains(f.source, normalized=True)
     cy = chains(f.target, normalized=True)
     reduced = f.source.pointed and f.target.pointed
+    src_bp = f.source.number(f.source.basepoint) if reduced else None
+    tgt_bp = f.target.number(f.target.basepoint) if reduced else None
+    codes = f.codes()
     comps = {}
     for n in f.source.dims():
         rows, cols = cy.rank(n), cx.rank(n)
         if rows == 0 or cols == 0:
             continue
-        src_cells = [c for c in f.source.cells(n) if not (reduced and c == f.source.basepoint)]
-        tgt_index = {}
-        i = 0
-        for c in f.target.cells(n):
-            if reduced and c == f.target.basepoint:
-                continue
-            tgt_index[c] = i
-            i += 1
+        src_cells = [c for c in f.source.numbers(n) if c != src_bp]
+        tgt_index = {c: i for i, c in enumerate(c for c in f.target.numbers(n) if c != tgt_bp)}
         entries = []
-        for col, cell in enumerate(src_cells):
-            img = f.cell_image(cell)
-            if img.word:
-                continue
-            row = tgt_index.get(img.base)
-            if row is None:
-                continue
-            entries.append((row, col, 1))
+        for col, c in enumerate(src_cells):
+            mask, image = codes[c]
+            row = None if mask else tgt_index.get(image)
+            if row is not None:
+                entries.append((row, col, 1))
         comps[n] = IntMatrix.from_entries(rows, cols, entries)
     return ChainMap(cx, cy, comps)

@@ -3,7 +3,9 @@
 Everything here is deliberately naive and kept separate from the library
 so that the two sides of each check cannot share a bug: elimination
 without transform bookkeeping, textbook direct-sum arithmetic of
-finitely generated abelian groups, and brute-force enumerations.
+finitely generated abelian groups, brute-force enumerations, and
+simplicial maps kept by name and extended to degenerate simplices by
+rewriting degeneracy words.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from math import gcd
 
 from skernel.complexes import ChainComplex, HomologyGroup
 from skernel.matrices import IntMatrix, kernel_basis, solve_exact
+from skernel.simplicial import SimplexRef
 
 
 def naive_snf_diagonal(m: IntMatrix) -> list:
@@ -175,6 +178,75 @@ def shuffles(p: int, q: int):
         inversions = sum(1 for a in mu for b in nu if a > b)
         out.append((mu, nu, (-1) ** inversions))
     return out
+
+
+def naive_rewrite_degeneracy(word, j):
+    """s_j applied after the degeneracy word `word`, by exhaustive
+    rewriting with s_i s_j = s_{j+1} s_i (i <= j)."""
+    seq = [j] + list(word)  # composition left to right
+    changed = True
+    while changed:
+        changed = False
+        for t in range(len(seq) - 1):
+            a, b = seq[t], seq[t + 1]
+            if a <= b:  # s_a s_b = s_{b+1} s_a for a <= b
+                seq[t], seq[t + 1] = b + 1, a
+                changed = True
+    return tuple(seq)
+
+
+class NamedMap:
+    """A simplicial map in name form: a dict cell id -> SimplexRef of the
+    target, extended to a degenerate simplex s_{i1} ... s_{ik} x by
+    applying s_{ik} first, then the others, to the image of x, each by
+    rewriting.  It shares no code with `SimplicialMap`'s (mask, cell)
+    codes."""
+
+    def __init__(self, source, target, images: dict):
+        self.source, self.target = source, target
+        self.images = {c: SimplexRef(tuple(r[0]), r[1]) for c, r in images.items()}
+
+    @classmethod
+    def identity(cls, space):
+        return cls(space, space, {c: SimplexRef((), c) for _, c in space.all_cells()})
+
+    def __call__(self, ref):
+        word, base = self.images[ref.base]
+        for j in reversed(ref.word):
+            word = naive_rewrite_degeneracy(word, j)
+        return SimplexRef(word, base)
+
+    def compose(self, other):
+        """self after other."""
+        return NamedMap(other.source, self.target,
+                        {c: self(img) for c, img in other.images.items()})
+
+    def preserves_basepoint(self):
+        if not (self.source.pointed and self.target.pointed):
+            return False
+        return self.images[self.source.basepoint].base == self.target.basepoint
+
+    def is_levelwise_injective(self):
+        for n in self.source.dims():
+            seen = set()
+            for cell in self.source.cells(n):
+                img = self.images[cell]
+                if img.word or img in seen:
+                    return False
+                seen.add(img)
+        return True
+
+    def is_cellwise_iso(self):
+        for n in self.source.dims():
+            images = set()
+            for cell in self.source.cells(n):
+                img = self.images[cell]
+                if img.word:
+                    return False
+                images.add(img.base)
+            if len(images) != self.source.n_cells(n) or images != set(self.target.cells(n)):
+                return False
+        return set(self.source.dims()) == set(self.target.dims())
 
 
 # instance generation is not an oracle; share the library's seeded builder

@@ -15,7 +15,21 @@ from skernel.simplicial import (
     mask_of,
     word_of,
 )
-from skernel.spaces import boundary, product, simplex, smash, sphere
+from skernel.generators import random_pointed_space
+from skernel.spaces import (
+    boundary,
+    product,
+    product_pairs,
+    pushout_inj,
+    pushout_map,
+    quotient,
+    simplex,
+    smash,
+    sphere,
+    wedge,
+)
+
+from helpers import NamedMap, naive_rewrite_degeneracy
 
 
 def insert_word(word, j):
@@ -27,20 +41,6 @@ def face_word(word, i):
     """d_i pushed through a word, through the mask rules."""
     prefix, k = mask_face(mask_of(word), i)
     return word_of(prefix), k
-
-
-def naive_rewrite_degeneracy(word, j):
-    """Oracle: apply s_j by exhaustive rewriting with s_i s_j = s_{j+1} s_i."""
-    seq = [j] + list(word)  # composition left to right
-    changed = True
-    while changed:
-        changed = False
-        for t in range(len(seq) - 1):
-            a, b = seq[t], seq[t + 1]
-            if a <= b:  # s_a s_b = s_{b+1} s_a for a <= b
-                seq[t], seq[t + 1] = b + 1, a
-                changed = True
-    return tuple(seq)
 
 
 def test_word_insert_matches_rewriting_oracle():
@@ -331,3 +331,97 @@ def test_collapse_map_is_not_injective():
         {"0": SimplexRef((), "0"), "1": SimplexRef((), "0"), "0.1": SimplexRef((0,), "0")},
     )
     assert not collapse.is_levelwise_injective()
+
+
+def test_code_list_input_names_the_failing_cell():
+    """A map given as its code list is checked like a face-table row:
+    each fault raises a ValidationError naming the cell."""
+    s1, d2 = sphere(1), simplex(2)
+    codes = SimplicialMap.identity(s1).codes()
+    assert codes == [(0, 0), (0, 1)]
+    with pytest.raises(ValidationError, match="map missing image of cell 'c'"):
+        SimplicialMap(s1, s1, codes[:1])
+    with pytest.raises(ValidationError, match="3 images for 2 cells"):
+        SimplicialMap(s1, s1, codes + [(0, 0)])
+    with pytest.raises(ValidationError, match="image of 'c' uses unknown cell 7"):
+        SimplicialMap(s1, s1, [(0, 0), (0, 7)])
+    with pytest.raises(ValidationError, match="image of 'c' has wrong dimension"):
+        SimplicialMap(s1, s1, [(0, 0), (0, 0)])
+    with pytest.raises(ValidationError, match="image of 'c' has a degeneracy index outside 0..0"):
+        SimplicialMap(s1, s1, [(0, 0), (2, 0)])
+    with pytest.raises(ValidationError, match="map missing image of cell 'c'"):
+        SimplicialMap(s1, s1, [(0, 0), None])
+    swapped = list(SimplicialMap.identity(d2).codes())
+    a, b = d2.number("0.1"), d2.number("0.2")
+    swapped[a], swapped[b] = swapped[b], swapped[a]
+    with pytest.raises(ValidationError, match="map does not commute with d_0 on '0.1'"):
+        SimplicialMap(d2, d2, swapped)
+
+
+def _pointed(x, vertex):
+    return SimplicialSet({n: list(x.cells(n)) for n in x.dims()}, x.face_table(),
+                         pointed=True, basepoint=vertex)
+
+
+def _oracle_cases():
+    """(map, NamedMap built from the same names) for identities, wedge
+    legs, folds, product projections and pushout legs of S^1, S^2, the
+    boundary of the 3-simplex and random pointed spaces, and composites
+    of them."""
+    s1 = sphere(1)
+    spaces = [s1, sphere(2), _pointed(boundary(3), "2")]
+    spaces += [random_pointed_space(random.Random(seed)) for seed in range(10)]
+    maps = []
+    for x in spaces:
+        w, ww = wedge(x, s1), wedge(x, x)
+        fold = pushout_map(ww, SimplicialMap.identity(x), SimplicialMap.identity(x))
+        pairs = product_pairs(x, s1)
+        p = product(x, s1)
+        projections = [{c: refs[k] for c, refs in pairs.items()} for k in (1, 2)]
+        q = quotient(w.inl)
+        maps += [SimplicialMap.identity(x), w.inl, w.inr, fold, q.from_x, q.from_y,
+                 fold.compose(ww.inl), q.from_x.compose(w.inr)]
+        maps += [SimplicialMap(p, y, proj) for y, proj in zip((x, s1), projections)]
+        maps += [pushout_inj(w.inl, SimplicialMap.identity(x)).from_y]
+    for f in maps:
+        names = {c: f.cell_image(c) for _, c in f.source.all_cells()}
+        yield f, NamedMap(f.source, f.target, names)
+
+
+def test_maps_by_name_and_by_code_agree_with_the_name_oracle():
+    for f, oracle in _oracle_cases():
+        by_names = SimplicialMap(f.source, f.target, oracle.images)
+        by_codes = SimplicialMap(f.source, f.target,
+                                 [f.target.code(oracle.images[c]) for _, c in f.source.all_cells()])
+        assert by_names == f and by_codes == f
+        ident = SimplicialMap.identity(f.target)
+        composites = [(ident.compose(f), NamedMap.identity(f.target).compose(oracle)),
+                      (f.compose(SimplicialMap.identity(f.source)),
+                       oracle.compose(NamedMap.identity(f.source)))]
+        for n in range(4):
+            for ref in f.source.simplices(n):
+                assert f(ref) == oracle(ref)
+                for g, g_oracle in composites:
+                    assert g(ref) == g_oracle(ref)
+        assert f.is_levelwise_injective() == oracle.is_levelwise_injective()
+        assert f.is_cellwise_iso() == oracle.is_cellwise_iso()
+        assert f.preserves_basepoint() == oracle.preserves_basepoint()
+
+
+def test_composites_agree_with_the_name_oracle():
+    """Composites of wedge legs, folds and quotient maps agree with the
+    oracle's composites on every simplex up to dimension 3."""
+    cases = list(_oracle_cases())
+    checked = 0
+    for f, f_oracle in cases:
+        for g, g_oracle in cases:
+            if g.target is not f.source:
+                continue
+            gf, gf_oracle = f.compose(g), f_oracle.compose(g_oracle)
+            for n in range(4):
+                for ref in g.source.simplices(n):
+                    assert gf(ref) == gf_oracle(ref)
+            assert gf.is_levelwise_injective() == gf_oracle.is_levelwise_injective()
+            assert gf.is_cellwise_iso() == gf_oracle.is_cellwise_iso()
+            checked += 1
+    assert checked >= 50

@@ -25,7 +25,11 @@ It records
     surjections [n] ->> [k] mostly index zero summands, as simplicial
     identities checked per second
     (per object: n(n+1)/2 d_i d_j, (n+1)(n+2)/2 s_i s_j and (n+1)(n+2)
-    d_i s_j identities per level n); their inputs are built untimed.
+    d_i s_j identities per level n); their inputs are built untimed;
+  - homotopy: build + validate of the wrapped S^2 x S^2 truncated at 5,
+    with its counit, and of the mapping cylinder of the identity of
+    S^2 x S^2, with its three maps, as cells per second; S^2 x S^2 is
+    built untimed.
 
 Only the standard library is used; each measurement runs in its own
 subprocess with PYTHONPATH set to the tree's `src`.
@@ -59,14 +63,21 @@ SCALE = {
     "bar_B(free_reduced_Z(S2, D=10))": (
         "simpab", "z = simpab.free_reduced_Z(spaces.sphere(2), 10)", "simpab.bar_B(z)",
         "identities"),
+    "wrap(S2xS2, 5)": (
+        "homotopy", "q = p(spaces.sphere(2), spaces.sphere(2))", "homotopy.wrap(q, 5).space",
+        "cells"),
+    "cylinder(id S2xS2)": (
+        "homotopy", "q = p(spaces.sphere(2), spaces.sphere(2))",
+        "homotopy.cylinder(SimplicialMap.identity(q)).space", "cells"),
 }
 
 BUILD = """
 import json, random, sys, time
 sys.path.insert(0, "perfbench")
 import reference
-from skernel import simpab, spaces
+from skernel import homotopy, simpab, spaces
 from skernel.complexes import ChainComplex
+from skernel.simplicial import SimplicialMap
 p = spaces.product
 {setup}
 t = time.perf_counter()
