@@ -22,7 +22,6 @@ from .complexes import ValidationError, cone
 from .simplicial import BisimplicialSet, SimplexRef, SimplicialMap, SimplicialSet
 from .spaces import (
     _compact,
-    _subset_id,
     arrow_of,
     boundary,
     chain_map_of,
@@ -84,12 +83,14 @@ def _copy_id(tag: str, label: int, cell: str) -> str:
     return "%s%d#%s" % (tag, label, cell)
 
 
-def _labelled_copies(count: int, t: SimplicialSet, tag: str) -> SimplicialSet:
+def _labelled_copies(count: int, t: SimplicialSet, tag: str) -> tuple:
     """Disjoint copies 0..count-1 of t, plus a disjoint basepoint: the
     smash of the discrete pointed set (labels + base) with t made pointed
-    by a free basepoint."""
+    by a free basepoint.  Returns the space and its cell numbers as a dict
+    (label, cell number of t) -> cell number of the copy, in cell-number
+    order; the basepoint is cell 0."""
     cells = {0: ["*"]}
-    number = {}  # (label, cell number of t) -> cell number of its copy
+    number = {}
     for n in t.dims():
         for label in range(count):
             for c in t.numbers(n):
@@ -97,16 +98,16 @@ def _labelled_copies(count: int, t: SimplicialSet, tag: str) -> SimplicialSet:
                 cells.setdefault(n, []).append(_copy_id(tag, label, t.cell_id(c)))
     rows = t.face_table()
     table = [()] + [tuple((m, number[label, b]) for m, b in rows[c]) for label, c in number]
-    return SimplicialSet(cells, table, pointed=True, basepoint="*")
+    return SimplicialSet(cells, table, pointed=True, basepoint="*"), number
 
 
-def _iterated_face(x: SimplicialSet, code: tuple, n: int, keep: tuple) -> SimplexRef:
-    """The face of the n-simplex with (mask, cell) code `code` spanned by
-    the ordered vertex subset `keep`."""
+def _iterated_face(x: SimplicialSet, code: tuple, n: int, keep: tuple) -> tuple:
+    """The (mask, cell) code of the face of the n-simplex with code
+    `code` spanned by the ordered vertex subset `keep`."""
     for v in range(n, -1, -1):
         if v not in keep:
             code = x.face_code(*code, v)
-    return x.ref(*code)
+    return code
 
 
 @dataclass(frozen=True)
@@ -122,34 +123,35 @@ def skeleton_pushout_check(x: SimplicialSet, n: int, trunc_dim: int) -> Skeleton
 
     Builds both sides explicitly (the gluing legs use disjoint copies of
     the (n+1)-simplex and its boundary, one per (n+1)-simplex of x, plus
-    a free basepoint) and reports a cellwise isomorphism.
+    a free basepoint) and reports a cellwise isomorphism.  The four
+    gluing maps are written as code lists: the cells of the wrapped
+    space are numbered like the simplices of x in the counit, and the
+    skeleta keep those numbers.
     """
     if not x.pointed:
         raise ValueError("the skeletal squares are stated for pointed spaces")
     if n + 1 > trunc_dim:
         raise ValueError("need n + 1 <= truncation (got n=%d, truncation=%d)" % (n, trunc_dim))
-    wr = wrap(x, trunc_dim).space
-    sk_lo = skeleton(wr, n)
-    sk_hi = skeleton(wr, n + 1)
+    wr = wrap(x, trunc_dim)
+    cell_of = {code: k for k, code in enumerate(wr.counit.codes())}
+    sk_lo = skeleton(wr.space, n)
+    sk_hi = skeleton(wr.space, n + 1)
     tops = x.simplex_codes(n + 1)
-    bnd = boundary(n + 1)
-    a = _labelled_copies(len(tops), bnd, "a")
-    w = _labelled_copies(len(tops), simplex(n + 1), "w")
+    a, a_number = _labelled_copies(len(tops), boundary(n + 1), "a")
+    w, w_number = _labelled_copies(len(tops), simplex(n + 1), "w")
+    # the vertex subset of each cell of the (n+1)-simplex, by cell number
+    keeps = [keep for size in range(1, n + 3) for keep in combinations(range(n + 2), size)]
     # the copy for tops[label] of the face of the simplex on a vertex
     # subset -> the cell of the wrapped space on those vertices of tops[label]
-    spans = {"*": SimplexRef((), sk_hi.basepoint)}
-    for label, s in enumerate(tops):
-        for size in range(1, n + 3):
-            for keep in combinations(range(n + 2), size):
-                spans[_copy_id("w", label, _subset_id(keep))] = SimplexRef(
-                    (), _compact(_iterated_face(x, s, n + 1, keep)))
-    glued = {"*": "*", **{_copy_id("a", label, c): _copy_id("w", label, c)
-                          for label in range(len(tops)) for _, c in bnd.all_cells()}}
-    include = SimplicialMap(a, w, {c: SimplexRef((), d) for c, d in glued.items()})
-    attach = SimplicialMap(a, sk_lo, {c: spans[d] for c, d in glued.items()})
+    spans = [(0, cell_of[0, x.number(x.basepoint)])] + [
+        (0, cell_of[_iterated_face(x, tops[label], n + 1, keeps[c])]) for label, c in w_number]
+    # the boundary's cells are the simplex's cells without the top one
+    glued = [0] + [w_number[key] for key in a_number]
+    include = SimplicialMap(a, w, [(0, c) for c in glued])
+    attach = SimplicialMap(a, sk_lo, [spans[c] for c in glued])
     po = pushout_inj(include, attach)
     to_hi = SimplicialMap(w, sk_hi, spans)
-    lo_in_hi = SimplicialMap(sk_lo, sk_hi, {c: SimplexRef((), c) for _, c in sk_lo.all_cells()})
+    lo_in_hi = SimplicialMap(sk_lo, sk_hi, [(0, c) for c in range(len(sk_lo.face_table()))])
     try:
         holds = pushout_map(po, to_hi, lo_in_hi).is_cellwise_iso()
     except ValidationError:

@@ -3,9 +3,10 @@
 Everything here is deliberately naive and kept separate from the library
 so that the two sides of each check cannot share a bug: elimination
 without transform bookkeeping, textbook direct-sum arithmetic of
-finitely generated abelian groups, brute-force enumerations, and
+finitely generated abelian groups, brute-force enumerations,
 simplicial maps kept by name and extended to degenerate simplices by
-rewriting degeneracy words.
+rewriting degeneracy words, and the whole Hom complex assembled from
+Kronecker products, with the tower report read off it in every degree.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import random
 from math import gcd
 
-from skernel.complexes import ChainComplex, HomologyGroup
+from skernel.complexes import (ChainComplex, ChainMap, HomologyGroup, TowerReport,
+                               check_quasi_iso, zero_complex)
 from skernel.matrices import IntMatrix, kernel_basis, solve_exact
 from skernel.simplicial import SimplexRef
 
@@ -165,6 +167,79 @@ def kunneth_homology(ha: dict, hb: dict, n: int) -> HomologyGroup:
         if h is not None:
             parts.append(tor_groups(g, h))
     return direct_sum(parts)
+
+
+def kron_hom_complex(k: ChainComplex, l: ChainComplex) -> ChainComplex:
+    """The whole Hom(K, L), each block of each differential a Kronecker
+    product: d_L kron 1 for post-composition, 1 kron d_K^T, times
+    -(-1)^n, for pre-composition.  Same basis as `hom_complex`."""
+    lo = l.min_deg - k.max_deg
+    hi = l.max_deg - k.min_deg
+    blocks = {}
+    ranks = {}
+    for n in range(lo, hi + 1):
+        idx = []
+        total = 0
+        for i in range(k.min_deg, k.max_deg + 1):
+            r = k.rank(i) * l.rank(i + n)
+            if r:
+                idx.append((i, total, r))
+                total += r
+        blocks[n] = idx
+        if total:
+            ranks[n] = total
+    d = {}
+    for n in range(lo + 1, hi + 1):
+        src = blocks[n]
+        tgt = blocks[n - 1]
+        if not src or not tgt:
+            continue
+        tgt_at = {i: off for i, off, _ in tgt}
+        rows = sum(r for _, _, r in tgt)
+        cols = sum(r for _, _, r in src)
+        entries = []
+        sign = -1 if n % 2 else 1
+        for i, coff, _ in src:
+            if i in tgt_at and l.rank(i + n - 1):
+                blk = l.d(i + n).kron(IntMatrix.identity(k.rank(i)))
+                roff = tgt_at[i]
+                entries.extend((roff + a, coff + b, x) for a, b, x in blk.entries())
+            if i + 1 in tgt_at and l.rank(i + n):
+                blk = IntMatrix.identity(l.rank(i + n)).kron(k.d(i + 1).transpose())
+                roff = tgt_at[i + 1]
+                entries.extend((roff + a, coff + b, -sign * x) for a, b, x in blk.entries())
+        d[n] = IntMatrix.from_entries(rows, cols, entries)
+    if not ranks:
+        return zero_complex()
+    return ChainComplex(lo, hi, ranks, d)
+
+
+def kron_tower_report(k: ChainComplex, l: ChainComplex) -> TowerReport:
+    """The tower report from whole Hom complexes: every stage, Hom(K, L)
+    and the stable stage built afresh, and the restriction map checked
+    in every degree before its degree-0 verdict is read."""
+    top = k.max_deg
+    while top > k.min_deg and k.rank(top) == 0:
+        top -= 1
+    stab = top if k.rank(top) else k.min_deg - 1
+    tower = tuple((n, kron_hom_complex(k.truncate_stupid(n), l).homology(0))
+                  for n in range(k.min_deg, k.max_deg + 1))
+    full_hom = kron_hom_complex(k, l)
+    stable_hom = kron_hom_complex(k.truncate_stupid(stab), l)
+    hom_full = full_hom.homology(0)
+    limit_group = stable_hom.homology(0)
+    restriction = ChainMap(full_hom, stable_hom, {
+        n: IntMatrix.identity(full_hom.rank(n))
+        for n in full_hom.degrees() if full_hom.rank(n) == stable_hom.rank(n)})
+    exact = check_quasi_iso(restriction).verdicts[0].isomorphism
+    return TowerReport(
+        stabilization_index=stab,
+        limit_group=limit_group,
+        lim1_vanishes=all(g == limit_group for n, g in tower if n >= stab),
+        hom_full=hom_full,
+        exactness_verified=exact and hom_full == limit_group,
+        tower=tower,
+    )
 
 
 def shuffles(p: int, q: int):

@@ -20,7 +20,8 @@ import skernel.matrices
 from skernel import spaces
 from skernel.matrices import IntMatrix
 
-from helpers import homology_by_presentation, kunneth_homology, random_complex
+from helpers import (homology_by_presentation, kron_hom_complex, kron_tower_report,
+                     kunneth_homology, random_complex)
 
 Z = HomologyGroup(1)
 Z2 = HomologyGroup(0, (2,))
@@ -336,3 +337,61 @@ def test_tower_report_random(rng):
         assert rep.lim1_vanishes
         assert rep.exactness_verified
         assert rep.hom_full == homotopy_class_group(k, l)
+
+
+def _hom_pairs(rng, count):
+    """Seeded (K, L) pairs: random complexes shifted into negative degrees,
+    zero complexes, single-degree complexes, and pairs so far apart that
+    the degrees -1..1 of Hom(K, L) are empty."""
+    def one():
+        r = rng.random()
+        if r < 0.1:
+            return zero_complex()
+        if r < 0.25:
+            return single(rng.randint(1, 3), rng.randint(-3, 3))
+        return random_complex(rng, max_deg=rng.randint(0, 4)).shift(rng.randint(-4, 3))
+
+    pairs = [(one(), one()) for _ in range(count)]
+    k = random_complex(rng)
+    pairs.append((k, random_complex(rng).shift(k.max_deg + 3)))
+    pairs.append((random_complex(rng).shift(k.max_deg + 3), k))
+    pairs.append((mod2_complex(), single(1, 9)))
+    return pairs
+
+
+def test_hom_window_agrees_with_the_kron_reference(rng):
+    far = 0
+    for k, l in _hom_pairs(rng, 150):
+        h, ref = hom_complex(k, l), kron_hom_complex(k, l)
+        assert h == ref
+        for n in ref.degrees():
+            assert h.d(n).nonzeros == ref.d(n).nonzeros
+        assert homotopy_class_group(k, l) == ref.homology(0)
+        assert sigma_tower_report(k, l) == kron_tower_report(k, l)
+        far += all(ref.rank(n) == 0 for n in (-1, 0, 1))
+    assert far >= 3
+
+
+def test_tower_builds_one_window_per_distinct_stage(rng, monkeypatch):
+    builds = []
+    original = skernel.complexes._hom_window
+
+    def counting(k, l, lo, hi):
+        window = original(k, l, lo, hi)
+        builds.append((lo, hi, window.max_deg - window.min_deg))
+        return window
+
+    monkeypatch.setattr(skernel.complexes, "_hom_window", counting)
+    gapped = ChainComplex(0, 3, {0: 1, 3: 2}, {})
+    pairs = _hom_pairs(rng, 40) + [(gapped, single(1, 0)), (zero_complex(), single(1, 0))]
+    for k, l in pairs:
+        del builds[:]
+        rep = sigma_tower_report(k, l)
+        assert 1 <= len(builds) <= len(rep.tower) + 1
+        assert all(hi - lo <= 2 and span <= 2 for lo, hi, span in builds)
+    del builds[:]
+    sigma_tower_report(gapped, single(1, 0))
+    assert len(builds) == 2  # stages 0, 1 and 2 are the same complex
+    del builds[:]
+    homotopy_class_group(gapped, single(1, 0))
+    assert [(lo, hi) for lo, hi, _ in builds] == [(-1, 1)]

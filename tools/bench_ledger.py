@@ -12,9 +12,11 @@ It records
 - claim pairs: `perfbench/run.py --workload WORKLOAD` run in each tree,
   alternating which tree goes first, one pair per seed; each run reports
   ops_per_kcu (throughput in calibration units) and peak_rss_mb;
-- scale rows, the minimum over --runs builds per tree, each build in a
-  fresh interpreter, alternating which tree builds first, so that drift
-  of the machine spreads over both trees:
+- scale rows, the minimum over --runs fresh interpreters per tree,
+  alternating which tree builds first, so that drift of the machine
+  spreads over both trees; each interpreter times the build REPEATS
+  times and reports its minimum, so that builds of a few milliseconds
+  are not mostly noise:
   - simplicial: build + validate of the boundary of the 14-simplex and of
     S^2 x S^2 x S^2 x S^2, as cells per second, with the deterministic
     counts of cells and identities d_i d_j = d_{j-1} d_i checked
@@ -29,7 +31,11 @@ It records
   - homotopy: build + validate of the wrapped S^2 x S^2 truncated at 5,
     with its counit, and of the mapping cylinder of the identity of
     S^2 x S^2, with its three maps, as cells per second; S^2 x S^2 is
-    built untimed.
+    built untimed;
+  - complexes: build of two rank-36 torsion complexes in degrees 0..5
+    (six generators per degree) and the hard-truncation Hom tower
+    report of the pair, as tower stages per second; the complexes'
+    ranks and differentials are generated untimed.
 
 Only the standard library is used; each measurement runs in its own
 subprocess with PYTHONPATH set to the tree's `src`.
@@ -69,29 +75,41 @@ SCALE = {
     "cylinder(id S2xS2)": (
         "homotopy", "q = p(spaces.sphere(2), spaces.sphere(2))",
         "homotopy.cylinder(SimplicialMap.identity(q)).space", "cells"),
+    "sigma_tower_report(torsion rank 36, degrees 0..5)": (
+        "complexes",
+        "k = reference.torsion_complex(random.Random(1), 5, 36)[:2]; "
+        "l = reference.torsion_complex(random.Random(2), 5, 36)[:2]",
+        "sigma_tower_report(ChainComplex(0, 5, *k), ChainComplex(0, 5, *l))", "stages"),
 }
+# timed builds per fresh interpreter; the interpreter reports the fastest
+REPEATS = 5
 
 BUILD = """
 import json, random, sys, time
 sys.path.insert(0, "perfbench")
 import reference
 from skernel import homotopy, simpab, spaces
-from skernel.complexes import ChainComplex
+from skernel.complexes import ChainComplex, sigma_tower_report
 from skernel.simplicial import SimplicialMap
 p = spaces.product
 {setup}
-t = time.perf_counter()
-x = {expr}
-seconds = time.perf_counter() - t
+seconds = []
+for _ in range({repeats}):
+    x = None
+    t = time.perf_counter()
+    x = {expr}
+    seconds.append(time.perf_counter() - t)
+counts = {{}}
 if hasattr(x, "cell_counts"):
-    cells = sum(x.cell_counts().values())
-    identities = sum(len(x.cells(n)) * n * (n + 1) // 2 for n in x.dims() if n >= 2)
+    counts["cells"] = sum(x.cell_counts().values())
+    counts["identities"] = sum(len(x.cells(n)) * n * (n + 1) // 2 for n in x.dims() if n >= 2)
+elif hasattr(x, "tower"):
+    counts["stages"] = len(x.tower)
 else:
-    cells = None
-    identities = (sum(n * (n + 1) // 2 for n in range(2, x.D + 1))
-                  + sum((n + 1) * (n + 2) // 2 for n in range(x.D - 1))
-                  + sum((n + 1) * (n + 2) for n in range(x.D)))
-print(json.dumps({{"seconds": seconds, "cells": cells, "identities": identities}}))
+    counts["identities"] = (sum(n * (n + 1) // 2 for n in range(2, x.D + 1))
+                            + sum((n + 1) * (n + 2) // 2 for n in range(x.D - 1))
+                            + sum((n + 1) * (n + 2) for n in range(x.D)))
+print(json.dumps(dict(counts, seconds=min(seconds))))
 """
 
 
@@ -124,14 +142,15 @@ def scale_rows(trees: dict, runs: int) -> list:
     rows = []
     for label, (layer, setup, expr, counted) in SCALE.items():
         row = {"layer": layer, "name": "build+validate " + label,
-               "unit": counted + "/s", "better": "higher", "runs": runs}
-        code = BUILD.format(setup=setup, expr=expr)
+               "unit": counted + "/s", "better": "higher", "runs": runs,
+               "repeats": REPEATS}
+        code = BUILD.format(setup=setup, expr=expr, repeats=REPEATS)
         seconds = {"parent": [], "change": []}
         for k in range(runs):
             for name in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
                 res = _run(trees[name], [sys.executable, "-c", code])
-                seconds[name].append(res["seconds"])
-                row["cells"], row["identities"] = res["cells"], res["identities"]
+                seconds[name].append(res.pop("seconds"))
+                row.update(res)
         for name, times in seconds.items():
             row[name] = round(row[counted] / min(times), 1)
             row[name + "_min_s"] = round(min(times), 4)
