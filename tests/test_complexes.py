@@ -387,7 +387,7 @@ def test_tower_builds_one_window_per_distinct_stage(rng, monkeypatch):
     for k, l in pairs:
         del builds[:]
         rep = sigma_tower_report(k, l)
-        assert 1 <= len(builds) <= len(rep.tower) + 1
+        assert 1 <= len(builds) <= len(rep.tower)
         assert all(hi - lo <= 2 and span <= 2 for lo, hi, span in builds)
     del builds[:]
     sigma_tower_report(gapped, single(1, 0))

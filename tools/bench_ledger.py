@@ -16,7 +16,10 @@ It records
   alternating which tree builds first, so that drift of the machine
   spreads over both trees; each interpreter times the build REPEATS
   times and reports its minimum, so that builds of a few milliseconds
-  are not mostly noise:
+  are not mostly noise; these are warm timings (the first build fills
+  process-wide caches such as `simplicial.word_of`), so they cannot be
+  compared with the cold, one-build scale rows of BENCH_13.json and
+  earlier ledgers:
   - simplicial: build + validate of the boundary of the 14-simplex and of
     S^2 x S^2 x S^2 x S^2, as cells per second, with the deterministic
     counts of cells and identities d_i d_j = d_{j-1} d_i checked
