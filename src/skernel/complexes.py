@@ -12,6 +12,10 @@ one transform-free Smith reduction per differential, cached on the
 Kernel bases and exact solves, which need the Smith transforms, are
 computed only where a caller consumes the basis itself (truncations and
 the cycles that a chain map is checked on).
+
+Hom is a tensor product: Hom(K, L) = L ox K*, where the dual K* has
+K_{-m} in degree m and differential d_m = (-1)^(m+1) d_K(1-m)^T.  One
+builder, `_tensor_window`, writes every tensor and Hom differential.
 """
 
 from __future__ import annotations
@@ -227,6 +231,14 @@ class ChainComplex:
         d = {m: mat for m, mat in self._d.items() if m <= n}
         return ChainComplex(min(self._min, n), n, ranks, d) if ranks else ChainComplex(0, 0, {}, {})
 
+    def dual(self) -> "ChainComplex":
+        """C*: rank in degree m is rank_C(-m), and d_m = (-1)^(m+1) d_C(1-m)^T,
+        the sign that makes Hom(K, L) = L ox K* on the nose."""
+        ranks = {-n: r for n, r in self._ranks.items()}
+        # d_C(n) becomes d_{1-n}, whose sign (-1)^(2-n) is (-1)^n
+        d = {1 - n: m.transpose().scale(-1 if n % 2 else 1) for n, m in self._d.items()}
+        return ChainComplex(-self._max, -self._min, ranks, d)
+
     def tensor(self, other: "ChainComplex") -> "ChainComplex":
         """Graded tensor product with the Koszul sign:
         d(a ox b) = da ox b + (-1)^|a| a ox db.
@@ -234,47 +246,7 @@ class ChainComplex:
         Degree-n basis is ordered by blocks C_i ox C'_{n-i} with i
         increasing; within a block the Kronecker (row-major) order.
         """
-        lo = self._min + other._min
-        hi = self._max + other._max
-        ranks = {}
-        blocks = {}
-        for n in range(lo, hi + 1):
-            idx = []
-            total = 0
-            for i in range(self._min, self._max + 1):
-                r = self.rank(i) * other.rank(n - i)
-                if r:
-                    idx.append((i, total, r))
-                    total += r
-            blocks[n] = idx
-            if total:
-                ranks[n] = total
-        d = {}
-        for n in range(lo + 1, hi + 1):
-            src = blocks[n]
-            tgt = blocks[n - 1]
-            if not src or not tgt:
-                continue
-            tgt_at = {i: off for i, off, _ in tgt}
-            rows = sum(r for _, _, r in tgt)
-            cols = sum(r for _, _, r in src)
-            entries = []
-            for i, coff, _ in src:
-                j = n - i
-                ra, rb = self.rank(i), other.rank(j)
-                if i - 1 in tgt_at and self.rank(i - 1):
-                    blk = self.d(i).kron(IntMatrix.identity(rb))
-                    roff = tgt_at[i - 1]
-                    entries.extend((roff + a, coff + b, x) for a, b, x in blk.entries())
-                if i in tgt_at and other.rank(j - 1):
-                    sign = -1 if i % 2 else 1
-                    blk = IntMatrix.identity(ra).kron(other.d(j))
-                    roff = tgt_at[i]
-                    entries.extend((roff + a, coff + b, sign * x) for a, b, x in blk.entries())
-            d[n] = IntMatrix.from_entries(rows, cols, entries)
-        if not ranks:
-            return ChainComplex(0, 0, {}, {})
-        return ChainComplex(lo, hi, ranks, d)
+        return _tensor_window(self, other, self._min + other._min, self._max + other._max)
 
 
 def zero_complex() -> ChainComplex:
@@ -433,26 +405,25 @@ def check_quasi_iso(f: ChainMap) -> QuasiIsoReport:
     return QuasiIsoReport(verdicts, all(v.isomorphism for v in verdicts.values()))
 
 
-def _hom_window(k: ChainComplex, l: ChainComplex, lo: int, hi: int) -> ChainComplex:
-    """Degrees lo..hi of Hom(K, L), clipped to its support, with the
+def _tensor_window(a: ChainComplex, b: ChainComplex, lo: int, hi: int) -> ChainComplex:
+    """Degrees lo..hi of A ox B, clipped to its support, with the
     differentials between them; d d = 0 is checked as for any complex.
 
-    The entries are written straight from the nonzeros of d_L and d_K.
-    Source block i of degree n holds f : K_i -> L_{i+n} at index
-    a * rank K_i + b for f[a][b].  Post-composition sends entry (a, b) to
-    (a', b) of target block i with coefficient d_L[a'][a]; pre-composition
-    sends it to (a, b') of target block i + 1 with coefficient
-    -(-1)^n d_K[b][b'].
+    The basis is that of `ChainComplex.tensor`: x ox y of block i sits at
+    index x * rank B_{n-i} + y.  The entries are written straight from the
+    nonzeros of d_A and d_B: d_A ox 1 sends (x, y) to (x', y) of block
+    i - 1 with coefficient d_A[x'][x], and (-1)^i 1 ox d_B sends it to
+    (x, y') of block i with coefficient (-1)^i d_B[y'][y].
     """
-    lo = max(lo, l.min_deg - k.max_deg)
-    hi = min(hi, l.max_deg - k.min_deg)
+    lo = max(lo, a.min_deg + b.min_deg)
+    hi = min(hi, a.max_deg + b.max_deg)
     blocks = {}
     ranks = {}
     for n in range(lo, hi + 1):
         idx = []
         total = 0
-        for i in k.degrees():
-            r = k.rank(i) * l.rank(i + n)
+        for i in a.degrees():
+            r = a.rank(i) * b.rank(n - i)
             if r:
                 idx.append((i, total, r))
                 total += r
@@ -468,19 +439,17 @@ def _hom_window(k: ChainComplex, l: ChainComplex, lo: int, hi: int) -> ChainComp
         if not src or not tgt_at:
             continue
         entries = []
-        sign = -1 if n % 2 else 1
         for i, coff, _ in src:
-            rk = k.rank(i)
+            rb = b.rank(n - i)
+            if i - 1 in tgt_at:
+                roff = tgt_at[i - 1]
+                entries += [(roff + x1 * rb + y, coff + x * rb + y, v)
+                            for x1, x, v in a.d(i).entries() for y in range(rb)]
             if i in tgt_at:
-                # post-composition with d_L : block i -> block i
-                roff = tgt_at[i]
-                entries += [(roff + a1 * rk + b, coff + a * rk + b, x)
-                            for a1, a, x in l.d(i + n).entries() for b in range(rk)]
-            if i + 1 in tgt_at:
-                # pre-composition with d_K : block i -> block i + 1
-                roff, rk1 = tgt_at[i + 1], k.rank(i + 1)
-                entries += [(roff + a * rk1 + b1, coff + a * rk + b, -sign * x)
-                            for b, b1, x in k.d(i + 1).entries() for a in range(l.rank(i + n))]
+                roff, rb1 = tgt_at[i], b.rank(n - i - 1)
+                sign = -1 if i % 2 else 1
+                entries += [(roff + x * rb1 + y1, coff + x * rb + y, sign * v)
+                            for y1, y, v in b.d(n - i).entries() for x in range(a.rank(i))]
         d[n] = IntMatrix.from_entries(ranks[n - 1], ranks[n], entries)
     return ChainComplex(lo, hi, ranks, d)
 
@@ -493,17 +462,18 @@ def hom_complex(k: ChainComplex, l: ChainComplex) -> ChainComplex:
     Basis in degree n: blocks indexed by i increasing; a block is the
     row-major vectorisation of matrices K_i -> L_{i+n}.  Degree-0 cycles
     are chain maps and degree-0 homology is maps modulo chain homotopy.
+    This is L ox K*, basis and signs included, and is built as such.
     """
-    return _hom_window(k, l, l.min_deg - k.max_deg, l.max_deg - k.min_deg)
+    return _tensor_window(l, k.dual(), l.min_deg - k.max_deg, l.max_deg - k.min_deg)
 
 
 def homotopy_class_group(k: ChainComplex, l: ChainComplex) -> HomologyGroup:
     """H_0 of Hom(K, L): chain maps K -> L modulo chain homotopy.
 
     H_0 reads only d_0 and d_1, so only the window of degrees -1..1 of
-    Hom(K, L) is built (and checked for d_0 d_1 = 0).
+    Hom(K, L) = L ox K* is built (and checked for d_0 d_1 = 0).
     """
-    return _hom_window(k, l, -1, 1).homology(0)
+    return _tensor_window(l, k.dual(), -1, 1).homology(0)
 
 
 @dataclass(frozen=True)
@@ -545,7 +515,7 @@ def sigma_tower_report(k: ChainComplex, l: ChainComplex) -> TowerReport:
     window = None
     for n in k.degrees():
         if window is None or k.rank(n):
-            window = _hom_window(k.truncate_stupid(n), l, -1, 1)
+            window = _tensor_window(l, k.truncate_stupid(n).dual(), -1, 1)
         tower.append((n, window.homology(0)))
     full_hom = window
     hom_full = limit_group = full_hom.homology(0)

@@ -575,21 +575,12 @@ def _degeneracy_composite(a: SimplicialAbGroup, start: int, indices) -> IntMatri
     return m
 
 
-def _front_face(a: SimplicialAbGroup, n: int, p: int) -> IntMatrix:
+def _face_composite(a: SimplicialAbGroup, n: int, p: int, front: bool) -> IntMatrix:
+    """The front face A_n -> A_p (d_lvl at each level) or, with front
+    False, the back face (d_0 at each level)."""
     m = IntMatrix.identity(a.rank(n))
-    lvl = n
-    while lvl > p:
-        m = a.face(lvl, lvl) @ m
-        lvl -= 1
-    return m
-
-
-def _back_face(b: SimplicialAbGroup, n: int, q: int) -> IntMatrix:
-    m = IntMatrix.identity(b.rank(n))
-    lvl = n
-    while lvl > q:
-        m = b.face(lvl, 0) @ m
-        lvl -= 1
+    for lvl in range(n, p, -1):
+        m = a.face(lvl, lvl if front else 0) @ m
     return m
 
 
@@ -643,7 +634,8 @@ def ez_maps(a: SimplicialAbGroup, b: SimplicialAbGroup) -> EZPair:
             q = n - p
             if na.rank(p) == 0 or nb.rank(q) == 0:
                 continue
-            block = (pa[p] @ _front_face(a, n, p)).kron(pb[q] @ _back_face(b, n, q))
+            block = (pa[p] @ _face_composite(a, n, p, front=True)).kron(
+                pb[q] @ _face_composite(b, n, q, front=False))
             rows.append(block @ nab_bases[n])
         aw_comps[n] = vstack(rows)
     aw = ChainMap(nab, t, aw_comps)

@@ -20,8 +20,8 @@ import skernel.matrices
 from skernel import spaces
 from skernel.matrices import IntMatrix
 
-from helpers import (homology_by_presentation, kron_hom_complex, kron_tower_report,
-                     kunneth_homology, random_complex)
+from helpers import (homology_by_presentation, kron_hom_complex, kron_tensor,
+                     kron_tower_report, kunneth_homology, random_complex)
 
 Z = HomologyGroup(1)
 Z2 = HomologyGroup(0, (2,))
@@ -372,16 +372,37 @@ def test_hom_window_agrees_with_the_kron_reference(rng):
     assert far >= 3
 
 
+def test_tensor_agrees_with_the_kron_reference(rng):
+    for a, b in _hom_pairs(rng, 150):
+        t, ref = a.tensor(b), kron_tensor(a, b)
+        assert t == ref and repr(t) == repr(ref)
+        for n in ref.degrees():
+            assert t.d(n).nonzeros == ref.d(n).nonzeros
+
+
+def test_dual_mirrors_ranks_and_is_hom_into_the_unit(rng):
+    assert zero_complex().dual() == zero_complex()
+    # d_0 = (-1)^(0+1) d(1)^T
+    assert mod2_complex().dual() == ChainComplex(-1, 0, {-1: 1, 0: 1}, {0: [[-2]]})
+    for k, _ in _hom_pairs(rng, 60):
+        kd = k.dual()
+        assert all(kd.rank(m) == k.rank(-m) for m in range(-k.max_deg - 1, 2 - k.min_deg))
+        assert hom_complex(k, single(1, 0)) == kd
+        negated = ChainComplex(k.min_deg, k.max_deg, {n: k.rank(n) for n in k.degrees()},
+                               {n: k.d(n).scale(-1) for n in k.degrees()})
+        assert kd.dual() == negated
+
+
 def test_tower_builds_one_window_per_distinct_stage(rng, monkeypatch):
     builds = []
-    original = skernel.complexes._hom_window
+    original = skernel.complexes._tensor_window
 
-    def counting(k, l, lo, hi):
-        window = original(k, l, lo, hi)
+    def counting(a, b, lo, hi):
+        window = original(a, b, lo, hi)
         builds.append((lo, hi, window.max_deg - window.min_deg))
         return window
 
-    monkeypatch.setattr(skernel.complexes, "_hom_window", counting)
+    monkeypatch.setattr(skernel.complexes, "_tensor_window", counting)
     gapped = ChainComplex(0, 3, {0: 1, 3: 2}, {})
     pairs = _hom_pairs(rng, 40) + [(gapped, single(1, 0)), (zero_complex(), single(1, 0))]
     for k, l in pairs:

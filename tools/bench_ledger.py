@@ -36,9 +36,10 @@ It records
     S^2 x S^2, with its three maps, as cells per second; S^2 x S^2 is
     built untimed;
   - complexes: build of two rank-36 torsion complexes in degrees 0..5
-    (six generators per degree) and the hard-truncation Hom tower
-    report of the pair, as tower stages per second; the complexes'
-    ranks and differentials are generated untimed.
+    (six generators per degree) and their tensor product, as generators
+    of the product per second, and the hard-truncation Hom tower report
+    of the pair, as tower stages per second; the complexes' ranks and
+    differentials are generated untimed.
 
 Only the standard library is used; each measurement runs in its own
 subprocess with PYTHONPATH set to the tree's `src`.
@@ -78,6 +79,11 @@ SCALE = {
     "cylinder(id S2xS2)": (
         "homotopy", "q = p(spaces.sphere(2), spaces.sphere(2))",
         "homotopy.cylinder(SimplicialMap.identity(q)).space", "cells"),
+    "tensor(torsion rank 36, degrees 0..5)": (
+        "complexes",
+        "k = reference.torsion_complex(random.Random(1), 5, 36)[:2]; "
+        "l = reference.torsion_complex(random.Random(2), 5, 36)[:2]",
+        "ChainComplex(0, 5, *k).tensor(ChainComplex(0, 5, *l))", "generators"),
     "sigma_tower_report(torsion rank 36, degrees 0..5)": (
         "complexes",
         "k = reference.torsion_complex(random.Random(1), 5, 36)[:2]; "
@@ -108,6 +114,8 @@ if hasattr(x, "cell_counts"):
     counts["identities"] = sum(len(x.cells(n)) * n * (n + 1) // 2 for n in x.dims() if n >= 2)
 elif hasattr(x, "tower"):
     counts["stages"] = len(x.tower)
+elif hasattr(x, "total_rank"):
+    counts["generators"] = x.total_rank()
 else:
     counts["identities"] = (sum(n * (n + 1) // 2 for n in range(2, x.D + 1))
                             + sum((n + 1) * (n + 2) // 2 for n in range(x.D - 1))
