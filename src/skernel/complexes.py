@@ -4,10 +4,18 @@ Complexes are homologically graded: the differential in degree n maps
 C_n -> C_{n-1}.  Homology groups are reported as (free rank, torsion
 coefficients) in divisibility order.  Both homology and the
 quasi-isomorphism test come from the invariant factors of differentials,
-one transform-free Smith reduction per differential, cached on the
-(immutable) complex:
+cached on the (immutable) complex:
 
     H_n = Z^(r_n - rk d_n - rk d_{n+1})  +  (factors of d_{n+1} above 1).
+
+The differentials are reduced top-down (Kaczynski-Mrozek-Slusarek): d(n)
+skips its columns p that are pivot rows of unit pivots of d(n+1).  Its
+invariant factors stay: eliminating d(n+1) is a unimodular row operation
+E, and d(n) E^-1 . E d(n+1) = 0.  Right multiplication by E^-1 changes
+only the columns p, and E d(n+1) has a triangular pivot block with +-1
+on its diagonal and zeros elsewhere in the pivot columns.  So the
+columns p of d(n) E^-1 vanish and its others are those of d(n), which
+without the columns p spans the same lattice.
 
 Kernel bases and exact solves, which need the Smith transforms, are
 computed only where a caller consumes the basis itself (truncations and
@@ -22,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .matrices import IntMatrix, hstack, invariant_factors, kernel_basis, solve_exact, vstack
+from .matrices import IntMatrix, _reduce, hstack, invariant_factors, kernel_basis, solve_exact, vstack
 
 
 class ValidationError(ValueError):
@@ -113,6 +121,8 @@ class ChainComplex:
                 diffs[n] = m
         self._d = diffs
         self._factors = {}
+        # the next degree to reduce, top-down, and the rows paired above it
+        self._pending = (max_deg, frozenset())
         # a product with an absent (zero) differential is zero
         for n in sorted(diffs):
             if n + 1 in diffs and not (diffs[n] @ diffs[n + 1]).is_zero():
@@ -159,10 +169,19 @@ class ChainComplex:
         return kernel_basis(self.d(n))
 
     def invariant_factors(self, n: int) -> tuple:
-        """Invariant factors of d(n), reduced once per complex; their
-        count is the rank of d(n)."""
-        if n not in self._factors:
-            self._factors[n] = invariant_factors(self._d[n]) if n in self._d else ()
+        """Invariant factors of d(n); their count is the rank of d(n).
+        The first query in degree n reduces every d(k), k >= n, not yet
+        reduced, top-down (see the module docstring)."""
+        f = self._factors.get(n)
+        if f is not None:
+            return f
+        if n not in self._d:
+            return ()
+        top, paired = self._pending
+        for k in range(top, n - 1, -1):
+            m = self._d.get(k)
+            self._factors[k], paired = _reduce(m, paired) if m is not None else ((), frozenset())
+        self._pending = (n - 1, paired)
         return self._factors[n]
 
     def homology(self, n: int) -> HomologyGroup:
@@ -178,9 +197,6 @@ class ChainComplex:
 
     def homology_all(self) -> dict:
         return {n: self.homology(n) for n in self.degrees()}
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** n * r for n, r in self._ranks.items())
 
     # -- constructions ---------------------------------------------------
 

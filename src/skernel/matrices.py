@@ -19,9 +19,11 @@ Kernels, invariants and exact solves eliminate sparsely too.
 (cycles, Moore bases) and `solve_exact` (normalized differentials, Moore
 projections, good truncations) share one unit-pivot elimination on
 dict-of-rows storage; a solve runs it on [a | b] with pivots in a's
-columns.  Only the residue without a +-1 entry reaches the dense Smith
-loop, which computes no transform for the factors, V for a kernel and U
-and V for a solve.  The dense `smith_normal_form` of a whole matrix, on
+columns.  A complex's homology runs it on each differential without the
+columns that the one above paired, and reads back its pivot rows.  Only
+the residue without a +-1 entry reaches the dense Smith loop, which
+computes no transform for the factors, V for a kernel and U and V for a
+solve.  The dense `smith_normal_form` of a whole matrix, on
 its list workspace, is left to the suite's check of the Smith
 decomposition and to the random complexes in `generators`, which take
 their kernels from the dense Smith V directly: a fixed recipe, so
@@ -406,28 +408,30 @@ def diagonal_of(d: IntMatrix) -> list:
     return [d.at(i, i) for i in range(min(d.rows, d.cols))]
 
 
-def _unit_pivots(m: IntMatrix, pivot_cols: int | None = None):
+def _unit_pivots(m: IntMatrix, pivot_cols: int | None = None, skip=()):
     """Sparse unit-pivot elimination by row operations (Kaczynski-Mrozek-
     Slusarek; Dumas-Saunders-Villard).
 
-    The nonzero rows of m are held as {col: value} dicts with a column ->
-    rows occupancy index, and while some entry is +-1 in one of the first
-    pivot_cols columns (default: all of them) the sparsest such column
-    holding one (ties: lowest column index) is cleared from the other
-    rows with the shortest such row (ties: lowest row index) as pivot.
-    Pivot row and column are then dropped.  Returns (pivots, rows, cols):
-    pivots lists (column, sign, rest of the pivot row) in elimination
-    order, each rest naming only columns still present at its step; rows
-    and cols are the residue, which holds no +-1 entry in a pivot column,
-    keyed by its nonzero rows and nonempty columns.
+    The nonzero rows of m, without the columns in skip, are held as
+    {col: value} dicts with a column -> rows occupancy index, and while
+    some entry is +-1 in one of the first pivot_cols columns (default:
+    all of them) the sparsest such column holding one (ties: lowest
+    column index) is cleared from the other rows with the shortest such
+    row (ties: lowest row index) as pivot.  Pivot row and column are then
+    dropped.  Returns (pivots, rows, cols): pivots lists (row, column,
+    sign, rest of the pivot row) in elimination order, each rest naming
+    only columns still present at its step; rows and cols are the
+    residue, which holds no +-1 entry in a pivot column, keyed by its
+    nonzero rows and nonempty columns.
     """
     limit = m.cols if pivot_cols is None else pivot_cols
     rows = {}
     cols = {}
     for i, (js, xs) in enumerate(m.nonzeros):
-        if js:
-            rows[i] = dict(zip(js, xs))
-            for j in js:
+        row = {j: x for j, x in zip(js, xs) if j not in skip} if skip else dict(zip(js, xs))
+        if row:
+            rows[i] = row
+            for j in row:
                 cols.setdefault(j, set()).add(i)
     pivots = []
     # candidate columns keyed (occupancy, index); an entry is stale once
@@ -471,7 +475,7 @@ def _unit_pivots(m: IntMatrix, pivot_cols: int | None = None):
                     heapq.heappush(heap, (len(cols[j]), j))
             else:
                 del cols[j]
-        pivots.append((q, s, prow))
+        pivots.append((p, q, s, prow))
     return pivots, rows, cols
 
 
@@ -484,6 +488,19 @@ def _residue(rows: dict, keep) -> IntMatrix:
     )
 
 
+def _reduce(m: IntMatrix, skip=()) -> tuple:
+    """(invariant factors, pivot rows) of m with the columns in skip
+    deleted: the factors as in `invariant_factors`, and the set of rows
+    that held a unit pivot."""
+    pivots, rows, cols = _unit_pivots(m, skip=skip)
+    units = (1,) * len(pivots)
+    paired = frozenset(p for p, _, _, _ in pivots)
+    if not rows:
+        return units, paired
+    _, d, _ = smith_normal_form(_residue(rows, sorted(cols)), want_u=False, want_v=False)
+    return units + tuple(x for x in diagonal_of(d) if x), paired
+
+
 def invariant_factors(m: IntMatrix) -> tuple:
     """The nonzero diagonal d1 | d2 | ... of the Smith normal form of m,
     computed without transforms; there are rank(m) of them.
@@ -493,12 +510,7 @@ def invariant_factors(m: IntMatrix) -> tuple:
     residue R left without a unit entry, typically empty or small, goes
     through the dense `smith_normal_form`.
     """
-    pivots, rows, cols = _unit_pivots(m)
-    units = (1,) * len(pivots)
-    if not rows:
-        return units
-    _, d, _ = smith_normal_form(_residue(rows, sorted(cols)), want_u=False, want_v=False)
-    return units + tuple(x for x in diagonal_of(d) if x)
+    return _reduce(m)[0]
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -517,7 +529,7 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     exactly (not a finite-index sublattice).
     """
     pivots, rows, cols = _unit_pivots(m)
-    pivoted = {q for q, _, _ in pivots}
+    pivoted = {q for _, q, _, _ in pivots}
     vectors = [{j: 1} for j in range(m.cols) if j not in pivoted and j not in cols]
     if rows:
         keep = sorted(cols)
@@ -526,7 +538,7 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
         for js, ys in v.transpose().nonzeros[r:]:
             vectors.append({keep[j]: y for j, y in zip(js, ys)})
     for x in vectors:
-        for q, s, prow in reversed(pivots):
+        for _, q, s, prow in reversed(pivots):
             y = -s * sum(x.get(j, 0) * c for j, c in prow.items())
             if y:
                 x[q] = y
@@ -575,7 +587,7 @@ def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
         for t, (js, ys) in enumerate((v @ IntMatrix.from_entries(len(keep), b.cols, y)).nonzeros):
             if js:
                 x[keep[t]] = dict(zip(js, ys))
-    for q, s, prow in reversed(pivots):
+    for _, q, s, prow in reversed(pivots):
         acc = {}
         for j, c in prow.items():
             if j >= n:

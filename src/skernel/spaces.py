@@ -15,7 +15,7 @@ pushout, wedge or quotient comes from `pushout_map`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
@@ -144,8 +144,18 @@ def _compact(ref: SimplexRef) -> str:
     return _word_id(ref.word) + _quote(ref.base)
 
 
+_PAIR = "(%s|%s)"  # a product cell's id from its two simplices' compact ids
+
+
 def pair_id(ra: SimplexRef, rb: SimplexRef) -> str:
-    return "(%s|%s)" % (_compact(ra), _compact(rb))
+    return _PAIR % (_compact(ra), _compact(rb))
+
+
+def _id_and_faces(x: SimplicialSet, mask: int, cell: int, n: int) -> tuple:
+    """The compact id of the n-simplex s_mask cell of x, and its faces
+    d_0 .. d_n as (mask, cell) codes."""
+    faces = tuple(x.face_code(mask, cell, i) for i in range(n + 1)) if n else ()
+    return _compact(x.ref(mask, cell)), faces
 
 
 def _disjoint_masks(n: int, p: int, q: int) -> list:
@@ -185,19 +195,20 @@ def product(x: SimplicialSet, y: SimplicialSet) -> SimplicialSet:
     Nondegenerate n-cells are pairs of simplices (a, b) of dimension n
     whose degeneracy words share no index; faces are computed pairwise
     and renormalised by extracting the common degeneracies, the bits
-    shared by the two masks.
+    shared by the two masks.  Each factor simplex's id and faces are
+    computed once (`cache`), not once per partner.
     """
     codes = _product_codes(x, y)
     number = {code[1:]: k for k, code in enumerate(codes)}
-    x_face, y_face = x.face_code, y.face_code
+    x_simplex, y_simplex = cache(partial(_id_and_faces, x)), cache(partial(_id_and_faces, y))
     cells = {}
     table = []
     for n, a, b, ma, mb in codes:
-        cells.setdefault(n, []).append(pair_id(x.ref(ma, a), y.ref(mb, b)))
+        ida, x_faces = x_simplex(ma, a, n)
+        idb, y_faces = y_simplex(mb, b, n)
+        cells.setdefault(n, []).append(_PAIR % (ida, idb))
         row = []
-        for i in range(n + 1) if n else ():
-            fma, fa = x_face(ma, a, i)
-            fmb, fb = y_face(mb, b, i)
+        for (fma, fa), (fmb, fb) in zip(x_faces, y_faces):
             common = fma & fmb
             if common:
                 fma, fmb = mask_delete(fma, common), mask_delete(fmb, common)

@@ -116,6 +116,40 @@ def group_of_divisors(divs) -> HomologyGroup:
     return HomologyGroup(free, tuple(out))
 
 
+def conjugated_torsion_complex(rng: random.Random, top: int, per: int, moves: int = 2):
+    """A direct sum of pieces Z --k--> Z and free summands Z in degrees
+    0..top, per generators in each degree, with each degree's basis
+    changed by moves * per random elementary operations.  Returns the
+    complex and its homology {degree: group}."""
+    d = {n: [[0] * per for _ in range(per)] for n in range(1, top + 1)}
+    used = [0] * (top + 1)
+    orders = [[] for _ in range(top + 1)]  # orders of the pieces landing in each degree
+    for n in range(top, 0, -1):
+        for _ in range(rng.randint(0, per - max(used[n], used[n - 1]))):
+            k = rng.choice((1, 2, 3, 4, 6))
+            d[n][used[n - 1]][used[n]] = k
+            orders[n - 1].append(k)
+            used[n] += 1
+            used[n - 1] += 1
+    # a unimodular change of basis P per degree, with its inverse Q
+    ps, qs = [], []
+    for _ in range(top + 1):
+        pm = [[int(i == j) for j in range(per)] for i in range(per)]
+        qm = [row[:] for row in pm]
+        for _ in range(moves * per if per > 1 else 0):
+            i, j = rng.sample(range(per), 2)
+            c = rng.choice((-1, 1))
+            pm[i] = [x + c * y for x, y in zip(pm[i], pm[j])]
+            for row in qm:
+                row[j] -= c * row[i]
+        ps.append(IntMatrix.from_rows(pm))
+        qs.append(IntMatrix.from_rows(qm))
+    diffs = {n: ps[n - 1] @ IntMatrix.from_rows(m) @ qs[n] for n, m in d.items()}
+    ranks = {n: per for n in range(top + 1)}
+    homology = {n: group_of_divisors([0] * (per - used[n]) + orders[n]) for n in ranks}
+    return ChainComplex(0, top, ranks, diffs), homology
+
+
 def homology_by_presentation(c: ChainComplex, n: int) -> HomologyGroup:
     """H_n presented on a basis of the cycles: solve the boundaries in
     that basis, then read off the cokernel of the relation matrix.  This

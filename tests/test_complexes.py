@@ -20,8 +20,8 @@ import skernel.matrices
 from skernel import spaces
 from skernel.matrices import IntMatrix
 
-from helpers import (homology_by_presentation, kron_hom_complex, kron_tensor,
-                     kron_tower_report, kunneth_homology, random_complex)
+from helpers import (conjugated_torsion_complex, homology_by_presentation, kron_hom_complex,
+                     kron_tensor, kron_tower_report, kunneth_homology, random_complex)
 
 Z = HomologyGroup(1)
 Z2 = HomologyGroup(0, (2,))
@@ -250,23 +250,103 @@ def test_homology_matches_presentation_reference(rng):
     assert with_torsion
 
 
+def _fresh(c):
+    """A copy of c with nothing reduced yet."""
+    return ChainComplex(c.min_deg, c.max_deg, {n: c.rank(n) for n in c.degrees()},
+                        {n: c.d(n) for n in c.degrees()})
+
+
+def _spying_reductions(monkeypatch):
+    """Record (rows, columns, skipped columns, pivot rows) of every
+    reduction of a differential by a complex."""
+    calls = []
+    original = skernel.complexes._reduce
+
+    def spy(m, skip=frozenset()):
+        factors, paired = original(m, skip)
+        calls.append((m.rows, m.cols, len(skip), len(paired)))
+        return factors, paired
+
+    monkeypatch.setattr(skernel.complexes, "_reduce", spy)
+    return calls
+
+
 def test_homology_reduces_each_nonzero_differential_once(rng, monkeypatch):
     complexes = [boundary_of_tetrahedron(), mod2_complex(), single(2, 1)]
     complexes += [random_complex(rng) for _ in range(10)]
-    calls = []
-    original = skernel.complexes.invariant_factors
-
-    def counting(m):
-        calls.append(m.shape)
-        return original(m)
-
-    monkeypatch.setattr(skernel.complexes, "invariant_factors", counting)
+    calls = _spying_reductions(monkeypatch)
     for c in complexes:
+        nonzero = sum(1 for n in c.degrees() if not c.d(n).is_zero())
         calls.clear()
         c.homology_all()
         c.homology_all()
-        nonzero = sum(1 for n in c.degrees() if not c.d(n).is_zero())
         assert len(calls) == nonzero
+        ascending = _fresh(c)
+        calls.clear()
+        for n in range(c.min_deg - 1, c.max_deg + 2):
+            ascending.homology(n)
+        assert len(calls) == nonzero
+
+
+def _complexes_for_factor_checks(rng):
+    cases = [random_complex(rng, max_deg=rng.randint(0, 5), max_rank=5) for _ in range(40)]
+    cases += [c.shift(rng.randint(-4, 4)) for c in cases[:15]]
+    cases += [c.dual() for c in cases[:15]]
+    cases += [zero_complex(), single(3, 0), single(2, -3), mod2_complex(), boundary_of_tetrahedron()]
+    cases += [conjugated_torsion_complex(rng, rng.randint(1, 4), rng.randint(1, 8))[0]
+              for _ in range(20)]
+    s1, s2 = spaces.sphere(1), spaces.sphere(2)
+    spaces_ = [spaces.boundary(n) for n in range(1, 8)]
+    spaces_ += [spaces.product(spaces.boundary(2), spaces.boundary(3)),
+                spaces.product(spaces.product(s1, s1), s1), spaces.product(s2, s2),
+                spaces.smash(s1, s2).space, spaces.smash(spaces.product(s1, s1), s1).space]
+    return cases + [spaces.chains(x) for x in spaces_]
+
+
+def test_factors_equal_the_matrix_reduction_after_any_query_order(rng):
+    """Reducing top-down and skipping the columns paired above gives each
+    differential's own invariant factors, whichever degree is asked first."""
+    for c in _complexes_for_factor_checks(rng):
+        window = range(c.min_deg - 1, c.max_deg + 2)
+        want = {n: skernel.matrices.invariant_factors(c.d(n)) for n in window}
+        queried = []
+        for n in window:
+            single_query = _fresh(c)
+            single_query.homology(n)
+            queried.append(single_query)
+        all_at_once = _fresh(c)
+        all_at_once.homology_all()
+        ascending = _fresh(c)
+        for n in window:
+            ascending.homology(n)
+        for x in queried + [all_at_once, ascending]:
+            assert {n: x.invariant_factors(n) for n in window} == want, repr(c)
+
+
+def test_conjugated_torsion_homology_is_known(rng):
+    for _ in range(40):
+        c, want = conjugated_torsion_complex(rng, rng.randint(1, 4), rng.randint(2, 8))
+        assert c.homology_all() == want
+
+
+def test_each_differential_skips_the_rows_paired_above(rng, monkeypatch):
+    """d(n) skips exactly as many columns as d(n+1) has unit pivots."""
+    s2 = spaces.sphere(2)
+    cases = [spaces.chains(spaces.boundary(7)), spaces.chains(spaces.product(s2, s2)),
+             boundary_of_tetrahedron()]
+    cases += [random_complex(rng, max_deg=4, max_rank=5) for _ in range(20)]
+    calls = _spying_reductions(monkeypatch)
+    skipped = 0
+    for c in cases:
+        calls.clear()
+        c.homology_all()
+        degrees = [n for n in reversed(c.degrees()) if not c.d(n).is_zero()]
+        assert [call[:2] for call in calls] == [c.d(n).shape for n in degrees]
+        pivots = {n: call[3] for n, call in zip(degrees, calls)}
+        for n, call in zip(degrees, calls):
+            assert call[2] == pivots.get(n + 1, 0)
+            skipped += call[2]
+    assert skipped
 
 
 def test_unit_heavy_homology_needs_no_dense_smith_reduction(monkeypatch):

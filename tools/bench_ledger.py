@@ -39,7 +39,11 @@ It records
     (six generators per degree) and their tensor product, as generators
     of the product per second, and the hard-truncation Hom tower report
     of the pair, as tower stages per second; the complexes' ranks and
-    differentials are generated untimed.
+    differentials are generated untimed; and the homology of the chains
+    of the boundary of the 14-simplex and of S^2 x S^2 x S^2 x S^2, as
+    cells of the space per second: the space is built untimed, and each
+    repeat times `spaces.chains(s).homology_all()`, so it builds and
+    reduces a fresh complex (factors are cached per complex).
 
 Only the standard library is used; each measurement runs in its own
 subprocess with PYTHONPATH set to the tree's `src`.
@@ -89,6 +93,12 @@ SCALE = {
         "k = reference.torsion_complex(random.Random(1), 5, 36)[:2]; "
         "l = reference.torsion_complex(random.Random(2), 5, 36)[:2]",
         "sigma_tower_report(ChainComplex(0, 5, *k), ChainComplex(0, 5, *l))", "stages"),
+    "homology_all(chains(boundary(14)))": (
+        "complexes", "s = spaces.boundary(14)", "spaces.chains(s).homology_all()", "cells"),
+    "homology_all(chains(S2xS2xS2xS2))": (
+        "complexes",
+        "s = p(p(p(spaces.sphere(2), spaces.sphere(2)), spaces.sphere(2)), spaces.sphere(2))",
+        "spaces.chains(s).homology_all()", "cells"),
 }
 # timed builds per fresh interpreter; the interpreter reports the fastest
 REPEATS = 5
@@ -116,6 +126,8 @@ elif hasattr(x, "tower"):
     counts["stages"] = len(x.tower)
 elif hasattr(x, "total_rank"):
     counts["generators"] = x.total_rank()
+elif isinstance(x, dict):  # homology of the untimed space s
+    counts["cells"] = sum(s.cell_counts().values())
 else:
     counts["identities"] = (sum(n * (n + 1) // 2 for n in range(2, x.D + 1))
                             + sum((n + 1) * (n + 2) // 2 for n in range(x.D - 1))
@@ -152,7 +164,8 @@ def claim_pairs(trees: dict, workload: str, pairs: int, seconds: int) -> list:
 def scale_rows(trees: dict, runs: int) -> list:
     rows = []
     for label, (layer, setup, expr, counted) in SCALE.items():
-        row = {"layer": layer, "name": "build+validate " + label,
+        name = label if label.startswith("homology") else "build+validate " + label
+        row = {"layer": layer, "name": name,
                "unit": counted + "/s", "better": "higher", "runs": runs,
                "repeats": REPEATS}
         code = BUILD.format(setup=setup, expr=expr, repeats=REPEATS)
