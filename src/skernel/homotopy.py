@@ -22,6 +22,8 @@ from .complexes import ValidationError, cone
 from .simplicial import BisimplicialSet, SimplexRef, SimplicialMap, SimplicialSet
 from .spaces import (
     _compact,
+    _pair_code,
+    _product_numbering,
     arrow_of,
     boundary,
     chain_map_of,
@@ -32,8 +34,6 @@ from .spaces import (
     pi0,
     pi1_presentation,
     point,
-    product_pair_ref,
-    product_pairs,
     pushout_inj,
     pushout_map,
     simplex,
@@ -172,24 +172,22 @@ def _cylinder_object(k: SimplicialSet):
     interval, and the projection back to k."""
     iv = interval_pointed()
     sm = smash(k, iv)
+    number = _product_numbering(k, iv)
 
     def end_map(vertex: str) -> SimplicialMap:
-        assignment = {}
-        for n, c in k.all_cells():
-            ra = SimplexRef((), c)
-            rb = SimplexRef(tuple(range(n - 1, -1, -1)), vertex)
-            assignment[c] = sm.collapse(product_pair_ref(k, iv, ra, rb))
-        return SimplicialMap(k, sm.space, assignment)
+        v = iv.number(vertex)
+        pairs = (_pair_code(number, 0, c, (1 << n) - 1, v) for n in k.dims() for c in k.numbers(n))
+        return SimplicialMap(k, sm.space, [sm.collapse.image_code(*code) for code in pairs])
 
     # K x I+ is K x I beside K x {*}: project the first onto K and
     # collapse the second, which lies in the wedge, to the basepoint
-    to_k = {c: ra if rb.base != iv.basepoint else k.basepoint_ref(n)
-            for c, (n, ra, rb) in product_pairs(k, iv).items()}
+    kbp, ivbp = k.number(k.basepoint), iv.number(iv.basepoint)
+    to_k = [((1 << mb.bit_count()) - 1, kbp) if b == ivbp else (ma, a) for a, b, ma, mb in number]
     pt = point()
-    legs = (sm.space, sm.collapse,
-            SimplicialMap(pt, sm.space, {"*": SimplexRef((), sm.space.basepoint)}))
-    projection = pushout_map(legs, SimplicialMap(sm.collapse.source, k, to_k),
-                             SimplicialMap(pt, k, {"*": SimplexRef((), k.basepoint)}))
+    to_basepoint = SimplicialMap(pt, sm.space, [(0, sm.space.number(sm.space.basepoint))])
+    projection = pushout_map((sm.space, sm.collapse, to_basepoint),
+                             SimplicialMap(sm.collapse.source, k, to_k),
+                             SimplicialMap(pt, k, [(0, kbp)]))
     return end_map("0"), end_map("1"), projection
 
 

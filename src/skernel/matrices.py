@@ -272,17 +272,6 @@ def vstack(blocks: Iterable[IntMatrix]) -> IntMatrix:
                      tuple(chain.from_iterable(b.nonzeros for b in blocks)))
 
 
-def block_diag(blocks: Iterable[IntMatrix]) -> IntMatrix:
-    blocks = list(blocks)
-    roffs = list(accumulate((b.rows for b in blocks), initial=0))
-    coffs = list(accumulate((b.cols for b in blocks), initial=0))
-    return IntMatrix.from_entries(
-        roffs[-1],
-        coffs[-1],
-        ((r0 + i, c0 + j, x) for b, r0, c0 in zip(blocks, roffs, coffs) for i, j, x in b.entries()),
-    )
-
-
 def _swap_rows(a, i, j):
     a[i], a[j] = a[j], a[i]
 

@@ -32,7 +32,7 @@ from itertools import combinations
 from .complexes import ChainComplex, ChainMap, HomologyGroup, ValidationError, zero_complex
 from .matrices import IntMatrix, hstack, is_unimodular, kernel_basis, solve_exact, vstack
 from .simplicial import SimplicialSet, mask_insert
-from .spaces import product_pair_ref, smash
+from .spaces import _chain_basis, _pair_code, _product_numbering, smash
 
 
 def _columns(m: IntMatrix) -> tuple:
@@ -93,6 +93,22 @@ def _same(lhs: list, rhs: list) -> bool:
     """Whether two column tables are the same map: the encoding is
     canonical, so the lists compare item by item."""
     return lhs == rhs
+
+
+def _broken_operator(psi: dict, source: "SimplicialAbGroup", target: "SimplicialAbGroup"):
+    """The first structure map that the levelwise map psi: source ->
+    target does not intertwine, as ("face", n, i) or ("degeneracy", n, j),
+    or None when target.op o psi[n] = psi[m] o source.op for every face
+    and degeneracy; each side is composed on column tables."""
+    cols = {n: _columns(m) for n, m in psi.items()}
+    ops = [("face", n, i, n - 1, source.face(n, i), target.face(n, i))
+           for n in range(1, source.D + 1) for i in range(n + 1)]
+    ops += [("degeneracy", n, j, n + 1, source.degen(n, j), target.degen(n, j))
+            for n in range(source.D) for j in range(n + 1)]
+    for kind, n, i, m, s, t in ops:
+        if not _same(_compose(_columns(t), cols[n]), _compose(cols[m], _columns(s))):
+            return kind, n, i
+    return None
 
 
 class SimplicialAbGroup:
@@ -330,15 +346,6 @@ def surjection_tuples(n: int, k: int):
     return out
 
 
-def level_summands(n: int):
-    """All order-preserving surjections out of [n], lexicographically."""
-    out = []
-    for k in range(n + 1):
-        out.extend(surjection_tuples(n, k))
-    out.sort()
-    return out
-
-
 def _summands(c: ChainComplex, n: int) -> list:
     """The summands of K(C)_n that exist: the surjections [n] ->> [k]
     with C_k nonzero, lexicographically.  A zero C_k adds nothing to a
@@ -441,19 +448,15 @@ def free_reduced_Z(x: SimplicialSet, trunc_dim: int) -> SimplicialAbGroup:
     with the basepoint simplex divided out, truncated at trunc_dim."""
     if not x.pointed:
         raise ValueError("the free reduced functor needs a pointed space")
-    basis = {}
-    index = {}
-    for n in range(trunc_dim + 1):
-        bp = x.code(x.basepoint_ref(n))
-        items = [s for s in x.simplex_codes(n) if s != bp]
-        basis[n] = items
-        index[n] = {s: i for i, s in enumerate(items)}
-    ranks = [len(basis[n]) for n in range(trunc_dim + 1)]
+    basis = [_chain_basis(x, n, False) for n in range(trunc_dim + 1)]
+    # a code determines its degree, so one index serves every level
+    index = {code: i for codes in basis for i, code in enumerate(codes)}
+    ranks = [len(codes) for codes in basis]
 
     def matrix_of(op, n_src, n_tgt):
         entries = []
         for col, (mask, cell) in enumerate(basis[n_src]):
-            row = index[n_tgt].get(op(mask, cell))
+            row = index.get(op(mask, cell))
             if row is not None:
                 entries.append((row, col, 1))
         return IntMatrix.from_entries(ranks[n_tgt], ranks[n_src], entries)
@@ -479,32 +482,21 @@ def smash_comparison_iso(e: SimplicialSet, f: SimplicialSet, trunc_dim: int) -> 
     lhs = tensor_sab(free_reduced_Z(e, trunc_dim), free_reduced_Z(f, trunc_dim))
     sm = smash(e, f)
     rhs = free_reduced_Z(sm.space, trunc_dim)
+    number = _product_numbering(e, f)
     mats = {}
     for n in range(trunc_dim + 1):
-        ebasis = [s for s in e.simplices(n) if s != e.basepoint_ref(n)]
-        fbasis = [s for s in f.simplices(n) if s != f.basepoint_ref(n)]
-        tbasis = [s for s in sm.space.simplices(n) if s != sm.space.basepoint_ref(n)]
-        tindex = {s: i for i, s in enumerate(tbasis)}
-        cols = len(ebasis) * len(fbasis)
-        if len(tbasis) != cols:
-            raise ValidationError("levelwise ranks differ at level %d" % n)
-        entries = []
-        for ia, ra in enumerate(ebasis):
-            for ib, rb in enumerate(fbasis):
-                img = sm.collapse(product_pair_ref(e, f, ra, rb))
-                entries.append((tindex[img], ia * len(fbasis) + ib, 1))
+        tindex = {code: i for i, code in enumerate(_chain_basis(sm.space, n, False))}
+        fbasis = _chain_basis(f, n, False)
+        rows = [tindex.get(sm.collapse.image_code(*_pair_code(number, ma, a, mb, b)))
+                for ma, a in _chain_basis(e, n, False) for mb, b in fbasis]
         # one entry per column, so a bijection hits every row once
-        if len({i for i, _, _ in entries}) != cols:
+        if len(rows) != len(tindex) or None in rows or len(set(rows)) != len(rows):
             raise ValidationError("comparison is not a bijection at level %d" % n)
-        mats[n] = IntMatrix.from_entries(cols, cols, entries)
-    for n in range(1, trunc_dim + 1):
-        for i in range(n + 1):
-            if rhs.face(n, i) @ mats[n] != mats[n - 1] @ lhs.face(n, i):
-                raise ValidationError("comparison breaks face (%d, %d)" % (n, i))
-    for n in range(trunc_dim):
-        for j in range(n + 1):
-            if rhs.degen(n, j) @ mats[n] != mats[n + 1] @ lhs.degen(n, j):
-                raise ValidationError("comparison breaks degeneracy (%d, %d)" % (n, j))
+        mats[n] = IntMatrix.from_entries(len(rows), len(rows),
+                                         ((r, col, 1) for col, r in enumerate(rows)))
+    broken = _broken_operator(mats, lhs, rhs)
+    if broken:
+        raise ValidationError("comparison breaks %s (%d, %d)" % broken)
     return mats
 
 
@@ -750,12 +742,4 @@ def kn_roundtrip_ok(a: SimplicialAbGroup) -> bool:
         psi[n] = hstack(blocks) if blocks else IntMatrix.zero(a.rank(n), 0)
         if a.rank(n) and not is_unimodular(psi[n]):
             return False
-    for n in range(1, a.D + 1):
-        for i in range(n + 1):
-            if a.face(n, i) @ psi[n] != psi[n - 1] @ kna.face(n, i):
-                return False
-    for n in range(a.D):
-        for j in range(n + 1):
-            if a.degen(n, j) @ psi[n] != psi[n + 1] @ kna.degen(n, j):
-                return False
-    return True
+    return _broken_operator(psi, kna, a) is None

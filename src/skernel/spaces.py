@@ -10,6 +10,13 @@ chains and homology.
 Constructions mint the ids of their cells injectively from the ids they
 are built from, and no code reads an id back apart: a map out of a
 pushout, wedge or quotient comes from `pushout_map`.
+
+Two rules work on (mask, cell) codes and are written once each.  The
+generator rule (`_chain_basis`): degree n of the chains is spanned by the
+nondegenerate cells, or by every simplex, less the codes over the
+basepoint of a pointed space.  The pair rule (`_pair_code`): a pair of
+simplices of X and Y is the product cell numbered by `_product_numbering`
+under the degeneracies the two masks share, with those bits deleted.
 """
 
 from __future__ import annotations
@@ -151,11 +158,13 @@ def pair_id(ra: SimplexRef, rb: SimplexRef) -> str:
     return _PAIR % (_compact(ra), _compact(rb))
 
 
-def _id_and_faces(x: SimplicialSet, mask: int, cell: int, n: int) -> tuple:
-    """The compact id of the n-simplex s_mask cell of x, and its faces
-    d_0 .. d_n as (mask, cell) codes."""
+def _id_and_faces(x: SimplicialSet, mask: int, cell: int) -> tuple:
+    """The dimension n and compact id of the simplex s_mask cell of x, and
+    its faces d_0 .. d_n as (mask, cell) codes."""
+    ref = x.ref(mask, cell)
+    n = x.dim(ref)
     faces = tuple(x.face_code(mask, cell, i) for i in range(n + 1)) if n else ()
-    return _compact(x.ref(mask, cell)), faces
+    return n, _compact(ref), faces
 
 
 def _disjoint_masks(n: int, p: int, q: int) -> list:
@@ -170,22 +179,34 @@ def _disjoint_masks(n: int, p: int, q: int) -> list:
     return out
 
 
-def _product_codes(x: SimplicialSet, y: SimplicialSet) -> list:
-    """(n, a, b, mask_a, mask_b) for every nondegenerate n-cell of
-    product(x, y), in its declaration order: the pair of the simplices
-    s_{mask_a} a of x and s_{mask_b} b of y, whose masks are disjoint."""
-    return sorted((n, a, b, ma, mb) for p in x.dims() for q in y.dims()
-                  for n in range(max(p, q), p + q + 1) for ma, mb in _disjoint_masks(n, p, q)
-                  for a in x.numbers(p) for b in y.numbers(q))
+def _product_numbering(x: SimplicialSet, y: SimplicialSet) -> dict:
+    """(a, b, mask_a, mask_b) -> cell number, for every nondegenerate
+    cell of product(x, y) in its declaration order (by dimension n, then
+    a, b and the masks): the pair of the n-simplices s_{mask_a} a of x and
+    s_{mask_b} b of y, whose masks are disjoint."""
+    codes = sorted((n, a, b, ma, mb) for p in x.dims() for q in y.dims()
+                   for n in range(max(p, q), p + q + 1) for ma, mb in _disjoint_masks(n, p, q)
+                   for a in x.numbers(p) for b in y.numbers(q))
+    return {code[1:]: k for k, code in enumerate(codes)}
+
+
+def _pair_code(number: dict, ma: int, a: int, mb: int, b: int) -> tuple:
+    """The simplex (s_ma a, s_mb b) of the product numbered by `number`,
+    as a (mask, cell) code: the degeneracies the two masks share, over
+    the pair with those bits deleted from both masks."""
+    common = ma & mb
+    if common:
+        ma, mb = mask_delete(ma, common), mask_delete(mb, common)
+    return common, number[a, b, ma, mb]
 
 
 def product_pairs(x: SimplicialSet, y: SimplicialSet) -> dict:
     """cell id -> (ref into x, ref into y), for every nondegenerate cell
     of product(x, y), keyed in the product's declaration order."""
     out = {}
-    for n, a, b, ma, mb in _product_codes(x, y):
+    for a, b, ma, mb in _product_numbering(x, y):
         ra, rb = x.ref(ma, a), y.ref(mb, b)
-        out[pair_id(ra, rb)] = (n, ra, rb)
+        out[pair_id(ra, rb)] = (x.dim(ra), ra, rb)
     return out
 
 
@@ -194,38 +215,22 @@ def product(x: SimplicialSet, y: SimplicialSet) -> SimplicialSet:
 
     Nondegenerate n-cells are pairs of simplices (a, b) of dimension n
     whose degeneracy words share no index; faces are computed pairwise
-    and renormalised by extracting the common degeneracies, the bits
-    shared by the two masks.  Each factor simplex's id and faces are
-    computed once (`cache`), not once per partner.
+    and renormalised by `_pair_code`.  Each factor simplex's id and faces
+    are computed once (`cache`), not once per partner.
     """
-    codes = _product_codes(x, y)
-    number = {code[1:]: k for k, code in enumerate(codes)}
+    number = _product_numbering(x, y)
     x_simplex, y_simplex = cache(partial(_id_and_faces, x)), cache(partial(_id_and_faces, y))
     cells = {}
     table = []
-    for n, a, b, ma, mb in codes:
-        ida, x_faces = x_simplex(ma, a, n)
-        idb, y_faces = y_simplex(mb, b, n)
+    for a, b, ma, mb in number:
+        n, ida, x_faces = x_simplex(ma, a)
+        _, idb, y_faces = y_simplex(mb, b)
         cells.setdefault(n, []).append(_PAIR % (ida, idb))
-        row = []
-        for (fma, fa), (fmb, fb) in zip(x_faces, y_faces):
-            common = fma & fmb
-            if common:
-                fma, fmb = mask_delete(fma, common), mask_delete(fmb, common)
-            row.append((common, number[fa, fb, fma, fmb]))
-        table.append(tuple(row))
+        table.append(tuple([_pair_code(number, fma, fa, fmb, fb)
+                            for (fma, fa), (fmb, fb) in zip(x_faces, y_faces)]))
     pointed = x.pointed and y.pointed
     bp = pair_id(SimplexRef((), x.basepoint), SimplexRef((), y.basepoint)) if pointed else None
     return SimplicialSet(cells, table, pointed=pointed, basepoint=bp)
-
-
-def product_pair_ref(x: SimplicialSet, y: SimplicialSet, ra: SimplexRef, rb: SimplexRef) -> SimplexRef:
-    """The simplex of product(x, y) represented by an arbitrary pair: the
-    degeneracies the two words share, over the pair with them deleted."""
-    ma, mb = mask_of(ra.word), mask_of(rb.word)
-    common = ma & mb
-    return SimplexRef(word_of(common), pair_id(SimplexRef(word_of(mask_delete(ma, common)), ra.base),
-                                               SimplexRef(word_of(mask_delete(mb, common)), rb.base)))
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +356,10 @@ def smash(x: SimplicialSet, y: SimplicialSet) -> SmashResult:
     """(X x Y) / (X v Y) as a pointed simplicial set."""
     if not (x.pointed and y.pointed):
         raise ValueError("smash requires pointed spaces")
-    prod = product(x, y)
-    along_x = {c: product_pair_ref(x, y, SimplexRef((), c), y.basepoint_ref(n))
-               for n, c in x.all_cells()}
-    along_y = {c: product_pair_ref(x, y, x.basepoint_ref(n), SimplexRef((), c))
-               for n, c in y.all_cells()}
+    prod, number = product(x, y), _product_numbering(x, y)
+    xbp, ybp = x.number(x.basepoint), y.number(y.basepoint)
+    along_x = [_pair_code(number, 0, c, (1 << n) - 1, ybp) for n in x.dims() for c in x.numbers(n)]
+    along_y = [_pair_code(number, (1 << n) - 1, xbp, 0, c) for n in y.dims() for c in y.numbers(n)]
     include = pushout_map(wedge(x, y), SimplicialMap(x, prod, along_x),
                           SimplicialMap(y, prod, along_y))
     result = quotient(include)
@@ -430,14 +434,6 @@ def external_product(x: SimplicialSet, y: SimplicialSet) -> BisimplicialSet:
     pointed = x.pointed and y.pointed
     bp = pair_id(SimplexRef((), x.basepoint), SimplexRef((), y.basepoint)) if pointed else None
     return BisimplicialSet(cells, hfaces, vfaces, pointed=pointed, basepoint=bp)
-
-
-def constant_vertical(x: SimplicialSet) -> BisimplicialSet:
-    """The bisimplicial set that is X in the horizontal direction and
-    constant vertically; its diagonal is X again."""
-    hfaces = [tuple((m, 0, f) for m, f in row) for row in x.face_table()]
-    return BisimplicialSet({(p, 0): x.cells(p) for p in x.dims()}, hfaces, [()] * len(hfaces),
-                           pointed=x.pointed, basepoint=x.basepoint)
 
 
 # ---------------------------------------------------------------------------
@@ -622,58 +618,52 @@ def pi1_presentation(x: SimplicialSet, base: str) -> GroupPresentation:
 # chains and homology
 
 
+def _chain_basis(x: SimplicialSet, n: int, normalized: bool) -> list:
+    """The generators of degree n of the chains of x, as (mask, cell)
+    codes: the nondegenerate cells (0, c) when normalized, every
+    n-simplex otherwise.  A pointed x drops the codes over its basepoint,
+    which leaves its reduced chains."""
+    codes = [(0, c) for c in x.numbers(n)] if normalized else x.simplex_codes(n)
+    if x.pointed:
+        bp = x.number(x.basepoint)
+        codes = [code for code in codes if code[1] != bp]
+    return codes
+
+
 def chains(x: SimplicialSet, normalized: bool = True, cap: int | None = None) -> ChainComplex:
     """The chain complex of a simplicial set.
 
-    Normalized: one generator per nondegenerate cell, faces that become
-    degenerate (face table entries with a nonzero mask) are dropped.
-    Unnormalized: one generator per simplex up to the dimension cap,
-    which is mandatory because degenerate simplices exist in every
-    dimension.  Pointed spaces yield reduced chains (the
-    basepoint chain subcomplex is divided out).
+    Normalized: one generator per nondegenerate cell.  Unnormalized: one
+    generator per simplex up to the dimension cap, which is mandatory
+    because degenerate simplices exist in every dimension.  Pointed
+    spaces yield reduced chains (the basepoint chain subcomplex is
+    divided out).  Generators come from `_chain_basis`, and a face that
+    is not a generator (a degenerate face of normalized chains, or the
+    basepoint) drops out.
     """
-    reduced = x.pointed
-    if normalized:
-        top = x.top_dim()
-        if top < 0:
-            return zero_complex()
-        basis = {n: list(x.cells(n)) for n in range(top + 1)}
-    else:
-        if cap is None:
-            raise ValueError("unnormalized chains require a dimension cap")
-        top = cap
-        basis = {n: x.simplex_codes(n) for n in range(top + 1)}
-    for n, items in basis.items():
-        drop = None
-        if reduced:
-            drop = x.basepoint if normalized else x.code(x.basepoint_ref(n))
-        basis[n] = [it for it in items if it != drop]
-    ranks = {n: len(items) for n, items in basis.items() if items}
-    if normalized:
-        table = x.face_table()
-        row_of = [None] * len(table)  # cell number -> row in its degree
-        for items in basis.values():
-            for row, c in enumerate(items):
-                row_of[x.number(c)] = row
-    else:
-        index = {n: {it: i for i, it in enumerate(items)} for n, items in basis.items()}
-    d = {}
-    for n in range(1, top + 1):
-        rows, cols = len(basis.get(n - 1, ())), len(basis.get(n, ()))
-        if rows == 0 or cols == 0:
-            continue
-        entries = []
-        for col, item in enumerate(basis[n]):
-            if normalized:
-                face_rows = [None if mask else row_of[b] for mask, b in table[x.number(item)]]
-            else:
-                face_rows = [index[n - 1].get(x.face_code(*item, i)) for i in range(n + 1)]
-            for i, row in enumerate(face_rows):
-                if row is not None:
-                    entries.append((row, col, -1 if i % 2 else 1))
-        d[n] = IntMatrix.from_entries(rows, cols, entries)
+    if not normalized and cap is None:
+        raise ValueError("unnormalized chains require a dimension cap")
+    top = x.top_dim() if normalized else cap
+    basis = [_chain_basis(x, n, normalized) for n in range(top + 1)]
+    ranks = {n: len(codes) for n, codes in enumerate(basis) if codes}
     if not ranks:
         return zero_complex()
+    # a code's degree is its cell's dimension plus its mask's bit count,
+    # so one index serves every degree
+    index = {code: row for codes in basis for row, code in enumerate(codes)}
+    table, face_code = x.face_table(), x.face_code
+    d = {}
+    for n in range(1, top + 1):
+        if not basis[n - 1] or not basis[n]:
+            continue
+        entries = []
+        for col, (mask, c) in enumerate(basis[n]):
+            faces = [face_code(mask, c, i) for i in range(n + 1)] if mask else table[c]
+            for i, face in enumerate(faces):
+                row = index.get(face)
+                if row is not None:
+                    entries.append((row, col, -1 if i % 2 else 1))
+        d[n] = IntMatrix.from_entries(len(basis[n - 1]), len(basis[n]), entries)
     return ChainComplex(0, top, ranks, d)
 
 
@@ -686,27 +676,21 @@ def euler_characteristic(x: SimplicialSet) -> int:
     return sum((-1) ** n * x.n_cells(n) for n in x.dims())
 
 
-def chain_map_of(f: SimplicialMap, top: int | None = None) -> ChainMap:
-    """The induced map of normalized chain complexes (reduced on both
-    sides when source and target are pointed)."""
-    cx = chains(f.source, normalized=True)
-    cy = chains(f.target, normalized=True)
-    reduced = f.source.pointed and f.target.pointed
-    src_bp = f.source.number(f.source.basepoint) if reduced else None
-    tgt_bp = f.target.number(f.target.basepoint) if reduced else None
+def chain_map_of(f: SimplicialMap) -> ChainMap:
+    """The induced map of normalized chain complexes, each side reduced
+    when it is pointed: a cell whose image is degenerate, or is the
+    basepoint of a pointed target, goes to zero."""
+    cx, cy = chains(f.source), chains(f.target)
     codes = f.codes()
     comps = {}
     for n in f.source.dims():
-        rows, cols = cy.rank(n), cx.rank(n)
-        if rows == 0 or cols == 0:
+        if not cx.rank(n) or not cy.rank(n):
             continue
-        src_cells = [c for c in f.source.numbers(n) if c != src_bp]
-        tgt_index = {c: i for i, c in enumerate(c for c in f.target.numbers(n) if c != tgt_bp)}
+        index = {code: row for row, code in enumerate(_chain_basis(f.target, n, True))}
         entries = []
-        for col, c in enumerate(src_cells):
-            mask, image = codes[c]
-            row = None if mask else tgt_index.get(image)
+        for col, (_, c) in enumerate(_chain_basis(f.source, n, True)):
+            row = index.get(codes[c])
             if row is not None:
                 entries.append((row, col, 1))
-        comps[n] = IntMatrix.from_entries(rows, cols, entries)
+        comps[n] = IntMatrix.from_entries(cy.rank(n), cx.rank(n), entries)
     return ChainMap(cx, cy, comps)

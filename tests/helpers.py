@@ -7,18 +7,26 @@ finitely generated abelian groups, brute-force enumerations,
 simplicial maps kept by name and extended to degenerate simplices by
 rewriting degeneracy words, and the whole tensor and Hom complexes
 assembled from Kronecker products, with the tower report read off the
-Hom complex in every degree.
+Hom complex in every degree.  The chains of a simplicial set, the
+smash inclusions and the cylinder maps are also kept as they were built
+by name, through `product_pair_ref`, before the library moved them onto
+(mask, cell) codes.  Last, the few builders that only tests use.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from math import gcd
 
 from skernel.complexes import (ChainComplex, ChainMap, HomologyGroup, TowerReport,
                                check_quasi_iso, zero_complex)
 from skernel.matrices import IntMatrix, kernel_basis, solve_exact
-from skernel.simplicial import SimplexRef
+from skernel.simpab import surjection_tuples
+from skernel.simplicial import (BisimplicialSet, SimplexRef, SimplicialMap, mask_delete,
+                                mask_of, word_of)
+from skernel.spaces import (SmashResult, interval_pointed, pair_id, point, product, product_pairs,
+                            pushout_map, quotient, smash, wedge)
 
 
 def naive_snf_diagonal(m: IntMatrix) -> list:
@@ -404,6 +412,134 @@ class NamedMap:
             if len(images) != self.source.n_cells(n) or images != set(self.target.cells(n)):
                 return False
         return set(self.source.dims()) == set(self.target.dims())
+
+
+def named_chains(x, normalized: bool = True, cap: int | None = None) -> ChainComplex:
+    """The chains of a simplicial set as `spaces.chains` built them by
+    name: normalized generators are cell ids, faces are looked up
+    through a cell-number -> row list, and the reduced basis drops the
+    basepoint by id (normalized) or by its degenerate code."""
+    reduced = x.pointed
+    if normalized:
+        top = x.top_dim()
+        if top < 0:
+            return zero_complex()
+        basis = {n: list(x.cells(n)) for n in range(top + 1)}
+    else:
+        if cap is None:
+            raise ValueError("unnormalized chains require a dimension cap")
+        top = cap
+        basis = {n: x.simplex_codes(n) for n in range(top + 1)}
+    for n, items in basis.items():
+        drop = None
+        if reduced:
+            drop = x.basepoint if normalized else x.code(x.basepoint_ref(n))
+        basis[n] = [it for it in items if it != drop]
+    ranks = {n: len(items) for n, items in basis.items() if items}
+    if normalized:
+        table = x.face_table()
+        row_of = [None] * len(table)  # cell number -> row in its degree
+        for items in basis.values():
+            for row, c in enumerate(items):
+                row_of[x.number(c)] = row
+    else:
+        index = {n: {it: i for i, it in enumerate(items)} for n, items in basis.items()}
+    d = {}
+    for n in range(1, top + 1):
+        rows, cols = len(basis.get(n - 1, ())), len(basis.get(n, ()))
+        if rows == 0 or cols == 0:
+            continue
+        entries = []
+        for col, item in enumerate(basis[n]):
+            if normalized:
+                face_rows = [None if mask else row_of[b] for mask, b in table[x.number(item)]]
+            else:
+                face_rows = [index[n - 1].get(x.face_code(*item, i)) for i in range(n + 1)]
+            for i, row in enumerate(face_rows):
+                if row is not None:
+                    entries.append((row, col, -1 if i % 2 else 1))
+        d[n] = IntMatrix.from_entries(rows, cols, entries)
+    if not ranks:
+        return zero_complex()
+    return ChainComplex(0, top, ranks, d)
+
+
+def product_pair_ref(x, y, ra: SimplexRef, rb: SimplexRef) -> SimplexRef:
+    """The simplex of product(x, y) represented by an arbitrary pair: the
+    degeneracies the two words share, over the pair with them deleted,
+    named by the product's minted id."""
+    ma, mb = mask_of(ra.word), mask_of(rb.word)
+    common = ma & mb
+    return SimplexRef(word_of(common), pair_id(SimplexRef(word_of(mask_delete(ma, common)), ra.base),
+                                               SimplexRef(word_of(mask_delete(mb, common)), rb.base)))
+
+
+def named_smash(x, y) -> SmashResult:
+    """`spaces.smash` with the wedge inclusions into the product built by
+    name."""
+    prod = product(x, y)
+    along_x = {c: product_pair_ref(x, y, SimplexRef((), c), y.basepoint_ref(n))
+               for n, c in x.all_cells()}
+    along_y = {c: product_pair_ref(x, y, x.basepoint_ref(n), SimplexRef((), c))
+               for n, c in y.all_cells()}
+    include = pushout_map(wedge(x, y), SimplicialMap(x, prod, along_x),
+                          SimplicialMap(y, prod, along_y))
+    result = quotient(include)
+    return SmashResult(result.space, result.from_x)
+
+
+def named_cylinder_object(k):
+    """`homotopy._cylinder_object` built by name: the two end inclusions
+    of k into k smashed with the pointed interval, and the projection
+    back to k."""
+    iv = interval_pointed()
+    sm = smash(k, iv)
+
+    def end_map(vertex: str) -> SimplicialMap:
+        assignment = {}
+        for n, c in k.all_cells():
+            ra = SimplexRef((), c)
+            rb = SimplexRef(tuple(range(n - 1, -1, -1)), vertex)
+            assignment[c] = sm.collapse(product_pair_ref(k, iv, ra, rb))
+        return SimplicialMap(k, sm.space, assignment)
+
+    to_k = {c: ra if rb.base != iv.basepoint else k.basepoint_ref(n)
+            for c, (n, ra, rb) in product_pairs(k, iv).items()}
+    pt = point()
+    legs = (sm.space, sm.collapse,
+            SimplicialMap(pt, sm.space, {"*": SimplexRef((), sm.space.basepoint)}))
+    projection = pushout_map(legs, SimplicialMap(sm.collapse.source, k, to_k),
+                             SimplicialMap(pt, k, {"*": SimplexRef((), k.basepoint)}))
+    return end_map("0"), end_map("1"), projection
+
+
+def block_diag(blocks) -> IntMatrix:
+    """The block-diagonal matrix of the given blocks."""
+    blocks = list(blocks)
+    roffs = list(accumulate((b.rows for b in blocks), initial=0))
+    coffs = list(accumulate((b.cols for b in blocks), initial=0))
+    return IntMatrix.from_entries(
+        roffs[-1],
+        coffs[-1],
+        ((r0 + i, c0 + j, x) for b, r0, c0 in zip(blocks, roffs, coffs) for i, j, x in b.entries()),
+    )
+
+
+def level_summands(n: int):
+    """All order-preserving surjections out of [n], lexicographically."""
+    out = []
+    for k in range(n + 1):
+        out.extend(surjection_tuples(n, k))
+    out.sort()
+    return out
+
+
+def constant_vertical(x) -> BisimplicialSet:
+    """The bisimplicial set that is X in the horizontal direction and
+    constant vertically; its diagonal is X again."""
+    hfaces = [tuple((m, 0, f) for m, f in row) for row in x.face_table()]
+    return BisimplicialSet({(p, 0): x.cells(p) for p in x.dims()}, hfaces, [()] * len(hfaces),
+                           pointed=x.pointed, basepoint=x.basepoint)
 
 
 # instance generation is not an oracle; share the library's seeded builder

@@ -322,3 +322,18 @@ def test_certificate_reports_differing_hom_counts(monkeypatch):
     assert len(calls) == 2
     assert cert.contradiction == "hom counts into groups of order 4 differ"
     assert not cert.passed
+
+
+def test_cylinder_maps_equal_the_maps_built_by_name():
+    """The cylinder ends and projection, now code lists from the
+    product's numbering, equal the maps built by name through
+    `product_pair_ref`."""
+    from helpers import named_cylinder_object
+    from skernel.homotopy import _cylinder_object
+    from skernel.spaces import product
+
+    rng = random.Random(11)
+    spaces = [sphere(1), sphere(2), product(sphere(1), sphere(1))]
+    spaces += [random_pointed_space(rng) for _ in range(6)]
+    for k in spaces:
+        assert _cylinder_object(k) == named_cylinder_object(k)

@@ -7,7 +7,6 @@ import skernel.matrices
 from skernel.complexes import ChainComplex, HomologyGroup, group_from_presentation
 from skernel.matrices import (
     IntMatrix,
-    block_diag,
     diagonal_of,
     hstack,
     invariant_factors,
@@ -20,7 +19,7 @@ from skernel.matrices import (
 from skernel.simpab import bar_B, dold_kan_K, free_reduced_Z, moore_basis
 from skernel.spaces import sphere
 
-from helpers import naive_snf_diagonal, random_complex
+from helpers import block_diag, naive_snf_diagonal, random_complex
 
 
 def M(rows):

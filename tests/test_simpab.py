@@ -5,7 +5,7 @@ import pytest
 
 import skernel.simpab
 from skernel.complexes import ChainComplex, HomologyGroup, ValidationError, single
-from skernel.matrices import IntMatrix, block_diag
+from skernel.matrices import IntMatrix
 from skernel.simpab import (
     EZPair,
     SimplicialAbGroup,
@@ -16,7 +16,6 @@ from skernel.simpab import (
     free_reduced_Z,
     horn_filler,
     kn_roundtrip_ok,
-    level_summands,
     moore_basis,
     moore_projection,
     nk_roundtrip_iso,
@@ -28,7 +27,8 @@ from skernel.simpab import (
 )
 from skernel.spaces import smash, sphere, suspension
 
-from helpers import kunneth_homology, random_complex, shuffles
+from helpers import (block_diag, kunneth_homology, level_summands, product_pair_ref, random_complex,
+                     shuffles)
 
 Z = HomologyGroup(1)
 TRIV = HomologyGroup(0)
@@ -387,8 +387,6 @@ def test_zreduced_smash_monoidality():
         rhs = free_reduced_Z(smash(e, f).space, d)
         assert lhs.ranks() == rhs.ranks()
         # the canonical basis bijection intertwines every structure map
-        from skernel.spaces import product_pair_ref
-
         sm = smash(e, f)
         mats = {}
         for n in range(d + 1):
@@ -593,3 +591,22 @@ def test_verifiers_normalize_each_object_once(monkeypatch):
                         lambda *args: builds.append(args) or original_k(*args))
     assert kn_roundtrip_ok(b)
     assert len(builds) == 1
+
+
+def test_intertwining_check_finds_a_permutation_that_breaks_a_face():
+    """The smash comparison's levels are permutation matrices; swapping
+    two columns of one level keeps it a bijection but breaks a face or
+    degeneracy, which the column-table check names."""
+    from skernel.simpab import _broken_operator, smash_comparison_iso
+
+    e = f = sphere(1)
+    mats = smash_comparison_iso(e, f, 3)
+    lhs = tensor_sab(free_reduced_Z(e, 3), free_reduced_Z(f, 3))
+    rhs = free_reduced_Z(smash(e, f).space, 3)
+    assert _broken_operator(mats, lhs, rhs) is None
+    swap = list(range(mats[2].cols))
+    swap[0], swap[1] = 1, 0
+    broken = dict(mats)
+    broken[2] = IntMatrix.from_entries(mats[2].rows, mats[2].cols,
+                                       ((r, swap[c], x) for r, c, x in mats[2].entries()))
+    assert _broken_operator(broken, lhs, rhs) is not None

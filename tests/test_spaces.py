@@ -4,12 +4,12 @@ import re
 import pytest
 
 from skernel.complexes import HomologyGroup, ValidationError
+from skernel.matrices import IntMatrix
 from skernel.simplicial import BisimplicialSet, SimplexRef, SimplicialMap, SimplicialSet
 from skernel.spaces import (
     boundary,
     chains,
     chain_map_of,
-    constant_vertical,
     diagonal,
     euler_characteristic,
     external_product,
@@ -32,6 +32,8 @@ from skernel.spaces import (
     suspension,
     wedge,
 )
+
+from helpers import constant_vertical
 
 Z = HomologyGroup(1)
 Z2 = HomologyGroup(0, (2,))
@@ -486,3 +488,105 @@ def test_chain_map_of_collapse():
     from skernel.complexes import check_quasi_iso
 
     assert check_quasi_iso(cm).is_quasi_iso
+
+
+def _same_chains(a, b) -> bool:
+    """Equal ranks and differentials; `repr` of the nonzeros also tells an
+    int entry from an equal float."""
+    degrees = range(min(a.min_deg, b.min_deg), max(a.max_deg, b.max_deg) + 1)
+    return ([a.rank(n) for n in degrees] == [b.rank(n) for n in degrees]
+            and repr([a.d(n).nonzeros for n in degrees]) == repr([b.d(n).nonzeros for n in degrees]))
+
+
+def _homology_large_spaces() -> list:
+    """The spaces whose chains the benchmark's homology-large workload
+    reduces."""
+    bd, sph, prod = boundary, sphere, product
+    t2 = lambda: prod(sph(1), sph(1))
+    return [bd(n) for n in range(2, 10)] + [sph(k) for k in range(1, 5)] + [
+        smash(sph(1), sph(1)).space, suspension(sph(1), 1), prod(bd(2), bd(2)), prod(bd(2), bd(3)),
+        prod(bd(3), bd(3)), prod(bd(2), bd(4)), prod(bd(3), sph(1)), prod(bd(3), sph(2)),
+        prod(sph(2), sph(3)), prod(t2(), sph(1)), prod(prod(t2(), sph(1)), sph(1)),
+        prod(prod(sph(2), sph(2)), sph(2)), smash(sph(1), sph(2)).space,
+        smash(sph(2), sph(3)).space, smash(t2(), sph(1)).space, smash(t2(), t2()).space,
+        suspension(sph(2), 2), suspension(t2(), 1), suspension(sph(1), 3),
+        suspension(prod(t2(), sph(1)), 2),
+    ]
+
+
+def _spaces_the_suite_builds(monkeypatch) -> list:
+    """Every simplicial set that run_suite builds at seed 0, both sizes."""
+    from skernel.suite import run_suite
+
+    built = []
+    validate = SimplicialSet._validate
+
+    def record(self):
+        validate(self)
+        built.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(SimplicialSet, "_validate", record)
+        for size in ("small", "medium"):
+            assert run_suite(0, size)[1]
+    return built
+
+
+def _random_spaces(count: int) -> list:
+    """Seeded random spaces of dimension at most two, every other one
+    unpointed."""
+    rng = random.Random(18)
+    out = []
+    for k in range(count):
+        x = random_pointed_space(rng, rng.randint(1, 3), rng.randint(2, 6), rng.randint(0, 3))
+        out.append(SimplicialSet({n: list(x.cells(n)) for n in x.dims()}, x.face_table())
+                   if k % 2 else x)
+    return out
+
+
+def test_chains_equal_the_named_chains(monkeypatch):
+    """`chains` on (mask, cell) codes builds the same complexes, entry
+    for entry, as the name-based builder it replaced: normalized and
+    unnormalized, reduced and not, with degenerate and basepoint faces."""
+    from helpers import named_chains
+
+    t2 = product(sphere(1), sphere(1))
+    named = [point(), sphere(0), simplex(0), horn(3, 1), interval_pointed(), t2,
+             wedge(sphere(1), sphere(2)).space, smash(t2, sphere(1)).space,
+             SimplicialSet({}, {})]
+    spaces = (named + _homology_large_spaces() + _spaces_the_suite_builds(monkeypatch)
+              + _random_spaces(200))
+    for x in spaces:
+        assert _same_chains(chains(x), named_chains(x)), x
+        assert _same_chains(chains(x, normalized=False, cap=4),
+                            named_chains(x, normalized=False, cap=4)), x
+
+
+def test_chain_map_of_unpointed_source_into_pointed_target():
+    """The target's chains are reduced, so its generators leave out the
+    basepoint: C(Delta^1) -> C~(I+) is an isomorphism."""
+    from skernel.complexes import check_quasi_iso
+
+    d1, iv = simplex(1), interval_pointed()
+    f = SimplicialMap(d1, iv, {"0": SimplexRef((), "0"), "1": SimplexRef((), "1"),
+                               "0.1": SimplexRef((), "01")})
+    cm = chain_map_of(f)
+    assert cm.component(0) == IntMatrix.identity(2) and cm.component(1) == IntMatrix.identity(1)
+    assert check_quasi_iso(cm).is_quasi_iso
+
+
+def test_smash_equals_the_smash_built_by_name():
+    """The wedge inclusions into the product, now code lists from the
+    product's numbering, give the same smash as the inclusions built by
+    name through `product_pair_ref`."""
+    from helpers import named_smash
+
+    t2 = product(sphere(1), sphere(1))
+    rng = random.Random(7)
+    factors = [sphere(0), sphere(1), sphere(2), t2] + [random_pointed_space(rng) for _ in range(4)]
+    for x in factors:
+        for y in (sphere(1), sphere(2), x):
+            got, want = smash(x, y), named_smash(x, y)
+            assert got.collapse == want.collapse
+            assert got.space.face_table() == want.space.face_table()
+            assert got.space.basepoint == want.space.basepoint

@@ -5,16 +5,17 @@ Compares two source trees of skernel (a parent and a change) on the
 workload a claim is made for:
 
     python3 tools/bench_ledger.py --parent ../skernel-parent --change . \
-        --workload simplicial-groups --pairs 10 --runs 3 --out BENCH_9.json
+        --workload simplicial-groups --pairs 10 --out BENCH_9.json
 
 It records
 
 - claim pairs: `perfbench/run.py --workload WORKLOAD` run in each tree,
   alternating which tree goes first, one pair per seed; each run reports
   ops_per_kcu (throughput in calibration units) and peak_rss_mb;
-- scale rows, the minimum over --runs fresh interpreters per tree,
-  alternating which tree builds first, so that drift of the machine
-  spreads over both trees; each interpreter times the build REPEATS
+- scale rows, the minimum over --runs fresh interpreters per tree
+  (default 7: at 3, rows of a few milliseconds swung 10-15% between
+  ledgers of the same code on a 2-core box), alternating which tree
+  builds first, so that drift of the machine spreads over both trees; each interpreter times the build REPEATS
   times and reports its minimum, so that builds of a few milliseconds
   are not mostly noise; these are warm timings (the first build fills
   process-wide caches such as `simplicial.word_of`), so they cannot be
@@ -190,7 +191,7 @@ def main() -> int:
     ap.add_argument("--change", required=True)
     ap.add_argument("--workload", required=True, help="the perfbench workload of the claim")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--runs", type=int, default=3)
+    ap.add_argument("--runs", type=int, default=7)
     ap.add_argument("--seconds", type=int, default=20)
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
