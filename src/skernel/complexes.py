@@ -17,6 +17,10 @@ on its diagonal and zeros elsewhere in the pivot columns.  So the
 columns p of d(n) E^-1 vanish and its others are those of d(n), which
 without the columns p spans the same lattice.
 
+d(n) @ d(n+1) = 0 is checked at construction for every adjacent pair, in
+degree order, by `matrices._product_vanishes`: every row of the product
+is tested, exactly, without building it.
+
 Kernel bases and exact solves, which need the Smith transforms, are
 computed only where a caller consumes the basis itself (truncations and
 the cycles that a chain map is checked on).
@@ -30,7 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .matrices import IntMatrix, _reduce, hstack, invariant_factors, kernel_basis, solve_exact, vstack
+from .matrices import (IntMatrix, _product_vanishes, _reduce, hstack, invariant_factors, kernel_basis,
+                       solve_exact, vstack)
 
 
 class ValidationError(ValueError):
@@ -86,8 +91,9 @@ def group_from_presentation(generators: int, relations: IntMatrix) -> HomologyGr
 
 class ChainComplex:
     """A bounded complex; ranks and differentials outside the stored
-    support are zero.  d(n-1) @ d(n) = 0 is checked at construction, so
-    invalid complexes cannot be built."""
+    support are zero.  d(n-1) @ d(n) = 0 is checked at construction, row
+    by row without building the product, so invalid complexes cannot be
+    built."""
 
     def __init__(self, min_deg: int, max_deg: int, ranks: dict, d: dict):
         if min_deg > max_deg:
@@ -125,7 +131,7 @@ class ChainComplex:
         self._pending = (max_deg, frozenset())
         # a product with an absent (zero) differential is zero
         for n in sorted(diffs):
-            if n + 1 in diffs and not (diffs[n] @ diffs[n + 1]).is_zero():
+            if n + 1 in diffs and not _product_vanishes(diffs[n], diffs[n + 1]):
                 raise ValidationError("d(%d) @ d(%d) is nonzero" % (n, n + 1))
 
     @property

@@ -23,7 +23,7 @@ from .simplicial import BisimplicialSet, SimplexRef, SimplicialMap, SimplicialSe
 from .spaces import (
     _compact,
     _pair_code,
-    _product_numbering,
+    _smash,
     arrow_of,
     boundary,
     chain_map_of,
@@ -38,7 +38,6 @@ from .spaces import (
     pushout_map,
     simplex,
     skeleton,
-    smash,
     wedge,
 )
 
@@ -171,8 +170,7 @@ def _cylinder_object(k: SimplicialSet):
     """The two end inclusions of k into k smashed with the pointed
     interval, and the projection back to k."""
     iv = interval_pointed()
-    sm = smash(k, iv)
-    number = _product_numbering(k, iv)
+    sm, number = _smash(k, iv)
 
     def end_map(vertex: str) -> SimplicialMap:
         v = iv.number(vertex)

@@ -32,7 +32,7 @@ from itertools import combinations
 from .complexes import ChainComplex, ChainMap, HomologyGroup, ValidationError, zero_complex
 from .matrices import IntMatrix, hstack, is_unimodular, kernel_basis, solve_exact, vstack
 from .simplicial import SimplicialSet, mask_insert
-from .spaces import _chain_basis, _pair_code, _product_numbering, smash
+from .spaces import _chain_basis, _pair_code, _smash
 
 
 def _columns(m: IntMatrix) -> tuple:
@@ -480,9 +480,8 @@ def smash_comparison_iso(e: SimplicialSet, f: SimplicialSet, trunc_dim: int) -> 
     matrix that intertwines all faces and degeneracies; raises otherwise.
     """
     lhs = tensor_sab(free_reduced_Z(e, trunc_dim), free_reduced_Z(f, trunc_dim))
-    sm = smash(e, f)
+    sm, number = _smash(e, f)
     rhs = free_reduced_Z(sm.space, trunc_dim)
-    number = _product_numbering(e, f)
     mats = {}
     for n in range(trunc_dim + 1):
         tindex = {code: i for i, code in enumerate(_chain_basis(sm.space, n, False))}

@@ -34,6 +34,15 @@ become bit operations on masks:
 So the stored face data is consulted only when a face operator survives
 all the way to the base.  Bisimplicial sets use the same tables, one per
 direction, with a bisimplex coded as (hmask, vmask, cell).
+
+Construction checks d_i d_j = d_{j-1} d_i on every cell of dimension >= 2
+and every map's commutation with every face, exactly.  Which face
+operators cancel against s_mask, and at which index the others reach the
+base, depends only on the mask and the dimension, so that face pattern
+(`_face_pattern`, a bounded cache) is computed once per (mask, n) and
+read against each base's row.  The faces of a cell's faces form a square
+table rows[j][i] = d_i d_j; its transpose holds d_{j-1} d_i in row j - 1,
+so each j is one slice compare.
 """
 
 from __future__ import annotations
@@ -105,6 +114,13 @@ def mask_face(mask: int, i: int):
     if i and mask >> (i - 1) & 1:
         return _drop(mask, i - 1), None
     return _drop(mask, i), i - (mask & ((1 << i) - 1)).bit_count()
+
+
+@lru_cache(maxsize=4096)
+def _face_pattern(mask: int, n: int) -> tuple:
+    """`mask_face(mask, i)` for i = 0 .. n - 1: how each face of an
+    (n - 1)-simplex s_mask x reaches the faces of x."""
+    return tuple([mask_face(mask, i) for i in range(n)])
 
 
 def mask_insert(mask: int, j: int) -> int:
@@ -283,6 +299,16 @@ class SimplicialSet:
         m, base = self._table[cell][k]
         return mask_compose(prefix, m), base
 
+    def _face_row(self, mask: int, cell: int, n: int) -> tuple:
+        """The faces d_0 .. d_n of the n-simplex s_mask cell, as (mask,
+        cell) pairs: the cell's own row when mask is 0, else the row that
+        `_face_pattern(mask, n + 1)` reads off it."""
+        row = self._table[cell]
+        if not mask:
+            return row
+        return tuple([(prefix, cell) if k is None else (mask_compose(prefix, row[k][0]), row[k][1])
+                      for prefix, k in _face_pattern(mask, n + 1)])
+
     def face(self, ref: SimplexRef, i: int) -> SimplexRef:
         n = self.dim(ref)
         if n == 0:
@@ -326,12 +352,6 @@ class SimplicialSet:
             verts.append(self._ids[cur[1]])
         return tuple(verts)
 
-    def basepoint_ref(self, n: int) -> SimplexRef:
-        """The totally degenerate basepoint n-simplex."""
-        if not self.pointed:
-            raise ValueError("space is not pointed")
-        return SimplexRef(tuple(range(n - 1, -1, -1)), self.basepoint)
-
     # -- validation -------------------------------------------------------
 
     def _validate(self):
@@ -352,8 +372,7 @@ class SimplicialSet:
                                           % (i, ids[c], n - 2))
                 if cdim[base] + mask.bit_count() != n - 1:
                     raise ValidationError("face of %r has wrong dimension" % ids[c])
-        face_code = self.face_code
-        faces_of = {}
+        face_row, faces_of = self._face_row, {}
         for c, row in enumerate(table):
             n = len(row) - 1
             if n < 2:
@@ -367,10 +386,12 @@ class SimplicialSet:
                     continue
                 found = faces_of.get(entry)
                 if found is None:
-                    found = faces_of[entry] = tuple([face_code(mask, base, i) for i in range(n)])
+                    found = faces_of[entry] = face_row(mask, base, n - 1)
                 rows.append(found)
+            # cols[j - 1][i] = d_{j-1} d_i c
+            cols = tuple(zip(*rows))
             for j in range(1, n + 1):
-                if rows[j][:j] != tuple([r[j - 1] for r in rows[:j]]):
+                if rows[j][:j] != cols[j - 1][:j]:
                     i = next(i for i in range(j) if rows[j][i] != rows[i][j - 1])
                     raise ValidationError(
                         "simplicial identity d_%d d_%d failed on %r" % (i, j, ids[c])
@@ -446,7 +467,7 @@ class SimplicialMap:
         ids, cdim, tdim, codes = self.source._ids, self.source._cdim, self.target._cdim, self._codes
         if len(codes) > len(ids):
             raise ValidationError("map has %d images for %d cells" % (len(codes), len(ids)))
-        face_code = self.target.face_code
+        face_row = self.target._face_row
         for c, row in enumerate(self.source.face_table()):
             n = cdim[c]
             if c >= len(codes) or codes[c] is None:
@@ -459,9 +480,12 @@ class SimplicialMap:
                                       % (ids[c], n - 1))
             if tdim[image] + mask.bit_count() != n:
                 raise ValidationError("image of %r has wrong dimension" % ids[c])
+            if not row:
+                continue
+            faces = face_row(mask, image, n)
             for i, (m, base) in enumerate(row):
                 bmask, bimage = codes[base]
-                if (mask_compose(m, bmask), bimage) != face_code(mask, image, i):
+                if (mask_compose(m, bmask), bimage) != faces[i]:
                     raise ValidationError("map does not commute with d_%d on %r" % (i, ids[c]))
 
     def preserves_basepoint(self) -> bool:

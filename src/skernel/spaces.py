@@ -218,6 +218,12 @@ def product(x: SimplicialSet, y: SimplicialSet) -> SimplicialSet:
     and renormalised by `_pair_code`.  Each factor simplex's id and faces
     are computed once (`cache`), not once per partner.
     """
+    return _product(x, y)[0]
+
+
+def _product(x: SimplicialSet, y: SimplicialSet) -> tuple:
+    """`product(x, y)` and its `_product_numbering`, for the callers that
+    also map into the product by code."""
     number = _product_numbering(x, y)
     x_simplex, y_simplex = cache(partial(_id_and_faces, x)), cache(partial(_id_and_faces, y))
     cells = {}
@@ -230,7 +236,7 @@ def product(x: SimplicialSet, y: SimplicialSet) -> SimplicialSet:
                             for (fma, fa), (fmb, fb) in zip(x_faces, y_faces)]))
     pointed = x.pointed and y.pointed
     bp = pair_id(SimplexRef((), x.basepoint), SimplexRef((), y.basepoint)) if pointed else None
-    return SimplicialSet(cells, table, pointed=pointed, basepoint=bp)
+    return SimplicialSet(cells, table, pointed=pointed, basepoint=bp), number
 
 
 # ---------------------------------------------------------------------------
@@ -354,16 +360,22 @@ class SmashResult(NamedTuple):
 
 def smash(x: SimplicialSet, y: SimplicialSet) -> SmashResult:
     """(X x Y) / (X v Y) as a pointed simplicial set."""
+    return _smash(x, y)[0]
+
+
+def _smash(x: SimplicialSet, y: SimplicialSet) -> tuple:
+    """`smash(x, y)` and the `_product_numbering` of the product it
+    divides, for the callers that also map into the product by code."""
     if not (x.pointed and y.pointed):
         raise ValueError("smash requires pointed spaces")
-    prod, number = product(x, y), _product_numbering(x, y)
+    prod, number = _product(x, y)
     xbp, ybp = x.number(x.basepoint), y.number(y.basepoint)
     along_x = [_pair_code(number, 0, c, (1 << n) - 1, ybp) for n in x.dims() for c in x.numbers(n)]
     along_y = [_pair_code(number, (1 << n) - 1, xbp, 0, c) for n in y.dims() for c in y.numbers(n)]
     include = pushout_map(wedge(x, y), SimplicialMap(x, prod, along_x),
                           SimplicialMap(y, prod, along_y))
     result = quotient(include)
-    return SmashResult(result.space, result.from_x)
+    return SmashResult(result.space, result.from_x), number
 
 
 def suspension(x: SimplicialSet, i: int) -> SimplicialSet:

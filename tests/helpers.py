@@ -433,7 +433,7 @@ def named_chains(x, normalized: bool = True, cap: int | None = None) -> ChainCom
     for n, items in basis.items():
         drop = None
         if reduced:
-            drop = x.basepoint if normalized else x.code(x.basepoint_ref(n))
+            drop = x.basepoint if normalized else x.code(basepoint_ref(x, n))
         basis[n] = [it for it in items if it != drop]
     ranks = {n: len(items) for n, items in basis.items() if items}
     if normalized:
@@ -464,6 +464,13 @@ def named_chains(x, normalized: bool = True, cap: int | None = None) -> ChainCom
     return ChainComplex(0, top, ranks, d)
 
 
+def basepoint_ref(x, n: int) -> SimplexRef:
+    """The totally degenerate basepoint n-simplex of a pointed space."""
+    if not x.pointed:
+        raise ValueError("space is not pointed")
+    return SimplexRef(tuple(range(n - 1, -1, -1)), x.basepoint)
+
+
 def product_pair_ref(x, y, ra: SimplexRef, rb: SimplexRef) -> SimplexRef:
     """The simplex of product(x, y) represented by an arbitrary pair: the
     degeneracies the two words share, over the pair with them deleted,
@@ -478,9 +485,9 @@ def named_smash(x, y) -> SmashResult:
     """`spaces.smash` with the wedge inclusions into the product built by
     name."""
     prod = product(x, y)
-    along_x = {c: product_pair_ref(x, y, SimplexRef((), c), y.basepoint_ref(n))
+    along_x = {c: product_pair_ref(x, y, SimplexRef((), c), basepoint_ref(y, n))
                for n, c in x.all_cells()}
-    along_y = {c: product_pair_ref(x, y, x.basepoint_ref(n), SimplexRef((), c))
+    along_y = {c: product_pair_ref(x, y, basepoint_ref(x, n), SimplexRef((), c))
                for n, c in y.all_cells()}
     include = pushout_map(wedge(x, y), SimplicialMap(x, prod, along_x),
                           SimplicialMap(y, prod, along_y))
@@ -503,7 +510,7 @@ def named_cylinder_object(k):
             assignment[c] = sm.collapse(product_pair_ref(k, iv, ra, rb))
         return SimplicialMap(k, sm.space, assignment)
 
-    to_k = {c: ra if rb.base != iv.basepoint else k.basepoint_ref(n)
+    to_k = {c: ra if rb.base != iv.basepoint else basepoint_ref(k, n)
             for c, (n, ra, rb) in product_pairs(k, iv).items()}
     pt = point()
     legs = (sm.space, sm.collapse,

@@ -7,6 +7,7 @@ import skernel.matrices
 from skernel.complexes import ChainComplex, HomologyGroup, group_from_presentation
 from skernel.matrices import (
     IntMatrix,
+    _product_vanishes,
     diagonal_of,
     hstack,
     invariant_factors,
@@ -16,8 +17,9 @@ from skernel.matrices import (
     solve_exact,
     vstack,
 )
+from skernel.generators import random_pointed_space
 from skernel.simpab import bar_B, dold_kan_K, free_reduced_Z, moore_basis
-from skernel.spaces import sphere
+from skernel.spaces import chains, product, sphere
 
 from helpers import block_diag, naive_snf_diagonal, random_complex
 
@@ -380,6 +382,53 @@ def test_products_match_a_naive_triple_loop():
         M([[1, 2]]) @ M([[1, 2]])
     with pytest.raises(ValueError):
         M([[1, 2]]).mul_vec([1])
+
+
+def _vanishing_cases(rng):
+    """Seeded (a, b) pairs for `_product_vanishes`: sparse +-1 matrices,
+    ones with +-2 and +-3 entries, rows with one entry or none, zero
+    matrices, pairs whose product is zero (a with a kernel basis, d(n)
+    with d(n+1) of a space's chains) and each of those with one entry
+    changed."""
+    cases = [(IntMatrix.zero(3, 4), IntMatrix.zero(4, 2)), (IntMatrix.zero(0, 3), M([[1], [1], [-1]])),
+             (IntMatrix.zero(2, 0), IntMatrix.zero(0, 5))]
+    # +1, +1, -1, -1 in one column cancel; +1, +1, -1 do not
+    cases += [(M([[1, 1, -1, -1]]), M([[1], [1], [1], [1]])), (M([[1, 1, -1]]), M([[1], [1], [1]])),
+              (M([[1, -1, 1, -1]]), M([[1, -1], [1, -1], [-1, 1], [-1, 1]]))]
+    for _ in range(250):
+        n, k, m = rng.randint(0, 7), rng.randint(0, 7), rng.randint(0, 7)
+        values = rng.choice(((-1, 1), (-1, 1), (-3, -2, -1, 1, 2, 3)))
+        density = rng.choice((0.0, 0.1, 0.3, 1.0))
+        a = _sparse_matrix(rng, n, k, density, values)
+        b = _sparse_matrix(rng, k, m, density, values)
+        # at most one entry per row of a: each selects one row of b
+        mono = IntMatrix.from_entries(n, k, [(i, rng.randrange(k), rng.choice(values))
+                                             for i in range(n) if k and rng.random() < 0.7])
+        cases += [(a, b), (mono, b), (a, kernel_basis(a))]
+    spaces = [sphere(2), product(sphere(1), sphere(1)), product(sphere(2), sphere(1))]
+    spaces += [random_pointed_space(rng) for _ in range(8)]
+    spaces += [product(random_pointed_space(rng), sphere(1)) for _ in range(4)]
+    for x in spaces:
+        c = chains(x)
+        cases += [(c.d(n), c.d(n + 1)) for n in range(1, c.max_deg)]
+    for a, b in list(cases):
+        if a.rows and b.rows and b.cols:
+            i, j = rng.randrange(b.rows), rng.randrange(b.cols)
+            bumped = IntMatrix.from_entries(b.rows, b.cols, [(i, j, rng.choice((-2, -1, 1)))])
+            cases.append((a, b + bumped))
+    return cases
+
+
+def test_product_vanishes_exactly_when_the_product_is_zero(rng):
+    zero = nonzero = 0
+    for a, b in _vanishing_cases(rng):
+        want = (a @ b).is_zero()
+        assert _product_vanishes(a, b) == want, (a, b)
+        zero += want
+        nonzero += not want
+    assert zero >= 300 and nonzero >= 300
+    with pytest.raises(ValueError, match="shape mismatch"):
+        _product_vanishes(M([[1, 2]]), M([[1, 2]]))
 
 
 def _assert_canonical(m):

@@ -27,8 +27,8 @@ from skernel.simpab import (
 )
 from skernel.spaces import smash, sphere, suspension
 
-from helpers import (block_diag, kunneth_homology, level_summands, product_pair_ref, random_complex,
-                     shuffles)
+from helpers import (basepoint_ref, block_diag, kunneth_homology, level_summands, product_pair_ref,
+                     random_complex, shuffles)
 
 Z = HomologyGroup(1)
 TRIV = HomologyGroup(0)
@@ -391,9 +391,9 @@ def test_zreduced_smash_monoidality():
         mats = {}
         for n in range(d + 1):
             cols = []
-            ebasis = [s for s in e.simplices(n) if s != e.basepoint_ref(n)]
-            fbasis = [s for s in f.simplices(n) if s != f.basepoint_ref(n)]
-            tbasis = [s for s in sm.space.simplices(n) if s != sm.space.basepoint_ref(n)]
+            ebasis = [s for s in e.simplices(n) if s != basepoint_ref(e, n)]
+            fbasis = [s for s in f.simplices(n) if s != basepoint_ref(f, n)]
+            tbasis = [s for s in sm.space.simplices(n) if s != basepoint_ref(sm.space, n)]
             tindex = {s: i for i, s in enumerate(tbasis)}
             rows = len(tbasis)
             colcount = len(ebasis) * len(fbasis)

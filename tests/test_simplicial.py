@@ -147,6 +147,49 @@ def test_a_replaced_face_is_rejected_naming_the_identity_and_cell(build):
     assert count >= 2
 
 
+def _first_failing_identity(x, cell, i0, ref):
+    """(i, j) of the first identity d_i d_j = d_{j-1} d_i, by j and then
+    i, that fails on `cell` once its face i0 is `ref`, computed with the
+    faces of x (the other cells keep their faces); None if all hold."""
+    n = x.cell_dim(cell)
+    faces = [ref if k == i0 else x.stored_face(cell, k) for k in range(n + 1)]
+    return next(((i, j) for j in range(1, n + 1) for i in range(j)
+                 if x.face(faces[j], i) != x.face(faces[i], j - 1)), None)
+
+
+@pytest.mark.parametrize("build", [lambda: product(sphere(2), sphere(2)),
+                                   lambda: product(simplex(1), simplex(2)),
+                                   lambda: smash(product(sphere(1), sphere(1)), sphere(1)).space],
+                         ids=["S2xS2", "D1xD2", "T2^S1"])
+def test_a_wrong_degenerate_face_is_rejected_naming_the_first_failing_identity(build):
+    """One face replaced by another degenerate simplex so that an
+    identity on the cell fails, as found independently through `face`:
+    the message names the first one.  Cells are checked in number order,
+    so no later cell, which may have the changed one as a face, speaks
+    first."""
+    x = build()
+    rng = random.Random(19)
+    cells = {n: list(x.cells(n)) for n in x.dims()}
+    faces = {(c, i): x.stored_face(c, i) for n, c in x.all_cells() for i in range(n + 1) if n}
+    count = 0
+    for n, c in x.all_cells():
+        if n < 2:
+            continue
+        degenerate = [r for r in x.simplices(n - 1) if r.word]
+        for i0 in range(n + 1):
+            pool = [r for r in degenerate if r != faces[(c, i0)]]
+            for ref in rng.sample(pool, min(3, len(pool))):
+                want = _first_failing_identity(x, c, i0, ref)
+                if want is None:
+                    continue
+                with pytest.raises(ValidationError) as err:
+                    SimplicialSet(cells, {**faces, (c, i0): ref}, pointed=x.pointed,
+                                  basepoint=x.basepoint)
+                assert str(err.value) == "simplicial identity d_%d d_%d failed on %r" % (*want, c)
+                count += 1
+    assert count >= 20
+
+
 def test_a_replaced_face_of_a_smash_with_a_point_1_skeleton_is_a_valid_set():
     """In S^1 ^ S^2 every 2-simplex has the faces s0 *, so no identity can
     see a 3-cell's face replaced by another 2-simplex: the rebuilt set is

@@ -40,11 +40,18 @@ It records
     (six generators per degree) and their tensor product, as generators
     of the product per second, and the hard-truncation Hom tower report
     of the pair, as tower stages per second; the complexes' ranks and
-    differentials are generated untimed; and the homology of the chains
-    of the boundary of the 14-simplex and of S^2 x S^2 x S^2 x S^2, as
-    cells of the space per second: the space is built untimed, and each
-    repeat times `spaces.chains(s).homology_all()`, so it builds and
-    reduces a fresh complex (factors are cached per complex).
+    differentials are generated untimed; the chains of the boundary of
+    the 14-simplex and of S^2 x S^2 x S^2 x S^2, which is where the
+    d d = 0 check of the `ChainComplex` constructor runs, and their
+    homology, both as cells of the space per second: the space is built
+    untimed, and each repeat times `spaces.chains(s)` or
+    `spaces.chains(s).homology_all()`, so it builds (and reduces) a
+    fresh complex (factors are cached per complex).
+
+Each scale row also keeps every interpreter's minimum, in run order, per
+tree (`parent_run_min_s`, `change_run_min_s`): a load burst on the box
+that lands on one tree's runs shows there as a spread that the overall
+minimum hides.
 
 Only the standard library is used; each measurement runs in its own
 subprocess with PYTHONPATH set to the tree's `src`.
@@ -94,6 +101,11 @@ SCALE = {
         "k = reference.torsion_complex(random.Random(1), 5, 36)[:2]; "
         "l = reference.torsion_complex(random.Random(2), 5, 36)[:2]",
         "sigma_tower_report(ChainComplex(0, 5, *k), ChainComplex(0, 5, *l))", "stages"),
+    "chains(boundary(14))": ("complexes", "s = spaces.boundary(14)", "spaces.chains(s)", "cells"),
+    "chains(S2xS2xS2xS2)": (
+        "complexes",
+        "s = p(p(p(spaces.sphere(2), spaces.sphere(2)), spaces.sphere(2)), spaces.sphere(2))",
+        "spaces.chains(s)", "cells"),
     "homology_all(chains(boundary(14)))": (
         "complexes", "s = spaces.boundary(14)", "spaces.chains(s).homology_all()", "cells"),
     "homology_all(chains(S2xS2xS2xS2))": (
@@ -123,12 +135,12 @@ counts = {{}}
 if hasattr(x, "cell_counts"):
     counts["cells"] = sum(x.cell_counts().values())
     counts["identities"] = sum(len(x.cells(n)) * n * (n + 1) // 2 for n in x.dims() if n >= 2)
+elif "{counted}" == "cells":  # chains or homology of the untimed space s
+    counts["cells"] = sum(s.cell_counts().values())
 elif hasattr(x, "tower"):
     counts["stages"] = len(x.tower)
 elif hasattr(x, "total_rank"):
     counts["generators"] = x.total_rank()
-elif isinstance(x, dict):  # homology of the untimed space s
-    counts["cells"] = sum(s.cell_counts().values())
 else:
     counts["identities"] = (sum(n * (n + 1) // 2 for n in range(2, x.D + 1))
                             + sum((n + 1) * (n + 2) // 2 for n in range(x.D - 1))
@@ -165,11 +177,11 @@ def claim_pairs(trees: dict, workload: str, pairs: int, seconds: int) -> list:
 def scale_rows(trees: dict, runs: int) -> list:
     rows = []
     for label, (layer, setup, expr, counted) in SCALE.items():
-        name = label if label.startswith("homology") else "build+validate " + label
+        name = label if label.startswith(("homology", "chains")) else "build+validate " + label
         row = {"layer": layer, "name": name,
                "unit": counted + "/s", "better": "higher", "runs": runs,
                "repeats": REPEATS}
-        code = BUILD.format(setup=setup, expr=expr, repeats=REPEATS)
+        code = BUILD.format(setup=setup, expr=expr, repeats=REPEATS, counted=counted)
         seconds = {"parent": [], "change": []}
         for k in range(runs):
             for name in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
@@ -179,6 +191,7 @@ def scale_rows(trees: dict, runs: int) -> list:
         for name, times in seconds.items():
             row[name] = round(row[counted] / min(times), 1)
             row[name + "_min_s"] = round(min(times), 4)
+            row[name + "_run_min_s"] = [round(t, 4) for t in times]
         row["ratio"] = round(row["change"] / row["parent"], 3)
         rows.append(row)
         print("%s: %.2fx" % (label, row["ratio"]), file=sys.stderr)
