@@ -11,6 +11,10 @@ Constructions mint the ids of their cells injectively from the ids they
 are built from, and no code reads an id back apart: a map out of a
 pushout, wedge or quotient comes from `pushout_map`.
 
+The smash X ^ Y = (X x Y) / (X v Y) is built on the product cells off
+the wedge, without the product, the wedge or any pushout, under the ids
+the quotient gives them (`_leg_id` mints a pushout's ids for both).
+
 Two rules work on (mask, cell) codes and are written once each.  The
 generator rule (`_chain_basis`): degree n of the chains is spanned by the
 nondegenerate cells, or by every simplex, less the codes over the
@@ -218,29 +222,42 @@ def product(x: SimplicialSet, y: SimplicialSet) -> SimplicialSet:
     and renormalised by `_pair_code`.  Each factor simplex's id and faces
     are computed once (`cache`), not once per partner.
     """
-    return _product(x, y)[0]
-
-
-def _product(x: SimplicialSet, y: SimplicialSet) -> tuple:
-    """`product(x, y)` and its `_product_numbering`, for the callers that
-    also map into the product by code."""
     number = _product_numbering(x, y)
+    return _product(x, y, _pair_rows(x, y, number, number))
+
+
+def _pair_rows(x: SimplicialSet, y: SimplicialSet, number: dict, codes):
+    """The dimension, id and faces of each product cell (a, b, mask_a,
+    mask_b) in codes, the faces as codes of the product that `number`
+    numbers; each factor simplex's id and faces are computed once."""
     x_simplex, y_simplex = cache(partial(_id_and_faces, x)), cache(partial(_id_and_faces, y))
-    cells = {}
-    table = []
-    for a, b, ma, mb in number:
+    for a, b, ma, mb in codes:
         n, ida, x_faces = x_simplex(ma, a)
         _, idb, y_faces = y_simplex(mb, b)
-        cells.setdefault(n, []).append(_PAIR % (ida, idb))
-        table.append(tuple([_pair_code(number, fma, fa, fmb, fb)
-                            for (fma, fa), (fmb, fb) in zip(x_faces, y_faces)]))
+        yield n, _PAIR % (ida, idb), [_pair_code(number, fma, fa, fmb, fb)
+                                      for (fma, fa), (fmb, fb) in zip(x_faces, y_faces)]
+
+
+def _product(x: SimplicialSet, y: SimplicialSet, rows) -> SimplicialSet:
+    """`product(x, y)` from the `_pair_rows` of all its cells, in order."""
+    cells = {}
+    table = []
+    for n, cell_id, row in rows:
+        cells.setdefault(n, []).append(cell_id)
+        table.append(tuple(row))
     pointed = x.pointed and y.pointed
     bp = pair_id(SimplexRef((), x.basepoint), SimplexRef((), y.basepoint)) if pointed else None
-    return SimplicialSet(cells, table, pointed=pointed, basepoint=bp), number
+    return SimplicialSet(cells, table, pointed=pointed, basepoint=bp)
 
 
 # ---------------------------------------------------------------------------
 # pushouts along levelwise injections
+
+
+def _leg_id(cell_id: str, from_y: bool) -> str:
+    """The id a pushout gives a cell of its leg Y, or of its leg X: the
+    leg's prefix, then the cell's id."""
+    return ("y:" if from_y else "x:") + cell_id
 
 
 class PushoutResult(NamedTuple):
@@ -273,11 +290,11 @@ def pushout_inj(f: SimplicialMap, g: SimplicialMap) -> PushoutResult:
         ids = []
         for c in y.numbers(n):
             y_num[c] = count + len(ids)
-            ids.append("y:" + y.cell_id(c))
+            ids.append(_leg_id(y.cell_id(c), True))
         for c in x.numbers(n):
             if c not in hit:
                 x_num[c] = count + len(ids)
-                ids.append("x:" + x.cell_id(c))
+                ids.append(_leg_id(x.cell_id(c), False))
         cells[n] = ids
         count += len(ids)
 
@@ -295,7 +312,7 @@ def pushout_inj(f: SimplicialMap, g: SimplicialMap) -> PushoutResult:
         if c not in hit:
             table[x_num[c]] = tuple(translate(m, b) for m, b in row)
     pointed = y.pointed
-    bp = "y:" + y.basepoint if pointed else None
+    bp = _leg_id(y.basepoint, True) if pointed else None
     space = SimplicialSet(cells, table, pointed=pointed, basepoint=bp)
 
     from_y = SimplicialMap(y, space, [(0, p) for p in y_num])
@@ -353,13 +370,42 @@ def wedge(x: SimplicialSet, y: SimplicialSet) -> WedgeResult:
     return WedgeResult(space, from_x, from_y)
 
 
-class SmashResult(NamedTuple):
-    space: SimplicialSet
-    collapse: SimplicialMap  # product(x, y) -> smash
+class SmashResult:
+    """X ^ Y, and the collapse product(x, y) -> X ^ Y, which is built
+    the first time it is read: most callers want only the space."""
+
+    def __init__(self, space: SimplicialSet, x: SimplicialSet, y: SimplicialSet,
+                 number: dict, image: list, kept_rows: list):
+        self.space = space
+        # the factors, the product's numbering, the smash cell that each
+        # product cell maps onto (0, the basepoint, for the wedge), and
+        # the `_pair_rows` of the cells off the wedge
+        self._collapse_data = (x, y, number, image, kept_rows)
+
+    @cached_property
+    def collapse(self) -> SimplicialMap:
+        """The quotient map: a cell off the wedge onto its own cell, a
+        wedge cell onto the basepoint's degeneracy of its dimension.  The
+        product reuses the rows the smash computed off the wedge."""
+        x, y, number, image, kept_rows = self._collapse_data
+        kept = iter(kept_rows)
+        wedge = _pair_rows(x, y, number, [code for code, s in zip(number, image) if not s])
+        prod = _product(x, y, (next(kept) if s else next(wedge) for s in image))
+        return SimplicialMap(prod, self.space, [(0, s) if s else ((1 << n) - 1, 0)
+                                                for s, (n, _) in zip(image, prod.all_cells())])
 
 
 def smash(x: SimplicialSet, y: SimplicialSet) -> SmashResult:
-    """(X x Y) / (X v Y) as a pointed simplicial set."""
+    """(X x Y) / (X v Y) as a pointed simplicial set.
+
+    Built directly: the basepoint, then the product cells (a, b, mask_a,
+    mask_b) with a and b off the basepoints, which are exactly the cells
+    off the wedge, in the product's order, with the ids and numbers that
+    `quotient` gives them.  A face that lands on the wedge becomes the
+    basepoint's degeneracy of its dimension.  Neither the product nor the
+    wedge is built for the space; `SmashResult.collapse` builds the
+    product when it is read.
+    """
     return _smash(x, y)[0]
 
 
@@ -368,14 +414,23 @@ def _smash(x: SimplicialSet, y: SimplicialSet) -> tuple:
     divides, for the callers that also map into the product by code."""
     if not (x.pointed and y.pointed):
         raise ValueError("smash requires pointed spaces")
-    prod, number = _product(x, y)
+    number = _product_numbering(x, y)
     xbp, ybp = x.number(x.basepoint), y.number(y.basepoint)
-    along_x = [_pair_code(number, 0, c, (1 << n) - 1, ybp) for n in x.dims() for c in x.numbers(n)]
-    along_y = [_pair_code(number, (1 << n) - 1, xbp, 0, c) for n in y.dims() for c in y.numbers(n)]
-    include = pushout_map(wedge(x, y), SimplicialMap(x, prod, along_x),
-                          SimplicialMap(y, prod, along_y))
-    result = quotient(include)
-    return SmashResult(result.space, result.from_x), number
+    kept = [code for code in number if code[0] != xbp and code[1] != ybp]
+    image = [0] * len(number)
+    for s, code in enumerate(kept, 1):
+        image[number[code]] = s
+    kept_rows = list(_pair_rows(x, y, number, kept))
+    # the quotient's basepoint is the one cell of `point()`
+    bp = _leg_id("*", True)
+    cells = {0: [bp]}
+    table = [()]
+    for n, cell_id, row in kept_rows:
+        cells.setdefault(n, []).append(_leg_id(cell_id, False))
+        table.append(tuple([(m, image[k]) if image[k] else ((1 << n - 1) - 1, 0)
+                            for m, k in row]))
+    space = SimplicialSet(cells, table, pointed=True, basepoint=bp)
+    return SmashResult(space, x, y, number, image, kept_rows), number
 
 
 def suspension(x: SimplicialSet, i: int) -> SimplicialSet:
@@ -651,7 +706,10 @@ def chains(x: SimplicialSet, normalized: bool = True, cap: int | None = None) ->
     spaces yield reduced chains (the basepoint chain subcomplex is
     divided out).  Generators come from `_chain_basis`, and a face that
     is not a generator (a degenerate face of normalized chains, or the
-    basepoint) drops out.
+    basepoint) drops out.  Each d(n) is written row by row while its
+    columns are visited in basis order, so every row's columns come out
+    ascending; a face repeated in one column adds into its row's last
+    entry, and zero sums are dropped.
     """
     if not normalized and cap is None:
         raise ValueError("unnormalized chains require a dimension cap")
@@ -668,15 +726,34 @@ def chains(x: SimplicialSet, normalized: bool = True, cap: int | None = None) ->
     for n in range(1, top + 1):
         if not basis[n - 1] or not basis[n]:
             continue
-        entries = []
+        # each row's columns and coefficients, written in column order
+        js = [[] for _ in basis[n - 1]]
+        xs = [[] for _ in basis[n - 1]]
+        signs = (1, -1) * (n // 2 + 1)
         for col, (mask, c) in enumerate(basis[n]):
             faces = [face_code(mask, c, i) for i in range(n + 1)] if mask else table[c]
-            for i, face in enumerate(faces):
+            for face, sign in zip(faces, signs):
                 row = index.get(face)
-                if row is not None:
-                    entries.append((row, col, -1 if i % 2 else 1))
-        d[n] = IntMatrix.from_entries(len(basis[n - 1]), len(basis[n]), entries)
+                if row is None:
+                    continue
+                cols = js[row]
+                if cols and cols[-1] == col:
+                    # a face repeated in one column (d_0 = d_2 on RP^2)
+                    xs[row][-1] += sign
+                else:
+                    cols.append(col)
+                    xs[row].append(sign)
+        d[n] = IntMatrix(len(js), len(basis[n]), tuple(map(_stored_row, js, xs)))
     return ChainComplex(0, top, ranks, d)
+
+
+def _stored_row(cols: list, coeffs: list) -> tuple:
+    """A matrix row in `IntMatrix`'s stored form from its ascending
+    distinct columns and their coefficients, dropping zero sums."""
+    if 0 in coeffs:
+        cols = [j for j, v in zip(cols, coeffs) if v]
+        coeffs = [v for v in coeffs if v]
+    return tuple(cols), tuple(coeffs)
 
 
 def homology_space(x: SimplicialSet, n: int) -> HomologyGroup:

@@ -10,7 +10,10 @@ assembled from Kronecker products, with the tower report read off the
 Hom complex in every degree.  The chains of a simplicial set, the
 smash inclusions and the cylinder maps are also kept as they were built
 by name, through `product_pair_ref`, before the library moved them onto
-(mask, cell) codes.  Last, the few builders that only tests use.
+(mask, cell) codes, and the chains once more as they were built on codes
+before `chains` wrote its rows in place.  The smash is kept as the
+quotient of the product by the wedge.  Last, the few builders that only
+tests use.
 """
 
 from __future__ import annotations
@@ -18,14 +21,15 @@ from __future__ import annotations
 import random
 from itertools import accumulate
 from math import gcd
+from typing import NamedTuple
 
 from skernel.complexes import (ChainComplex, ChainMap, HomologyGroup, TowerReport,
                                check_quasi_iso, zero_complex)
 from skernel.matrices import IntMatrix, kernel_basis, solve_exact
 from skernel.simpab import surjection_tuples
-from skernel.simplicial import (BisimplicialSet, SimplexRef, SimplicialMap, mask_delete,
-                                mask_of, word_of)
-from skernel.spaces import (SmashResult, interval_pointed, pair_id, point, product, product_pairs,
+from skernel.simplicial import (BisimplicialSet, SimplexRef, SimplicialMap, SimplicialSet,
+                                mask_delete, mask_of, word_of)
+from skernel.spaces import (_chain_basis, interval_pointed, pair_id, point, product, product_pairs,
                             pushout_map, quotient, smash, wedge)
 
 
@@ -464,6 +468,34 @@ def named_chains(x, normalized: bool = True, cap: int | None = None) -> ChainCom
     return ChainComplex(0, top, ranks, d)
 
 
+def entries_chains(x, normalized: bool = True, cap: int | None = None):
+    """`spaces.chains` as it was built before it wrote its rows in place:
+    every boundary entry is emitted column by column, and
+    `IntMatrix.from_entries` sorts them and adds up repeated positions."""
+    if not normalized and cap is None:
+        raise ValueError("unnormalized chains require a dimension cap")
+    top = x.top_dim() if normalized else cap
+    basis = [_chain_basis(x, n, normalized) for n in range(top + 1)]
+    ranks = {n: len(codes) for n, codes in enumerate(basis) if codes}
+    if not ranks:
+        return zero_complex()
+    index = {code: row for codes in basis for row, code in enumerate(codes)}
+    table, face_code = x.face_table(), x.face_code
+    d = {}
+    for n in range(1, top + 1):
+        if not basis[n - 1] or not basis[n]:
+            continue
+        entries = []
+        for col, (mask, c) in enumerate(basis[n]):
+            faces = [face_code(mask, c, i) for i in range(n + 1)] if mask else table[c]
+            for i, face in enumerate(faces):
+                row = index.get(face)
+                if row is not None:
+                    entries.append((row, col, -1 if i % 2 else 1))
+        d[n] = IntMatrix.from_entries(len(basis[n - 1]), len(basis[n]), entries)
+    return ChainComplex(0, top, ranks, d)
+
+
 def basepoint_ref(x, n: int) -> SimplexRef:
     """The totally degenerate basepoint n-simplex of a pointed space."""
     if not x.pointed:
@@ -481,9 +513,14 @@ def product_pair_ref(x, y, ra: SimplexRef, rb: SimplexRef) -> SimplexRef:
                                                SimplexRef(word_of(mask_delete(mb, common)), rb.base)))
 
 
-def named_smash(x, y) -> SmashResult:
-    """`spaces.smash` with the wedge inclusions into the product built by
-    name."""
+class NamedSmash(NamedTuple):
+    space: SimplicialSet
+    collapse: SimplicialMap  # product(x, y) -> smash
+
+
+def named_smash(x, y) -> NamedSmash:
+    """`spaces.smash` as the quotient of the product by the wedge, with
+    the wedge inclusions into the product built by name."""
     prod = product(x, y)
     along_x = {c: product_pair_ref(x, y, SimplexRef((), c), basepoint_ref(y, n))
                for n, c in x.all_cells()}
@@ -492,7 +529,7 @@ def named_smash(x, y) -> SmashResult:
     include = pushout_map(wedge(x, y), SimplicialMap(x, prod, along_x),
                           SimplicialMap(y, prod, along_y))
     result = quotient(include)
-    return SmashResult(result.space, result.from_x)
+    return NamedSmash(result.space, result.from_x)
 
 
 def named_cylinder_object(k):

@@ -1,6 +1,7 @@
 """Static hygiene of the package: every import sits at module level and
 is used, no module-level function, class or method goes unreferenced,
-and only `spaces.pushout_inj` knows how it prefixes the cells of its legs."""
+and only `spaces._leg_id` knows how a pushout prefixes the cells of its
+legs."""
 
 import ast
 from pathlib import Path
@@ -82,7 +83,8 @@ def test_no_function_local_imports():
 
 def test_pushout_leg_prefixes_stay_in_pushout_inj():
     """The "x:" and "y:" prefixes that tell the two legs of a pushout
-    apart appear only in `spaces.pushout_inj`; maps out of a pushout come
+    apart appear only in `spaces._leg_id`, which `pushout_inj` and the
+    smash (a quotient) mint their ids with; maps out of a pushout come
     from `spaces.pushout_map` and never read a cell id apart."""
     strays = []
     for path in sorted(SRC.glob("*.py")):
@@ -90,9 +92,9 @@ def test_pushout_leg_prefixes_stay_in_pushout_inj():
         allowed = set()
         if path.name == "spaces.py":
             allowed = {id(n) for fn in tree.body
-                       if isinstance(fn, ast.FunctionDef) and fn.name == "pushout_inj"
+                       if isinstance(fn, ast.FunctionDef) and fn.name == "_leg_id"
                        for n in ast.walk(fn)}
         strays += ["%s line %d" % (path.name, n.lineno) for n in ast.walk(tree)
                    if isinstance(n, ast.Constant) and n.value in ("x:", "y:")
                    and id(n) not in allowed]
-    assert not strays, "leg prefixes outside spaces.pushout_inj: %s" % ", ".join(strays)
+    assert not strays, "leg prefixes outside spaces._leg_id: %s" % ", ".join(strays)

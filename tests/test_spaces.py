@@ -576,17 +576,135 @@ def test_chain_map_of_unpointed_source_into_pointed_target():
 
 
 def test_smash_equals_the_smash_built_by_name():
-    """The wedge inclusions into the product, now code lists from the
-    product's numbering, give the same smash as the inclusions built by
-    name through `product_pair_ref`."""
+    """The smash built directly has the cells, ids, faces, basepoint and
+    collapse of the quotient of the product by the wedge, with the wedge
+    inclusions built by name through `product_pair_ref`; so does every
+    suspension."""
     from helpers import named_smash
 
     t2 = product(sphere(1), sphere(1))
     rng = random.Random(7)
-    factors = [sphere(0), sphere(1), sphere(2), t2] + [random_pointed_space(rng) for _ in range(4)]
+    factors = ([point(), sphere(0), sphere(1), sphere(2), t2]
+               + [random_pointed_space(rng) for _ in range(4)])
     for x in factors:
-        for y in (sphere(1), sphere(2), x):
+        for y in (point(), sphere(0), sphere(1), sphere(2), x):
             got, want = smash(x, y), named_smash(x, y)
-            assert got.collapse == want.collapse
+            assert got.space._cells == want.space._cells
             assert got.space.face_table() == want.space.face_table()
             assert got.space.basepoint == want.space.basepoint
+            assert got.collapse == want.collapse
+        for i in range(4):
+            got, want = suspension(x, i), named_smash(x, sphere(i)).space
+            assert got._cells == want._cells and got.face_table() == want.face_table()
+            assert got.basepoint == want.basepoint
+    # the oracle mints its ids through the same `_leg_id`, so pin a few
+    s1 = sphere(1)
+    assert smash(s1, s1).space._cells == {0: ("y:*",), 1: ('x:("c"|"c")',),
+                                          2: ('x:(s0"c"|s1"c")', 'x:(s1"c"|s0"c")')}
+    assert wedge(s1, sphere(2)).space._cells == {0: ("y:*",), 1: ("x:c",), 2: ("y:c",)}
+
+
+def _count_calls(monkeypatch, owner, name: str) -> list:
+    """Replace owner.name by a wrapper that appends to the returned list
+    on every call."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_smash_and_suspension_build_no_product_pushout_or_map(monkeypatch):
+    """The smash's space is the one simplicial set its construction
+    builds: no product, wedge, pushout or simplicial map behind it."""
+    from skernel import spaces
+
+    t2 = product(sphere(1), sphere(1))
+    s2, iv, pt = sphere(2), interval_pointed(), point()
+    built = _count_calls(monkeypatch, SimplicialSet, "__init__")
+    products = _count_calls(monkeypatch, spaces, "_product")
+    pushouts = _count_calls(monkeypatch, spaces, "pushout_inj")
+    maps = _count_calls(monkeypatch, SimplicialMap, "__init__")
+    for x, y in [(t2, s2), (s2, s2), (t2, iv), (iv, pt)]:
+        smash(x, y).space
+    assert len(built) == 4
+    suspension(t2, 3)
+    assert len(built) == 6  # the 3-sphere and the suspension
+    assert not products and not pushouts and not maps
+
+
+def test_smash_collapse_is_built_once_and_equals_the_oracle(monkeypatch):
+    """The collapse is built on first read, from one product, and is the
+    quotient map of the oracle's pushout."""
+    from helpers import named_smash
+    from skernel import spaces
+
+    t2 = product(sphere(1), sphere(1))
+    products = _count_calls(monkeypatch, spaces, "_product")
+    sm = smash(t2, sphere(2))
+    assert not products
+    first = sm.collapse
+    assert sm.collapse is first and len(products) == 1
+    assert first == named_smash(t2, sphere(2)).collapse
+    assert first.source._cells == product(t2, sphere(2))._cells
+
+
+def test_a_corrupted_smash_collapse_is_rejected():
+    """The collapse is validated like any map: a cell off the wedge sent
+    onto another cell of its dimension, while a cell it is a face of is
+    sent onto itself, breaks a face."""
+    from skernel.spaces import SmashResult, _smash
+
+    t2 = product(sphere(1), sphere(1))
+    for x, y in [(t2, sphere(1)), (sphere(2), t2), (t2, t2)]:
+        sm = _smash(x, y)[0]
+        data = list(sm._collapse_data)  # x, y, numbering, image, rows
+        image = data[3] = list(data[3])
+        # a cell off the wedge that is a nondegenerate face of another
+        face = next(b for row in sm.space.face_table() for m, b in row if b and not m)
+        n = sm.space.cell_dim(sm.space.cell_id(face))
+        image[image.index(face)] = next(c for c in sm.space.numbers(n) if c != face)
+        with pytest.raises(ValidationError, match="map does not commute"):
+            SmashResult(sm.space, *data).collapse
+
+
+def test_smash_and_suspension_refuse_unpointed_spaces():
+    for x, y in [(simplex(1), sphere(1)), (sphere(1), simplex(1)), (simplex(0), simplex(0))]:
+        with pytest.raises(ValueError, match="smash requires pointed spaces"):
+            smash(x, y)
+    with pytest.raises(ValueError, match="suspension requires a pointed space"):
+        suspension(simplex(1), 1)
+
+
+def _rp2() -> SimplicialSet:
+    """The real projective plane from one cell in each dimension: d_0
+    and d_2 of its 2-cell are the same loop, so d(2) has the entry 2."""
+    return SimplicialSet({0: ["v"], 1: ["a"], 2: ["t"]},
+                         {("a", 0): SimplexRef((), "v"), ("a", 1): SimplexRef((), "v"),
+                          ("t", 0): SimplexRef((), "a"), ("t", 1): SimplexRef((0,), "v"),
+                          ("t", 2): SimplexRef((), "a")})
+
+
+def test_chains_equal_the_chains_built_from_sorted_entries():
+    """`chains` writes each row in place, merging a face repeated in one
+    column; the differentials equal, entry for entry, those that
+    `IntMatrix.from_entries` builds from the sorted boundary entries."""
+    from helpers import entries_chains
+
+    rp2 = _rp2()
+    loop = SimplicialSet({0: ["v"], 1: ["e"]},
+                         {("e", 0): SimplexRef((), "v"), ("e", 1): SimplexRef((), "v")})
+    rng = random.Random(20)
+    spaces = (_homology_large_spaces() + [rp2, product(rp2, rp2), loop, product(loop, rp2)]
+              + [random_pointed_space(rng) for _ in range(20)])
+    assert chains(rp2).d(2).nonzeros == (((0,), (2,)),)
+    assert chains(loop).d(1).nonzeros == (((), ()),)
+    assert chains(product(rp2, rp2)).homology(2) == HomologyGroup(0, (2,))
+    for x in spaces:
+        assert _same_chains(chains(x), entries_chains(x)), x
+        assert _same_chains(chains(x, normalized=False, cap=4),
+                            entries_chains(x, normalized=False, cap=4)), x

@@ -25,6 +25,9 @@ It records
     S^2 x S^2 x S^2 x S^2, as cells per second, with the deterministic
     counts of cells and identities d_i d_j = d_{j-1} d_i checked
     (n(n+1)/2 per n-cell);
+  - spaces: build + validate of the smash of T^3 with itself and of the
+    3-fold suspension of S^2 x S^2, as cells per second; the factors are
+    built untimed;
   - simpab: build + validate of the Dold-Kan K of a rank-12 torsion
     complex and of the bar construction of the free reduced Z S^2, both
     truncated at D = 10, and of the K of Z --2--> Z at D = 14, whose
@@ -73,6 +76,12 @@ SCALE = {
     "S2xS2xS2xS2": (
         "simplicial", "",
         "p(p(p(spaces.sphere(2), spaces.sphere(2)), spaces.sphere(2)), spaces.sphere(2))",
+        "cells"),
+    "smash(T3,T3).space": (
+        "spaces", "t3 = p(p(spaces.sphere(1), spaces.sphere(1)), spaces.sphere(1))",
+        "spaces.smash(t3, t3).space", "cells"),
+    "suspension(S2xS2,3)": (
+        "spaces", "q = p(spaces.sphere(2), spaces.sphere(2))", "spaces.suspension(q, 3)",
         "cells"),
     "dold_kan_K(torsion rank 12, D=10)": (
         "simpab",
