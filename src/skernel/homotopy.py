@@ -6,10 +6,11 @@ homotopy pushouts built from the concrete wedge/smash formula, and the
 desk-scale weak-equivalence certificates: a certificate never decides a
 weak equivalence, it records exactly which finite checks passed.
 
-Every map out of a pushout, wedge or quotient here (comparison maps,
-retractions, projections) comes from `spaces.pushout_map`, the map its
-universal property induces; cell ids are only ever minted, never read
-apart.
+Every map out of a pushout or wedge here (comparison maps, retractions)
+comes from `spaces.pushout_map`, the map its universal property
+induces.  The cylinder object K ^ I+ is read by code: its end maps
+through `SmashResult.image_code`, and its projection onto K off the
+smash's product cells.  Cell ids are only ever minted, never read apart.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from .complexes import ValidationError, cone
 from .simplicial import BisimplicialSet, SimplexRef, SimplicialMap, SimplicialSet
 from .spaces import (
     _compact,
-    _pair_code,
-    _smash,
     arrow_of,
     boundary,
     chain_map_of,
@@ -33,11 +32,11 @@ from .spaces import (
     normalize_relations,
     pi0,
     pi1_presentation,
-    point,
     pushout_inj,
     pushout_map,
     simplex,
     skeleton,
+    smash,
     wedge,
 )
 
@@ -170,22 +169,17 @@ def _cylinder_object(k: SimplicialSet):
     """The two end inclusions of k into k smashed with the pointed
     interval, and the projection back to k."""
     iv = interval_pointed()
-    sm, number = _smash(k, iv)
+    sm = smash(k, iv)
 
     def end_map(vertex: str) -> SimplicialMap:
         v = iv.number(vertex)
-        pairs = (_pair_code(number, 0, c, (1 << n) - 1, v) for n in k.dims() for c in k.numbers(n))
-        return SimplicialMap(k, sm.space, [sm.collapse.image_code(*code) for code in pairs])
+        return SimplicialMap(k, sm.space, [sm.image_code(0, c, (1 << n) - 1, v)
+                                           for n in k.dims() for c in k.numbers(n)])
 
-    # K x I+ is K x I beside K x {*}: project the first onto K and
-    # collapse the second, which lies in the wedge, to the basepoint
-    kbp, ivbp = k.number(k.basepoint), iv.number(iv.basepoint)
-    to_k = [((1 << mb.bit_count()) - 1, kbp) if b == ivbp else (ma, a) for a, b, ma, mb in number]
-    pt = point()
-    to_basepoint = SimplicialMap(pt, sm.space, [(0, sm.space.number(sm.space.basepoint))])
-    projection = pushout_map((sm.space, sm.collapse, to_basepoint),
-                             SimplicialMap(sm.collapse.source, k, to_k),
-                             SimplicialMap(pt, k, [(0, kbp)]))
+    # a smash cell off the basepoint is a cell (a, b) of K x I, which
+    # projects onto a
+    projection = SimplicialMap(sm.space, k, [(0, k.number(k.basepoint))]
+                               + [(ma, a) for a, _, ma, _ in sm.product_cells])
     return end_map("0"), end_map("1"), projection
 
 

@@ -64,10 +64,16 @@ def _sparse_row(acc: dict) -> tuple:
 
 
 def _merged_row(i: int, js: list, xs: list, rows: int, cols: int) -> tuple:
-    """The stored form of row i from its ascending distinct columns js
-    and their values xs, zeros included."""
+    """`_stored_row` of row i of a rows x cols matrix, after checking
+    that its columns lie inside the matrix."""
     if js[0] < 0 or js[-1] >= cols:
         raise ValueError("entry in row %d outside a %dx%d matrix" % (i, rows, cols))
+    return _stored_row(js, xs)
+
+
+def _stored_row(js: list, xs: list) -> tuple:
+    """The stored form of a row from its ascending distinct columns js
+    and their values xs, dropping the values that are zero."""
     if 0 in xs:
         keep = list(compress(range(len(xs)), xs))
         if not keep:

@@ -32,7 +32,7 @@ from itertools import combinations
 from .complexes import ChainComplex, ChainMap, HomologyGroup, ValidationError, zero_complex
 from .matrices import IntMatrix, hstack, is_unimodular, kernel_basis, solve_exact, vstack
 from .simplicial import SimplicialSet, mask_insert
-from .spaces import _chain_basis, _pair_code, _smash
+from .spaces import _chain_basis, smash
 
 
 def _columns(m: IntMatrix) -> tuple:
@@ -480,13 +480,13 @@ def smash_comparison_iso(e: SimplicialSet, f: SimplicialSet, trunc_dim: int) -> 
     matrix that intertwines all faces and degeneracies; raises otherwise.
     """
     lhs = tensor_sab(free_reduced_Z(e, trunc_dim), free_reduced_Z(f, trunc_dim))
-    sm, number = _smash(e, f)
+    sm = smash(e, f)
     rhs = free_reduced_Z(sm.space, trunc_dim)
     mats = {}
     for n in range(trunc_dim + 1):
         tindex = {code: i for i, code in enumerate(_chain_basis(sm.space, n, False))}
         fbasis = _chain_basis(f, n, False)
-        rows = [tindex.get(sm.collapse.image_code(*_pair_code(number, ma, a, mb, b)))
+        rows = [tindex.get(sm.image_code(ma, a, mb, b))
                 for ma, a in _chain_basis(e, n, False) for mb, b in fbasis]
         # one entry per column, so a bijection hits every row once
         if len(rows) != len(tindex) or None in rows or len(set(rows)) != len(rows):

@@ -9,11 +9,15 @@ chains and homology.
 
 Constructions mint the ids of their cells injectively from the ids they
 are built from, and no code reads an id back apart: a map out of a
-pushout, wedge or quotient comes from `pushout_map`.
+pushout, wedge or quotient comes from `pushout_map`, or, out of a smash,
+from the product cells the smash keeps.
 
 The smash X ^ Y = (X x Y) / (X v Y) is built on the product cells off
 the wedge, without the product, the wedge or any pushout, under the ids
-the quotient gives them (`_leg_id` mints a pushout's ids for both).
+the quotient gives them (`_leg_id` mints a pushout's ids for both).  It
+keeps the product cell of each of its cells, and reads any simplex of
+the product through the quotient by code (`SmashResult.image_code`), so
+the maps into and out of it need no product either.
 
 Two rules work on (mask, cell) codes and are written once each.  The
 generator rule (`_chain_basis`): degree n of the chains is spanned by the
@@ -32,7 +36,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
 from .complexes import ChainComplex, ChainMap, HomologyGroup, ValidationError, group_from_presentation, zero_complex
-from .matrices import IntMatrix
+from .matrices import IntMatrix, _stored_row
 from .simplicial import (
     BisimplicialSet,
     SimplexRef,
@@ -124,23 +128,6 @@ def interval_pointed() -> SimplicialSet:
     return SimplicialSet({0: ["*", "0", "1"], 1: ["01"]}, faces, pointed=True, basepoint="*")
 
 
-def standard_space(kind: str, n: int = 0, k: int = 0) -> SimplicialSet:
-    """Dispatcher over the named standard spaces."""
-    if kind == "simplex":
-        return simplex(n)
-    if kind == "boundary":
-        return boundary(n)
-    if kind == "horn":
-        return horn(n, k)
-    if kind == "sphere":
-        return sphere(n)
-    if kind == "point":
-        return point()
-    if kind == "interval_pointed":
-        return interval_pointed()
-    raise ValueError("unknown standard space %r" % kind)
-
-
 # ---------------------------------------------------------------------------
 # products
 
@@ -223,7 +210,14 @@ def product(x: SimplicialSet, y: SimplicialSet) -> SimplicialSet:
     are computed once (`cache`), not once per partner.
     """
     number = _product_numbering(x, y)
-    return _product(x, y, _pair_rows(x, y, number, number))
+    cells = {}
+    table = []
+    for n, cell_id, row in _pair_rows(x, y, number, number):
+        cells.setdefault(n, []).append(cell_id)
+        table.append(tuple(row))
+    pointed = x.pointed and y.pointed
+    bp = pair_id(SimplexRef((), x.basepoint), SimplexRef((), y.basepoint)) if pointed else None
+    return SimplicialSet(cells, table, pointed=pointed, basepoint=bp)
 
 
 def _pair_rows(x: SimplicialSet, y: SimplicialSet, number: dict, codes):
@@ -236,18 +230,6 @@ def _pair_rows(x: SimplicialSet, y: SimplicialSet, number: dict, codes):
         _, idb, y_faces = y_simplex(mb, b)
         yield n, _PAIR % (ida, idb), [_pair_code(number, fma, fa, fmb, fb)
                                       for (fma, fa), (fmb, fb) in zip(x_faces, y_faces)]
-
-
-def _product(x: SimplicialSet, y: SimplicialSet, rows) -> SimplicialSet:
-    """`product(x, y)` from the `_pair_rows` of all its cells, in order."""
-    cells = {}
-    table = []
-    for n, cell_id, row in rows:
-        cells.setdefault(n, []).append(cell_id)
-        table.append(tuple(row))
-    pointed = x.pointed and y.pointed
-    bp = pair_id(SimplexRef((), x.basepoint), SimplexRef((), y.basepoint)) if pointed else None
-    return SimplicialSet(cells, table, pointed=pointed, basepoint=bp)
 
 
 # ---------------------------------------------------------------------------
@@ -371,28 +353,37 @@ def wedge(x: SimplicialSet, y: SimplicialSet) -> WedgeResult:
 
 
 class SmashResult:
-    """X ^ Y, and the collapse product(x, y) -> X ^ Y, which is built
-    the first time it is read: most callers want only the space."""
+    """X ^ Y, the product cell (a, b, mask_a, mask_b) of each of its
+    cells after the basepoint (`product_cells`), and `image_code`, which
+    reads a simplex of the product through the quotient.  The collapse
+    product(x, y) -> X ^ Y is built the first time it is read."""
 
     def __init__(self, space: SimplicialSet, x: SimplicialSet, y: SimplicialSet,
-                 number: dict, image: list, kept_rows: list):
+                 number: dict, image: list, product_cells: list):
         self.space = space
-        # the factors, the product's numbering, the smash cell that each
-        # product cell maps onto (0, the basepoint, for the wedge), and
-        # the `_pair_rows` of the cells off the wedge
-        self._collapse_data = (x, y, number, image, kept_rows)
+        self.product_cells = product_cells
+        self._x, self._y = x, y
+        # the product's numbering, and the smash cell that each product
+        # cell maps onto (0, the basepoint, for the wedge)
+        self._number, self._image = number, image
+
+    def image_code(self, ma: int, a: int, mb: int, b: int) -> tuple:
+        """The image of the product simplex (s_ma a, s_mb b) as a (mask,
+        cell) code: the pair's shared degeneracies over its own smash
+        cell off the wedge, the basepoint's degeneracy of its dimension
+        on the wedge."""
+        common, k = _pair_code(self._number, ma, a, mb, b)
+        s = self._image[k]
+        if s:
+            return common, s
+        x = self._x
+        return (1 << x.cell_dim(x.cell_id(a)) + ma.bit_count()) - 1, 0
 
     @cached_property
     def collapse(self) -> SimplicialMap:
-        """The quotient map: a cell off the wedge onto its own cell, a
-        wedge cell onto the basepoint's degeneracy of its dimension.  The
-        product reuses the rows the smash computed off the wedge."""
-        x, y, number, image, kept_rows = self._collapse_data
-        kept = iter(kept_rows)
-        wedge = _pair_rows(x, y, number, [code for code, s in zip(number, image) if not s])
-        prod = _product(x, y, (next(kept) if s else next(wedge) for s in image))
-        return SimplicialMap(prod, self.space, [(0, s) if s else ((1 << n) - 1, 0)
-                                                for s, (n, _) in zip(image, prod.all_cells())])
+        """The quotient map, each product cell sent by `image_code`."""
+        return SimplicialMap(product(self._x, self._y), self.space,
+                             [self.image_code(ma, a, mb, b) for a, b, ma, mb in self._number])
 
 
 def smash(x: SimplicialSet, y: SimplicialSet) -> SmashResult:
@@ -403,15 +394,9 @@ def smash(x: SimplicialSet, y: SimplicialSet) -> SmashResult:
     off the wedge, in the product's order, with the ids and numbers that
     `quotient` gives them.  A face that lands on the wedge becomes the
     basepoint's degeneracy of its dimension.  Neither the product nor the
-    wedge is built for the space; `SmashResult.collapse` builds the
-    product when it is read.
+    wedge is built; `SmashResult.collapse` builds the product when it is
+    read.
     """
-    return _smash(x, y)[0]
-
-
-def _smash(x: SimplicialSet, y: SimplicialSet) -> tuple:
-    """`smash(x, y)` and the `_product_numbering` of the product it
-    divides, for the callers that also map into the product by code."""
     if not (x.pointed and y.pointed):
         raise ValueError("smash requires pointed spaces")
     number = _product_numbering(x, y)
@@ -420,17 +405,16 @@ def _smash(x: SimplicialSet, y: SimplicialSet) -> tuple:
     image = [0] * len(number)
     for s, code in enumerate(kept, 1):
         image[number[code]] = s
-    kept_rows = list(_pair_rows(x, y, number, kept))
     # the quotient's basepoint is the one cell of `point()`
     bp = _leg_id("*", True)
     cells = {0: [bp]}
     table = [()]
-    for n, cell_id, row in kept_rows:
+    for n, cell_id, row in _pair_rows(x, y, number, kept):
         cells.setdefault(n, []).append(_leg_id(cell_id, False))
         table.append(tuple([(m, image[k]) if image[k] else ((1 << n - 1) - 1, 0)
                             for m, k in row]))
     space = SimplicialSet(cells, table, pointed=True, basepoint=bp)
-    return SmashResult(space, x, y, number, image, kept_rows), number
+    return SmashResult(space, x, y, number, image, kept)
 
 
 def suspension(x: SimplicialSet, i: int) -> SimplicialSet:
@@ -745,15 +729,6 @@ def chains(x: SimplicialSet, normalized: bool = True, cap: int | None = None) ->
                     xs[row].append(sign)
         d[n] = IntMatrix(len(js), len(basis[n]), tuple(map(_stored_row, js, xs)))
     return ChainComplex(0, top, ranks, d)
-
-
-def _stored_row(cols: list, coeffs: list) -> tuple:
-    """A matrix row in `IntMatrix`'s stored form from its ascending
-    distinct columns and their coefficients, dropping zero sums."""
-    if 0 in coeffs:
-        cols = [j for j, v in zip(cols, coeffs) if v]
-        coeffs = [v for v in coeffs if v]
-    return tuple(cols), tuple(coeffs)
 
 
 def homology_space(x: SimplicialSet, n: int) -> HomologyGroup:

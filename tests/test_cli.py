@@ -325,19 +325,18 @@ def test_suite_zreduced_check_catches_a_wrong_pair_code(monkeypatch):
     """zreduced-monoidality verifies the smash comparison map itself, so
     a wrong pair rule is a FAIL line: one that keeps the shared
     degeneracies on both factors, in the product and the verifier, and
-    one that drops them from the pair's code, in the verifier alone."""
-    import skernel.simpab
+    one that drops them from the image of a pair, in the verifier alone."""
     import skernel.spaces
+    from skernel.spaces import SmashResult
     from skernel.suite import CHECKS, run_suite
 
-    pair_code = skernel.spaces._pair_code
+    image_code = SmashResult.image_code
     check = [c for c in CHECKS if c[0] == "zreduced-monoidality"]
     with monkeypatch.context() as m:
-        for module in (skernel.spaces, skernel.simpab):
-            m.setattr(module, "_pair_code", lambda number, ma, a, mb, b: (ma & mb, number[a, b, ma, mb]))
+        m.setattr(skernel.spaces, "_pair_code", lambda number, ma, a, mb, b: (ma & mb, number[a, b, ma, mb]))
         report, ok = run_suite(0, "small", checks=check)
     assert not ok and report.startswith("FAIL zreduced-monoidality")
-    monkeypatch.setattr(skernel.simpab, "_pair_code", lambda *pair: (0, pair_code(*pair)[1]))
+    monkeypatch.setattr(SmashResult, "image_code", lambda sm, *pair: (0, image_code(sm, *pair)[1]))
     report, ok = run_suite(0, "small", checks=check)
     assert not ok and report.startswith("FAIL zreduced-monoidality")
     assert "comparison is not a bijection" in report

@@ -28,7 +28,6 @@ from skernel.spaces import (
     skeleton,
     smash,
     sphere,
-    standard_space,
     suspension,
     wedge,
 )
@@ -92,7 +91,7 @@ def test_standard_space_counts():
     assert horn(0, 0).cell_counts() == {}
     with pytest.raises(ValueError):
         horn(2, 3)
-    assert standard_space("simplex", 2).cell_counts() == {0: 3, 1: 3, 2: 1}
+    assert simplex(2).cell_counts() == {0: 3, 1: 3, 2: 1}
 
 
 def test_product_unit_and_contractibility():
@@ -626,7 +625,7 @@ def test_smash_and_suspension_build_no_product_pushout_or_map(monkeypatch):
     t2 = product(sphere(1), sphere(1))
     s2, iv, pt = sphere(2), interval_pointed(), point()
     built = _count_calls(monkeypatch, SimplicialSet, "__init__")
-    products = _count_calls(monkeypatch, spaces, "_product")
+    products = _count_calls(monkeypatch, spaces, "product")
     pushouts = _count_calls(monkeypatch, spaces, "pushout_inj")
     maps = _count_calls(monkeypatch, SimplicialMap, "__init__")
     for x, y in [(t2, s2), (s2, s2), (t2, iv), (iv, pt)]:
@@ -644,7 +643,7 @@ def test_smash_collapse_is_built_once_and_equals_the_oracle(monkeypatch):
     from skernel import spaces
 
     t2 = product(sphere(1), sphere(1))
-    products = _count_calls(monkeypatch, spaces, "_product")
+    products = _count_calls(monkeypatch, spaces, "product")
     sm = smash(t2, sphere(2))
     assert not products
     first = sm.collapse
@@ -657,19 +656,71 @@ def test_a_corrupted_smash_collapse_is_rejected():
     """The collapse is validated like any map: a cell off the wedge sent
     onto another cell of its dimension, while a cell it is a face of is
     sent onto itself, breaks a face."""
-    from skernel.spaces import SmashResult, _smash
+    from skernel.spaces import SmashResult
 
     t2 = product(sphere(1), sphere(1))
     for x, y in [(t2, sphere(1)), (sphere(2), t2), (t2, t2)]:
-        sm = _smash(x, y)[0]
-        data = list(sm._collapse_data)  # x, y, numbering, image, rows
-        image = data[3] = list(data[3])
+        sm = smash(x, y)
+        image = list(sm._image)
         # a cell off the wedge that is a nondegenerate face of another
         face = next(b for row in sm.space.face_table() for m, b in row if b and not m)
         n = sm.space.cell_dim(sm.space.cell_id(face))
         image[image.index(face)] = next(c for c in sm.space.numbers(n) if c != face)
         with pytest.raises(ValidationError, match="map does not commute"):
-            SmashResult(sm.space, *data).collapse
+            SmashResult(sm.space, x, y, sm._number, image, sm.product_cells).collapse
+
+
+def test_cylinders_pushouts_and_the_smash_comparison_build_no_product(monkeypatch):
+    """Cylinders, homotopy pushouts (with a comparison map) and the smash
+    comparison read the smash by code: they call no `product` and never
+    read `SmashResult.collapse`."""
+    from skernel import spaces
+    from skernel.homotopy import cylinder, homotopy_pushout
+    from skernel.simpab import smash_comparison_iso
+    from skernel.spaces import SmashResult
+
+    t2 = product(sphere(1), sphere(1))
+    s1 = sphere(1)
+    to_pt = SimplicialMap(s1, point(), {"*": SimplexRef((), "*"), "c": SimplexRef((0,), "*")})
+    products = _count_calls(monkeypatch, spaces, "product")
+    reads = []
+    real = SmashResult.collapse
+    monkeypatch.setattr(SmashResult, "collapse",
+                        property(lambda sm: reads.append(sm) or real.__get__(sm, SmashResult)))
+    cylinder(SimplicialMap.identity(t2))
+    cylinder(to_pt)
+    square = (SimplicialMap.identity(point()), SimplicialMap.identity(point()), None)
+    assert homotopy_pushout(to_pt, to_pt, square).comparison is not None
+    homotopy_pushout(SimplicialMap.identity(t2), SimplicialMap.identity(t2))
+    smash_comparison_iso(t2, sphere(2), 3)
+    assert not products and not reads
+
+
+def test_a_wrong_product_cell_breaks_the_cylinder_projection(monkeypatch):
+    """The projection K ^ I+ -> K is read off the smash's product cells
+    and validated as a map: one product cell with the wrong (mask, cell)
+    of K makes the cylinder raise."""
+    from skernel import homotopy
+    from skernel.homotopy import cylinder
+
+    t2 = product(sphere(1), sphere(1))
+    real = homotopy.smash
+
+    def corrupted(x, y):
+        sm = real(x, y)
+        cells = sm.product_cells = list(sm.product_cells)
+        # the first 2-cell over a nondegenerate cell of K, moved to
+        # another cell of its dimension
+        k = next(k for k, (a, _, ma, _) in enumerate(cells)
+                 if not ma and x.cell_dim(x.cell_id(a)) == 2)
+        a, b, ma, mb = cells[k]
+        other = next(c for c in x.numbers(2) if c != a)
+        cells[k] = (other, b, ma, mb)
+        return sm
+
+    monkeypatch.setattr(homotopy, "smash", corrupted)
+    with pytest.raises(ValidationError, match="map does not commute"):
+        cylinder(SimplicialMap.identity(t2))
 
 
 def test_smash_and_suspension_refuse_unpointed_spaces():

@@ -12,15 +12,17 @@ It records
 - claim pairs: `perfbench/run.py --workload WORKLOAD` run in each tree,
   alternating which tree goes first, one pair per seed; each run reports
   ops_per_kcu (throughput in calibration units) and peak_rss_mb;
-- scale rows, the minimum over --runs fresh interpreters per tree
-  (default 7: at 3, rows of a few milliseconds swung 10-15% between
-  ledgers of the same code on a 2-core box), alternating which tree
-  builds first, so that drift of the machine spreads over both trees; each interpreter times the build REPEATS
-  times and reports its minimum, so that builds of a few milliseconds
-  are not mostly noise; these are warm timings (the first build fills
-  process-wide caches such as `simplicial.word_of`), so they cannot be
-  compared with the cold, one-build scale rows of BENCH_13.json and
-  earlier ledgers:
+- scale rows over --runs fresh interpreters per tree (default 7: at 3,
+  rows of a few milliseconds swung 10-15% between ledgers of the same
+  code on a 2-core box), alternating which tree builds first, so that
+  drift of the machine spreads over both trees; each interpreter times
+  the build REPEATS times and reports its minimum, so that builds of a
+  few milliseconds are not mostly noise, and a row reports the median of
+  those per-run minima (`row_statistic`), so that one unusually fast or
+  slow interpreter does not decide it; these are warm timings (the first
+  build fills process-wide caches such as `simplicial.word_of`), so they
+  cannot be compared with the cold, one-build scale rows of BENCH_13.json
+  and earlier ledgers:
   - simplicial: build + validate of the boundary of the 14-simplex and of
     S^2 x S^2 x S^2 x S^2, as cells per second, with the deterministic
     counts of cells and identities d_i d_j = d_{j-1} d_i checked
@@ -52,9 +54,12 @@ It records
     fresh complex (factors are cached per complex).
 
 Each scale row also keeps every interpreter's minimum, in run order, per
-tree (`parent_run_min_s`, `change_run_min_s`): a load burst on the box
-that lands on one tree's runs shows there as a spread that the overall
-minimum hides.
+tree (`parent_run_min_s`, `change_run_min_s`), their median
+(`parent_median_s`, `change_median_s`), from which the row's rate and
+ratio come, and their minimum (`parent_min_s`, `change_min_s`).  Ledgers
+up to BENCH_20.json have no `row_statistic` field: their rates and
+ratios come from the overall minimum, so compare their rows with the
+`*_min_s` fields of a newer ledger, not with its rates.
 
 Only the standard library is used; each measurement runs in its own
 subprocess with PYTHONPATH set to the tree's `src`.
@@ -189,7 +194,7 @@ def scale_rows(trees: dict, runs: int) -> list:
         name = label if label.startswith(("homology", "chains")) else "build+validate " + label
         row = {"layer": layer, "name": name,
                "unit": counted + "/s", "better": "higher", "runs": runs,
-               "repeats": REPEATS}
+               "repeats": REPEATS, "row_statistic": "median of per-run minima"}
         code = BUILD.format(setup=setup, expr=expr, repeats=REPEATS, counted=counted)
         seconds = {"parent": [], "change": []}
         for k in range(runs):
@@ -198,7 +203,9 @@ def scale_rows(trees: dict, runs: int) -> list:
                 seconds[name].append(res.pop("seconds"))
                 row.update(res)
         for name, times in seconds.items():
-            row[name] = round(row[counted] / min(times), 1)
+            median = statistics.median(times)
+            row[name] = round(row[counted] / median, 1)
+            row[name + "_median_s"] = round(median, 4)
             row[name + "_min_s"] = round(min(times), 4)
             row[name + "_run_min_s"] = [round(t, 4) for t in times]
         row["ratio"] = round(row["change"] / row["parent"], 3)
