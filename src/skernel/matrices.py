@@ -7,15 +7,16 @@ matrix stores, per row, the columns and values of its nonzero entries,
 columns ascending: the structure maps this package validates are 0/+-1
 and a few percent nonzero, so products, sums and Kronecker products touch
 only those, and an n x n identity or zero map takes O(n) space.  The form
-is canonical, so equality and hashing compare storage.  Builders emit
-(row, column, value) entries through `IntMatrix.from_entries`, the
-general builder; dense rows go through `from_rows`.  `from_entries`
-canonicalizes by one sort: sorted as tuples, the entries are in
-row-major order, so one linear pass adds up repeated positions, drops
-zero sums and cuts the rows.  `transpose` needs no sort, since visiting
-the rows in order fills each column ascending, and `spaces.chains`
-writes its rows directly for the same reason: it visits the columns in
-order.
+is canonical, so equality and hashing compare storage.  Sums, stacks,
+kernels and solves emit (row, column, value) entries through
+`IntMatrix.from_entries`, the general builder; dense rows go through
+`from_rows`.  `from_entries` canonicalizes by one sort: sorted as
+tuples, the entries are in row-major order, so one linear pass adds up
+repeated positions, drops zero sums and cuts the rows.  `transpose`
+needs no sort, since visiting the rows in order fills each column
+ascending.  For the same reason `spaces.chains` writes its rows
+directly, and `simpab` builds the matrix of a face or degeneracy from
+its column table on first read: both visit the columns in order.
 
 Kernels, invariants and exact solves eliminate sparsely too.
 `invariant_factors` (homology, cokernels, unimodularity), `kernel_basis`

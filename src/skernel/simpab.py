@@ -1,15 +1,18 @@
 """Dimension-truncated simplicial abelian groups, levelwise free.
 
-Every object carries its truncation dimension D; structure maps are
-integer matrices and all simplicial identities are verified at
-construction, on column tables rather than matrix products: a map is the
-list of the images of the source basis elements, so f o g is read off
-column by column.  Nearly every column of a face or degeneracy is a unit
-vector e_r (all of Z~X and of the bar and tensor constructions on it,
-and K(C) outside its differential blocks), and composing with one is a
-lookup; only the other columns take a sparse combination.  This is Kenzo's
-view of simplicial operators as functions on generators (Dousson, Rubio,
-Sergeraert and Siret, The Kenzo program, 1999).
+Every object carries its truncation dimension D and stores each face
+and degeneracy as a column table: the list of the images of the source
+basis elements, so f o g is read off column by column.  The builders
+(the free reduction, K, the bar construction and the tensor product)
+write their tables directly, and `face`/`degen` build the integer matrix
+of a table the first time it is read.  All simplicial identities are
+verified at construction on the tables, with no matrix product.  Nearly
+every column of a face or degeneracy is a unit vector e_r (all of Z~X
+and of the bar and tensor constructions on it, and K(C) outside its
+differential blocks), and composing with one is a lookup; only the other
+columns take a sparse combination.  This is Kenzo's view of simplicial
+operators as functions on generators (Dousson, Rubio, Sergeraert and
+Siret, The Kenzo program, 1999).
 
 The core functors: the normalization N (intersection of the kernels of
 all faces except the zeroth, with differential the zeroth face), its
@@ -27,7 +30,7 @@ Moore bases and normalized complex once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .complexes import ChainComplex, ChainMap, HomologyGroup, ValidationError, zero_complex
 from .matrices import IntMatrix, hstack, is_unimodular, kernel_basis, solve_exact, vstack
@@ -35,17 +38,21 @@ from .simplicial import SimplicialSet, mask_insert
 from .spaces import _chain_basis, smash
 
 
-def _columns(m: IntMatrix) -> tuple:
+def _columns(m: IntMatrix, what: str) -> tuple:
     """The column table of m and whether it has a general column.
 
     The table has one item per column: the row r when the column is the
     unit vector e_r, -1 when it is zero, and otherwise its (rows, values)
-    pair, rows ascending; a trailing -1 makes index -1 map to zero.  Rows
-    are visited in order, so one pass over the nonzeros builds it."""
+    pair, rows ascending; a trailing -1 makes index -1 map to zero.  This
+    encoding is canonical.  Rows are visited in order, so one pass over
+    the nonzeros builds it; an entry that is not an int (a float, a bool)
+    is rejected there, naming m as `what`."""
     table = [-1] * (m.cols + 1)
     general = False
     for r, (js, xs) in enumerate(m.nonzeros):
         for j, x in zip(js, xs):
+            if x.__class__ is not int:
+                raise ValidationError("%s has the non-integer entry %r" % (what, x))
             c = table[j]
             if c == -1:
                 if x == 1:
@@ -58,6 +65,39 @@ def _columns(m: IntMatrix) -> tuple:
                 table[j] = (c[0] + (r,), c[1] + (x,))
             general = True
     return table, general
+
+
+def _matrix(f: tuple, rows: int) -> IntMatrix:
+    """The matrix with `rows` rows of the (table, general) pair f.
+    Columns are visited in order, so each row fills ascending with no
+    sort; without a general column every value is 1."""
+    table, general = f
+    js = [[] for _ in range(rows)]
+    if not general:
+        for j, c in enumerate(table[:-1]):
+            if c >= 0:
+                js[c].append(j)
+        return IntMatrix(rows, len(table) - 1, tuple((tuple(r), (1,) * len(r)) for r in js))
+    xs = [[] for _ in range(rows)]
+    for j, c in enumerate(table[:-1]):
+        if c.__class__ is int:
+            if c >= 0:
+                js[c].append(j)
+                xs[c].append(1)
+        else:
+            for r, x in zip(*c):
+                js[r].append(j)
+                xs[r].append(x)
+    return IntMatrix(rows, len(table) - 1, tuple(zip(map(tuple, js), map(tuple, xs))))
+
+
+def _shifted(table: list, off: int, general: bool) -> list:
+    """The columns of a table, without its trailing -1, each row moved
+    down by off."""
+    if not general:
+        return [c + off if c >= 0 else -1 for c in table[:-1]]
+    return [(tuple(r + off for r in c[0]), c[1]) if c.__class__ is not int
+            else c + off if c >= 0 else -1 for c in table[:-1]]
 
 
 def _combine(f: list, col: tuple):
@@ -100,13 +140,13 @@ def _broken_operator(psi: dict, source: "SimplicialAbGroup", target: "Simplicial
     target does not intertwine, as ("face", n, i) or ("degeneracy", n, j),
     or None when target.op o psi[n] = psi[m] o source.op for every face
     and degeneracy; each side is composed on column tables."""
-    cols = {n: _columns(m) for n, m in psi.items()}
-    ops = [("face", n, i, n - 1, source.face(n, i), target.face(n, i))
+    cols = {n: _columns(m, "level %d of the map" % n) for n, m in psi.items()}
+    ops = [("face", n, i, n - 1, source._ft[(n, i)], target._ft[(n, i)])
            for n in range(1, source.D + 1) for i in range(n + 1)]
-    ops += [("degeneracy", n, j, n + 1, source.degen(n, j), target.degen(n, j))
+    ops += [("degeneracy", n, j, n + 1, source._st[(n, j)], target._st[(n, j)])
             for n in range(source.D) for j in range(n + 1)]
     for kind, n, i, m, s, t in ops:
-        if not _same(_compose(_columns(t), cols[n]), _compose(cols[m], _columns(s))):
+        if not _same(_compose(t, cols[n]), _compose(cols[m], s)):
             return kind, n, i
     return None
 
@@ -114,10 +154,11 @@ def _broken_operator(psi: dict, source: "SimplicialAbGroup", target: "Simplicial
 class SimplicialAbGroup:
     """Levelwise free simplicial abelian group, truncated at dimension D.
 
-    face[(n, i)] is the matrix of the i-th face A_n -> A_{n-1}, and
-    degen[(n, j)] the j-th degeneracy A_n -> A_{n+1} (defined for n < D).
-    Construction checks every d d, s s and d s identity up to D, each
-    once, by composing the column tables of the structure maps.
+    face(n, i) is the matrix of the i-th face A_n -> A_{n-1}, and
+    degen(n, j) the j-th degeneracy A_n -> A_{n+1} (defined for n < D).
+    Each is stored as a (column table, has a general column) pair and
+    its matrix is built on first read.  Construction checks every d d,
+    s s and d s identity up to D, each once, by composing the tables.
     """
 
     def __init__(self, trunc_dim: int, ranks, face: dict, degen: dict):
@@ -133,16 +174,36 @@ class SimplicialAbGroup:
         if any(r < 0 for r in ranks):
             raise ValidationError("negative level rank")
         self._ranks = tuple(ranks)
-        self._face = {}
-        self._degen = {}
-        for (n, i), m in face.items():
-            if not isinstance(m, IntMatrix):
-                m = IntMatrix.from_rows(m)
-            self._face[(int(n), int(i))] = m
-        for (n, j), m in degen.items():
-            if not isinstance(m, IntMatrix):
-                m = IntMatrix.from_rows(m)
-            self._degen[(int(n), int(j))] = m
+        face, degen = ({(int(n), int(i)): m if isinstance(m, IntMatrix) else IntMatrix.from_rows(m)
+                        for (n, i), m in maps.items()} for maps in (face, degen))
+        tables = []
+        for kind, maps, shift, levels in (("face", face, -1, range(1, trunc_dim + 1)),
+                                          ("degeneracy", degen, 1, range(trunc_dim))):
+            out = {}
+            for (n, i), m in maps.items():
+                if not (n in levels and 0 <= i <= n):
+                    raise ValidationError("%s (%d, %d) out of range" % (kind, n, i))
+                if m.shape != (self.rank(n + shift), self.rank(n)):
+                    raise ValidationError("%s (%d, %d) has shape %r" % (kind, n, i, m.shape))
+                out[(n, i)] = _columns(m, "%s (%d, %d)" % (kind, n, i))
+            for n in levels:
+                for i in range(n + 1):
+                    out.setdefault((n, i), ([-1] * (self.rank(n) + 1), False))
+            tables.append(out)
+        self._store(*tables)
+
+    @classmethod
+    def _of_tables(cls, trunc_dim: int, ranks, face: dict, degen: dict) -> "SimplicialAbGroup":
+        """The group with the given tables, one for every face and
+        degeneracy up to trunc_dim, validated as the constructor validates."""
+        a = cls.__new__(cls)
+        a.D, a._ranks = trunc_dim, tuple(ranks)
+        a._store(face, degen)
+        return a
+
+    def _store(self, face: dict, degen: dict):
+        self._ft, self._st = face, degen
+        self._fm, self._sm = {}, {}
         self._validate()
 
     def rank(self, n: int) -> int:
@@ -156,33 +217,29 @@ class SimplicialAbGroup:
     def face(self, n: int, i: int) -> IntMatrix:
         if not (1 <= n <= self.D and 0 <= i <= n):
             raise ValueError("face (%d, %d) out of range" % (n, i))
-        m = self._face.get((n, i))
+        m = self._fm.get((n, i))
         if m is None:
-            return IntMatrix.zero(self.rank(n - 1), self.rank(n))
+            m = self._fm[(n, i)] = _matrix(self._ft[(n, i)], self.rank(n - 1))
         return m
 
     def degen(self, n: int, j: int) -> IntMatrix:
         if not (0 <= n < self.D and 0 <= j <= n):
             raise ValueError("degeneracy (%d, %d) out of range" % (n, j))
-        m = self._degen.get((n, j))
+        m = self._sm.get((n, j))
         if m is None:
-            return IntMatrix.zero(self.rank(n + 1), self.rank(n))
+            m = self._sm[(n, j)] = _matrix(self._st[(n, j)], self.rank(n + 1))
         return m
 
     def _validate(self):
-        for (n, i), m in self._face.items():
-            if not (1 <= n <= self.D and 0 <= i <= n):
-                raise ValidationError("face (%d, %d) out of range" % (n, i))
-            if m.shape != (self.rank(n - 1), self.rank(n)):
-                raise ValidationError("face (%d, %d) has shape %r" % (n, i, m.shape))
-        for (n, j), m in self._degen.items():
-            if not (0 <= n < self.D and 0 <= j <= n):
-                raise ValidationError("degeneracy (%d, %d) out of range" % (n, j))
-            if m.shape != (self.rank(n + 1), self.rank(n)):
-                raise ValidationError("degeneracy (%d, %d) has shape %r" % (n, j, m.shape))
-        ft = {(n, i): _columns(self.face(n, i))
-              for n in range(1, self.D + 1) for i in range(n + 1)}
-        st = {(n, j): _columns(self.degen(n, j)) for n in range(self.D) for j in range(n + 1)}
+        for kind, tables, shift in (("face", self._ft, -1), ("degeneracy", self._st, 1)):
+            for (n, i), (t, general) in tables.items():
+                shape = (self.rank(n + shift), self.rank(n))
+                rows = [r for c in t for r in ((c,) if c.__class__ is int
+                                               else (c[0][0], c[0][-1]))] if general else t
+                if len(t) != shape[1] + 1 or min(rows) < -1 or max(rows) >= shape[0]:
+                    raise ValidationError("%s (%d, %d) does not fit its shape %r"
+                                          % (kind, n, i, shape))
+        ft, st = self._ft, self._st
         for n in range(2, self.D + 1):
             for j in range(1, n + 1):
                 for i in range(j):
@@ -217,32 +274,49 @@ class SimplicialAbGroup:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialAbGroup):
             return NotImplemented
-        if self.D != other.D or self._ranks != other._ranks:
-            return False
-        for n in range(1, self.D + 1):
-            for i in range(n + 1):
-                if self.face(n, i) != other.face(n, i):
-                    return False
-        for n in range(self.D):
-            for j in range(n + 1):
-                if self.degen(n, j) != other.degen(n, j):
-                    return False
-        return True
+        return (self.D == other.D and self._ranks == other._ranks
+                and self._ft == other._ft and self._st == other._st)
 
     def __repr__(self) -> str:
         return "SimplicialAbGroup(D=%d, ranks=%r)" % (self.D, list(self._ranks))
 
 
 def constant_group(rank: int, trunc_dim: int) -> SimplicialAbGroup:
-    face = {}
-    degen = {}
-    for n in range(1, trunc_dim + 1):
-        for i in range(n + 1):
-            face[(n, i)] = IntMatrix.identity(rank)
-    for n in range(trunc_dim):
-        for j in range(n + 1):
-            degen[(n, j)] = IntMatrix.identity(rank)
-    return SimplicialAbGroup(trunc_dim, [rank] * (trunc_dim + 1), face, degen)
+    ident = (list(range(rank)) + [-1], False)
+    face = {(n, i): ident for n in range(1, trunc_dim + 1) for i in range(n + 1)}
+    degen = {(n, j): ident for n in range(trunc_dim) for j in range(n + 1)}
+    return SimplicialAbGroup._of_tables(trunc_dim, [rank] * (trunc_dim + 1), face, degen)
+
+
+def _kron_table(f: tuple, g: tuple, g_rows: int) -> tuple:
+    """The (table, general) pair of the Kronecker product of the maps
+    with the pairs f and g, g having g_rows rows: as in `IntMatrix.kron`,
+    column j * g.cols + q is column j of f times column q of g."""
+    (ft, fgen), (gt, ggen) = f, g
+    gt = gt[:-1]
+    out = []
+    if not (fgen or ggen):
+        for c in ft[:-1]:
+            out.extend([-1] * len(gt) if c < 0 else [c * g_rows + d if d >= 0 else -1 for d in gt])
+        out.append(-1)
+        return out, False
+    general = False
+    zero = ((), ())
+    for c in ft[:-1]:
+        rc, xc = (((c,), (1,)) if c >= 0 else zero) if c.__class__ is int else c
+        for d in gt:
+            rd, xd = (((d,), (1,)) if d >= 0 else zero) if d.__class__ is int else d
+            rows = tuple(r * g_rows + s for r in rc for s in rd)
+            xs = tuple(x * y for x in xc for y in xd)
+            if not rows:
+                out.append(-1)
+            elif xs == (1,):  # e_r kron e_s, or a product of two entries -1
+                out.append(rows[0])
+            else:
+                out.append((rows, xs))
+                general = True
+    out.append(-1)
+    return out, general
 
 
 def tensor_sab(a: SimplicialAbGroup, b: SimplicialAbGroup) -> SimplicialAbGroup:
@@ -250,15 +324,9 @@ def tensor_sab(a: SimplicialAbGroup, b: SimplicialAbGroup) -> SimplicialAbGroup:
     if a.D != b.D:
         raise ValueError("truncation dimensions differ")
     ranks = [a.rank(n) * b.rank(n) for n in range(a.D + 1)]
-    face = {}
-    degen = {}
-    for n in range(1, a.D + 1):
-        for i in range(n + 1):
-            face[(n, i)] = a.face(n, i).kron(b.face(n, i))
-    for n in range(a.D):
-        for j in range(n + 1):
-            degen[(n, j)] = a.degen(n, j).kron(b.degen(n, j))
-    return SimplicialAbGroup(a.D, ranks, face, degen)
+    face = {k: _kron_table(f, b._ft[k], b.rank(k[0] - 1)) for k, f in a._ft.items()}
+    degen = {k: _kron_table(s, b._st[k], b.rank(k[0] + 1)) for k, s in a._st.items()}
+    return SimplicialAbGroup._of_tables(a.D, ranks, face, degen)
 
 
 # ---------------------------------------------------------------------------
@@ -353,41 +421,39 @@ def _summands(c: ChainComplex, n: int) -> list:
     return sorted(eta for k in range(n + 1) if c.rank(k) for eta in surjection_tuples(n, k))
 
 
-def _operator_matrix(c: ChainComplex, diffs: dict, summands_src, summands_tgt,
-                     alpha) -> IntMatrix:
-    """Matrix of K(C) applied to a monotone map alpha (a value tuple),
-    from the level indexed by summands_src to the level of summands_tgt;
-    diffs[k] lists the entries of the differential C_k -> C_{k-1}.
+def _operator_table(rank: list, diffs: dict, summands_src, offsets_tgt: dict, alpha) -> tuple:
+    """The (table, general) pair of K(C) applied to a monotone map alpha
+    (a value tuple), from the level indexed by summands_src to the level
+    whose summands start at the rows offsets_tgt; rank[k] is the rank of
+    C_k, and diffs[k] the pair of the differential C_k -> C_{k-1}.
 
     The component out of the summand eta is the identity when eta o alpha
     is still surjective (being monotone into [k], it takes k + 1 values),
     the differential when its image is {1..k} (k values starting at 1),
-    and zero otherwise.
+    and zero otherwise: an identity run or the differential's columns,
+    moved down to the target summand.
     """
-    tgt_offset = {}
-    off = 0
-    for eta in summands_tgt:
-        tgt_offset[eta] = off
-        off += c.rank(eta[-1])
-    rows = off
-    cols = sum(c.rank(eta[-1]) for eta in summands_src)
-    entries = []
-    coff = 0
+    table = []
+    general = False
     for eta in summands_src:
         k = eta[-1]
-        r = c.rank(k)
         t = tuple(map(eta.__getitem__, alpha))
         values = len(set(t))
+        roff = None
         if values == k + 1:
-            roff = tgt_offset.get(t)
+            roff = offsets_tgt.get(t)
             if roff is not None:
-                entries.extend((roff + s, coff + s, 1) for s in range(r))
+                table.extend(range(roff, roff + rank[k]))
         elif values == k and t[0] == 1:
-            roff = tgt_offset.get(tuple(v - 1 for v in t))
+            roff = offsets_tgt.get(tuple(v - 1 for v in t))
             if roff is not None:
-                entries.extend((roff + s1, coff + s2, x) for s1, s2, x in diffs[k])
-        coff += r
-    return IntMatrix.from_entries(rows, cols, entries)
+                d, gen = diffs[k]
+                table.extend(_shifted(d, roff, gen))
+                general |= gen
+        if roff is None:
+            table.extend([-1] * rank[k])
+    table.append(-1)
+    return table, general
 
 
 def dold_kan_K(c: ChainComplex, trunc_dim: int) -> SimplicialAbGroup:
@@ -395,20 +461,23 @@ def dold_kan_K(c: ChainComplex, trunc_dim: int) -> SimplicialAbGroup:
     nonnegative part of c; level n is the sum of copies of C_k indexed by
     order-preserving surjections [n] ->> [k], truncated at trunc_dim."""
     c = c.truncate_good(0)
+    rank = [c.rank(k) for k in range(trunc_dim + 1)]
     summands = {n: _summands(c, n) for n in range(trunc_dim + 1)}
-    ranks = [sum(c.rank(eta[-1]) for eta in summands[n]) for n in range(trunc_dim + 1)]
-    diffs = {k: list(c.d(k).entries()) for k in range(1, trunc_dim + 1)}
+    offsets = {n: dict(zip(etas, accumulate((rank[eta[-1]] for eta in etas), initial=0)))
+               for n, etas in summands.items()}
+    ranks = [sum(rank[eta[-1]] for eta in summands[n]) for n in range(trunc_dim + 1)]
+    diffs = {k: _columns(c.d(k), "differential %d" % k) for k in range(1, trunc_dim + 1)}
     face = {}
     degen = {}
     for n in range(1, trunc_dim + 1):
         for i in range(n + 1):
             alpha = tuple(v for v in range(n + 1) if v != i)
-            face[(n, i)] = _operator_matrix(c, diffs, summands[n], summands[n - 1], alpha)
+            face[(n, i)] = _operator_table(rank, diffs, summands[n], offsets[n - 1], alpha)
     for n in range(trunc_dim):
         for j in range(n + 1):
             alpha = tuple(v if v <= j else v - 1 for v in range(n + 2))
-            degen[(n, j)] = _operator_matrix(c, diffs, summands[n], summands[n + 1], alpha)
-    return SimplicialAbGroup(trunc_dim, ranks, face, degen)
+            degen[(n, j)] = _operator_table(rank, diffs, summands[n], offsets[n + 1], alpha)
+    return SimplicialAbGroup._of_tables(trunc_dim, ranks, face, degen)
 
 
 def unnormalized_complex(a: SimplicialAbGroup) -> ChainComplex:
@@ -453,23 +522,18 @@ def free_reduced_Z(x: SimplicialSet, trunc_dim: int) -> SimplicialAbGroup:
     index = {code: i for codes in basis for i, code in enumerate(codes)}
     ranks = [len(codes) for codes in basis]
 
-    def matrix_of(op, n_src, n_tgt):
-        entries = []
-        for col, (mask, cell) in enumerate(basis[n_src]):
-            row = index.get(op(mask, cell))
-            if row is not None:
-                entries.append((row, col, 1))
-        return IntMatrix.from_entries(ranks[n_tgt], ranks[n_src], entries)
+    def table_of(op, n):
+        return [index.get(op(mask, cell), -1) for mask, cell in basis[n]] + [-1], False
 
     face = {}
     degen = {}
     for n in range(1, trunc_dim + 1):
         for i in range(n + 1):
-            face[(n, i)] = matrix_of(lambda m, c, i=i: x.face_code(m, c, i), n, n - 1)
+            face[(n, i)] = table_of(lambda m, c, i=i: x.face_code(m, c, i), n)
     for n in range(trunc_dim):
         for j in range(n + 1):
-            degen[(n, j)] = matrix_of(lambda m, c, j=j: (mask_insert(m, j), c), n, n + 1)
-    return SimplicialAbGroup(trunc_dim, ranks, face, degen)
+            degen[(n, j)] = table_of(lambda m, c, j=j: (mask_insert(m, j), c), n)
+    return SimplicialAbGroup._of_tables(trunc_dim, ranks, face, degen)
 
 
 def smash_comparison_iso(e: SimplicialSet, f: SimplicialSet, trunc_dim: int) -> dict:
@@ -503,16 +567,17 @@ def smash_comparison_iso(e: SimplicialSet, f: SimplicialSet, trunc_dim: int) -> 
 # the bar construction
 
 
-def _bar_map(m: IntMatrix, blocks: list, targets: int, sources: int) -> IntMatrix:
-    """The map A^sources -> A'^targets that applies m to source block s
-    and puts the result in target block t for every (t, s) in blocks.  No
-    source block has two targets, so the entries are distinct and one
-    `from_entries` writes the map."""
-    r, c = m.shape
-    ents = list(m.entries())
-    return IntMatrix.from_entries(
-        targets * r, sources * c,
-        ((t * r + i, s * c + j, x) for t, s in blocks for i, j, x in ents))
+def _bar_table(f: tuple, targets: list, rows: int) -> tuple:
+    """The (table, general) pair of the map A^len(targets) -> A'^m that
+    applies the map with the pair f to source block s and puts the result
+    in target block targets[s], or drops it where that is None; A' has
+    the given number of rows.  Each block's columns are f's, moved down."""
+    table, general = f
+    out = []
+    for t in targets:
+        out.extend([-1] * (len(table) - 1) if t is None else _shifted(table, t * rows, general))
+    out.append(-1)
+    return out, general and any(t is not None for t in targets)
 
 
 def bar_B(a: SimplicialAbGroup) -> SimplicialAbGroup:
@@ -529,14 +594,14 @@ def bar_B(a: SimplicialAbGroup) -> SimplicialAbGroup:
     degen = {}
     for n in range(1, d + 1):
         for i in range(n + 1):
-            pairs = ((s if s < i else s - 1, s) for s in range(n))
-            blocks = [(t, s) for t, s in pairs if 0 <= t < n - 1]
-            face[(n, i)] = _bar_map(a.face(n, i), blocks, n - 1, n)
+            moved = (s if s < i else s - 1 for s in range(n))
+            targets = [t if 0 <= t < n - 1 else None for t in moved]
+            face[(n, i)] = _bar_table(a._ft[(n, i)], targets, a.rank(n - 1))
     for n in range(d):
         for j in range(n + 1):
-            blocks = [(t, t if t < j else t - 1) for t in range(n + 1) if t != j]
-            degen[(n, j)] = _bar_map(a.degen(n, j), blocks, n + 1, n)
-    return SimplicialAbGroup(d, ranks, face, degen)
+            targets = [s if s < j else s + 1 for s in range(n)]
+            degen[(n, j)] = _bar_table(a._st[(n, j)], targets, a.rank(n + 1))
+    return SimplicialAbGroup._of_tables(d, ranks, face, degen)
 
 
 # ---------------------------------------------------------------------------

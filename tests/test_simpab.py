@@ -8,6 +8,7 @@ from skernel.complexes import ChainComplex, HomologyGroup, ValidationError, sing
 from skernel.matrices import IntMatrix
 from skernel.simpab import (
     EZPair,
+    _columns,
     SimplicialAbGroup,
     bar_B,
     constant_group,
@@ -153,9 +154,104 @@ def test_validation_compares_every_identity_once(monkeypatch):
     assert compared == (sum(n * (n + 1) // 2 for n in range(2, D + 1))
                         + sum((n + 1) * (n + 2) // 2 for n in range(D - 1))
                         + sum((n + 1) * (n + 2) for n in range(D))) == 124
+    # the builders' tables take the same path: once for Z~S^2, once for B
+    compared = 0
+    assert bar_B(free_reduced_Z(sphere(2), 5)) == b
+    assert compared == 124 + 124
 
 
 IDENTITY_FAILED = r"^identity [ds]_\d+ [ds]_\d+ failed at level \d+$"
+OUTSIDE = r"^(face|degeneracy) \(\d+, \d+\) does not fit its shape \(\d+, \d+\)$"
+# Z --(-1)--> Z: the faces of K have the column -e_0, and in the tensor
+# square of K the product of two of them is the unit column e_0
+NEGATIVE = ChainComplex(0, 1, {0: 1, 1: 1}, {1: [[-1]]})
+BUILT = {
+    "zS1": lambda d: free_reduced_Z(sphere(1), d),
+    "zS2": lambda d: free_reduced_Z(sphere(2), d),
+    "K-torsion": lambda d: dold_kan_K(TORSION, d),
+    "bar-zS2": lambda d: bar_B(free_reduced_Z(sphere(2), d)),
+    "bar-bar-zS1": lambda d: bar_B(bar_B(free_reduced_Z(sphere(1), d))),
+    "bar-K-mixed": lambda d: bar_B(dold_kan_K(MIXED, d)),
+    "zS1-tensor-K-mixed": lambda d: tensor_sab(free_reduced_Z(sphere(1), d), dold_kan_K(MIXED, d)),
+    "K-negative-squared": lambda d: tensor_sab(dold_kan_K(NEGATIVE, d), dold_kan_K(NEGATIVE, d)),
+    "constant": lambda d: constant_group(2, d),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT))
+def test_built_tables_are_the_tables_of_their_matrices(name):
+    """At every D <= 5, the table a builder wrote is the column table of
+    the matrix that `face`/`degen` builds from it, so it is canonical,
+    and the same matrices through the public constructor give an equal
+    group."""
+    for d in range(6):
+        g = BUILT[name](d)
+        faces, degen = _structure_maps(g)
+        assert {k: _columns(m, "face") for k, m in faces.items()} == g._ft
+        assert {k: _columns(m, "degeneracy") for k, m in degen.items()} == g._st
+        assert SimplicialAbGroup(g.D, g.ranks(), faces, degen) == g
+
+
+@pytest.mark.parametrize("a, b", [(BUILT["zS1"], BUILT["zS2"]), (BUILT["K-torsion"], BUILT["zS1"]),
+                                  (lambda d: dold_kan_K(NEGATIVE, d),) * 2])
+def test_tensor_tables_are_the_kronecker_products(a, b):
+    for d in range(6):
+        x, y = a(d), b(d)
+        t = tensor_sab(x, y)
+        for n in range(1, d + 1):
+            for i in range(n + 1):
+                assert t.face(n, i) == x.face(n, i).kron(y.face(n, i))
+        for n in range(d):
+            for j in range(n + 1):
+                assert t.degen(n, j) == x.degen(n, j).kron(y.degen(n, j))
+
+
+@pytest.mark.parametrize("builder, build", [
+    ("_operator_table", lambda: dold_kan_K(TORSION, 4)),
+    ("_kron_table", lambda: tensor_sab(free_reduced_Z(sphere(1), 4), free_reduced_Z(sphere(2), 4))),
+    ("_bar_table", lambda: bar_B(free_reduced_Z(sphere(2), 4))),
+])
+@pytest.mark.parametrize("edit, message", [
+    (lambda r: ((r,), (-1,)), IDENTITY_FAILED),
+    (lambda r: 10 ** 6, OUTSIDE),
+    (lambda r: -2, OUTSIDE),
+], ids=["negated", "row past the end", "row before the start"])
+def test_a_wrong_builder_table_is_rejected(monkeypatch, builder, build, edit, message):
+    """A builder's tables are validated as the constructor's are: one
+    unit column of the first table with one, negated or moved to a row
+    outside the matrix, is named."""
+    original = getattr(skernel.simpab, builder)
+    edited = []
+
+    def editing(*args):
+        table, general = original(*args)
+        units = [j for j, c in enumerate(table[:-1]) if c.__class__ is int and c >= 0]
+        if edited or not units:
+            return table, general
+        j = units[len(units) // 2]
+        table = list(table)
+        table[j] = edit(table[j])
+        edited.append(j)
+        return table, general or table[j].__class__ is not int
+
+    monkeypatch.setattr(skernel.simpab, builder, editing)
+    with pytest.raises(ValidationError, match=message):
+        build()
+    assert edited
+
+
+@pytest.mark.parametrize("key, value", [("face", 1.0), ("face", True), ("degeneracy", 1.0)])
+def test_validation_rejects_an_entry_that_is_not_an_int(key, value):
+    """1.0 == 1 and True == 1, but neither is stored: the face or
+    degeneracy that holds one is named."""
+    odd = IntMatrix.from_entries(1, 1, [(0, 0, value)])
+    one = IntMatrix.identity(1)
+    face = {(1, 0): one, (1, 1): odd if key == "face" else one}
+    degen = {(0, 0): odd if key == "degeneracy" else one}
+    where = "face (1, 1)" if key == "face" else "degeneracy (0, 0)"
+    with pytest.raises(ValidationError, match=r"^%s has the non-integer entry %r$"
+                       % (re.escape(where), value)):
+        SimplicialAbGroup(1, [1, 1], face, degen)
 
 
 def _with_column(m, j, column):

@@ -7,6 +7,10 @@ workload a claim is made for:
     python3 tools/bench_ledger.py --parent ../skernel-parent --change . \
         --workload simplicial-groups --pairs 10 --out BENCH_9.json
 
+Make both trees the same way, for example each with `git archive` of
+its commit: peak_rss_mb differs by about 0.2 MB between a `git clone`
+and a `cp -r` copy of the same commit.
+
 It records
 
 - claim pairs: `perfbench/run.py --workload WORKLOAD` run in each tree,
@@ -36,7 +40,12 @@ It records
     surjections [n] ->> [k] mostly index zero summands, as simplicial
     identities checked per second
     (per object: n(n+1)/2 d_i d_j, (n+1)(n+2)/2 s_i s_j and (n+1)(n+2)
-    d_i s_j identities per level n); their inputs are built untimed;
+    d_i s_j identities per level n); their inputs are built untimed; the
+    same for the tensor square of the free reduced Z S^2 at D = 8; and
+    the Eilenberg-Zilber maps of the free reduced Z S^1 with itself at
+    D = 7, the two free reductions built inside the timed expression (the
+    matrices of their faces are built on first read), as pairs of maps
+    per second;
   - homotopy: build + validate of the wrapped S^2 x S^2 truncated at 5,
     with its counit, and of the mapping cylinder of the identity of
     S^2 x S^2, with its three maps, as cells per second; S^2 x S^2 is
@@ -99,6 +108,12 @@ SCALE = {
     "bar_B(free_reduced_Z(S2, D=10))": (
         "simpab", "z = simpab.free_reduced_Z(spaces.sphere(2), 10)", "simpab.bar_B(z)",
         "identities"),
+    "tensor_sab(free_reduced_Z(S2), free_reduced_Z(S2), D=8)": (
+        "simpab", "z = simpab.free_reduced_Z(spaces.sphere(2), 8)", "simpab.tensor_sab(z, z)",
+        "identities"),
+    "ez_maps(free_reduced_Z(S1), free_reduced_Z(S1), D=7)": (
+        "simpab", "s1 = spaces.sphere(1)",
+        "simpab.ez_maps(simpab.free_reduced_Z(s1, 7), simpab.free_reduced_Z(s1, 7))", "pairs"),
     "wrap(S2xS2, 5)": (
         "homotopy", "q = p(spaces.sphere(2), spaces.sphere(2))", "homotopy.wrap(q, 5).space",
         "cells"),
@@ -155,6 +170,8 @@ elif hasattr(x, "tower"):
     counts["stages"] = len(x.tower)
 elif hasattr(x, "total_rank"):
     counts["generators"] = x.total_rank()
+elif hasattr(x, "shuffle"):
+    counts["pairs"] = 1
 else:
     counts["identities"] = (sum(n * (n + 1) // 2 for n in range(2, x.D + 1))
                             + sum((n + 1) * (n + 2) // 2 for n in range(x.D - 1))
