@@ -20,15 +20,18 @@ its column table on first read: both visit the columns in order.
 
 Kernels, invariants and exact solves eliminate sparsely too.
 `invariant_factors` (homology, cokernels, unimodularity), `kernel_basis`
-(cycles, Moore bases) and `solve_exact` (normalized differentials, Moore
-projections, good truncations) share one unit-pivot elimination on
+(cycles) and `solve_exact` (normalized differentials, Moore projections,
+good truncations) share one unit-pivot elimination, `_eliminate`, on
 dict-of-rows storage; a solve runs it on [a | b] with pivots in a's
-columns.  A complex's homology runs it on each differential without the
-columns that the one above paired, and reads back its pivot rows.  Only
-the residue without a +-1 entry reaches the dense Smith loop, which
-computes no transform for the factors, V for a kernel and U and V for a
-solve.  The dense `smith_normal_form` of a whole matrix, on
-its list workspace, is left to the suite's check of the Smith
+columns.  The rows come from a matrix's nonzeros, except for the Moore
+bases of `simpab`, which read them straight off the column tables of
+the faces and call `_kernel` (elimination, then back-substitution) with
+no matrix built.  A complex's homology runs the elimination on each
+differential without the columns that the one above paired, and reads
+back its pivot rows.  Only the residue without a +-1 entry reaches the
+dense Smith loop, which computes no transform for the factors, V for a
+kernel and U and V for a solve.  The dense `smith_normal_form` of a
+whole matrix, on its list workspace, is left to the suite's check of the Smith
 decomposition and to the random complexes in `generators`, which take
 their kernels from the dense Smith V directly: a fixed recipe, so
 changing the elimination never re-seeds an instance the suite checks.
@@ -480,31 +483,43 @@ def diagonal_of(d: IntMatrix) -> list:
     return [d.at(i, i) for i in range(min(d.rows, d.cols))]
 
 
-def _unit_pivots(m: IntMatrix, pivot_cols: int | None = None, skip=()):
-    """Sparse unit-pivot elimination by row operations (Kaczynski-Mrozek-
-    Slusarek; Dumas-Saunders-Villard).
-
-    The nonzero rows of m, without the columns in skip, are held as
-    {col: value} dicts with a column -> rows occupancy index, and while
-    some entry is +-1 in one of the first pivot_cols columns (default:
-    all of them) the sparsest such column holding one (ties: lowest
-    column index) is cleared from the other rows with the shortest such
-    row (ties: lowest row index) as pivot.  Pivot row and column are then
-    dropped.  Returns (pivots, rows, cols): pivots lists (row, column,
-    sign, rest of the pivot row) in elimination order, each rest naming
-    only columns still present at its step; rows and cols are the
-    residue, which holds no +-1 entry in a pivot column, keyed by its
-    nonzero rows and nonempty columns.
-    """
-    limit = m.cols if pivot_cols is None else pivot_cols
+def _row_dicts(m: IntMatrix, skip=()) -> dict:
+    """The nonzero rows of m, without the columns in skip, as
+    {row: {column: value}}, each row's columns ascending."""
     rows = {}
-    cols = {}
     for i, (js, xs) in enumerate(m.nonzeros):
         row = {j: x for j, x in zip(js, xs) if j not in skip} if skip else dict(zip(js, xs))
         if row:
             rows[i] = row
-            for j in row:
-                cols.setdefault(j, set()).add(i)
+    return rows
+
+
+def _unit_pivots(m: IntMatrix, pivot_cols: int | None = None, skip=()):
+    """`_eliminate` on the rows of m without the columns in skip, with
+    pivots in the first pivot_cols columns (default: all of them)."""
+    return _eliminate(_row_dicts(m, skip), m.cols if pivot_cols is None else pivot_cols)
+
+
+def _eliminate(rows: dict, limit: int):
+    """Sparse unit-pivot elimination by row operations (Kaczynski-Mrozek-
+    Slusarek; Dumas-Saunders-Villard).
+
+    The nonzero rows, given as {row: {col: value}} and consumed, are held
+    with a column -> rows occupancy index, and while some entry is +-1 in
+    a column below limit the sparsest such column holding one (ties:
+    lowest column index) is cleared from the other rows with the shortest
+    such row (ties: lowest row index) as pivot.  Pivot row and column are
+    then dropped.  Every choice depends on the entries alone, not on the
+    order the rows or their columns were given in.  Returns (pivots,
+    rows, cols): pivots lists (row, column, sign, rest of the pivot row)
+    in elimination order, each rest naming only columns still present at
+    its step; rows and cols are the residue, which holds no +-1 entry in
+    a pivot column, keyed by its nonzero rows and nonempty columns.
+    """
+    cols = {}
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
     pivots = []
     # candidate columns keyed (occupancy, index); an entry is stale once
     # the column's occupancy has changed, and every pivot column whose
@@ -586,23 +601,30 @@ def invariant_factors(m: IntMatrix) -> tuple:
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Basis of the integer kernel lattice of m, as columns.
+    """Basis of the integer kernel lattice of m, as columns: `_kernel`
+    of the rows of m."""
+    return _kernel(_row_dicts(m), m.cols)
 
-    Row operations keep the kernel.  After `_unit_pivots`, each pivot
-    row fixes its pivot coordinate in terms of coordinates pivoted later
-    or not at all, and the residue R constrains only non-pivot ones.  So
-    projecting ker(m) onto the non-pivot coordinates is an isomorphism
-    onto ker(R) times the coordinates no residue row touches; its inverse
-    is back-substitution through the pivot rows in reverse order,
-    integral because the pivots are +-1.  The basis is the unit vectors
-    of the untouched coordinates, then the columns of the dense Smith V
-    of R over its zero diagonal, each completed by back-substitution.
-    Those images form a saturated basis, so this one generates ker(m)
-    exactly (not a finite-index sublattice).
+
+def _kernel(rows: dict, ncols: int) -> IntMatrix:
+    """Basis of the integer kernel lattice of the ncols-column matrix
+    whose nonzero rows are given as for `_eliminate`, as columns.
+
+    Row operations keep the kernel.  After `_eliminate`, each pivot row
+    fixes its pivot coordinate in terms of coordinates pivoted later or
+    not at all, and the residue R constrains only non-pivot ones.  So
+    projecting the kernel onto the non-pivot coordinates is an
+    isomorphism onto ker(R) times the coordinates no residue row
+    touches; its inverse is back-substitution through the pivot rows in
+    reverse order, integral because the pivots are +-1.  The basis is
+    the unit vectors of the untouched coordinates, then the columns of
+    the dense Smith V of R over its zero diagonal, each completed by
+    back-substitution.  Those images form a saturated basis, so this one
+    generates the kernel exactly (not a finite-index sublattice).
     """
-    pivots, rows, cols = _unit_pivots(m)
+    pivots, rows, cols = _eliminate(rows, ncols)
     pivoted = {q for _, q, _, _ in pivots}
-    vectors = [{j: 1} for j in range(m.cols) if j not in pivoted and j not in cols]
+    vectors = [{j: 1} for j in range(ncols) if j not in pivoted and j not in cols]
     if rows:
         keep = sorted(cols)
         _, d, v = smith_normal_form(_residue(rows, keep), want_u=False)
@@ -615,7 +637,7 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
             if y:
                 x[q] = y
     return IntMatrix.from_entries(
-        m.cols, len(vectors), ((j, t, y) for t, x in enumerate(vectors) for j, y in x.items())
+        ncols, len(vectors), ((j, t, y) for t, x in enumerate(vectors) for j, y in x.items())
     )
 
 

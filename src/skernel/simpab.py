@@ -25,6 +25,13 @@ part comes from the simplicial identities alone: the projection onto N_n
 along D_n is a product of the factors 1 - s_j d_{j+1}, expressed in the
 Moore basis by one exact solve.  Each verifier computes an object's
 Moore bases and normalized complex once.
+
+Normalization runs on the tables too.  The Moore basis eliminates the
+rows of d_1, ..., d_n read straight off their tables; the projection's
+factors, the K o N counit and the Eilenberg-Zilber degeneracy and face
+composites are composed as tables.  An integer matrix is built only
+where a chain complex, a chain map, an exact solve or a unimodularity
+check needs one.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations
 
 from .complexes import ChainComplex, ChainMap, HomologyGroup, ValidationError, zero_complex
-from .matrices import IntMatrix, hstack, is_unimodular, kernel_basis, solve_exact, vstack
+from .matrices import IntMatrix, _kernel, hstack, is_unimodular, solve_exact, vstack
 from .simplicial import SimplicialSet, mask_insert
 from .spaces import _chain_basis, smash
 
@@ -100,6 +107,21 @@ def _shifted(table: list, off: int, general: bool) -> list:
             else c + off if c >= 0 else -1 for c in table[:-1]]
 
 
+def _identity(rank: int) -> tuple:
+    """The (table, general) pair of the identity of Z^rank."""
+    return list(range(rank)) + [-1], False
+
+
+def _column(acc: dict):
+    """The table item of the column {row: value}."""
+    rows = sorted(s for s, x in acc.items() if x)
+    if not rows:
+        return -1
+    if len(rows) == 1 and acc[rows[0]] == 1:
+        return rows[0]
+    return tuple(rows), tuple(map(acc.__getitem__, rows))
+
+
 def _combine(f: list, col: tuple):
     """The image under the column table f of a general column, in the
     same encoding."""
@@ -112,12 +134,7 @@ def _combine(f: list, col: tuple):
         else:
             for s, y in zip(*c):
                 acc[s] = acc.get(s, 0) + x * y
-    rows = sorted(s for s, x in acc.items() if x)
-    if not rows:
-        return -1
-    if len(rows) == 1 and acc[rows[0]] == 1:
-        return rows[0]
-    return tuple(rows), tuple(map(acc.__getitem__, rows))
+    return _column(acc)
 
 
 def _compose(f: tuple, g: tuple) -> list:
@@ -129,18 +146,27 @@ def _compose(f: tuple, g: tuple) -> list:
     return [ft[c] if c.__class__ is int else _combine(ft, c) for c in gt]
 
 
+def _composite(ops: dict, keys, f: tuple) -> tuple:
+    """The (table, general) pair of the maps ops[k] for k in keys, the
+    first applied first, after the map with the pair f."""
+    for k in keys:
+        g = ops[k]
+        f = _compose(g, f), g[1] or f[1]
+    return f
+
+
 def _same(lhs: list, rhs: list) -> bool:
     """Whether two column tables are the same map: the encoding is
     canonical, so the lists compare item by item."""
     return lhs == rhs
 
 
-def _broken_operator(psi: dict, source: "SimplicialAbGroup", target: "SimplicialAbGroup"):
+def _broken_operator(cols: dict, source: "SimplicialAbGroup", target: "SimplicialAbGroup"):
     """The first structure map that the levelwise map psi: source ->
-    target does not intertwine, as ("face", n, i) or ("degeneracy", n, j),
-    or None when target.op o psi[n] = psi[m] o source.op for every face
-    and degeneracy; each side is composed on column tables."""
-    cols = {n: _columns(m, "level %d of the map" % n) for n, m in psi.items()}
+    target, given by the (table, general) pair cols[n] of each level,
+    does not intertwine, as ("face", n, i) or ("degeneracy", n, j), or
+    None when target.op o psi[n] = psi[m] o source.op for every face and
+    degeneracy; each side is composed on column tables."""
     ops = [("face", n, i, n - 1, source._ft[(n, i)], target._ft[(n, i)])
            for n in range(1, source.D + 1) for i in range(n + 1)]
     ops += [("degeneracy", n, j, n + 1, source._st[(n, j)], target._st[(n, j)])
@@ -255,7 +281,7 @@ class SimplicialAbGroup:
                     if not _same(lhs, rhs):
                         raise ValidationError("identity s_%d s_%d failed at level %d" % (i, j, n))
         for n in range(0, self.D):
-            ident = list(range(self.rank(n))) + [-1]
+            ident = _identity(self.rank(n))[0]
             for j in range(n + 1):
                 s = st[(n, j)]
                 for i in range(n + 2):
@@ -282,7 +308,7 @@ class SimplicialAbGroup:
 
 
 def constant_group(rank: int, trunc_dim: int) -> SimplicialAbGroup:
-    ident = (list(range(rank)) + [-1], False)
+    ident = _identity(rank)
     face = {(n, i): ident for n in range(1, trunc_dim + 1) for i in range(n + 1)}
     degen = {(n, j): ident for n in range(trunc_dim) for j in range(n + 1)}
     return SimplicialAbGroup._of_tables(trunc_dim, [rank] * (trunc_dim + 1), face, degen)
@@ -333,11 +359,36 @@ def tensor_sab(a: SimplicialAbGroup, b: SimplicialAbGroup) -> SimplicialAbGroup:
 # normalization
 
 
+def _face_rows(a: SimplicialAbGroup, n: int) -> dict:
+    """The nonzero rows of the faces d_1, ..., d_n out of level n
+    stacked, as {row: {column: value}} and numbered as `vstack` numbers
+    them: row r of d_i is row (i - 1) * rank(n - 1) + r.  Read off the
+    column tables, columns in order, so each row's columns ascend."""
+    rows = {}
+    for i in range(1, n + 1):
+        off = (i - 1) * a.rank(n - 1)
+        for j, c in enumerate(a._ft[(n, i)][0][:-1]):
+            if c.__class__ is int:
+                if c >= 0:
+                    row = rows.get(off + c)
+                    if row is None:
+                        rows[off + c] = {j: 1}
+                    else:
+                        row[j] = 1
+            else:
+                for r, x in zip(*c):
+                    rows.setdefault(off + r, {})[j] = x
+    return rows
+
+
 def moore_basis(a: SimplicialAbGroup) -> dict:
     """Per level, a lattice basis (columns) of the intersection of the
     kernels of all faces except the zeroth.
 
-    It is the `kernel_basis` of the faces d_1, ..., d_n stacked: their
+    It is the `matrices._kernel` of the faces d_1, ..., d_n stacked, with
+    the rows read straight off their column tables (`_face_rows`), so no
+    face matrix is built; the rows are the ones `vstack` would give, so
+    the pivot rule sees the same matrix and gives the same basis.  The
     entries are 0/+-1 and almost monomial, so the unit-pivot elimination
     clears them and the dense Smith loop sees a small residue at most
     (none for the free reductions of spheres).  The basis is saturated,
@@ -348,8 +399,7 @@ def moore_basis(a: SimplicialAbGroup) -> dict:
         if a.rank(n) == 0:
             bases[n] = IntMatrix.zero(0, 0)
             continue
-        stack = [a.face(n, i) for i in range(1, n + 1)]
-        bases[n] = kernel_basis(vstack(stack))
+        bases[n] = _kernel(_face_rows(a, n), a.rank(n))
     return bases
 
 
@@ -377,6 +427,23 @@ def normalize_N(a: SimplicialAbGroup) -> ChainComplex:
     return _normalize(a, moore_basis(a))
 
 
+def _projection_factor(a: SimplicialAbGroup, n: int, j: int) -> tuple:
+    """The (table, general) pair of 1 - s_j d_{j+1} on A_n: column c is
+    e_c minus column c of s_j d_{j+1}."""
+    table = []
+    for c, col in enumerate(_compose(a._st[(n - 1, j)], a._ft[(n, j + 1)])[:-1]):
+        if col.__class__ is int:
+            table.append(c if col < 0 else -1 if col == c
+                         else ((c, col), (1, -1)) if c < col else ((col, c), (-1, 1)))
+            continue
+        acc = {c: 1}
+        for r, x in zip(*col):
+            acc[r] = acc.get(r, 0) - x
+        table.append(_column(acc))
+    table.append(-1)
+    return table, True
+
+
 def moore_projection(a: SimplicialAbGroup, bases: dict, n: int) -> IntMatrix:
     """The projection A_n -> N_n along the degenerate part, in the Moore
     basis: bases[n] @ moore_projection(a, bases, n) is the idempotent
@@ -386,13 +453,14 @@ def moore_projection(a: SimplicialAbGroup, bases: dict, n: int) -> IntMatrix:
     whose rightmost factor acts first.  P_n fixes N_n, kills every
     degenerate simplex and lands in N_n (Goerss-Jardine, Simplicial
     Homotopy Theory, III.2), so one exact solve against the saturated
-    basis gives its coordinates."""
+    basis gives its coordinates.  The factors are composed on column
+    tables, and P_n becomes a matrix once, for that solve."""
     if a.rank(n) == 0:
         return IntMatrix.zero(0, 0)
-    p = IntMatrix.identity(a.rank(n))
+    p = _identity(a.rank(n))
     for j in range(n - 1, -1, -1):
-        p = p - a.degen(n - 1, j) @ (a.face(n, j + 1) @ p)
-    coords = solve_exact(bases[n], p)
+        p = _compose(_projection_factor(a, n, j), p), True
+    coords = solve_exact(bases[n], _matrix(p, a.rank(n)))
     if coords is None:
         raise ValidationError("the Moore projection leaves the normalized part at level %d" % n)
     return coords
@@ -546,7 +614,7 @@ def smash_comparison_iso(e: SimplicialSet, f: SimplicialSet, trunc_dim: int) -> 
     lhs = tensor_sab(free_reduced_Z(e, trunc_dim), free_reduced_Z(f, trunc_dim))
     sm = smash(e, f)
     rhs = free_reduced_Z(sm.space, trunc_dim)
-    mats = {}
+    mats, tables = {}, {}
     for n in range(trunc_dim + 1):
         tindex = {code: i for i, code in enumerate(_chain_basis(sm.space, n, False))}
         fbasis = _chain_basis(f, n, False)
@@ -555,9 +623,9 @@ def smash_comparison_iso(e: SimplicialSet, f: SimplicialSet, trunc_dim: int) -> 
         # one entry per column, so a bijection hits every row once
         if len(rows) != len(tindex) or None in rows or len(set(rows)) != len(rows):
             raise ValidationError("comparison is not a bijection at level %d" % n)
-        mats[n] = IntMatrix.from_entries(len(rows), len(rows),
-                                         ((r, col, 1) for col, r in enumerate(rows)))
-    broken = _broken_operator(mats, lhs, rhs)
+        tables[n] = rows + [-1], False
+        mats[n] = _matrix(tables[n], len(rows))
+    broken = _broken_operator(tables, lhs, rhs)
     if broken:
         raise ValidationError("comparison breaks %s (%d, %d)" % broken)
     return mats
@@ -622,22 +690,17 @@ class EZPair:
         return comp == ChainMap.identity(self.shuffle.source)
 
 
-def _degeneracy_composite(a: SimplicialAbGroup, start: int, indices) -> IntMatrix:
-    m = IntMatrix.identity(a.rank(start))
-    lvl = start
-    for j in indices:
-        m = a.degen(lvl, j) @ m
-        lvl += 1
-    return m
+def _degeneracy_composite(a: SimplicialAbGroup, start: int, indices, f: tuple) -> tuple:
+    """The (table, general) pair of s_{j_k} ... s_{j_1} o f, where f maps
+    into A_start and indices = (j_1, ..., j_k) are applied in order."""
+    return _composite(a._st, ((start + t, j) for t, j in enumerate(indices)), f)
 
 
 def _face_composite(a: SimplicialAbGroup, n: int, p: int, front: bool) -> IntMatrix:
     """The front face A_n -> A_p (d_lvl at each level) or, with front
     False, the back face (d_0 at each level)."""
-    m = IntMatrix.identity(a.rank(n))
-    for lvl in range(n, p, -1):
-        m = a.face(lvl, lvl if front else 0) @ m
-    return m
+    keys = ((lvl, lvl if front else 0) for lvl in range(n, p, -1))
+    return _matrix(_composite(a._ft, keys, _identity(a.rank(n))), a.rank(p))
 
 
 def ez_maps(a: SimplicialAbGroup, b: SimplicialAbGroup) -> EZPair:
@@ -657,6 +720,8 @@ def ez_maps(a: SimplicialAbGroup, b: SimplicialAbGroup) -> EZPair:
     t_full = na.tensor(nb)
     t = t_full.truncate_stupid(d) if t_full.max_deg > d else t_full
 
+    ka_t = {p: _columns(m, "Moore basis %d" % p) for p, m in na_bases.items()}
+    kb_t = {q: _columns(m, "Moore basis %d" % q) for q, m in nb_bases.items()}
     shuffle_comps = {}
     for n in range(d + 1):
         cols = []
@@ -669,8 +734,8 @@ def ez_maps(a: SimplicialAbGroup, b: SimplicialAbGroup) -> EZPair:
             for mu in combinations(range(n), p):
                 nu = tuple(s for s in range(n) if s not in mu)
                 sign = (-1) ** sum(1 for m in mu for x in nu if m > x)
-                ma = _degeneracy_composite(a, p, nu) @ ka
-                mb = _degeneracy_composite(b, q, mu) @ kb
+                ma = _matrix(_degeneracy_composite(a, p, nu, ka_t[p]), a.rank(n))
+                mb = _matrix(_degeneracy_composite(b, q, mu, kb_t[q]), b.rank(n))
                 term = ma.kron(mb)
                 block = block + (term if sign > 0 else term.scale(-1))
             cols.append(block)
@@ -787,23 +852,36 @@ def nk_roundtrip_iso(c: ChainComplex, trunc_dim: int):
     return out
 
 
+def _counit(a: SimplicialAbGroup, na: ChainComplex, bases: dict) -> dict:
+    """Per level n, the (table, general) pair of the counit K(N(A))_n ->
+    A_n: on the summand of a surjection eta it is the composite
+    degeneracy of eta applied to the Moore basis, composed on column
+    tables; the summands sit side by side in the order of `_summands`."""
+    basis = {k: _columns(m, "Moore basis %d" % k) for k, m in bases.items()}
+    psi = {}
+    for n in range(a.D + 1):
+        table, general = [], False
+        for eta in _summands(na, n):
+            jumps = [i for i in range(n) if eta[i] == eta[i + 1]]
+            t, g = _degeneracy_composite(a, eta[-1], jumps, basis[eta[-1]])
+            table += t[:-1]
+            general |= g
+        psi[n] = table + [-1], general
+    return psi
+
+
 def kn_roundtrip_ok(a: SimplicialAbGroup) -> bool:
     """K(N(A)) is isomorphic to A levelwise, via the explicit counit
-    K(N(A))_n -> A_n: on the summand of a surjection eta it is the
-    composite degeneracy of eta applied to the Moore basis.  Each level
-    of the counit must be unimodular and intertwine all structure maps."""
+    (`_counit`).  Each level of the counit must be unimodular, checked on
+    its matrix, and intertwine all structure maps, checked on its column
+    tables."""
     bases = moore_basis(a)
     na = _normalize(a, bases)
     kna = dold_kan_K(na, a.D)
-    psi = {}
+    if kna.ranks() != a.ranks():
+        return False
+    psi = _counit(a, na, bases)
     for n in range(a.D + 1):
-        if kna.rank(n) != a.rank(n):
-            return False
-        blocks = []
-        for eta in _summands(na, n):
-            jumps = [i for i in range(n) if eta[i] == eta[i + 1]]
-            blocks.append(_degeneracy_composite(a, eta[-1], jumps) @ bases[eta[-1]])
-        psi[n] = hstack(blocks) if blocks else IntMatrix.zero(a.rank(n), 0)
-        if a.rank(n) and not is_unimodular(psi[n]):
+        if a.rank(n) and not is_unimodular(_matrix(psi[n], a.rank(n))):
             return False
     return _broken_operator(psi, kna, a) is None

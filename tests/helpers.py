@@ -12,8 +12,11 @@ smash inclusions and the cylinder maps are also kept as they were built
 by name, through `product_pair_ref`, before the library moved them onto
 (mask, cell) codes, and the chains once more as they were built on codes
 before `chains` wrote its rows in place.  The smash is kept as the
-quotient of the product by the wedge.  Last, the few builders that only
-tests use.
+quotient of the product by the wedge.  The normalization of a
+simplicial group is kept in its matrix form: Moore bases as the kernel
+of the stacked face matrices, the Moore projection as a product of
+`IntMatrix` factors and the K o N counit as side-by-side blocks.  Last,
+the few builders that only tests use.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from typing import NamedTuple
 
 from skernel.complexes import (ChainComplex, ChainMap, HomologyGroup, TowerReport,
                                check_quasi_iso, zero_complex)
-from skernel.matrices import IntMatrix, kernel_basis, solve_exact
-from skernel.simpab import surjection_tuples
+from skernel.matrices import IntMatrix, hstack, kernel_basis, solve_exact, vstack
+from skernel.simpab import SimplicialAbGroup, _summands, surjection_tuples
 from skernel.simplicial import (BisimplicialSet, SimplexRef, SimplicialMap, SimplicialSet,
                                 mask_delete, mask_of, word_of)
 from skernel.spaces import (_chain_basis, interval_pointed, pair_id, point, product, product_pairs,
@@ -144,22 +147,76 @@ def conjugated_torsion_complex(rng: random.Random, top: int, per: int, moves: in
             used[n] += 1
             used[n - 1] += 1
     # a unimodular change of basis P per degree, with its inverse Q
-    ps, qs = [], []
-    for _ in range(top + 1):
-        pm = [[int(i == j) for j in range(per)] for i in range(per)]
-        qm = [row[:] for row in pm]
-        for _ in range(moves * per if per > 1 else 0):
-            i, j = rng.sample(range(per), 2)
-            c = rng.choice((-1, 1))
-            pm[i] = [x + c * y for x, y in zip(pm[i], pm[j])]
-            for row in qm:
-                row[j] -= c * row[i]
-        ps.append(IntMatrix.from_rows(pm))
-        qs.append(IntMatrix.from_rows(qm))
+    ps, qs = zip(*(unimodular_pair(rng, per, moves * per) for _ in range(top + 1)))
     diffs = {n: ps[n - 1] @ IntMatrix.from_rows(m) @ qs[n] for n, m in d.items()}
     ranks = {n: per for n in range(top + 1)}
     homology = {n: group_of_divisors([0] * (per - used[n]) + orders[n]) for n in ranks}
     return ChainComplex(0, top, ranks, diffs), homology
+
+
+def unimodular_pair(rng: random.Random, size: int, moves: int) -> tuple:
+    """A size x size unimodular P made of `moves` random elementary row
+    operations (none when size < 2), and its inverse Q."""
+    pm = [[int(i == j) for j in range(size)] for i in range(size)]
+    qm = [row[:] for row in pm]
+    for _ in range(moves if size > 1 else 0):
+        i, j = rng.sample(range(size), 2)
+        c = rng.choice((-1, 1))
+        pm[i] = [x + c * y for x, y in zip(pm[i], pm[j])]
+        for row in qm:
+            row[j] -= c * row[i]
+    return IntMatrix.from_rows(pm, cols=size), IntMatrix.from_rows(qm, cols=size)
+
+
+def conjugated_group(a: SimplicialAbGroup, rng: random.Random, moves: int) -> SimplicialAbGroup:
+    """a with the basis of each level n changed by a seeded unimodular P_n
+    of moves * rank(n) row operations: face (n, i) becomes
+    P_{n-1} d_i Q_n and degeneracy (n, j) becomes P_{n+1} s_j Q_n, built
+    through the public constructor."""
+    ps, qs = zip(*(unimodular_pair(rng, r, moves * r) for r in a.ranks()))
+    face = {(n, i): ps[n - 1] @ a.face(n, i) @ qs[n]
+            for n in range(1, a.D + 1) for i in range(n + 1)}
+    degen = {(n, j): ps[n + 1] @ a.degen(n, j) @ qs[n] for n in range(a.D) for j in range(n + 1)}
+    return SimplicialAbGroup(a.D, a.ranks(), face, degen)
+
+
+def stacked_moore_basis(a: SimplicialAbGroup) -> dict:
+    """Per level n, the `kernel_basis` of the face matrices d_1, ..., d_n
+    stacked by `vstack`."""
+    bases = {0: IntMatrix.identity(a.rank(0))}
+    for n in range(1, a.D + 1):
+        if a.rank(n) == 0:
+            bases[n] = IntMatrix.zero(0, 0)
+            continue
+        bases[n] = kernel_basis(vstack([a.face(n, i) for i in range(1, n + 1)]))
+    return bases
+
+
+def product_moore_projection(a: SimplicialAbGroup, bases: dict, n: int):
+    """The Moore coordinates of (1 - s_0 d_1) ... (1 - s_{n-1} d_n), each
+    factor an `IntMatrix` product, or None when the solve has none."""
+    if a.rank(n) == 0:
+        return IntMatrix.zero(0, 0)
+    p = IntMatrix.identity(a.rank(n))
+    for j in range(n - 1, -1, -1):
+        p = p - a.degen(n - 1, j) @ (a.face(n, j + 1) @ p)
+    return solve_exact(bases[n], p)
+
+
+def hstack_counit(a: SimplicialAbGroup, na: ChainComplex, bases: dict) -> dict:
+    """Per level n, the counit K(N(A))_n -> A_n as the `hstack` of one
+    block per summand eta: the degeneracy matrices of eta's repeated
+    values, multiplied onto the Moore basis of degree eta[-1]."""
+    out = {}
+    for n in range(a.D + 1):
+        blocks = []
+        for eta in _summands(na, n):
+            m = bases[eta[-1]]
+            for lvl, j in enumerate((i for i in range(n) if eta[i] == eta[i + 1]), eta[-1]):
+                m = a.degen(lvl, j) @ m
+            blocks.append(m)
+        out[n] = hstack(blocks) if blocks else IntMatrix.zero(a.rank(n), 0)
+    return out
 
 
 def homology_by_presentation(c: ChainComplex, n: int) -> HomologyGroup:

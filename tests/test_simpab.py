@@ -3,12 +3,17 @@ import re
 
 import pytest
 
+import skernel.matrices
 import skernel.simpab
 from skernel.complexes import ChainComplex, HomologyGroup, ValidationError, single
 from skernel.matrices import IntMatrix
 from skernel.simpab import (
     EZPair,
     _columns,
+    _counit,
+    _identity,
+    _matrix,
+    _normalize,
     SimplicialAbGroup,
     bar_B,
     constant_group,
@@ -28,8 +33,9 @@ from skernel.simpab import (
 )
 from skernel.spaces import smash, sphere, suspension
 
-from helpers import (basepoint_ref, block_diag, kunneth_homology, level_summands, product_pair_ref,
-                     random_complex, shuffles)
+from helpers import (basepoint_ref, block_diag, conjugated_group, hstack_counit, kunneth_homology,
+                     level_summands, product_moore_projection, product_pair_ref, random_complex,
+                     shuffles, stacked_moore_basis)
 
 Z = HomologyGroup(1)
 TRIV = HomologyGroup(0)
@@ -553,15 +559,16 @@ def test_shuffle_1_1_expands_to_two_signed_terms():
     assert len(sh) == 2
     assert sorted(s for _, _, s in sh) == [-1, 1]
     a = free_reduced_Z(sphere(1), 2)
-    from skernel.simpab import _degeneracy_composite, moore_projection
+    from skernel.simpab import _degeneracy_composite
 
     bases = moore_basis(a)
+    basis = _columns(bases[1], "Moore basis 1")
     # raw shuffle of the degree-1 generators, before projecting to the
     # normalized part: exactly the two signed terms from the enumeration
     raw = IntMatrix.zero(4, 1)
     for mu, nu, sign in sh:
-        ma = _degeneracy_composite(a, 1, nu) @ bases[1]
-        mb = _degeneracy_composite(a, 1, mu) @ bases[1]
+        ma = _matrix(_degeneracy_composite(a, 1, nu, basis), a.rank(2))
+        mb = _matrix(_degeneracy_composite(a, 1, mu, basis), a.rank(2))
         term = ma.kron(mb)
         raw = raw + (term if sign > 0 else term.scale(-1))
     assert sorted(raw.data) == [-1, 0, 0, 1]
@@ -628,15 +635,18 @@ def test_homotopy_groups_range_error():
         homotopy_groups(a, 2)
 
 
-def test_moore_projection_identity(rng):
-    """The projection fixes the normalized part and kills the image of
-    every degeneracy, so N_n and the degenerate part split A_n."""
-    objects = [
+def _projection_objects(rng):
+    return [
         free_reduced_Z(sphere(1), 4),
         free_reduced_Z(sphere(2), 4),
         bar_B(free_reduced_Z(sphere(2), 4)),
         dold_kan_K(TORSION, 4),
     ] + [random_sab(rng, trunc=3) for _ in range(6)]
+
+
+def _assert_moore_projections_split(objects):
+    """The projection fixes the normalized part and kills the image of
+    every degeneracy, so N_n and the degenerate part split A_n."""
     for a in objects:
         bases = moore_basis(a)
         for n in range(a.D + 1):
@@ -648,18 +658,109 @@ def test_moore_projection_identity(rng):
                 assert (p @ a.degen(n - 1, j)).is_zero()
 
 
+def test_moore_projection_identity(rng):
+    _assert_moore_projections_split(_projection_objects(rng))
+
+
+@pytest.mark.parametrize("dropped", range(4))
+def test_a_moore_projection_without_one_factor_is_caught(monkeypatch, rng, dropped):
+    """With the factor 1 - s_j d_{j+1} for one j replaced by the
+    identity, the projection either leaves the normalized part, which
+    its exact solve reports, or breaks the splitting."""
+    original = skernel.simpab._projection_factor
+    monkeypatch.setattr(skernel.simpab, "_projection_factor",
+                        lambda a, n, j: _identity(a.rank(n)) if j == dropped else original(a, n, j))
+    with pytest.raises((AssertionError, ValidationError)) as caught:
+        _assert_moore_projections_split(_projection_objects(rng))
+    if caught.type is ValidationError:
+        assert "the Moore projection leaves the normalized part" in str(caught.value)
+
+
+EQUIVALENCE = {
+    "zS1": lambda: free_reduced_Z(sphere(1), 5),
+    "zS2": lambda: free_reduced_Z(sphere(2), 5),
+    "zS3": lambda: free_reduced_Z(sphere(3), 5),
+    "bar-zS2": lambda: bar_B(free_reduced_Z(sphere(2), 5)),
+    "bar-bar-zS1": lambda: bar_B(bar_B(free_reduced_Z(sphere(1), 4))),
+    "K-torsion": lambda: dold_kan_K(TORSION, 5),
+    "tensor-square-zS1": lambda: tensor_sab(free_reduced_Z(sphere(1), 4),
+                                            free_reduced_Z(sphere(1), 4)),
+    "tensor-square-K-torsion": lambda: tensor_sab(dold_kan_K(TORSION, 3),
+                                                  dold_kan_K(TORSION, 3)),
+    # its level-5 stack keeps a 21 x 5 residue after the unit pivots
+    "conjugated-zS2": lambda: conjugated_group(free_reduced_Z(sphere(2), 5), random.Random(1), 4),
+}
+EQUIVALENCE.update({"random-%d" % seed: lambda seed=seed: random_sab(random.Random(seed))
+                    for seed in range(6)})
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE))
+def test_table_normalization_matches_the_matrix_recipes(name):
+    """The Moore bases, projections and K o N counit composed on column
+    tables equal the `kernel_basis` of the stacked face matrices, the
+    product of `IntMatrix` factors and the `hstack` of the counit
+    blocks."""
+    a = EQUIVALENCE[name]()
+    bases = moore_basis(a)
+    assert bases == stacked_moore_basis(a)
+    for n in range(a.D + 1):
+        assert moore_projection(a, bases, n) == product_moore_projection(a, bases, n)
+    na = _normalize(a, bases)
+    psi = _counit(a, na, bases)
+    assert {n: _matrix(psi[n], a.rank(n)) for n in psi} == hstack_counit(a, na, bases)
+    assert kn_roundtrip_ok(a)
+
+
+def test_the_conjugated_sphere_reaches_the_dense_smith_loop(monkeypatch):
+    """The conjugated case of the equivalence test is not unit-pivot
+    work alone: its Moore basis goes through the dense Smith loop."""
+    shapes = []
+    original = skernel.matrices.smith_normal_form
+    monkeypatch.setattr(skernel.matrices, "smith_normal_form",
+                        lambda m, *args, **kw: shapes.append(m.shape) or original(m, *args, **kw))
+    moore_basis(EQUIVALENCE["conjugated-zS2"]())
+    assert (21, 5) in shapes
+
+
+def test_kn_roundtrip_rejects_a_counit_with_a_negated_column(monkeypatch):
+    """Negating one column of one level keeps the counit unimodular, so
+    the intertwining check on the tables must see it: below the top
+    level a degeneracy carries the column up, where nothing changed."""
+    original = skernel.simpab._counit
+    cases = 0
+    for a in (free_reduced_Z(sphere(1), 3), free_reduced_Z(sphere(2), 4), dold_kan_K(TORSION, 3)):
+        assert kn_roundtrip_ok(a)
+        for level in range(a.D):
+            if a.rank(level) == 0:
+                continue
+
+            def negated(*args, level=level):
+                psi = original(*args)
+                table, _ = psi[level]
+                c = table[0]
+                table = [((c,), (-1,)) if c.__class__ is int else (c[0], tuple(-x for x in c[1]))]
+                psi[level] = table + psi[level][0][1:], True
+                return psi
+
+            monkeypatch.setattr(skernel.simpab, "_counit", negated)
+            assert not kn_roundtrip_ok(a), (a, level)
+            monkeypatch.setattr(skernel.simpab, "_counit", original)
+            cases += 1
+    assert cases == 7
+
+
 def test_verifiers_reject_a_non_saturated_moore_basis(monkeypatch):
     """Doubling the first column of every Moore basis leaves a sublattice
     of index 2, which each verifier must notice."""
-    original = skernel.simpab.kernel_basis
+    original = skernel.simpab._kernel
 
-    def doubled(m):
-        k = original(m)
+    def doubled(rows, ncols):
+        k = original(rows, ncols)
         return IntMatrix.from_entries(
             k.rows, k.cols, ((i, j, 2 * x if j == 0 else x) for i, j, x in k.entries())
         )
 
-    monkeypatch.setattr(skernel.simpab, "kernel_basis", doubled)
+    monkeypatch.setattr(skernel.simpab, "_kernel", doubled)
     zs1 = free_reduced_Z(sphere(1), 3)
     assert not kn_roundtrip_ok(zs1)
     with pytest.raises(ValidationError):
@@ -672,8 +773,9 @@ def test_verifiers_normalize_each_object_once(monkeypatch):
     a = free_reduced_Z(sphere(1), 4)
     b = dold_kan_K(TORSION, 4)
     calls = []
-    original = skernel.simpab.kernel_basis
-    monkeypatch.setattr(skernel.simpab, "kernel_basis", lambda m: calls.append(m) or original(m))
+    original = skernel.simpab._kernel
+    monkeypatch.setattr(skernel.simpab, "_kernel",
+                        lambda *args: calls.append(args) or original(*args))
     for x in (a, b, tensor_sab(a, b)):
         moore_basis(x)
     expected = len(calls)
@@ -699,10 +801,12 @@ def test_intertwining_check_finds_a_permutation_that_breaks_a_face():
     mats = smash_comparison_iso(e, f, 3)
     lhs = tensor_sab(free_reduced_Z(e, 3), free_reduced_Z(f, 3))
     rhs = free_reduced_Z(smash(e, f).space, 3)
-    assert _broken_operator(mats, lhs, rhs) is None
+    tables = {n: _columns(m, "level %d" % n) for n, m in mats.items()}
+    assert _broken_operator(tables, lhs, rhs) is None
     swap = list(range(mats[2].cols))
     swap[0], swap[1] = 1, 0
-    broken = dict(mats)
-    broken[2] = IntMatrix.from_entries(mats[2].rows, mats[2].cols,
-                                       ((r, swap[c], x) for r, c, x in mats[2].entries()))
+    broken = dict(tables)
+    broken[2] = _columns(IntMatrix.from_entries(mats[2].rows, mats[2].cols,
+                                                ((r, swap[c], x) for r, c, x in mats[2].entries())),
+                         "level 2")
     assert _broken_operator(broken, lhs, rhs) is not None

@@ -14,7 +14,9 @@ and a `cp -r` copy of the same commit.
 It records
 
 - claim pairs: `perfbench/run.py --workload WORKLOAD` run in each tree,
-  alternating which tree goes first, one pair per seed; each run reports
+  alternating which tree goes first, one pair per seed (seeds
+  --first-seed, --first-seed + 1, ...: pick seeds that were not used
+  while the change was written); each run reports
   ops_per_kcu (throughput in calibration units) and peak_rss_mb;
 - scale rows over --runs fresh interpreters per tree (default 7: at 3,
   rows of a few milliseconds swung 10-15% between ledgers of the same
@@ -45,7 +47,11 @@ It records
     the Eilenberg-Zilber maps of the free reduced Z S^1 with itself at
     D = 7, the two free reductions built inside the timed expression (the
     matrices of their faces are built on first read), as pairs of maps
-    per second;
+    per second; the Moore bases of the bar construction of the free
+    reduced Z S^2 at D = 10, as levels per second, and the K o N round
+    trip of the same bar construction at D = 6, as verdicts per second
+    (a verdict other than True stops the row), their groups built
+    untimed;
   - homotopy: build + validate of the wrapped S^2 x S^2 truncated at 5,
     with its counit, and of the mapping cylinder of the identity of
     S^2 x S^2, with its three maps, as cells per second; S^2 x S^2 is
@@ -114,6 +120,12 @@ SCALE = {
     "ez_maps(free_reduced_Z(S1), free_reduced_Z(S1), D=7)": (
         "simpab", "s1 = spaces.sphere(1)",
         "simpab.ez_maps(simpab.free_reduced_Z(s1, 7), simpab.free_reduced_Z(s1, 7))", "pairs"),
+    "moore_basis(bar_B(free_reduced_Z(S2, D=10)))": (
+        "simpab", "z = simpab.bar_B(simpab.free_reduced_Z(spaces.sphere(2), 10))",
+        "simpab.moore_basis(z)", "levels"),
+    "kn_roundtrip_ok(bar_B(free_reduced_Z(S2, D=6)))": (
+        "simpab", "z = simpab.bar_B(simpab.free_reduced_Z(spaces.sphere(2), 6))",
+        "simpab.kn_roundtrip_ok(z)", "verdicts"),
     "wrap(S2xS2, 5)": (
         "homotopy", "q = p(spaces.sphere(2), spaces.sphere(2))", "homotopy.wrap(q, 5).space",
         "cells"),
@@ -166,6 +178,11 @@ if hasattr(x, "cell_counts"):
     counts["identities"] = sum(len(x.cells(n)) * n * (n + 1) // 2 for n in x.dims() if n >= 2)
 elif "{counted}" == "cells":  # chains or homology of the untimed space s
     counts["cells"] = sum(s.cell_counts().values())
+elif "{counted}" == "levels":
+    counts["levels"] = len(x)
+elif "{counted}" == "verdicts":
+    assert x is True, x
+    counts["verdicts"] = 1
 elif hasattr(x, "tower"):
     counts["stages"] = len(x.tower)
 elif hasattr(x, "total_rank"):
@@ -187,10 +204,10 @@ def _run(tree: str, argv: list, cwd: str | None = None) -> dict:
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def claim_pairs(trees: dict, workload: str, pairs: int, seconds: int) -> list:
+def claim_pairs(trees: dict, workload: str, pairs: int, seconds: int, first_seed: int) -> list:
     rows = []
     for k in range(pairs):
-        seed = k + 1
+        seed = first_seed + k
         order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
         row = {"seed": seed, "first": order[0]}
         for name in order:
@@ -208,7 +225,8 @@ def claim_pairs(trees: dict, workload: str, pairs: int, seconds: int) -> list:
 def scale_rows(trees: dict, runs: int) -> list:
     rows = []
     for label, (layer, setup, expr, counted) in SCALE.items():
-        name = label if label.startswith(("homology", "chains")) else "build+validate " + label
+        name = (label if label.startswith(("homology", "chains", "moore_basis", "kn_roundtrip"))
+                else "build+validate " + label)
         row = {"layer": layer, "name": name,
                "unit": counted + "/s", "better": "higher", "runs": runs,
                "repeats": REPEATS, "row_statistic": "median of per-run minima"}
@@ -239,10 +257,11 @@ def main() -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--runs", type=int, default=7)
     ap.add_argument("--seconds", type=int, default=20)
+    ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    pairs = claim_pairs(trees, args.workload, args.pairs, args.seconds) if args.pairs else []
+    pairs = claim_pairs(trees, args.workload, args.pairs, args.seconds, args.first_seed) if args.pairs else []
     ratios = [p["ratio"] for p in pairs]
     parent = [p["parent"]["ops_per_kcu"] for p in pairs]
     ledger = {
