@@ -87,8 +87,7 @@ def cmd_space_homology(args, out):
     kind, x = _load(args.inputs[0])
     x = _expect(x, kind, "simplicial-set", args.inputs[0])
     c = chains(x, normalized=True)
-    top = max(c.max_deg, 0)
-    line = _homology_line((n, c.homology(n)) for n in range(top + 1))
+    line = _homology_line((n, c.homology(n)) for n in range(c.max_deg + 1))
     print(("reduced " if x.pointed else "") + line, file=out)
     _write_out(args, line + "\n")
     return 0
@@ -230,8 +229,7 @@ def cmd_pushout(args, out):
     except ValueError as exc:  # unpointed spaces or maps
         raise CliError("%s: %s" % (args.inputs[0], exc))
     c = chains(hp.space, normalized=True)
-    top = max(c.max_deg, 0)
-    print("homotopy pushout " + _homology_line((n, c.homology(n)) for n in range(top + 1)),
+    print("homotopy pushout " + _homology_line((n, c.homology(n)) for n in range(c.max_deg + 1)),
           file=out)
     copro = hp.from_left.is_levelwise_injective() and hp.from_right.is_levelwise_injective()
     print("structural maps are termwise coprojections: %s" % ("OK" if copro else "FAIL"),
@@ -296,6 +294,26 @@ COMMANDS = {
     "suite": (cmd_suite, "run the randomized verification suite"),
 }
 
+FLAGS = {
+    "--in": dict(dest="inputs", action="append", default=[], metavar="PATH",
+                 help="input file (repeatable)"),
+    "--out": dict(metavar="PATH", help="also write the report here"),
+    "--dim": dict(type=int, help="dimension cap / truncation"),
+    "--range": dict(type=int, help="certificate range"),
+    "--seed": dict(type=int, help="random seed"),
+    "--size": dict(choices=("small", "medium"), help="suite size"),
+}
+
+# the flags each command reads; a command not listed reads --in only
+COMMAND_FLAGS = {
+    "homology": ("--in", "--out"),
+    "space-homology": ("--in", "--out"),
+    "nk-roundtrip": ("--in", "--dim"),
+    "wr-verify": ("--in", "--out", "--dim", "--range"),
+    "cylinder": ("--in", "--out", "--range"),
+    "suite": ("--out", "--seed", "--size"),
+}
+
 
 # built once per process: parse_args fills a fresh namespace on each call,
 # and an "append" action copies its default list before appending
@@ -308,24 +326,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--in", dest="inputs", action="append", default=[],
-                       metavar="PATH", help="input file (repeatable)")
-        p.add_argument("--out", metavar="PATH", help="also write the report here")
-        p.add_argument("--dim", type=int, help="dimension cap / truncation")
-        p.add_argument("--range", type=int, dest="range", help="certificate range")
-        p.add_argument("--seed", type=int, help="random seed")
-        p.add_argument("--size", choices=("small", "medium"), help="suite size")
+        for flag in COMMAND_FLAGS.get(name, ("--in",)):
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
     if not args.command:
         parser.print_help()
         return 2
     fn, _ = COMMANDS[args.command]
     try:
+        if extra:
+            raise CliError("%s does not take %s" % (args.command, extra[0].split("=")[0]))
         return fn(args, sys.stdout)
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -218,8 +218,6 @@ class ChainComplex:
         """Kernel-corrected truncation: keeps C above degree n, replaces
         degree n by ker d(n), and is zero below; homology is preserved in
         degrees >= n and vanishes under it."""
-        if n > self._max:
-            return ChainComplex(0, 0, {}, {})
         k = self.cycles(n)
         ranks = {m: self.rank(m) for m in range(n + 1, self._max + 1)}
         ranks[n] = k.cols
@@ -230,8 +228,7 @@ class ChainComplex:
                 raise ValidationError("d(%d) does not factor through its kernel target" % (n + 1))
             d[n + 1] = lifted
         for m in range(n + 2, self._max + 1):
-            if self.rank(m) and self.rank(m - 1):
-                d[m] = self.d(m)
+            d[m] = self.d(m)
         return ChainComplex(n, max(n, self._max), ranks, d)
 
     def truncation_inclusion(self, n: int) -> "ChainMap":
@@ -251,7 +248,7 @@ class ChainComplex:
         """Hard cutoff: identical to C in degrees <= n, zero above."""
         ranks = {m: r for m, r in self._ranks.items() if m <= n}
         d = {m: mat for m, mat in self._d.items() if m <= n}
-        return ChainComplex(min(self._min, n), n, ranks, d) if ranks else ChainComplex(0, 0, {}, {})
+        return ChainComplex(min(self._min, n), n, ranks, d)
 
     def dual(self) -> "ChainComplex":
         """C*: rank in degree m is rank_C(-m), and d_m = (-1)^(m+1) d_C(1-m)^T,
@@ -277,8 +274,6 @@ def zero_complex() -> ChainComplex:
 
 def single(rank: int = 1, degree: int = 0) -> ChainComplex:
     """A complex concentrated in one degree."""
-    if rank == 0:
-        return zero_complex()
     return ChainComplex(degree, degree, {degree: rank}, {})
 
 
@@ -299,8 +294,7 @@ class ChainMap:
                 raise ValidationError(
                     "component in degree %d has shape %r, expected %r" % (n, m.shape, expected)
                 )
-            if m.rows and m.cols:
-                comps[n] = m
+            comps[n] = m
         self._comps = comps
         lo = min(source.min_deg, target.min_deg)
         hi = max(source.max_deg, target.max_deg)
@@ -350,23 +344,13 @@ def cone(f: ChainMap) -> ChainComplex:
     src, tgt = f.source, f.target
     lo = min(src.min_deg + 1, tgt.min_deg)
     hi = max(src.max_deg + 1, tgt.max_deg)
-    ranks = {}
-    for n in range(lo, hi + 1):
-        r = src.rank(n - 1) + tgt.rank(n)
-        if r:
-            ranks[n] = r
+    ranks = {n: src.rank(n - 1) + tgt.rank(n) for n in range(lo, hi + 1)}
     d = {}
     for n in range(lo + 1, hi + 1):
-        sc, st = src.rank(n - 1), tgt.rank(n)
-        rc, rt = src.rank(n - 2), tgt.rank(n - 1)
-        if (sc + st) == 0 or (rc + rt) == 0:
-            continue
         d[n] = vstack([
-            hstack([-src.d(n - 1), IntMatrix.zero(rc, st)]),
+            hstack([-src.d(n - 1), IntMatrix.zero(src.rank(n - 2), tgt.rank(n))]),
             hstack([-f.component(n - 1), tgt.d(n)]),
         ])
-    if not ranks:
-        return zero_complex()
     return ChainComplex(lo, hi, ranks, d)
 
 

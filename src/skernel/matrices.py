@@ -16,7 +16,7 @@ repeated positions, drops zero sums and cuts the rows.  `transpose`
 needs no sort, since visiting the rows in order fills each column
 ascending.  For the same reason `spaces.chains` writes its rows
 directly, and `simpab` builds the matrix of a face or degeneracy from
-its column table on first read: both visit the columns in order.
+its column table each time it is read: both visit the columns in order.
 
 Kernels, invariants and exact solves eliminate sparsely too.
 `invariant_factors` (homology, cokernels, unimodularity), `kernel_basis`
@@ -80,8 +80,6 @@ def _stored_row(js: list, xs: list) -> tuple:
     and their values xs, dropping the values that are zero."""
     if 0 in xs:
         keep = list(compress(range(len(xs)), xs))
-        if not keep:
-            return _EMPTY
         js = map(js.__getitem__, keep)
         xs = filter(None, xs)
     return (tuple(js), tuple(xs))
@@ -142,7 +140,12 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        rows = [list(map(int, r)) for r in rows]
+        """The matrix of the dense rows; a non-int entry is rejected, not converted."""
+        rows = [list(r) for r in rows]
+        if not set(map(type, chain.from_iterable(rows))) <= {int}:
+            i, j, x = next((i, j, x) for i, r in enumerate(rows)
+                           for j, x in enumerate(r) if type(x) is not int)
+            raise ValueError("entry (%d, %d) is %r, not an int" % (i, j, x))
         if rows:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
@@ -494,12 +497,6 @@ def _row_dicts(m: IntMatrix, skip=()) -> dict:
     return rows
 
 
-def _unit_pivots(m: IntMatrix, pivot_cols: int | None = None, skip=()):
-    """`_eliminate` on the rows of m without the columns in skip, with
-    pivots in the first pivot_cols columns (default: all of them)."""
-    return _eliminate(_row_dicts(m, skip), m.cols if pivot_cols is None else pivot_cols)
-
-
 def _eliminate(rows: dict, limit: int):
     """Sparse unit-pivot elimination by row operations (Kaczynski-Mrozek-
     Slusarek; Dumas-Saunders-Villard).
@@ -579,7 +576,7 @@ def _reduce(m: IntMatrix, skip=()) -> tuple:
     """(invariant factors, pivot rows) of m with the columns in skip
     deleted: the factors as in `invariant_factors`, and the set of rows
     that held a unit pivot."""
-    pivots, rows, cols = _unit_pivots(m, skip=skip)
+    pivots, rows, cols = _eliminate(_row_dicts(m, skip), m.cols)
     units = (1,) * len(pivots)
     paired = frozenset(p for p, _, _, _ in pivots)
     if not rows:
@@ -592,7 +589,7 @@ def invariant_factors(m: IntMatrix) -> tuple:
     """The nonzero diagonal d1 | d2 | ... of the Smith normal form of m,
     computed without transforms; there are rank(m) of them.
 
-    Each unit pivot of `_unit_pivots` counts one factor 1.  Every step is
+    Each unit pivot of `_eliminate` counts one factor 1.  Every step is
     unimodular and SNF(diag(I_k, R)) = diag(I_k, SNF(R)), so only the
     residue R left without a unit entry, typically empty or small, goes
     through the dense `smith_normal_form`.
@@ -644,8 +641,8 @@ def _kernel(rows: dict, ncols: int) -> IntMatrix:
 def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     """An integer solution X of a @ X = b, or None if there is none.
 
-    Row operations keep the solutions, so `_unit_pivots` runs on the
-    augmented matrix [a | b], taking pivots in a's columns only.  The
+    Row operations keep the solutions, so `_eliminate` runs on the rows
+    of the augmented matrix [a | b], taking pivots in a's columns only.  The
     residue [R | R_b] constrains only non-pivot coordinates, and the
     dense `smith_normal_form` U R V = D solves it.  Each pivot row then
     fixes its pivot coordinate in terms of the right-hand side and of
@@ -661,7 +658,7 @@ def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     augmented = IntMatrix(a.rows, n + b.cols, tuple(
         (ja + tuple(n + j for j in jb), xa + xb)
         for (ja, xa), (jb, xb) in zip(a.nonzeros, b.nonzeros)))
-    pivots, rows, cols = _unit_pivots(augmented, n)
+    pivots, rows, cols = _eliminate(_row_dicts(augmented), n)
     x = {}  # coordinate -> {column of b: value}
     if rows:
         keep = sorted(j for j in cols if j < n)

@@ -5,14 +5,14 @@ and degeneracy as a column table: the list of the images of the source
 basis elements, so f o g is read off column by column.  The builders
 (the free reduction, K, the bar construction and the tensor product)
 write their tables directly, and `face`/`degen` build the integer matrix
-of a table the first time it is read.  All simplicial identities are
-verified at construction on the tables, with no matrix product.  Nearly
-every column of a face or degeneracy is a unit vector e_r (all of Z~X
-and of the bar and tensor constructions on it, and K(C) outside its
-differential blocks), and composing with one is a lookup; only the other
-columns take a sparse combination.  This is Kenzo's view of simplicial
-operators as functions on generators (Dousson, Rubio, Sergeraert and
-Siret, The Kenzo program, 1999).
+of a table each time it is read: the tables are the only stored form.
+All simplicial identities are verified at construction on the tables,
+with no matrix product.  Nearly every column of a face or degeneracy is
+a unit vector e_r (all of Z~X and of the bar and tensor constructions on
+it, and K(C) outside its differential blocks), and composing with one is
+a lookup; only the other columns take a sparse combination.  This is
+Kenzo's view of simplicial operators as functions on generators
+(Dousson, Rubio, Sergeraert and Siret, The Kenzo program, 1999).
 
 The core functors: the normalization N (intersection of the kernels of
 all faces except the zeroth, with differential the zeroth face), its
@@ -23,8 +23,11 @@ shuffle/Alexander-Whitney comparison maps.
 The splitting A_n = N_n (+) D_n into the normalized and the degenerate
 part comes from the simplicial identities alone: the projection onto N_n
 along D_n is a product of the factors 1 - s_j d_{j+1}, expressed in the
-Moore basis by one exact solve.  Each verifier computes an object's
-Moore bases and normalized complex once.
+Moore basis by one exact solve.  The shuffle of normalized chains is
+normalized (Eilenberg and Mac Lane, On the groups H(Pi, n), I, 1953), so
+the shuffle map is solved in the Moore basis of A ox B, not projected.
+Each verifier computes an object's Moore bases and normalized complex
+once.
 
 Normalization runs on the tables too.  The Moore basis eliminates the
 rows of d_1, ..., d_n read straight off their tables; the projection's
@@ -39,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 
-from .complexes import ChainComplex, ChainMap, HomologyGroup, ValidationError, zero_complex
+from .complexes import ChainComplex, ChainMap, HomologyGroup, ValidationError, _tensor_window
 from .matrices import IntMatrix, _kernel, hstack, is_unimodular, solve_exact, vstack
 from .simplicial import SimplicialSet, mask_insert
 from .spaces import _chain_basis, smash
@@ -77,14 +80,9 @@ def _columns(m: IntMatrix, what: str) -> tuple:
 def _matrix(f: tuple, rows: int) -> IntMatrix:
     """The matrix with `rows` rows of the (table, general) pair f.
     Columns are visited in order, so each row fills ascending with no
-    sort; without a general column every value is 1."""
-    table, general = f
+    sort."""
+    table = f[0]
     js = [[] for _ in range(rows)]
-    if not general:
-        for j, c in enumerate(table[:-1]):
-            if c >= 0:
-                js[c].append(j)
-        return IntMatrix(rows, len(table) - 1, tuple((tuple(r), (1,) * len(r)) for r in js))
     xs = [[] for _ in range(rows)]
     for j, c in enumerate(table[:-1]):
         if c.__class__ is int:
@@ -182,8 +180,8 @@ class SimplicialAbGroup:
 
     face(n, i) is the matrix of the i-th face A_n -> A_{n-1}, and
     degen(n, j) the j-th degeneracy A_n -> A_{n+1} (defined for n < D).
-    Each is stored as a (column table, has a general column) pair and
-    its matrix is built on first read.  Construction checks every d d,
+    Each is stored only as a (column table, has a general column) pair,
+    and its matrix is built on each read.  Construction checks every d d,
     s s and d s identity up to D, each once, by composing the tables.
     """
 
@@ -216,7 +214,8 @@ class SimplicialAbGroup:
                 for i in range(n + 1):
                     out.setdefault((n, i), ([-1] * (self.rank(n) + 1), False))
             tables.append(out)
-        self._store(*tables)
+        self._ft, self._st = tables
+        self._validate()
 
     @classmethod
     def _of_tables(cls, trunc_dim: int, ranks, face: dict, degen: dict) -> "SimplicialAbGroup":
@@ -224,13 +223,9 @@ class SimplicialAbGroup:
         degeneracy up to trunc_dim, validated as the constructor validates."""
         a = cls.__new__(cls)
         a.D, a._ranks = trunc_dim, tuple(ranks)
-        a._store(face, degen)
+        a._ft, a._st = face, degen
+        a._validate()
         return a
-
-    def _store(self, face: dict, degen: dict):
-        self._ft, self._st = face, degen
-        self._fm, self._sm = {}, {}
-        self._validate()
 
     def rank(self, n: int) -> int:
         if 0 <= n <= self.D:
@@ -243,18 +238,12 @@ class SimplicialAbGroup:
     def face(self, n: int, i: int) -> IntMatrix:
         if not (1 <= n <= self.D and 0 <= i <= n):
             raise ValueError("face (%d, %d) out of range" % (n, i))
-        m = self._fm.get((n, i))
-        if m is None:
-            m = self._fm[(n, i)] = _matrix(self._ft[(n, i)], self.rank(n - 1))
-        return m
+        return _matrix(self._ft[(n, i)], self.rank(n - 1))
 
     def degen(self, n: int, j: int) -> IntMatrix:
         if not (0 <= n < self.D and 0 <= j <= n):
             raise ValueError("degeneracy (%d, %d) out of range" % (n, j))
-        m = self._sm.get((n, j))
-        if m is None:
-            m = self._sm[(n, j)] = _matrix(self._st[(n, j)], self.rank(n + 1))
-        return m
+        return _matrix(self._st[(n, j)], self.rank(n + 1))
 
     def _validate(self):
         for kind, tables, shift in (("face", self._ft, -1), ("degeneracy", self._st, 1)):
@@ -394,13 +383,7 @@ def moore_basis(a: SimplicialAbGroup) -> dict:
     (none for the free reductions of spheres).  The basis is saturated,
     so every element of the normalized part, and in particular every
     image of `moore_projection`, has integer coordinates in it."""
-    bases = {0: IntMatrix.identity(a.rank(0))}
-    for n in range(1, a.D + 1):
-        if a.rank(n) == 0:
-            bases[n] = IntMatrix.zero(0, 0)
-            continue
-        bases[n] = _kernel(_face_rows(a, n), a.rank(n))
-    return bases
+    return {n: _kernel(_face_rows(a, n), a.rank(n)) for n in range(a.D + 1)}
 
 
 def _normalize(a: SimplicialAbGroup, bases: dict) -> ChainComplex:
@@ -415,8 +398,6 @@ def _normalize(a: SimplicialAbGroup, bases: dict) -> ChainComplex:
         if expressed is None:
             raise ValidationError("d_0 does not preserve the normalized part at level %d" % n)
         d[n] = expressed
-    if not any(ranks.values()):
-        return zero_complex()
     return ChainComplex(0, a.D, ranks, d)
 
 
@@ -455,8 +436,6 @@ def moore_projection(a: SimplicialAbGroup, bases: dict, n: int) -> IntMatrix:
     Homotopy Theory, III.2), so one exact solve against the saturated
     basis gives its coordinates.  The factors are composed on column
     tables, and P_n becomes a matrix once, for that solve."""
-    if a.rank(n) == 0:
-        return IntMatrix.zero(0, 0)
     p = _identity(a.rank(n))
     for j in range(n - 1, -1, -1):
         p = _compose(_projection_factor(a, n, j), p), True
@@ -554,15 +533,11 @@ def unnormalized_complex(a: SimplicialAbGroup) -> ChainComplex:
     ranks = {n: a.rank(n) for n in range(a.D + 1)}
     d = {}
     for n in range(1, a.D + 1):
-        if a.rank(n) == 0 or a.rank(n - 1) == 0:
-            continue
         total = IntMatrix.zero(a.rank(n - 1), a.rank(n))
         for i in range(n + 1):
             m = a.face(n, i)
             total = total + (m if i % 2 == 0 else m.scale(-1))
         d[n] = total
-    if not any(ranks.values()):
-        return zero_complex()
     return ChainComplex(0, a.D, ranks, d)
 
 
@@ -716,9 +691,7 @@ def ez_maps(a: SimplicialAbGroup, b: SimplicialAbGroup) -> EZPair:
     ab = tensor_sab(a, b)
     nab_bases = moore_basis(ab)
     nab = _normalize(ab, nab_bases)
-    projections = {n: moore_projection(ab, nab_bases, n) for n in range(d + 1)}
-    t_full = na.tensor(nb)
-    t = t_full.truncate_stupid(d) if t_full.max_deg > d else t_full
+    t = _tensor_window(na, nb, 0, d)
 
     ka_t = {p: _columns(m, "Moore basis %d" % p) for p, m in na_bases.items()}
     kb_t = {q: _columns(m, "Moore basis %d" % q) for q, m in nb_bases.items()}
@@ -727,8 +700,8 @@ def ez_maps(a: SimplicialAbGroup, b: SimplicialAbGroup) -> EZPair:
         cols = []
         for p in range(n + 1):
             q = n - p
-            ka, kb = na_bases.get(p), nb_bases.get(q)
-            if ka is None or kb is None or ka.cols == 0 or kb.cols == 0:
+            ka, kb = na_bases[p], nb_bases[q]
+            if ka.cols == 0 or kb.cols == 0:
                 continue
             block = IntMatrix.zero(ab.rank(n), ka.cols * kb.cols)
             for mu in combinations(range(n), p):
@@ -739,9 +712,11 @@ def ez_maps(a: SimplicialAbGroup, b: SimplicialAbGroup) -> EZPair:
                 term = ma.kron(mb)
                 block = block + (term if sign > 0 else term.scale(-1))
             cols.append(block)
-        if cols and ab.rank(n):
-            stacked = hstack(cols)
-            shuffle_comps[n] = projections[n] @ stacked
+        if cols:
+            comp = solve_exact(nab_bases[n], hstack(cols))
+            if comp is None:
+                raise ValidationError("the shuffle leaves the normalized part at level %d" % n)
+            shuffle_comps[n] = comp
     shuffle = ChainMap(t, nab, shuffle_comps)
 
     aw_comps = {}
@@ -789,17 +764,16 @@ def horn_filler(a: SimplicialAbGroup, n: int, k: int, faces) -> tuple:
         if len(v) != a.rank(n - 1):
             raise ValueError("face %d has length %d, expected %d" % (i, len(v), a.rank(n - 1)))
         vecs[i] = v
-    if n >= 2:
-        for j in sorted(vecs):
-            for i in sorted(vecs):
-                if i >= j:
-                    continue
-                lhs = a.face(n - 1, i).mul_vec(vecs[j])
-                rhs = a.face(n - 1, j - 1).mul_vec(vecs[i])
-                if lhs != rhs:
-                    raise ValueError(
-                        "incompatible horn: d_%d x_%d != d_%d x_%d" % (i, j, j - 1, i)
-                    )
+    for j in sorted(vecs):
+        for i in sorted(vecs):
+            if i >= j:
+                continue
+            lhs = a.face(n - 1, i).mul_vec(vecs[j])
+            rhs = a.face(n - 1, j - 1).mul_vec(vecs[i])
+            if lhs != rhs:
+                raise ValueError(
+                    "incompatible horn: d_%d x_%d != d_%d x_%d" % (i, j, j - 1, i)
+                )
     u = (0,) * a.rank(n)
 
     def correct(u, t, slot):
@@ -882,6 +856,6 @@ def kn_roundtrip_ok(a: SimplicialAbGroup) -> bool:
         return False
     psi = _counit(a, na, bases)
     for n in range(a.D + 1):
-        if a.rank(n) and not is_unimodular(_matrix(psi[n], a.rank(n))):
+        if not is_unimodular(_matrix(psi[n], a.rank(n))):
             return False
     return _broken_operator(psi, kna, a) is None

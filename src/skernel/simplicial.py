@@ -480,8 +480,6 @@ class SimplicialMap:
                                       % (ids[c], n - 1))
             if tdim[image] + mask.bit_count() != n:
                 raise ValidationError("image of %r has wrong dimension" % ids[c])
-            if not row:
-                continue
             faces = face_row(mask, image, n)
             for i, (m, base) in enumerate(row):
                 bmask, bimage = codes[base]
@@ -555,6 +553,8 @@ class BisimplicialSet:
         self._tables = (hfaces, vfaces)
         self.pointed = pointed
         self.basepoint = basepoint
+        if pointed and basepoint not in self.cells(0, 0):
+            raise ValidationError("basepoint %r is not a (0, 0)-cell" % (basepoint,))
         self._validate()
 
     def bidegrees(self) -> list:

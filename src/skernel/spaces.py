@@ -35,7 +35,7 @@ from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
-from .complexes import ChainComplex, ChainMap, HomologyGroup, ValidationError, group_from_presentation, zero_complex
+from .complexes import ChainComplex, ChainMap, HomologyGroup, ValidationError, group_from_presentation
 from .matrices import IntMatrix, _stored_row
 from .simplicial import (
     BisimplicialSet,
@@ -699,17 +699,13 @@ def chains(x: SimplicialSet, normalized: bool = True, cap: int | None = None) ->
         raise ValueError("unnormalized chains require a dimension cap")
     top = x.top_dim() if normalized else cap
     basis = [_chain_basis(x, n, normalized) for n in range(top + 1)]
-    ranks = {n: len(codes) for n, codes in enumerate(basis) if codes}
-    if not ranks:
-        return zero_complex()
+    ranks = {n: len(codes) for n, codes in enumerate(basis)}
     # a code's degree is its cell's dimension plus its mask's bit count,
     # so one index serves every degree
     index = {code: row for codes in basis for row, code in enumerate(codes)}
     table, face_code = x.face_table(), x.face_code
     d = {}
     for n in range(1, top + 1):
-        if not basis[n - 1] or not basis[n]:
-            continue
         # each row's columns and coefficients, written in column order
         js = [[] for _ in basis[n - 1]]
         xs = [[] for _ in basis[n - 1]]
@@ -728,7 +724,8 @@ def chains(x: SimplicialSet, normalized: bool = True, cap: int | None = None) ->
                     cols.append(col)
                     xs[row].append(sign)
         d[n] = IntMatrix(len(js), len(basis[n]), tuple(map(_stored_row, js, xs)))
-    return ChainComplex(0, top, ranks, d)
+    # the empty set has top -1
+    return ChainComplex(0, max(top, 0), ranks, d)
 
 
 def homology_space(x: SimplicialSet, n: int) -> HomologyGroup:
@@ -748,8 +745,6 @@ def chain_map_of(f: SimplicialMap) -> ChainMap:
     codes = f.codes()
     comps = {}
     for n in f.source.dims():
-        if not cx.rank(n) or not cy.rank(n):
-            continue
         index = {code: row for row, code in enumerate(_chain_basis(f.target, n, True))}
         entries = []
         for col, (_, c) in enumerate(_chain_basis(f.source, n, True)):

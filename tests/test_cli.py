@@ -386,6 +386,39 @@ def test_pointed_must_be_a_json_boolean(value, capsys, tmp_path):
         path, json.dumps(value))
 
 
+READS = {
+    "homology": {"--in", "--out"},
+    "space-homology": {"--in", "--out"},
+    "nk-roundtrip": {"--in", "--dim"},
+    "bar": {"--in"},
+    "ez-verify": {"--in"},
+    "wr-verify": {"--in", "--out", "--dim", "--range"},
+    "pushout": {"--in"},
+    "cylinder": {"--in", "--out", "--range"},
+    "tower-report": {"--in"},
+    "suite": {"--out", "--seed", "--size"},
+}
+FLAG_VALUES = {"--in": "x.json", "--out": "r.txt", "--dim": "9", "--range": "7", "--seed": "4",
+               "--size": "medium"}
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_each_command_rejects_the_flags_it_does_not_read(command, capsys, tmp_path, monkeypatch):
+    """A command takes only the flags it reads (20 settable values in
+    all); any other flag exits 2 before the command runs, naming it."""
+    from skernel.cli import COMMANDS
+
+    assert set(COMMANDS) == set(READS)
+    monkeypatch.chdir(tmp_path)
+    for flag in sorted(set(FLAG_VALUES) - READS[command]):
+        for argv in ([flag, FLAG_VALUES[flag]], ["%s=%s" % (flag, FLAG_VALUES[flag])]):
+            assert main([command, *argv]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: %s does not take %s\n" % (command, flag)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_successive_calls_share_the_parser_but_not_its_values(monkeypatch):
     """`--in` appends to a list default; a parser built once per process
     must still give each call only its own inputs."""

@@ -59,6 +59,17 @@ def test_invalid_complex_rejected():
         ChainComplex(0, 1, {0: 2, 1: 1}, {1: [[1]]})
 
 
+def test_lists_with_an_entry_that_is_not_an_int_are_rejected():
+    """A differential or a component given as lists goes through
+    `IntMatrix.from_rows`: 2.7 is rejected, not read as 2 (which would
+    report H_0 = Z/2)."""
+    with pytest.raises(ValueError, match=r"^entry \(0, 0\) is 2.7, not an int$"):
+        ChainComplex(0, 1, {0: 1, 1: 1}, {1: [[2.7]]})
+    c = single(1, 0)
+    with pytest.raises(ValueError, match=r"^entry \(0, 0\) is True, not an int$"):
+        ChainMap(c, c, {0: [[True]]})
+
+
 def test_homology_mod2():
     c = mod2_complex()
     assert c.homology(0) == Z2

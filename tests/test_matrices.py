@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,6 +80,20 @@ def test_snf_postconditions_random(rows, cols, seed):
     rng = random.Random(seed)
     m = M([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
     _check_snf(m)
+
+
+@pytest.mark.parametrize("rows, where, value", [
+    ([[1.5, True], ["3", 2]], (0, 0), 1.5),
+    ([[1, True]], (0, 1), True),
+    ([[1, 2], [3, "4"]], (1, 1), "4"),
+    ([[0], [2.0]], (1, 0), 2.0),
+])
+def test_from_rows_rejects_an_entry_that_is_not_an_int(rows, where, value):
+    """Entries are not converted with int(): a float, a bool or a string
+    is rejected, naming its row, its column and the value."""
+    with pytest.raises(ValueError, match="^entry \\(%d, %d\\) is %s, not an int$"
+                       % (*where, re.escape(repr(value)))):
+        IntMatrix.from_rows(rows)
 
 
 def test_snf_empty_shapes():

@@ -260,6 +260,15 @@ def test_validation_rejects_an_entry_that_is_not_an_int(key, value):
         SimplicialAbGroup(1, [1, 1], face, degen)
 
 
+def test_lists_with_an_entry_that_is_not_an_int_are_rejected():
+    """Matrices given as lists go through `IntMatrix.from_rows`, which
+    rejects 1.9 and True rather than converting them to 1."""
+    with pytest.raises(ValueError, match=r"^entry \(0, 0\) is 1.9, not an int$"):
+        SimplicialAbGroup(1, [1, 1], {(1, 0): [[1.9]], (1, 1): [[1]]}, {(0, 0): [[1]]})
+    with pytest.raises(ValueError, match=r"^entry \(0, 0\) is True, not an int$"):
+        SimplicialAbGroup(1, [1, 1], {(1, 0): [[1]], (1, 1): [[1]]}, {(0, 0): [[True]]})
+
+
 def _with_column(m, j, column):
     """m with column j replaced by the given (row, value) entries."""
     entries = [(r, c, x) for r, c, x in m.entries() if c != j]
@@ -584,6 +593,20 @@ def test_ez_strictness_random(rng):
         b = random_sab(rng, trunc=3)
         pair = ez_maps(a, b)
         assert pair.strict_identity_ok()
+
+
+@pytest.mark.parametrize("a_deg, b_deg, top, level", [
+    (1, 1, 4, 2), (1, 2, 4, 3), (1, 2, 5, 3), (2, 2, 5, 4)])
+def test_a_shuffle_without_its_last_term_is_caught(monkeypatch, a_deg, b_deg, top, level):
+    """With the last (p, q)-shuffle dropped from every sum, the shuffle
+    of normalized chains leaves the normalized part of A ox B, and the
+    exact solve for its Moore coordinates reports the first such level."""
+    a, b = free_reduced_Z(sphere(a_deg), top), free_reduced_Z(sphere(b_deg), top)
+    original = skernel.simpab.combinations
+    monkeypatch.setattr(skernel.simpab, "combinations", lambda it, r: list(original(it, r))[:-1])
+    with pytest.raises(ValidationError,
+                       match="^the shuffle leaves the normalized part at level %d$" % level):
+        ez_maps(a, b)
 
 
 def test_ez_homology_kunneth():

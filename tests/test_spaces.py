@@ -296,6 +296,20 @@ def test_diagonal_of_vertically_constant_is_identity():
             assert homology_space(dg, n) == homology_space(x, n)
 
 
+@pytest.mark.parametrize("basepoint", [None, "b", "zz"])
+def test_bisimplicial_basepoint_must_be_a_0_0_cell(basepoint):
+    """A pointed bisimplicial set names a (0, 0)-cell as its basepoint;
+    None, the (1, 0)-cell b or a name that is no cell is rejected at
+    construction."""
+    x = constant_vertical(simplex(1))
+    cells = {bd: x.cells(*bd) for bd in x.bidegrees()}
+    cells[(1, 0)] = ("b",)
+    hfaces, vfaces = x._tables
+    with pytest.raises(ValidationError, match="^basepoint %r is not a \\(0, 0\\)-cell$"
+                       % (basepoint,)):
+        BisimplicialSet(cells, hfaces, vfaces, pointed=True, basepoint=basepoint)
+
+
 def test_diagonal_order_on_triple_products():
     x, y, z = simplex(1), sphere(1), boundary(2)
     left = diagonal(external_product(diagonal(external_product(x, y)), z))

@@ -46,7 +46,7 @@ It records
     same for the tensor square of the free reduced Z S^2 at D = 8; and
     the Eilenberg-Zilber maps of the free reduced Z S^1 with itself at
     D = 7, the two free reductions built inside the timed expression (the
-    matrices of their faces are built on first read), as pairs of maps
+    matrices of their faces are built on each read), as pairs of maps
     per second; the Moore bases of the bar construction of the free
     reduced Z S^2 at D = 10, as levels per second, and the K o N round
     trip of the same bar construction at D = 6, as verdicts per second
