@@ -21,20 +21,26 @@ reduction of a pointed simplicial set, the bar construction, and the
 shuffle/Alexander-Whitney comparison maps.
 
 The splitting A_n = N_n (+) D_n into the normalized and the degenerate
-part comes from the simplicial identities alone: the projection onto N_n
-along D_n is a product of the factors 1 - s_j d_{j+1}, expressed in the
-Moore basis by one exact solve.  The shuffle of normalized chains is
-normalized (Eilenberg and Mac Lane, On the groups H(Pi, n), I, 1953), so
-the shuffle map is solved in the Moore basis of A ox B, not projected.
-Each verifier computes an object's Moore bases and normalized complex
-once.
+part comes from the simplicial identities alone (Goerss and Jardine,
+Simplicial Homotopy Theory, III.2): the projection P_n onto N_n along
+D_n is a product of the factors 1 - s_j d_{j+1}.  When every degeneracy
+into A_n sends generators to generators, as in every group the builders
+make, D_n is spanned by the generators that some degeneracy hits, so P_n
+of the other generators is a basis of N_n whose rows at those generators
+are the identity.  Coordinates in that basis are then a restriction to
+those rows, checked by one product, and no elimination runs; the basis
+checks itself, and a level with a general degeneracy falls back to the
+kernel of the stacked faces and exact solves.  The shuffle of
+normalized chains is normalized (Eilenberg and Mac Lane, On the groups
+H(Pi, n), I, 1953), so the shuffle map is expressed in the Moore basis
+of A ox B, not projected.  Each verifier computes an object's Moore
+bases and normalized complex once.
 
-Normalization runs on the tables too.  The Moore basis eliminates the
-rows of d_1, ..., d_n read straight off their tables; the projection's
-factors, the K o N counit and the Eilenberg-Zilber degeneracy and face
-composites are composed as tables.  An integer matrix is built only
-where a chain complex, a chain map, an exact solve or a unimodularity
-check needs one.
+Normalization runs on the tables too: the Moore bases, the projection's
+factors, the normalized differentials, the K o N counit and the
+Eilenberg-Zilber degeneracy and face composites are composed as tables.
+An integer matrix is built only where a chain complex, a chain map, an
+exact solve or a unimodularity check needs one.
 """
 
 from __future__ import annotations
@@ -120,6 +126,16 @@ def _column(acc: dict):
     return tuple(rows), tuple(map(acc.__getitem__, rows))
 
 
+def _add(acc: dict, c, x: int):
+    """Add x times the table item c to the column acc, {row: value}."""
+    if c.__class__ is int:
+        if c >= 0:
+            acc[c] = acc.get(c, 0) + x
+    else:
+        for r, y in zip(*c):
+            acc[r] = acc.get(r, 0) + x * y
+
+
 def _combine(f: list, col: tuple):
     """The image under the column table f of a general column, in the
     same encoding."""
@@ -133,6 +149,16 @@ def _combine(f: list, col: tuple):
             for s, y in zip(*c):
                 acc[s] = acc.get(s, 0) + x * y
     return _column(acc)
+
+
+def _apply(f: tuple, v, rows: int) -> tuple:
+    """The image of the vector v under the map with the (table, general)
+    pair f, which has `rows` rows."""
+    acc = {}
+    for x, c in zip(v, f[0]):
+        if x:
+            _add(acc, c, x)
+    return tuple(acc.get(r, 0) for r in range(rows))
 
 
 def _compose(f: tuple, g: tuple) -> list:
@@ -244,6 +270,15 @@ class SimplicialAbGroup:
         if not (0 <= n < self.D and 0 <= j <= n):
             raise ValueError("degeneracy (%d, %d) out of range" % (n, j))
         return _matrix(self._st[(n, j)], self.rank(n + 1))
+
+    def face_vec(self, n: int, i: int, v) -> tuple:
+        """d_i v for a vector v in A_n, read off the column table, so no
+        matrix is built."""
+        if not (1 <= n <= self.D and 0 <= i <= n):
+            raise ValueError("face (%d, %d) out of range" % (n, i))
+        if len(v) != self.rank(n):
+            raise ValueError("vector length mismatch")
+        return _apply(self._ft[(n, i)], v, self.rank(n - 1))
 
     def _validate(self):
         for kind, tables, shift in (("face", self._ft, -1), ("degeneracy", self._st, 1)):
@@ -370,31 +405,130 @@ def _face_rows(a: SimplicialAbGroup, n: int) -> dict:
     return rows
 
 
+def _nondegenerate(a: SimplicialAbGroup, n: int) -> list | None:
+    """The generators of A_n that no degeneracy s_j: A_{n-1} -> A_n hits,
+    ascending, or None when one of those degeneracies has a general
+    column.  In the first case the degenerate part D_n is spanned by the
+    generators hit, so the generators listed span a complement of it."""
+    hit = set()
+    for j in range(n):
+        table, general = a._st[(n - 1, j)]
+        if general:
+            return None
+        hit.update(table)
+    return [c for c in range(a.rank(n)) if c not in hit]
+
+
+def _difference(x, y):
+    """The table item of the column x minus the nonzero column y."""
+    if x.__class__ is int and y.__class__ is int and x >= 0:
+        return -1 if x == y else ((x, y), (1, -1)) if x < y else ((y, x), (-1, 1))
+    acc = {}
+    _add(acc, x, 1)
+    _add(acc, y, -1)
+    return _column(acc)
+
+
+def _projection_factor(a: SimplicialAbGroup, n: int, j: int, f: tuple) -> tuple:
+    """The (table, general) pair of (1 - s_j d_{j+1}) o f, for the map
+    with the pair f into A_n: each column of f minus its image under
+    s_j d_{j+1}."""
+    d = a._ft[(n, j + 1)]
+    image = _compose(a._st[(n - 1, j)], (_compose(d, f), d[1] or f[1]))
+    return [x if y == -1 else _difference(x, y) for x, y in zip(f[0], image)], True
+
+
+def _restricted(c, at: dict):
+    """The table item of the column c with only its rows in at, each
+    renumbered to at[row]."""
+    if c.__class__ is int:
+        return at.get(c, -1)
+    return _column({at[r]: x for r, x in zip(*c) if r in at})
+
+
+def _split_basis(a: SimplicialAbGroup, n: int, keep: list) -> tuple:
+    """The (table, general) pair of the Moore basis P_n e_c, c in keep,
+    of a level that `_nondegenerate` splits, with
+
+        P_n = (1 - s_0 d_1)(1 - s_1 d_2) ... (1 - s_{n-1} d_n),
+
+    whose rightmost factor acts first, applied to the kept columns only.
+    P_n is the projection onto N_n along D_n (Goerss-Jardine, Simplicial
+    Homotopy Theory, III.2), and P_n e_c - e_c lies in D_n, which the
+    generators outside keep span; so the basis's rows at keep are the
+    identity and its columns span N_n.  Both facts are checked: the rows
+    at keep, and that d_1, ..., d_n vanish on it."""
+    basis = keep + [-1], False
+    for j in range(n - 1, -1, -1):
+        basis = _projection_factor(a, n, j, basis)
+    at = {c: t for t, c in enumerate(keep)}
+    if any(_restricted(c, at) != t for t, c in enumerate(basis[0][:-1])):
+        raise ValidationError("the Moore basis at level %d is not the identity on the "
+                              "nondegenerate generators" % n)
+    for i in range(1, n + 1):
+        if any(c != -1 for c in _compose(a._ft[(n, i)], basis)):
+            raise ValidationError("d_%d does not vanish on the Moore basis at level %d" % (i, n))
+    return basis
+
+
+def _moore_bases(a: SimplicialAbGroup) -> dict:
+    """Per level n, (keep, basis): the generators `_nondegenerate` gives,
+    and the (table, general) pair of a Moore basis.  A level that keep
+    splits gets `_split_basis`, with no elimination; any other gets the
+    `matrices._kernel` of the stacked face rows (`_face_rows`)."""
+    out = {}
+    for n in range(a.D + 1):
+        keep = _nondegenerate(a, n)
+        if keep is None:
+            out[n] = None, _columns(_kernel(_face_rows(a, n), a.rank(n)), "Moore basis %d" % n)
+        else:
+            out[n] = keep, _split_basis(a, n, keep)
+    return out
+
+
 def moore_basis(a: SimplicialAbGroup) -> dict:
     """Per level, a lattice basis (columns) of the intersection of the
     kernels of all faces except the zeroth.
 
-    It is the `matrices._kernel` of the faces d_1, ..., d_n stacked, with
-    the rows read straight off their column tables (`_face_rows`), so no
-    face matrix is built; the rows are the ones `vstack` would give, so
-    the pivot rule sees the same matrix and gives the same basis.  The
-    entries are 0/+-1 and almost monomial, so the unit-pivot elimination
-    clears them and the dense Smith loop sees a small residue at most
-    (none for the free reductions of spheres).  The basis is saturated,
-    so every element of the normalized part, and in particular every
-    image of `moore_projection`, has integer coordinates in it."""
-    return {n: _kernel(_face_rows(a, n), a.rank(n)) for n in range(a.D + 1)}
+    Wherever every degeneracy into the level sends generators to
+    generators, as in Z~X, K(C) and the bar and tensor constructions of
+    such groups, the basis is the projection P_n of each nondegenerate
+    generator (`_split_basis`), composed on column tables; its rows at
+    those generators are the identity.  Elsewhere it is the sparse kernel
+    of the stacked faces d_1, ..., d_n.  Either way it is saturated, so
+    every element of the normalized part, and in particular every image
+    of `moore_projection`, has integer coordinates in it."""
+    return {n: _matrix(basis, a.rank(n)) for n, (_, basis) in _moore_bases(a).items()}
+
+
+def _coordinates(keep, basis: tuple, y: tuple, rows: int) -> IntMatrix | None:
+    """The X with basis X = y, for the (table, general) pairs of a Moore
+    basis and of a map into its level of `rows` generators, or None when
+    there is none.  Where keep splits the level, the split basis's rows
+    at keep are the identity, so X can only be y's rows at keep, and one
+    product on the tables checks it.  Where that check fails (y leaves
+    the normalized part, or the basis is another one) or keep is None,
+    one exact solve decides."""
+    if keep is not None:
+        at = {c: t for t, c in enumerate(keep)}
+        x = [_restricted(c, at) for c in y[0]]
+        x = x, any(c.__class__ is not int for c in x)
+        if _same(_compose(basis, x), y[0]):
+            return _matrix(x, len(keep))
+    return solve_exact(_matrix(basis, rows), _matrix(y, rows))
 
 
 def _normalize(a: SimplicialAbGroup, bases: dict) -> ChainComplex:
-    """The normalized complex of a in the given Moore bases."""
-    ranks = {n: bases[n].cols for n in range(a.D + 1)}
+    """The normalized complex of a in the Moore bases of `_moore_bases`:
+    d_0 of each basis, in the coordinates of the basis one level down."""
+    ranks = {n: len(basis[0]) - 1 for n, (_, basis) in bases.items()}
     d = {}
     for n in range(1, a.D + 1):
-        if bases[n].cols == 0 or bases[n - 1].cols == 0:
+        if ranks[n] == 0 or ranks[n - 1] == 0:
             continue
-        image = a.face(n, 0) @ bases[n]
-        expressed = solve_exact(bases[n - 1], image)
+        d0, basis = a._ft[(n, 0)], bases[n][1]
+        expressed = _coordinates(*bases[n - 1], (_compose(d0, basis), d0[1] or basis[1]),
+                                 a.rank(n - 1))
         if expressed is None:
             raise ValidationError("d_0 does not preserve the normalized part at level %d" % n)
         d[n] = expressed
@@ -405,44 +539,35 @@ def normalize_N(a: SimplicialAbGroup) -> ChainComplex:
     """The normalized complex: degree n is the joint kernel of the faces
     d_1, ..., d_n, with differential induced by d_0.  Valid in degrees
     up to the truncation D."""
-    return _normalize(a, moore_basis(a))
+    return _normalize(a, _moore_bases(a))
 
 
-def _projection_factor(a: SimplicialAbGroup, n: int, j: int) -> tuple:
-    """The (table, general) pair of 1 - s_j d_{j+1} on A_n: column c is
-    e_c minus column c of s_j d_{j+1}."""
-    table = []
-    for c, col in enumerate(_compose(a._st[(n - 1, j)], a._ft[(n, j + 1)])[:-1]):
-        if col.__class__ is int:
-            table.append(c if col < 0 else -1 if col == c
-                         else ((c, col), (1, -1)) if c < col else ((col, c), (-1, 1)))
-            continue
-        acc = {c: 1}
-        for r, x in zip(*col):
-            acc[r] = acc.get(r, 0) - x
-        table.append(_column(acc))
-    table.append(-1)
-    return table, True
+def _projection(a: SimplicialAbGroup, level: tuple, n: int) -> IntMatrix:
+    """The coordinates of P_n in the Moore basis of level n, given as
+    the (keep, basis) pair of `_moore_bases`."""
+    p = _identity(a.rank(n))
+    for j in range(n - 1, -1, -1):
+        p = _projection_factor(a, n, j, p)
+    coords = _coordinates(*level, p, a.rank(n))
+    if coords is None:
+        raise ValidationError("the Moore projection leaves the normalized part at level %d" % n)
+    return coords
 
 
 def moore_projection(a: SimplicialAbGroup, bases: dict, n: int) -> IntMatrix:
     """The projection A_n -> N_n along the degenerate part, in the Moore
-    basis: bases[n] @ moore_projection(a, bases, n) is the idempotent
+    basis that `moore_basis` gives: bases[n] @ moore_projection(a, bases,
+    n) is the idempotent
 
         P_n = (1 - s_0 d_1)(1 - s_1 d_2) ... (1 - s_{n-1} d_n),
 
     whose rightmost factor acts first.  P_n fixes N_n, kills every
     degenerate simplex and lands in N_n (Goerss-Jardine, Simplicial
-    Homotopy Theory, III.2), so one exact solve against the saturated
-    basis gives its coordinates.  The factors are composed on column
-    tables, and P_n becomes a matrix once, for that solve."""
-    p = _identity(a.rank(n))
-    for j in range(n - 1, -1, -1):
-        p = _compose(_projection_factor(a, n, j), p), True
-    coords = solve_exact(bases[n], _matrix(p, a.rank(n)))
-    if coords is None:
-        raise ValidationError("the Moore projection leaves the normalized part at level %d" % n)
-    return coords
+    Homotopy Theory, III.2).  Its factors are composed on column tables.
+    On a level split by its nondegenerate generators the coordinates are
+    the selection of P_n's rows at those generators, checked by one
+    product; elsewhere they are one exact solve."""
+    return _projection(a, (_nondegenerate(a, n), _columns(bases[n], "Moore basis %d" % n)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -533,11 +658,14 @@ def unnormalized_complex(a: SimplicialAbGroup) -> ChainComplex:
     ranks = {n: a.rank(n) for n in range(a.D + 1)}
     d = {}
     for n in range(1, a.D + 1):
-        total = IntMatrix.zero(a.rank(n - 1), a.rank(n))
-        for i in range(n + 1):
-            m = a.face(n, i)
-            total = total + (m if i % 2 == 0 else m.scale(-1))
-        d[n] = total
+        faces = [(a._ft[(n, i)][0], -1 if i % 2 else 1) for i in range(n + 1)]
+        table = []
+        for j in range(a.rank(n)):
+            acc = {}
+            for t, sign in faces:
+                _add(acc, t[j], sign)
+            table.append(_column(acc))
+        d[n] = _matrix((table + [-1], True), a.rank(n - 1))
     return ChainComplex(0, a.D, ranks, d)
 
 
@@ -684,55 +812,54 @@ def ez_maps(a: SimplicialAbGroup, b: SimplicialAbGroup) -> EZPair:
     if a.D != b.D:
         raise ValueError("truncation dimensions differ")
     d = a.D
-    na_bases = moore_basis(a)
-    nb_bases = moore_basis(b)
+    na_bases = _moore_bases(a)
+    nb_bases = _moore_bases(b)
     na = _normalize(a, na_bases)
     nb = _normalize(b, nb_bases)
     ab = tensor_sab(a, b)
-    nab_bases = moore_basis(ab)
+    nab_bases = _moore_bases(ab)
     nab = _normalize(ab, nab_bases)
     t = _tensor_window(na, nb, 0, d)
 
-    ka_t = {p: _columns(m, "Moore basis %d" % p) for p, m in na_bases.items()}
-    kb_t = {q: _columns(m, "Moore basis %d" % q) for q, m in nb_bases.items()}
     shuffle_comps = {}
     for n in range(d + 1):
         cols = []
         for p in range(n + 1):
             q = n - p
-            ka, kb = na_bases[p], nb_bases[q]
-            if ka.cols == 0 or kb.cols == 0:
+            if na.rank(p) == 0 or nb.rank(q) == 0:
                 continue
-            block = IntMatrix.zero(ab.rank(n), ka.cols * kb.cols)
+            ka, kb = na_bases[p][1], nb_bases[q][1]
+            block = IntMatrix.zero(ab.rank(n), na.rank(p) * nb.rank(q))
             for mu in combinations(range(n), p):
                 nu = tuple(s for s in range(n) if s not in mu)
                 sign = (-1) ** sum(1 for m in mu for x in nu if m > x)
-                ma = _matrix(_degeneracy_composite(a, p, nu, ka_t[p]), a.rank(n))
-                mb = _matrix(_degeneracy_composite(b, q, mu, kb_t[q]), b.rank(n))
+                ma = _matrix(_degeneracy_composite(a, p, nu, ka), a.rank(n))
+                mb = _matrix(_degeneracy_composite(b, q, mu, kb), b.rank(n))
                 term = ma.kron(mb)
                 block = block + (term if sign > 0 else term.scale(-1))
             cols.append(block)
         if cols:
-            comp = solve_exact(nab_bases[n], hstack(cols))
+            comp = _coordinates(*nab_bases[n], _columns(hstack(cols), "shuffle %d" % n), ab.rank(n))
             if comp is None:
                 raise ValidationError("the shuffle leaves the normalized part at level %d" % n)
             shuffle_comps[n] = comp
     shuffle = ChainMap(t, nab, shuffle_comps)
 
     aw_comps = {}
-    pa = {p: moore_projection(a, na_bases, p) for p in range(d + 1)}
-    pb = {q: moore_projection(b, nb_bases, q) for q in range(d + 1)}
+    pa = {p: _projection(a, na_bases[p], p) for p in range(d + 1) if na.rank(p)}
+    pb = {q: _projection(b, nb_bases[q], q) for q in range(d + 1) if nb.rank(q)}
     for n in range(d + 1):
         if t.rank(n) == 0 or nab.rank(n) == 0:
             continue
         rows = []
+        basis = _matrix(nab_bases[n][1], ab.rank(n))
         for p in range(n + 1):
             q = n - p
             if na.rank(p) == 0 or nb.rank(q) == 0:
                 continue
             block = (pa[p] @ _face_composite(a, n, p, front=True)).kron(
                 pb[q] @ _face_composite(b, n, q, front=False))
-            rows.append(block @ nab_bases[n])
+            rows.append(block @ basis)
         aw_comps[n] = vstack(rows)
     aw = ChainMap(nab, t, aw_comps)
     return EZPair(shuffle, aw)
@@ -768,8 +895,8 @@ def horn_filler(a: SimplicialAbGroup, n: int, k: int, faces) -> tuple:
         for i in sorted(vecs):
             if i >= j:
                 continue
-            lhs = a.face(n - 1, i).mul_vec(vecs[j])
-            rhs = a.face(n - 1, j - 1).mul_vec(vecs[i])
+            lhs = a.face_vec(n - 1, i, vecs[j])
+            rhs = a.face_vec(n - 1, j - 1, vecs[i])
             if lhs != rhs:
                 raise ValueError(
                     "incompatible horn: d_%d x_%d != d_%d x_%d" % (i, j, j - 1, i)
@@ -777,8 +904,8 @@ def horn_filler(a: SimplicialAbGroup, n: int, k: int, faces) -> tuple:
     u = (0,) * a.rank(n)
 
     def correct(u, t, slot):
-        residue = tuple(x - y for x, y in zip(vecs[t], a.face(n, t).mul_vec(u)))
-        bump = a.degen(n - 1, slot).mul_vec(residue)
+        residue = tuple(x - y for x, y in zip(vecs[t], a.face_vec(n, t, u)))
+        bump = _apply(a._st[(n - 1, slot)], residue, a.rank(n))
         return tuple(x + y for x, y in zip(u, bump))
 
     for t in range(k):
@@ -786,7 +913,7 @@ def horn_filler(a: SimplicialAbGroup, n: int, k: int, faces) -> tuple:
     for t in range(n, k, -1):
         u = correct(u, t, t - 1)
     for i in range(n + 1):
-        if i != k and a.face(n, i).mul_vec(u) != vecs[i]:
+        if i != k and a.face_vec(n, i, u) != vecs[i]:
             raise AssertionError("filler fails its face equation at %d" % i)
     return u
 
@@ -802,7 +929,7 @@ def nk_roundtrip_iso(c: ChainComplex, trunc_dim: int):
     matrices."""
     c0 = c.truncate_good(0)
     kc = dold_kan_K(c0, trunc_dim)
-    bases = moore_basis(kc)
+    bases = _moore_bases(kc)
     out = {}
     for n in range(min(trunc_dim, c0.max_deg) + 1):
         offset = 0
@@ -810,9 +937,8 @@ def nk_roundtrip_iso(c: ChainComplex, trunc_dim: int):
             if eta == tuple(range(n + 1)):
                 break
             offset += c0.rank(eta[-1])
-        cols = c0.rank(n)
-        inc = IntMatrix.from_entries(kc.rank(n), cols, ((offset + s, s, 1) for s in range(cols)))
-        expressed = solve_exact(bases[n], inc)
+        inc = list(range(offset, offset + c0.rank(n))) + [-1], False
+        expressed = _coordinates(*bases[n], inc, kc.rank(n))
         if expressed is None or not is_unimodular(expressed):
             raise ValidationError("identity summand is not the normalized part at level %d" % n)
         out[n] = expressed
@@ -830,14 +956,14 @@ def _counit(a: SimplicialAbGroup, na: ChainComplex, bases: dict) -> dict:
     """Per level n, the (table, general) pair of the counit K(N(A))_n ->
     A_n: on the summand of a surjection eta it is the composite
     degeneracy of eta applied to the Moore basis, composed on column
-    tables; the summands sit side by side in the order of `_summands`."""
-    basis = {k: _columns(m, "Moore basis %d" % k) for k, m in bases.items()}
+    tables; the summands sit side by side in the order of `_summands`.
+    bases are as `_moore_bases` gives them."""
     psi = {}
     for n in range(a.D + 1):
         table, general = [], False
         for eta in _summands(na, n):
             jumps = [i for i in range(n) if eta[i] == eta[i + 1]]
-            t, g = _degeneracy_composite(a, eta[-1], jumps, basis[eta[-1]])
+            t, g = _degeneracy_composite(a, eta[-1], jumps, bases[eta[-1]][1])
             table += t[:-1]
             general |= g
         psi[n] = table + [-1], general
@@ -849,7 +975,7 @@ def kn_roundtrip_ok(a: SimplicialAbGroup) -> bool:
     (`_counit`).  Each level of the counit must be unimodular, checked on
     its matrix, and intertwine all structure maps, checked on its column
     tables."""
-    bases = moore_basis(a)
+    bases = _moore_bases(a)
     na = _normalize(a, bases)
     kna = dold_kan_K(na, a.D)
     if kna.ranks() != a.ranks():

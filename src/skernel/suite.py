@@ -380,11 +380,11 @@ def check_horn_filling(rng, scale):
                 continue
             x = tuple(rng.randint(-3, 3) for _ in range(a.rank(n)))
             k = rng.randint(0, n)
-            faces = [a.face(n, i).mul_vec(x) if i != k else None for i in range(n + 1)]
+            faces = [a.face_vec(n, i, x) if i != k else None for i in range(n + 1)]
             w = horn_filler(a, n, k, faces)
             for i in range(n + 1):
                 if i != k:
-                    _require(a.face(n, i).mul_vec(w) == faces[i], "filler face mismatch")
+                    _require(a.face_vec(n, i, w) == faces[i], "filler face mismatch")
             count += 1
     return "%d horns filled and verified" % count
 

@@ -14,8 +14,9 @@ by name, through `product_pair_ref`, before the library moved them onto
 before `chains` wrote its rows in place.  The smash is kept as the
 quotient of the product by the wedge.  The normalization of a
 simplicial group is kept in its matrix form: Moore bases as the kernel
-of the stacked face matrices, the Moore projection as a product of
-`IntMatrix` factors and the K o N counit as side-by-side blocks.  Last,
+of the stacked face matrices and as a product of `IntMatrix` factors
+applied to the nondegenerate generators, the Moore projection as that
+product and the K o N counit as side-by-side blocks.  Last,
 the few builders that only tests use.
 """
 
@@ -192,15 +193,40 @@ def stacked_moore_basis(a: SimplicialAbGroup) -> dict:
     return bases
 
 
-def product_moore_projection(a: SimplicialAbGroup, bases: dict, n: int):
-    """The Moore coordinates of (1 - s_0 d_1) ... (1 - s_{n-1} d_n), each
-    factor an `IntMatrix` product, or None when the solve has none."""
-    if a.rank(n) == 0:
-        return IntMatrix.zero(0, 0)
+def product_projection(a: SimplicialAbGroup, n: int) -> IntMatrix:
+    """(1 - s_0 d_1) ... (1 - s_{n-1} d_n) on A_n, each factor an
+    `IntMatrix` product."""
     p = IntMatrix.identity(a.rank(n))
     for j in range(n - 1, -1, -1):
         p = p - a.degen(n - 1, j) @ (a.face(n, j + 1) @ p)
-    return solve_exact(bases[n], p)
+    return p
+
+
+def product_moore_basis(a: SimplicialAbGroup) -> dict:
+    """Per level n, where every degeneracy into A_n has only unit (or
+    zero) columns, `product_projection` applied to the unit vectors of
+    the generators that no degeneracy hits; elsewhere the
+    `stacked_moore_basis`."""
+    stacked = stacked_moore_basis(a)
+    bases = {}
+    for n in range(a.D + 1):
+        columns = [col for j in range(n) for col in a.degen(n - 1, j).transpose().nonzeros]
+        if any(xs not in ((), (1,)) for _, xs in columns):
+            bases[n] = stacked[n]
+            continue
+        hit = {js[0] for js, _ in columns if js}
+        keep = [c for c in range(a.rank(n)) if c not in hit]
+        units = IntMatrix.from_entries(a.rank(n), len(keep), ((c, t, 1) for t, c in enumerate(keep)))
+        bases[n] = product_projection(a, n) @ units
+    return bases
+
+
+def product_moore_projection(a: SimplicialAbGroup, bases: dict, n: int):
+    """The Moore coordinates of `product_projection`, or None when the
+    solve has none."""
+    if a.rank(n) == 0:
+        return IntMatrix.zero(0, 0)
+    return solve_exact(bases[n], product_projection(a, n))
 
 
 def hstack_counit(a: SimplicialAbGroup, na: ChainComplex, bases: dict) -> dict:

@@ -6,13 +6,13 @@ import pytest
 import skernel.matrices
 import skernel.simpab
 from skernel.complexes import ChainComplex, HomologyGroup, ValidationError, single
-from skernel.matrices import IntMatrix
+from skernel.matrices import IntMatrix, is_unimodular, solve_exact
 from skernel.simpab import (
     EZPair,
     _columns,
     _counit,
-    _identity,
     _matrix,
+    _moore_bases,
     _normalize,
     SimplicialAbGroup,
     bar_B,
@@ -32,10 +32,12 @@ from skernel.simpab import (
     homotopy_groups,
 )
 from skernel.spaces import smash, sphere, suspension
+from skernel.suite import check_horn_filling
 
 from helpers import (basepoint_ref, block_diag, conjugated_group, hstack_counit, kunneth_homology,
-                     level_summands, product_moore_projection, product_pair_ref, random_complex,
-                     shuffles, stacked_moore_basis)
+                     level_summands, product_moore_basis, product_moore_projection,
+                     product_pair_ref, random_complex, shuffles, stacked_moore_basis)
+from test_edge_cases import ez_pairs as edge_case_ez_pairs, groups as edge_case_groups
 
 Z = HomologyGroup(1)
 TRIV = HomologyGroup(0)
@@ -652,6 +654,23 @@ def test_horn_filler_random(rng):
                         assert a.face(n, i).mul_vec(w) == faces[i]
 
 
+def test_horn_filling_builds_no_matrix(monkeypatch, rng):
+    """The horn filler and the suite's horn-filling check apply the
+    column tables to vectors."""
+    builds = []
+    original = skernel.simpab._matrix
+    monkeypatch.setattr(skernel.simpab, "_matrix", lambda *args: builds.append(args) or original(*args))
+    for _ in range(5):
+        a = random_sab(rng, trunc=3)
+        for n in (1, 2, 3):
+            x = tuple(rng.randint(-3, 3) for _ in range(a.rank(n)))
+            for k in range(n + 1):
+                faces = [a.face_vec(n, i, x) if i != k else None for i in range(n + 1)]
+                horn_filler(a, n, k, faces)
+    check_horn_filling(random.Random(0), 1)
+    assert builds == []
+
+
 def test_homotopy_groups_range_error():
     a = constant_group(1, 2)
     with pytest.raises(ValueError):
@@ -667,11 +686,10 @@ def _projection_objects(rng):
     ] + [random_sab(rng, trunc=3) for _ in range(6)]
 
 
-def _assert_moore_projections_split(objects):
+def _assert_moore_projections_split(objects, object_bases):
     """The projection fixes the normalized part and kills the image of
     every degeneracy, so N_n and the degenerate part split A_n."""
-    for a in objects:
-        bases = moore_basis(a)
+    for a, bases in zip(objects, object_bases):
         for n in range(a.D + 1):
             if a.rank(n) == 0:
                 continue
@@ -682,21 +700,58 @@ def _assert_moore_projections_split(objects):
 
 
 def test_moore_projection_identity(rng):
-    _assert_moore_projections_split(_projection_objects(rng))
+    objects = _projection_objects(rng)
+    _assert_moore_projections_split(objects, [moore_basis(a) for a in objects])
 
 
 @pytest.mark.parametrize("dropped", range(4))
 def test_a_moore_projection_without_one_factor_is_caught(monkeypatch, rng, dropped):
     """With the factor 1 - s_j d_{j+1} for one j replaced by the
-    identity, the projection either leaves the normalized part, which
-    its exact solve reports, or breaks the splitting."""
+    identity after the Moore bases are built, the projection either
+    leaves the normalized part, which its coordinate check reports, or
+    breaks the splitting."""
+    objects = _projection_objects(rng)
+    object_bases = [moore_basis(a) for a in objects]
     original = skernel.simpab._projection_factor
     monkeypatch.setattr(skernel.simpab, "_projection_factor",
-                        lambda a, n, j: _identity(a.rank(n)) if j == dropped else original(a, n, j))
+                        lambda a, n, j, f: f if j == dropped else original(a, n, j, f))
     with pytest.raises((AssertionError, ValidationError)) as caught:
-        _assert_moore_projections_split(_projection_objects(rng))
+        _assert_moore_projections_split(objects, object_bases)
     if caught.type is ValidationError:
         assert "the Moore projection leaves the normalized part" in str(caught.value)
+
+
+@pytest.mark.parametrize("dropped, level", [(0, 4), (1, 4), (2, 4), (3, 5)])
+def test_a_moore_basis_without_one_factor_fails_its_self_check(monkeypatch, dropped, level):
+    """With the factor 1 - s_j d_{j+1} for one j replaced by the
+    identity, the basis of Z~S^2 ox Z~S^3 leaves the normalized part,
+    and the basis's own check names the level and the face d_{j+1}."""
+    a = tensor_sab(free_reduced_Z(sphere(2), 5), free_reduced_Z(sphere(3), 5))
+    original = skernel.simpab._projection_factor
+    monkeypatch.setattr(skernel.simpab, "_projection_factor",
+                        lambda a, n, j, f: f if j == dropped else original(a, n, j, f))
+    with pytest.raises(ValidationError, match="^d_%d does not vanish on the Moore basis at level %d$"
+                       % (dropped + 1, level)):
+        moore_basis(a)
+
+
+def test_a_moore_basis_over_a_degenerate_generator_fails_its_self_check(monkeypatch):
+    """With the first degenerate generator of each level added to the
+    nondegenerate ones, the projection kills it, so the basis is no
+    longer the identity on those generators, which its check reports."""
+    original = skernel.simpab._nondegenerate
+
+    def widened(a, n):
+        keep = original(a, n)
+        return sorted(keep + [c for c in range(a.rank(n)) if c not in keep][:1])
+
+    monkeypatch.setattr(skernel.simpab, "_nondegenerate", widened)
+    zs2 = free_reduced_Z(sphere(2), 4)
+    for a in (free_reduced_Z(sphere(1), 3), zs2, bar_B(zs2), dold_kan_K(TORSION, 3),
+              tensor_sab(zs2, zs2)):
+        with pytest.raises(ValidationError, match=r"^the Moore basis at level \d+ is not the "
+                           "identity on the nondegenerate generators$"):
+            moore_basis(a)
 
 
 EQUIVALENCE = {
@@ -725,13 +780,58 @@ def test_table_normalization_matches_the_matrix_recipes(name):
     blocks."""
     a = EQUIVALENCE[name]()
     bases = moore_basis(a)
-    assert bases == stacked_moore_basis(a)
+    assert bases == product_moore_basis(a)
     for n in range(a.D + 1):
         assert moore_projection(a, bases, n) == product_moore_projection(a, bases, n)
-    na = _normalize(a, bases)
-    psi = _counit(a, na, bases)
+    tables = _moore_bases(a)
+    na = _normalize(a, tables)
+    psi = _counit(a, na, tables)
     assert {n: _matrix(psi[n], a.rank(n)) for n in psi} == hstack_counit(a, na, bases)
     assert kn_roundtrip_ok(a)
+
+
+def test_split_bases_span_the_stacked_lattice():
+    """Each Moore basis is the `stacked_moore_basis` times a unimodular
+    base change T, and T intertwines the normalized differentials:
+    T_{n-1} d_new = d_old T_n.  The objects are the equivalence cases and
+    every group whose Moore coordinates `test_edge_cases` pins: both
+    factors of each Eilenberg-Zilber pair and their tensor product, and
+    the groups it normalizes."""
+    objects = [build() for build in EQUIVALENCE.values()] + list(edge_case_groups())
+    objects += [x for a, b in edge_case_ez_pairs() for x in (a, b, tensor_sab(a, b))]
+    changed = 0
+    for a in objects:
+        new, old = moore_basis(a), stacked_moore_basis(a)
+        changed += new != old
+        t = {n: solve_exact(old[n], new[n]) for n in new}
+        assert all(t[n] is not None and is_unimodular(t[n]) for n in t), a
+        d_new = normalize_N(a)
+        for n in range(1, a.D + 1):
+            d_old = solve_exact(old[n - 1], a.face(n, 0) @ old[n])
+            assert t[n - 1] @ d_new.d(n) == d_old @ t[n], (a, n)
+    assert changed  # the split and the stacked bases differ on some groups
+
+
+def test_split_levels_eliminate_nothing(monkeypatch):
+    """On groups whose degeneracies send generators to generators the
+    Moore bases, the normalized complex and the projections run no
+    elimination; the conjugated sphere, whose degeneracies do not, does."""
+    zs1, zs2 = free_reduced_Z(sphere(1), 4), free_reduced_Z(sphere(2), 5)
+    groups = (zs1, zs2, free_reduced_Z(sphere(3), 5), bar_B(zs2), bar_B(bar_B(zs1)),
+              dold_kan_K(TORSION, 5), tensor_sab(zs1, zs1), tensor_sab(zs2, zs2))
+    conjugated = EQUIVALENCE["conjugated-zS2"]()
+    calls = []
+    original = skernel.matrices._eliminate
+    monkeypatch.setattr(skernel.matrices, "_eliminate",
+                        lambda *args: calls.append(len(args[0])) or original(*args))
+    for a in groups:
+        bases = moore_basis(a)
+        normalize_N(a)
+        for n in range(a.D + 1):
+            moore_projection(a, bases, n)
+    assert calls == []
+    moore_basis(conjugated)
+    assert calls
 
 
 def test_the_conjugated_sphere_reaches_the_dense_smith_loop(monkeypatch):
@@ -775,15 +875,18 @@ def test_kn_roundtrip_rejects_a_counit_with_a_negated_column(monkeypatch):
 def test_verifiers_reject_a_non_saturated_moore_basis(monkeypatch):
     """Doubling the first column of every Moore basis leaves a sublattice
     of index 2, which each verifier must notice."""
-    original = skernel.simpab._kernel
+    original = skernel.simpab._moore_bases
 
-    def doubled(rows, ncols):
-        k = original(rows, ncols)
-        return IntMatrix.from_entries(
-            k.rows, k.cols, ((i, j, 2 * x if j == 0 else x) for i, j, x in k.entries())
-        )
+    def doubled(a):
+        out = {}
+        for n, (keep, basis) in original(a).items():
+            k = _matrix(basis, a.rank(n))
+            k = IntMatrix.from_entries(
+                k.rows, k.cols, ((i, j, 2 * x if j == 0 else x) for i, j, x in k.entries()))
+            out[n] = keep, _columns(k, "doubled Moore basis %d" % n)
+        return out
 
-    monkeypatch.setattr(skernel.simpab, "_kernel", doubled)
+    monkeypatch.setattr(skernel.simpab, "_moore_bases", doubled)
     zs1 = free_reduced_Z(sphere(1), 3)
     assert not kn_roundtrip_ok(zs1)
     with pytest.raises(ValidationError):
@@ -796,15 +899,11 @@ def test_verifiers_normalize_each_object_once(monkeypatch):
     a = free_reduced_Z(sphere(1), 4)
     b = dold_kan_K(TORSION, 4)
     calls = []
-    original = skernel.simpab._kernel
-    monkeypatch.setattr(skernel.simpab, "_kernel",
-                        lambda *args: calls.append(args) or original(*args))
-    for x in (a, b, tensor_sab(a, b)):
-        moore_basis(x)
-    expected = len(calls)
-    calls.clear()
+    original = skernel.simpab._moore_bases
+    monkeypatch.setattr(skernel.simpab, "_moore_bases",
+                        lambda x: calls.append(x.ranks()) or original(x))
     ez_maps(a, b)
-    assert len(calls) == expected
+    assert calls == [a.ranks(), b.ranks(), tensor_sab(a, b).ranks()]
 
     builds = []
     original_k = skernel.simpab.dold_kan_K
