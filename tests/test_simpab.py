@@ -142,30 +142,181 @@ def test_validation_names_the_identity_a_flipped_degeneracy_entry_breaks():
 
 
 def test_validation_compares_every_identity_once(monkeypatch):
-    """The number of column-table comparisons of one validation is the
-    number of simplicial identities up to D: d_i d_j (i < j <= n,
+    """Where every degeneracy is a unit table, a validation makes the
+    comparisons of the certificate (`SimplicialAbGroup._certificate`).
+    For bar_B(Z~S^2, 5), ranks 0, 0, 2, 9, 24, 50: 20 s_i s_j, 30
+    d_j s_j = d_{j+1} s_j = 1, 34 faces of degenerate generators (one
+    comparison per face i not in {k, k + 1} for each k that is the last
+    degeneracy of some generator) and 9 d_i d_j on the nondegenerate
+    generators of levels 2 and 3: 93 comparisons of 784 table items.
+    The same tables with one degeneracy marked general take the full
+    loop, which compares each identity up to D once: d_i d_j (i < j <= n,
     2 <= n <= D), s_i s_j (i <= j <= n, n <= D - 2) and d_i s_j (j <= n,
-    i <= n + 1, n <= D - 1)."""
+    i <= n + 1, n <= D - 1), 124 comparisons of 2,200 items."""
     b = bar_B(free_reduced_Z(sphere(2), 5))
     faces, degen = _structure_maps(b)
-    compared = 0
+    compared = items = 0
     same = skernel.simpab._same
 
     def counting(lhs, rhs):
-        nonlocal compared
+        nonlocal compared, items
         compared += 1
+        items += len(lhs)
         return same(lhs, rhs)
 
     monkeypatch.setattr(skernel.simpab, "_same", counting)
     SimplicialAbGroup(b.D, b.ranks(), faces, degen)
-    D = 5
-    assert compared == (sum(n * (n + 1) // 2 for n in range(2, D + 1))
-                        + sum((n + 1) * (n + 2) // 2 for n in range(D - 1))
-                        + sum((n + 1) * (n + 2) for n in range(D))) == 124
+    assert (compared, items) == (20 + 30 + 34 + 9, 784)
     # the builders' tables take the same path: once for Z~S^2, once for B
-    compared = 0
+    compared = items = 0
     assert bar_B(free_reduced_Z(sphere(2), 5)) == b
-    assert compared == 124 + 124
+    assert (compared, items) == (80 + 93, 243 + 784)
+    D = 5
+    for key in ((0, 0), (4, 2)):
+        st = dict(b._st)
+        st[key] = st[key][0], True
+        compared = items = 0
+        SimplicialAbGroup._of_tables(b.D, b.ranks(), b._ft, st)
+        assert compared == (sum(n * (n + 1) // 2 for n in range(2, D + 1))
+                            + sum((n + 1) * (n + 2) // 2 for n in range(D - 1))
+                            + sum((n + 1) * (n + 2) for n in range(D))) == 124
+        assert items == 2200
+
+
+def _unvalidated(d, ranks, ft, st):
+    """The group with the given tables, not validated."""
+    a = SimplicialAbGroup.__new__(SimplicialAbGroup)
+    a.D, a._ranks, a._ft, a._st = d, tuple(ranks), ft, st
+    return a
+
+
+def _first_broken(triples):
+    """The name of the first (lhs, rhs, name) triple whose sides differ,
+    or None."""
+    return next((name for lhs, rhs, name in triples if lhs != rhs), None)
+
+
+MUTATED = {
+    "zS2-D6": lambda: free_reduced_Z(sphere(2), 6),
+    "bar-zS1-D5": lambda: bar_B(free_reduced_Z(sphere(1), 5)),
+    "K-mixed-D5": lambda: dold_kan_K(MIXED, 5),
+    "zS1-tensor-zS1-D5": lambda: tensor_sab(free_reduced_Z(sphere(1), 5),
+                                             free_reduced_Z(sphere(1), 5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATED))
+def test_the_certificate_and_the_full_loop_agree_on_mutations(name):
+    """Seeded single-column mutations of one face or degeneracy: a face
+    entry x flipped to 1 - x, or a face column moved down by k rows; a
+    degeneracy's unit column zeroed, or moved down by k rows, so that
+    every degeneracy stays a unit table.  The certificate holds exactly
+    when every identity does, and the constructor names the identity the
+    full loop finds first."""
+    g = MUTATED[name]()
+    rng = random.Random(name)
+    keys = ([(True, k) for k in g._ft if g.rank(k[0] - 1)]
+            + [(False, k) for k in g._st if g.rank(k[0])])
+    verdicts = {True: 0, False: 0}
+    for _ in range(700):
+        is_face, key = rng.choice(keys)
+        m = g.face(*key) if is_face else g.degen(*key)
+        c = rng.randrange(m.cols)
+        column = {r: x for r, j, x in m.entries() if j == c}
+        if is_face and rng.random() < 0.5:
+            r = rng.randrange(m.rows)
+            column[r] = 1 - column.get(r, 0)
+        elif not is_face and rng.random() < 0.5:
+            column = {}
+        else:
+            k = rng.randrange(1, m.rows) if m.rows > 1 else 0
+            column = {(r + k) % m.rows: x for r, x in column.items()}
+        table = _columns(_with_column(m, c, [(r, x) for r, x in column.items() if x]), "mutated")
+        ft, st = dict(g._ft), dict(g._st)
+        (ft if is_face else st)[key] = table
+        assert not any(general for _, general in st.values())
+        certified = _first_broken(_unvalidated(g.D, g.ranks(), ft, st)._certificate()) is None
+        broken = _first_broken(_unvalidated(g.D, g.ranks(), ft, st)._identities())
+        assert certified == (broken is None), (key, c, column)
+        if broken:
+            with pytest.raises(ValidationError,
+                               match="^identity %s_%d %s_%d failed at level %d$" % broken):
+                SimplicialAbGroup._of_tables(g.D, g.ranks(), ft, st)
+        verdicts[certified] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def _first_failures(d, ranks, face, degen):
+    """The name of the first comparison of the certificate that fails on
+    the given matrices, and the constructor's message."""
+    tables = [{k: _columns(m, "map") for k, m in maps.items()} for maps in (face, degen)]
+    failed = _first_broken(_unvalidated(d, ranks, *tables)._certificate())
+    with pytest.raises(ValidationError) as exc:
+        SimplicialAbGroup(d, ranks, face, degen)
+    return failed, str(exc.value)
+
+
+def test_a_generator_hit_from_two_different_generators_is_rejected():
+    """z = s_0 w = s_1 w' with w != w' (ranks 0, 2, 3; z is generator 0
+    of level 2) cannot hold in a simplicial group: d_1 z would be both w
+    and w'.  d_j s_j = d_{j+1} s_j = 1 catches it."""
+    zero = IntMatrix.zero
+    degen = {(0, 0): zero(2, 0), (1, 0): IntMatrix.from_rows([[1, 0], [0, 1], [0, 0]]),
+             (1, 1): IntMatrix.from_rows([[0, 1], [0, 0], [1, 0]])}
+    face = {(1, 0): zero(0, 2), (1, 1): zero(0, 2),
+            (2, 0): IntMatrix.from_rows([[1, 0, 1], [0, 1, 0]]),
+            (2, 1): IntMatrix.from_rows([[1, 0, 1], [0, 1, 0]]),
+            (2, 2): IntMatrix.from_rows([[0, 0, 1], [1, 0, 0]])}
+    assert _first_failures(2, [0, 2, 3], face, degen) == (
+        ("d", 1, "s", 1, 1), "identity d_2 s_0 failed at level 1")
+
+
+def test_a_face_next_to_none_of_its_degeneracies_is_caught():
+    """In Z~S^1 at D = 3, z = s_0 s_0 x = s_1 s_0 x, and d_3 z = 0.  Set
+    to s_0 x instead, d_3 z is next to neither s_0 nor s_1, and z is
+    degenerate, so of the certificate's comparisons only the face of z
+    through its last degeneracy s_1 sees it."""
+    z1 = free_reduced_Z(sphere(1), 3)
+    faces, degen = _structure_maps(z1)
+    sx = z1._st[(1, 0)][0][0]
+    z = z1._st[(2, 0)][0][sx]
+    assert z == z1._st[(2, 1)][0][sx] and z1._ft[(3, 3)][0][z] == -1
+    faces[(3, 3)] = _with_column(faces[(3, 3)], z, [(sx, 1)])
+    assert _first_failures(3, z1.ranks(), faces, degen) == (
+        ("d", 3, "s", 1, 2), "identity d_0 d_3 failed at level 3")
+
+
+def test_a_broken_d_d_on_a_nondegenerate_generator_is_caught():
+    """K(MIXED) at D = 2 has one nondegenerate generator y at level 2,
+    with d_1 y = 0.  Set to the nondegenerate generator 2 of level 1,
+    d_0 d_1 y = d_0 e_2 is not d_0 d_0 y = d d y = 0; no degenerate
+    generator changes, so the d d comparisons on N_2 catch it."""
+    k = dold_kan_K(MIXED, 2)
+    faces, degen = _structure_maps(k)
+    (y,) = skernel.simpab._nondegenerate(k, 2)
+    faces[(2, 1)] = _with_column(faces[(2, 1)], y, [(2, 1)])
+    assert _first_failures(2, k.ranks(), faces, degen) == (
+        ("d", 0, "d", 1, 2), "identity d_0 d_1 failed at level 2")
+
+
+def test_a_general_degeneracy_takes_the_full_loop(monkeypatch):
+    """With one degeneracy that has a general column, no certificate is
+    tried: a conjugated Z~S^2 builds, and K(MIXED) with one degeneracy
+    column negated is rejected by the full loop."""
+    z2 = free_reduced_Z(sphere(2), 4)
+    k = dold_kan_K(MIXED, 3)
+    faces, degen = _structure_maps(k)
+    degen[(1, 0)] = _with_column(degen[(1, 0)], 0, [(r, -x) for r, j, x in degen[(1, 0)].entries()
+                                                   if j == 0])
+
+    def no_certificate(self):
+        raise AssertionError("the certificate ran")
+
+    monkeypatch.setattr(SimplicialAbGroup, "_certificate", no_certificate)
+    c = conjugated_group(z2, random.Random(3), 2)
+    assert any(general for _, general in c._st.values())
+    with pytest.raises(ValidationError, match=IDENTITY_FAILED):
+        SimplicialAbGroup(k.D, k.ranks(), faces, degen)
 
 
 IDENTITY_FAILED = r"^identity [ds]_\d+ [ds]_\d+ failed at level \d+$"
@@ -932,3 +1083,41 @@ def test_intertwining_check_finds_a_permutation_that_breaks_a_face():
                                                 ((r, swap[c], x) for r, c, x in mats[2].entries())),
                          "level 2")
     assert _broken_operator(broken, lhs, rhs) is not None
+
+
+def test_the_restricted_intertwining_scan_names_what_the_full_scan_names():
+    """The smash comparison Z~S^1 ox Z~S^1 -> Z~(S^1 ^ S^1) at D = 2 and
+    4 with one level changed, at every level: two columns swapped, or one
+    column zeroed.  Comparing faces on the source's nondegenerate
+    generators only, and rerunning the full scan on a mismatch, gives
+    what the full scan gives.  Every change is found but one, the swap of
+    the two nondegenerate generators of level 2 at D = 2, which the full
+    scan passes too; found are those among degenerate generators, and
+    each zeroed nondegenerate generator at the top level, which no
+    degeneracy leaves and only a face sees."""
+    from skernel.simpab import _broken_operator, _nondegenerate, smash_comparison_iso
+
+    e = sphere(1)
+    found = []
+    for d in (2, 4):
+        mats = smash_comparison_iso(e, e, d)
+        lhs = tensor_sab(free_reduced_Z(e, d), free_reduced_Z(e, d))
+        rhs = free_reduced_Z(smash(e, e).space, d)
+        tables = {n: _columns(m, "level %d" % n) for n, m in mats.items()}
+        for n, (table, _) in tables.items():
+            keep = _nondegenerate(lhs, n)
+            cols = range(len(table) - 1)
+            changes = [((c0, table[c1]), (c1, table[c0])) for c0 in cols for c1 in cols if c0 < c1]
+            changes += [((c, -1),) for c in cols]
+            for change in changes:
+                changed = list(table)
+                for c, x in change:
+                    changed[c] = x
+                broken = dict(tables)
+                broken[n] = changed, False
+                named = _broken_operator(broken, lhs, rhs)
+                assert named == _broken_operator(broken, lhs, rhs, False)
+                found.append((d == n, all(c in keep for c, _ in change), named is not None))
+    assert len(found) == (6 + 5) + (162 + 30)  # swaps + zeroed columns at D = 2, 4
+    assert found.count((True, True, False)) == 1 and found.count((True, True, True)) == 2
+    assert all(named for top, _, named in found if not top)

@@ -40,9 +40,11 @@ It records
     complex and of the bar construction of the free reduced Z S^2, both
     truncated at D = 10, and of the K of Z --2--> Z at D = 14, whose
     surjections [n] ->> [k] mostly index zero summands, as simplicial
-    identities checked per second
+    identities proved per second
     (per object: n(n+1)/2 d_i d_j, (n+1)(n+2)/2 s_i s_j and (n+1)(n+2)
-    d_i s_j identities per level n); their inputs are built untimed; the
+    d_i s_j identities per level n, whether each is compared or follows
+    from the comparisons of the validation's certificate); their inputs
+    are built untimed; the
     same for the tensor square of the free reduced Z S^2 at D = 8; and
     the Eilenberg-Zilber maps of the free reduced Z S^1 with itself at
     D = 7, the two free reductions built inside the timed expression (the
