@@ -194,28 +194,19 @@ def _same(lhs: list, rhs: list) -> bool:
     return lhs == rhs
 
 
-def _broken_operator(cols: dict, source: "SimplicialAbGroup", target: "SimplicialAbGroup",
-                     restrict: bool = True):
+def _broken_operator(cols: dict, source: "SimplicialAbGroup", target: "SimplicialAbGroup"):
     """The first structure map that the levelwise map psi: source ->
     target, given by the (table, general) pair cols[n] of each level,
     does not intertwine, as ("face", n, i) or ("degeneracy", n, j), or
     None when target.op o psi[n] = psi[m] o source.op for every face and
-    degeneracy; each side is composed on column tables.  Faces out of a
-    level that `_nondegenerate` splits are compared on its nondegenerate
-    generators only: with psi s = s psi, the d s identities of both groups
-    give d psi = psi d on each s_j b by induction on the level.  A
-    mismatch reruns the full scan, which names the operator."""
-    keep = {n: _nondegenerate(source, n) for n in range(source.D + 1)} if restrict else {}
+    degeneracy; each side is composed on column tables."""
     ops = [("face", n, i, n - 1, source._ft[(n, i)], target._ft[(n, i)])
            for n in range(1, source.D + 1) for i in range(n + 1)]
     ops += [("degeneracy", n, j, n + 1, source._st[(n, j)], target._st[(n, j)])
             for n in range(source.D) for j in range(n + 1)]
     for kind, n, i, m, s, t in ops:
-        psi, at = cols[n], keep.get(n) if kind == "face" else None
-        if at is not None:
-            psi, s = _select(psi, at), _select(s, at)
-        if not _same(_compose(t, psi), _compose(cols[m], s)):
-            return _broken_operator(cols, source, target, False) if keep else (kind, n, i)
+        if not _same(_compose(t, cols[n]), _compose(cols[m], s)):
+            return kind, n, i
     return None
 
 
@@ -391,7 +382,7 @@ class SimplicialAbGroup:
                         t, f = self._moved(n, i, k)
                         yield (list(map(ft[(m, i)][0].__getitem__, zs)),
                                _compose(t, _select(f, bs)), ("d", i, "s", k, n))
-            keep = [c for c in range(self.rank(m)) if c not in seen]
+            keep = _nondegenerate(self, m)
             if m > 1 and keep:
                 yield from self._face_pairs(m, [_select(ft[(m, i)], keep) for i in range(m + 1)])
 

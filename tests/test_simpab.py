@@ -1084,40 +1084,3 @@ def test_intertwining_check_finds_a_permutation_that_breaks_a_face():
                          "level 2")
     assert _broken_operator(broken, lhs, rhs) is not None
 
-
-def test_the_restricted_intertwining_scan_names_what_the_full_scan_names():
-    """The smash comparison Z~S^1 ox Z~S^1 -> Z~(S^1 ^ S^1) at D = 2 and
-    4 with one level changed, at every level: two columns swapped, or one
-    column zeroed.  Comparing faces on the source's nondegenerate
-    generators only, and rerunning the full scan on a mismatch, gives
-    what the full scan gives.  Every change is found but one, the swap of
-    the two nondegenerate generators of level 2 at D = 2, which the full
-    scan passes too; found are those among degenerate generators, and
-    each zeroed nondegenerate generator at the top level, which no
-    degeneracy leaves and only a face sees."""
-    from skernel.simpab import _broken_operator, _nondegenerate, smash_comparison_iso
-
-    e = sphere(1)
-    found = []
-    for d in (2, 4):
-        mats = smash_comparison_iso(e, e, d)
-        lhs = tensor_sab(free_reduced_Z(e, d), free_reduced_Z(e, d))
-        rhs = free_reduced_Z(smash(e, e).space, d)
-        tables = {n: _columns(m, "level %d" % n) for n, m in mats.items()}
-        for n, (table, _) in tables.items():
-            keep = _nondegenerate(lhs, n)
-            cols = range(len(table) - 1)
-            changes = [((c0, table[c1]), (c1, table[c0])) for c0 in cols for c1 in cols if c0 < c1]
-            changes += [((c, -1),) for c in cols]
-            for change in changes:
-                changed = list(table)
-                for c, x in change:
-                    changed[c] = x
-                broken = dict(tables)
-                broken[n] = changed, False
-                named = _broken_operator(broken, lhs, rhs)
-                assert named == _broken_operator(broken, lhs, rhs, False)
-                found.append((d == n, all(c in keep for c, _ in change), named is not None))
-    assert len(found) == (6 + 5) + (162 + 30)  # swaps + zeroed columns at D = 2, 4
-    assert found.count((True, True, False)) == 1 and found.count((True, True, True)) == 2
-    assert all(named for top, _, named in found if not top)
