@@ -20,9 +20,11 @@ Sergeraert and Siret, The Kenzo program, 1999).
 
 The core functors: the normalization N (intersection of the kernels of
 all faces except the zeroth, with differential the zeroth face), its
-inverse K built from order-preserving surjections, the levelwise free
-reduction of a pointed simplicial set, the bar construction, and the
-shuffle/Alexander-Whitney comparison maps.
+inverse K, the levelwise free reduction Z~X of a pointed simplicial set,
+the bar construction, and the shuffle/Alexander-Whitney comparison maps.
+K and Z~X read their operators off the (mask, cell) engine of
+`simplicial`: the faces of s_m x from the face pattern of m, s_j from
+`mask_insert`.
 
 The splitting A_n = N_n (+) D_n into the normalized and the degenerate
 part comes from the simplicial identities alone (Goerss and Jardine,
@@ -54,7 +56,7 @@ from itertools import accumulate, combinations
 
 from .complexes import ChainComplex, ChainMap, HomologyGroup, ValidationError, _tensor_window
 from .matrices import IntMatrix, _kernel, hstack, is_unimodular, solve_exact, vstack
-from .simplicial import SimplicialSet, mask_insert
+from .simplicial import SimplicialSet, _face_pattern, mask_insert
 from .spaces import _chain_basis, smash
 
 
@@ -259,6 +261,8 @@ class SimplicialAbGroup:
     def _of_tables(cls, trunc_dim: int, ranks, face: dict, degen: dict) -> "SimplicialAbGroup":
         """The group with the given tables, one for every face and
         degeneracy up to trunc_dim, validated as the constructor validates."""
+        if trunc_dim < 0:
+            raise ValidationError("truncation dimension must be nonnegative")
         a = cls.__new__(cls)
         a.D, a._ranks = trunc_dim, tuple(ranks)
         a._ft, a._st = face, degen
@@ -640,81 +644,69 @@ def moore_projection(a: SimplicialAbGroup, bases: dict, n: int) -> IntMatrix:
 # the inverse functor K
 
 
-def surjection_tuples(n: int, k: int):
-    """Order-preserving surjections [n] ->> [k] as value tuples."""
+def _k_summands(c: ChainComplex, n: int) -> list:
+    """The summands s_m C_k of K(C)_n with C_k nonzero, as (k, m) pairs:
+    the n - k bits of m are the repeated positions of a surjection
+    [n] ->> [k], and a zero C_k is never enumerated.  They come in the
+    lexicographic order of the surjections, which is m read with bit 0
+    as the most significant bit, descending."""
     out = []
-    for rises in combinations(range(1, n + 1), k):
-        vals = [0]
-        for i in range(1, n + 1):
-            vals.append(vals[-1] + (1 if i in rises else 0))
-        out.append(tuple(vals))
-    out.sort()
-    return out
+    high, bit = [1 << (n - 1 - b) for b in range(n)], [1 << b for b in range(n)]
+    for k in range(n + 1):
+        if c.rank(k):
+            for jumps in combinations(range(n), n - k):
+                out.append((sum(map(high.__getitem__, jumps)), k, sum(map(bit.__getitem__, jumps))))
+    out.sort(reverse=True)
+    return [(k, m) for _, k, m in out]
 
 
-def _summands(c: ChainComplex, n: int) -> list:
-    """The summands of K(C)_n that exist: the surjections [n] ->> [k]
-    with C_k nonzero, lexicographically.  A zero C_k adds nothing to a
-    level, an offset or a structure map, so the others are never built."""
-    return sorted(eta for k in range(n + 1) if c.rank(k) for eta in surjection_tuples(n, k))
-
-
-def _operator_table(rank: list, diffs: dict, summands_src, offsets_tgt: dict, alpha) -> tuple:
-    """The (table, general) pair of K(C) applied to a monotone map alpha
-    (a value tuple), from the level indexed by summands_src to the level
-    whose summands start at the rows offsets_tgt; rank[k] is the rank of
-    C_k, and diffs[k] the pair of the differential C_k -> C_{k-1}.
-
-    The component out of the summand eta is the identity when eta o alpha
-    is still surjective (being monotone into [k], it takes k + 1 values),
-    the differential when its image is {1..k} (k values starting at 1),
-    and zero otherwise: an identity run or the differential's columns,
-    moved down to the target summand.
-    """
+def _k_degen(rank: list, summands: list, offsets: dict, j: int) -> tuple:
+    """The (table, general) pair of s_j on the given summands of K(C):
+    an identity run from s_m x to s_{mask_insert(m, j)} x at offsets."""
     table = []
-    general = False
-    for eta in summands_src:
-        k = eta[-1]
-        t = tuple(map(eta.__getitem__, alpha))
-        values = len(set(t))
-        roff = None
-        if values == k + 1:
-            roff = offsets_tgt.get(t)
-            if roff is not None:
-                table.extend(range(roff, roff + rank[k]))
-        elif values == k and t[0] == 1:
-            roff = offsets_tgt.get(tuple(v - 1 for v in t))
-            if roff is not None:
-                d, gen = diffs[k]
-                table.extend(_shifted(d, roff, gen))
-                general |= gen
-        if roff is None:
-            table.extend([-1] * rank[k])
+    for k, m in summands:
+        off = offsets[mask_insert(m, j)]
+        table += range(off, off + rank[k])
     table.append(-1)
-    return table, general
+    return table, False
 
 
 def dold_kan_K(c: ChainComplex, trunc_dim: int) -> SimplicialAbGroup:
     """The simplicial abelian group whose normalized complex is the
-    nonnegative part of c; level n is the sum of copies of C_k indexed by
-    order-preserving surjections [n] ->> [k], truncated at trunc_dim."""
+    nonnegative part of c, truncated at trunc_dim: level n is the sum of
+    the summands s_m C_k of `_k_summands` (Kenzo's K; Goerss and Jardine
+    III.2).  d_i of s_m x is `_face_pattern(m, n + 1)[i]`: an identity
+    run where it cancels against s_m, the differential where it reaches
+    x as d_0, zero where it reaches x as another face.  One pass over a
+    level's summands fills all of its face tables."""
     c = c.truncate_good(0)
     rank = [c.rank(k) for k in range(trunc_dim + 1)]
-    summands = {n: _summands(c, n) for n in range(trunc_dim + 1)}
-    offsets = {n: dict(zip(etas, accumulate((rank[eta[-1]] for eta in etas), initial=0)))
-               for n, etas in summands.items()}
-    ranks = [sum(rank[eta[-1]] for eta in summands[n]) for n in range(trunc_dim + 1)]
+    summands = [_k_summands(c, n) for n in range(trunc_dim + 1)]
+    offsets = [dict(zip((m for _, m in level), accumulate((rank[k] for k, _ in level), initial=0)))
+               for level in summands]
+    ranks = [sum(rank[k] for k, _ in level) for level in summands]
     diffs = {k: _columns(c.d(k), "differential %d" % k) for k in range(1, trunc_dim + 1)}
     face = {}
     degen = {}
     for n in range(1, trunc_dim + 1):
-        for i in range(n + 1):
-            alpha = tuple(v for v in range(n + 1) if v != i)
-            face[(n, i)] = _operator_table(rank, diffs, summands[n], offsets[n - 1], alpha)
+        tables = [[] for _ in range(n + 1)]
+        general = [False] * (n + 1)
+        below = offsets[n - 1]
+        for k, m in summands[n]:
+            for i, (prefix, base) in enumerate(_face_pattern(m, n + 1)):
+                if base is None:
+                    off = below[prefix]
+                    tables[i] += range(off, off + rank[k])
+                elif base == 0 and prefix in below:
+                    tables[i] += _shifted(diffs[k][0], below[prefix], diffs[k][1])
+                    general[i] |= diffs[k][1]
+                else:
+                    tables[i] += [-1] * rank[k]
+        for i, table in enumerate(tables):
+            face[(n, i)] = table + [-1], general[i]
     for n in range(trunc_dim):
         for j in range(n + 1):
-            alpha = tuple(v if v <= j else v - 1 for v in range(n + 2))
-            degen[(n, j)] = _operator_table(rank, diffs, summands[n], offsets[n + 1], alpha)
+            degen[(n, j)] = _k_degen(rank, summands[n], offsets[n + 1], j)
     return SimplicialAbGroup._of_tables(trunc_dim, ranks, face, degen)
 
 
@@ -751,25 +743,25 @@ def homotopy_groups(a: SimplicialAbGroup, i: int) -> HomologyGroup:
 
 def free_reduced_Z(x: SimplicialSet, trunc_dim: int) -> SimplicialAbGroup:
     """Levelwise free abelian group on the simplices of a pointed space,
-    with the basepoint simplex divided out, truncated at trunc_dim."""
+    with the basepoint simplex divided out, truncated at trunc_dim.  The
+    faces of each basis simplex come from one `SimplicialSet._face_row`
+    call, its degeneracies from `mask_insert`."""
     if not x.pointed:
         raise ValueError("the free reduced functor needs a pointed space")
     basis = [_chain_basis(x, n, False) for n in range(trunc_dim + 1)]
     # a code determines its degree, so one index serves every level
     index = {code: i for codes in basis for i, code in enumerate(codes)}
     ranks = [len(codes) for codes in basis]
-
-    def table_of(op, n):
-        return [index.get(op(mask, cell), -1) for mask, cell in basis[n]] + [-1], False
-
     face = {}
     degen = {}
     for n in range(1, trunc_dim + 1):
-        for i in range(n + 1):
-            face[(n, i)] = table_of(lambda m, c, i=i: x.face_code(m, c, i), n)
+        rows = [[index.get(f, -1) for f in x._face_row(mask, cell, n)] for mask, cell in basis[n]]
+        for i, table in enumerate(list(zip(*rows)) or [()] * (n + 1)):
+            face[(n, i)] = [*table, -1], False
     for n in range(trunc_dim):
         for j in range(n + 1):
-            degen[(n, j)] = table_of(lambda m, c, j=j: (mask_insert(m, j), c), n)
+            table = [index.get((mask_insert(m, j), c), -1) for m, c in basis[n]]
+            degen[(n, j)] = table + [-1], False
     return SimplicialAbGroup._of_tables(trunc_dim, ranks, face, degen)
 
 
@@ -999,10 +991,10 @@ def nk_roundtrip_iso(c: ChainComplex, trunc_dim: int):
     out = {}
     for n in range(min(trunc_dim, c0.max_deg) + 1):
         offset = 0
-        for eta in _summands(c0, n):
-            if eta == tuple(range(n + 1)):
+        for k, m in _k_summands(c0, n):
+            if not m:
                 break
-            offset += c0.rank(eta[-1])
+            offset += c0.rank(k)
         inc = list(range(offset, offset + c0.rank(n))) + [-1], False
         expressed = _coordinates(*bases[n], inc, kc.rank(n))
         if expressed is None or not is_unimodular(expressed):
@@ -1020,16 +1012,16 @@ def nk_roundtrip_iso(c: ChainComplex, trunc_dim: int):
 
 def _counit(a: SimplicialAbGroup, na: ChainComplex, bases: dict) -> dict:
     """Per level n, the (table, general) pair of the counit K(N(A))_n ->
-    A_n: on the summand of a surjection eta it is the composite
-    degeneracy of eta applied to the Moore basis, composed on column
-    tables; the summands sit side by side in the order of `_summands`.
-    bases are as `_moore_bases` gives them."""
+    A_n: on the summand s_m N_k it is s_m applied to the Moore basis of
+    level k, its degeneracies taken in the ascending order of m's bits
+    and composed on column tables; the summands sit side by side in the
+    order of `_k_summands`.  bases are as `_moore_bases` gives them."""
     psi = {}
     for n in range(a.D + 1):
         table, general = [], False
-        for eta in _summands(na, n):
-            jumps = [i for i in range(n) if eta[i] == eta[i + 1]]
-            t, g = _degeneracy_composite(a, eta[-1], jumps, bases[eta[-1]][1])
+        for k, m in _k_summands(na, n):
+            jumps = [b for b in range(n) if m >> b & 1]
+            t, g = _degeneracy_composite(a, k, jumps, bases[k][1])
             table += t[:-1]
             general |= g
         psi[n] = table + [-1], general

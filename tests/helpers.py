@@ -16,21 +16,23 @@ quotient of the product by the wedge.  The normalization of a
 simplicial group is kept in its matrix form: Moore bases as the kernel
 of the stacked face matrices and as a product of `IntMatrix` factors
 applied to the nondegenerate generators, the Moore projection as that
-product and the K o N counit as side-by-side blocks.  Last,
+product and the K o N counit as side-by-side blocks.  K(C) is kept as
+it was built on surjection value tuples, before it moved onto
+degeneracy masks, with its structure maps given as matrices.  Last,
 the few builders that only tests use.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import gcd
 from typing import NamedTuple
 
 from skernel.complexes import (ChainComplex, ChainMap, HomologyGroup, TowerReport,
                                check_quasi_iso, zero_complex)
 from skernel.matrices import IntMatrix, hstack, kernel_basis, solve_exact, vstack
-from skernel.simpab import SimplicialAbGroup, _summands, surjection_tuples
+from skernel.simpab import SimplicialAbGroup
 from skernel.simplicial import (BisimplicialSet, SimplexRef, SimplicialMap, SimplicialSet,
                                 mask_delete, mask_of, word_of)
 from skernel.spaces import (_chain_basis, interval_pointed, pair_id, point, product, product_pairs,
@@ -236,7 +238,7 @@ def hstack_counit(a: SimplicialAbGroup, na: ChainComplex, bases: dict) -> dict:
     out = {}
     for n in range(a.D + 1):
         blocks = []
-        for eta in _summands(na, n):
+        for eta in surjection_summands(na, n):
             m = bases[eta[-1]]
             for lvl, j in enumerate((i for i in range(n) if eta[i] == eta[i + 1]), eta[-1]):
                 m = a.degen(lvl, j) @ m
@@ -650,6 +652,61 @@ def block_diag(blocks) -> IntMatrix:
         coffs[-1],
         ((r0 + i, c0 + j, x) for b, r0, c0 in zip(blocks, roffs, coffs) for i, j, x in b.entries()),
     )
+
+
+def surjection_tuples(n: int, k: int):
+    """Order-preserving surjections [n] ->> [k] as value tuples."""
+    out = []
+    for rises in combinations(range(1, n + 1), k):
+        vals = [0]
+        for i in range(1, n + 1):
+            vals.append(vals[-1] + (1 if i in rises else 0))
+        out.append(tuple(vals))
+    out.sort()
+    return out
+
+
+def surjection_summands(c: ChainComplex, n: int) -> list:
+    """The surjections [n] ->> [k] with C_k nonzero, lexicographically:
+    the summands of K(C)_n that exist."""
+    return sorted(eta for k in range(n + 1) if c.rank(k) for eta in surjection_tuples(n, k))
+
+
+def surjection_K(c: ChainComplex, trunc_dim: int) -> SimplicialAbGroup:
+    """K(C) truncated at trunc_dim as it was built on surjection value
+    tuples, each structure map an `IntMatrix` given to the constructor.
+
+    The operator of a monotone map alpha (a value tuple) sends the
+    summand eta to the summand eta o alpha by the identity when eta o
+    alpha is still surjective (being monotone into [k], it takes k + 1
+    values), to the summand eta o alpha - 1 by the differential when its
+    image is {1..k} (k values starting at 1), and to zero otherwise."""
+    c = c.truncate_good(0)
+    summands = [surjection_summands(c, n) for n in range(trunc_dim + 1)]
+    offsets = [dict(zip(etas, accumulate((c.rank(eta[-1]) for eta in etas), initial=0)))
+               for etas in summands]
+    ranks = [sum(c.rank(eta[-1]) for eta in etas) for etas in summands]
+
+    def operator(n: int, m: int, alpha: tuple) -> IntMatrix:
+        entries, col = [], 0
+        for eta in summands[n]:
+            k = eta[-1]
+            t = tuple(eta[v] for v in alpha)
+            values = len(set(t))
+            if values == k + 1:
+                row = offsets[m][t]
+                entries += [(row + r, col + r, 1) for r in range(c.rank(k))]
+            elif values == k and t[0] == 1 and tuple(v - 1 for v in t) in offsets[m]:
+                row = offsets[m][tuple(v - 1 for v in t)]
+                entries += [(row + r, col + j, x) for r, j, x in c.d(k).entries()]
+            col += c.rank(k)
+        return IntMatrix.from_entries(ranks[m], ranks[n], entries)
+
+    face = {(n, i): operator(n, n - 1, tuple(v for v in range(n + 1) if v != i))
+            for n in range(1, trunc_dim + 1) for i in range(n + 1)}
+    degen = {(n, j): operator(n, n + 1, tuple(v if v <= j else v - 1 for v in range(n + 2)))
+             for n in range(trunc_dim) for j in range(n + 1)}
+    return SimplicialAbGroup(trunc_dim, ranks, face, degen)
 
 
 def level_summands(n: int):

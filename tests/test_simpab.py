@@ -5,7 +5,7 @@ import pytest
 
 import skernel.matrices
 import skernel.simpab
-from skernel.complexes import ChainComplex, HomologyGroup, ValidationError, single
+from skernel.complexes import ChainComplex, HomologyGroup, ValidationError, single, zero_complex
 from skernel.matrices import IntMatrix, is_unimodular, solve_exact
 from skernel.simpab import (
     EZPair,
@@ -26,7 +26,6 @@ from skernel.simpab import (
     moore_projection,
     nk_roundtrip_iso,
     normalize_N,
-    surjection_tuples,
     tensor_sab,
     unnormalized_complex,
     homotopy_groups,
@@ -36,7 +35,8 @@ from skernel.suite import check_horn_filling
 
 from helpers import (basepoint_ref, block_diag, conjugated_group, hstack_counit, kunneth_homology,
                      level_summands, product_moore_basis, product_moore_projection,
-                     product_pair_ref, random_complex, shuffles, stacked_moore_basis)
+                     product_pair_ref, random_complex, shuffles, stacked_moore_basis, surjection_K,
+                     surjection_tuples)
 from test_edge_cases import ez_pairs as edge_case_ez_pairs, groups as edge_case_groups
 
 Z = HomologyGroup(1)
@@ -366,7 +366,7 @@ def test_tensor_tables_are_the_kronecker_products(a, b):
 
 
 @pytest.mark.parametrize("builder, build", [
-    ("_operator_table", lambda: dold_kan_K(TORSION, 4)),
+    ("_k_degen", lambda: dold_kan_K(TORSION, 4)),
     ("_kron_table", lambda: tensor_sab(free_reduced_Z(sphere(1), 4), free_reduced_Z(sphere(2), 4))),
     ("_bar_table", lambda: bar_B(free_reduced_Z(sphere(2), 4))),
 ])
@@ -551,14 +551,14 @@ def test_dold_kan_visits_only_the_summands_that_exist(monkeypatch):
     trip and the K N round trip enumerate only those, so the count grows
     linearly in n."""
     visited = {}
-    original = skernel.simpab.surjection_tuples
+    original = skernel.simpab._k_summands
 
-    def counting(n, k):
-        out = original(n, k)
+    def counting(c, n):
+        out = original(c, n)
         visited[n] = visited.get(n, 0) + len(out)
         return out
 
-    monkeypatch.setattr(skernel.simpab, "surjection_tuples", counting)
+    monkeypatch.setattr(skernel.simpab, "_k_summands", counting)
     c = ChainComplex(0, 1, {0: 1, 1: 1}, {1: [[2]]})
     top = 9
     k = dold_kan_K(c, top)
@@ -575,6 +575,53 @@ def test_dold_kan_visits_only_the_summands_that_exist(monkeypatch):
     visited.clear()
     assert kn_roundtrip_ok(a)
     assert visited == {n: 2 * (n + 1) for n in range(5)}
+
+
+ORACLE_COMPLEXES = {
+    "torsion": TORSION,
+    "mixed": MIXED,
+    "negative": NEGATIVE,
+    "no-C1": ChainComplex(0, 2, {0: 2, 1: 0, 2: 1}, {}),
+    "zero": zero_complex(),
+    "above-D": ChainComplex(5, 6, {5: 1, 6: 2}, {6: [[1, 2]]}),
+    "Z-2-Z": ChainComplex(0, 1, {0: 1, 1: 1}, {1: [[2]]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_COMPLEXES) + ["random"])
+def test_dold_kan_matches_the_surjection_oracle(name):
+    """K(C) on degeneracy masks has the tables of K(C) on surjection
+    value tuples (`helpers.surjection_K`) at every D = 0..9 (Z --2--> Z
+    up to D = 14), and its K o N counit the side-by-side blocks of
+    `helpers.hstack_counit` up to D = 6; the random case draws a fresh
+    `generators.random_complex` for each D."""
+    rng = random.Random(2024)
+    for d in range(15 if name == "Z-2-Z" else 10):
+        if name == "random":
+            c = random_complex(rng, max_deg=rng.randint(1, 4), max_rank=3, span=3)
+        else:
+            c = ORACLE_COMPLEXES[name]
+        a = dold_kan_K(c, d)
+        assert a == surjection_K(c, d), (name, d)
+        if d <= 6:
+            tables = _moore_bases(a)
+            na = _normalize(a, tables)
+            psi = _counit(a, na, tables)
+            counit = {n: _matrix(psi[n], a.rank(n)) for n in psi}
+            assert counit == hstack_counit(a, na, moore_basis(a))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: free_reduced_Z(sphere(1), -1),
+    lambda: dold_kan_K(TORSION, -1),
+    lambda: constant_group(2, -1),
+    lambda: SimplicialAbGroup(-1, [], {}, {}),
+], ids=["free_reduced_Z", "dold_kan_K", "constant_group", "constructor"])
+def test_a_negative_truncation_is_rejected(build):
+    """The builders' tables go through `_of_tables`, which rejects a
+    negative truncation dimension as the constructor does."""
+    with pytest.raises(ValidationError, match="^truncation dimension must be nonnegative$"):
+        build()
 
 
 def test_constant_group_normalization():

@@ -37,23 +37,24 @@ It records
     3-fold suspension of S^2 x S^2, as cells per second; the factors are
     built untimed;
   - simpab: build + validate of the Dold-Kan K of a rank-12 torsion
-    complex and of the bar construction of the free reduced Z S^2, both
-    truncated at D = 10, and of the K of Z --2--> Z at D = 14, whose
-    surjections [n] ->> [k] mostly index zero summands, as simplicial
-    identities proved per second
+    complex, of the free reduced Z S^2 and of the bar construction of
+    the free reduced Z S^2, all truncated at D = 10, and of the K of
+    Z --2--> Z at D = 14, whose level n has n + 1 of the 2^n summands
+    a complex in every degree would have, as simplicial identities
+    proved per second
     (per object: n(n+1)/2 d_i d_j, (n+1)(n+2)/2 s_i s_j and (n+1)(n+2)
     d_i s_j identities per level n, whether each is compared or follows
     from the comparisons of the validation's certificate); their inputs
-    are built untimed; the
-    same for the tensor square of the free reduced Z S^2 at D = 8; and
-    the Eilenberg-Zilber maps of the free reduced Z S^1 with itself at
-    D = 7, the two free reductions built inside the timed expression (the
-    matrices of their faces are built on each read), as pairs of maps
-    per second; the Moore bases of the bar construction of the free
-    reduced Z S^2 at D = 10, as levels per second, and the K o N round
-    trip of the same bar construction at D = 6, as verdicts per second
-    (a verdict other than True stops the row), their groups built
-    untimed;
+    (the complexes, the sphere, and the free reduction under the bar
+    construction) are built untimed; the same for the tensor square of
+    the free reduced Z S^2 at D = 8; and the Eilenberg-Zilber maps of
+    the free reduced Z S^1 with itself at D = 7, the two free reductions
+    built inside the timed expression (the matrices of their faces are
+    built on each read), as pairs of maps per second; the Moore bases
+    of the bar construction of the free reduced Z S^2 at D = 10, as
+    levels per second, and the K o N round trip of the same bar
+    construction at D = 6, as verdicts per second (a verdict other than
+    True stops the row), their groups built untimed;
   - homotopy: build + validate of the wrapped S^2 x S^2 truncated at 5,
     with its counit, and of the mapping cylinder of the identity of
     S^2 x S^2, with its three maps, as cells per second; S^2 x S^2 is
@@ -113,6 +114,8 @@ SCALE = {
     "dold_kan_K(Z --2--> Z, D=14)": (
         "simpab", "c = ChainComplex(0, 1, {0: 1, 1: 1}, {1: [[2]]})",
         "simpab.dold_kan_K(c, 14)", "identities"),
+    "free_reduced_Z(S2, D=10)": (
+        "simpab", "s2 = spaces.sphere(2)", "simpab.free_reduced_Z(s2, 10)", "identities"),
     "bar_B(free_reduced_Z(S2, D=10))": (
         "simpab", "z = simpab.free_reduced_Z(spaces.sphere(2), 10)", "simpab.bar_B(z)",
         "identities"),
