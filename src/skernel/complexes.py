@@ -98,12 +98,15 @@ class ChainComplex:
     def __init__(self, min_deg: int, max_deg: int, ranks: dict, d: dict):
         if min_deg > max_deg:
             raise ValidationError("min_deg must be <= max_deg")
-        ranks = {int(n): int(r) for n, r in ranks.items() if int(r) != 0}
+        ranks = {int(n): r for n, r in ranks.items()}
         for n, r in ranks.items():
+            if type(r) is not int:
+                raise ValidationError("rank in degree %d is %r, not an int" % (n, r))
             if r < 0:
                 raise ValidationError("negative rank in degree %d" % n)
-            if not (min_deg <= n <= max_deg):
+            if r and not (min_deg <= n <= max_deg):
                 raise ValidationError("rank in degree %d outside [%d, %d]" % (n, min_deg, max_deg))
+        ranks = {n: r for n, r in ranks.items() if r}
         # trim the declared window to the actual support
         if ranks:
             min_deg = min(ranks)

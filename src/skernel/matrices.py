@@ -10,13 +10,15 @@ only those, and an n x n identity or zero map takes O(n) space.  The form
 is canonical, so equality and hashing compare storage.  Sums, stacks,
 kernels and solves emit (row, column, value) entries through
 `IntMatrix.from_entries`, the general builder; dense rows go through
-`from_rows`.  `from_entries` canonicalizes by one sort: sorted as
-tuples, the entries are in row-major order, so one linear pass adds up
-repeated positions, drops zero sums and cuts the rows.  `transpose`
-needs no sort, since visiting the rows in order fills each column
-ascending.  For the same reason `spaces.chains` writes its rows
-directly, and `simpab` builds the matrix of a face or degeneracy from
-its column table each time it is read: both visit the columns in order.
+`from_rows`, which type-checks every entry once, in one C-level pass,
+and never copies or keeps the caller's rows.  `from_entries`
+canonicalizes by one sort: sorted as tuples, the entries are in
+row-major order, so one linear pass adds up repeated positions, drops
+zero sums and cuts the rows.  `transpose` needs no sort, since visiting
+the rows in order fills each column ascending.  For the same reason
+`spaces.chains` writes its rows directly, and `simpab` builds the matrix
+of a face or degeneracy from its column table each time it is read:
+both visit the columns in order.
 
 Kernels, invariants and exact solves eliminate sparsely too.
 `invariant_factors` (homology, cokernels, unimodularity), `kernel_basis`
@@ -140,18 +142,16 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        """The matrix of the dense rows; a non-int entry is rejected, not converted."""
-        rows = [list(r) for r in rows]
+        """The matrix of the dense rows, checked in one pass (a non-int entry
+        is rejected, not converted); cols is the width when there are none."""
         if not set(map(type, chain.from_iterable(rows))) <= {int}:
             i, j, x = next((i, j, x) for i, r in enumerate(rows)
                            for j, x in enumerate(r) if type(x) is not int)
             raise ValueError("entry (%d, %d) is %r, not an int" % (i, j, x))
-        if rows:
-            ncols = len(rows[0])
-            if any(len(r) != ncols for r in rows):
-                raise ValueError("ragged rows")
-        else:
-            ncols = 0 if cols is None else cols
+        widths = set(map(len, rows))
+        if len(widths) > 1:
+            raise ValueError("ragged rows")
+        ncols = widths.pop() if widths else cols or 0
         return cls(len(rows), ncols, tuple(map(_dense_to_sparse, rows)))
 
     @classmethod

@@ -14,9 +14,10 @@ Three object kinds travel through files:
 Matrices serialize row-major; a face entry like "s1 s0 v3" is the
 degeneracy word (indices strictly decreasing) applied to the base cell.
 Ranks, degrees and matrix entries must be JSON integers: strings, floats
-and booleans are refused, never coerced.  Structural validation (d d = 0,
-the simplicial identities) runs at load time, so a parsed object is
-always usable.
+and booleans are refused, never coerced: `IntMatrix.from_rows` checks
+each entry once, and the loader only names the field in the message.
+Structural validation (d d = 0, the simplicial identities) runs at load
+time, so a parsed object is always usable.
 """
 
 from __future__ import annotations
@@ -72,14 +73,14 @@ def _ranks(doc: dict) -> dict:
 
 
 def _matrix(rows, cols: int, field: str) -> IntMatrix:
-    if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
+    if not isinstance(rows, list) or not set(map(type, rows)) <= {list}:
         raise ParseError("%s must be a list of rows" % field)
-    if not set(map(type, chain.from_iterable(rows))) <= {int}:
-        bad = next(x for x in chain.from_iterable(rows) if type(x) is not int)
-        raise ParseError("%s has a non-integer entry %s" % (field, json.dumps(bad)))
     try:
         return IntMatrix.from_rows(rows, cols=cols)
     except ValueError as exc:
+        bad = [x for x in chain.from_iterable(rows) if type(x) is not int]
+        if bad:
+            raise ParseError("%s has a non-integer entry %s" % (field, json.dumps(bad[0])))
         raise ParseError("%s: %s" % (field, exc))
 
 
@@ -192,11 +193,8 @@ def simplicial_group_from_doc(doc: dict) -> SimplicialAbGroup:
     def parse_ops(field):
         out = {}
         for key, rows in _object(doc, field).items():
-            parts = str(key).split(",")
-            if len(parts) != 2:
-                raise ParseError("%s key %r must look like 'n,i'" % (field, key))
             try:
-                n, i = int(parts[0]), int(parts[1])
+                n, i = map(int, str(key).split(","))
             except ValueError:
                 raise ParseError("%s key %r must look like 'n,i'" % (field, key))
             out[(n, i)] = _matrix(rows, ranks.get(n, 0), "%s %r" % (field, key))

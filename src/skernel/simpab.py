@@ -230,14 +230,16 @@ class SimplicialAbGroup:
             raise ValidationError("truncation dimension must be nonnegative")
         self.D = trunc_dim
         if isinstance(ranks, dict):
-            ranks = [int(ranks.get(n, ranks.get(str(n), 0))) for n in range(trunc_dim + 1)]
-        else:
-            ranks = [int(r) for r in ranks]
+            ranks = [ranks.get(n, ranks.get(str(n), 0)) for n in range(trunc_dim + 1)]
+        ranks = tuple(ranks)
         if len(ranks) != trunc_dim + 1:
             raise ValidationError("need one rank per level 0..D")
+        for n, r in enumerate(ranks):
+            if type(r) is not int:
+                raise ValidationError("rank of level %d is %r, not an int" % (n, r))
         if any(r < 0 for r in ranks):
             raise ValidationError("negative level rank")
-        self._ranks = tuple(ranks)
+        self._ranks = ranks
         face, degen = ({(int(n), int(i)): m if isinstance(m, IntMatrix) else IntMatrix.from_rows(m)
                         for (n, i), m in maps.items()} for maps in (face, degen))
         tables = []
@@ -990,12 +992,8 @@ def nk_roundtrip_iso(c: ChainComplex, trunc_dim: int):
     bases = _moore_bases(kc)
     out = {}
     for n in range(min(trunc_dim, c0.max_deg) + 1):
-        offset = 0
-        for k, m in _k_summands(c0, n):
-            if not m:
-                break
-            offset += c0.rank(k)
-        inc = list(range(offset, offset + c0.rank(n))) + [-1], False
+        offset = kc.rank(n) - c0.rank(n)  # C_n itself (m = 0) is the last summand
+        inc = list(range(offset, kc.rank(n))) + [-1], False
         expressed = _coordinates(*bases[n], inc, kc.rank(n))
         if expressed is None or not is_unimodular(expressed):
             raise ValidationError("identity summand is not the normalized part at level %d" % n)

@@ -386,6 +386,49 @@ def test_pointed_must_be_a_json_boolean(value, capsys, tmp_path):
         path, json.dumps(value))
 
 
+# the differential d_1 of a chain complex, or the face (1, 1) of a
+# simplicial group, given as each malformed matrix, and what the message
+# says after the field's name
+MALFORMED_MATRICES = [
+    (1, " must be a list of rows"),
+    ([1], " must be a list of rows"),
+    ([[1], 1], " must be a list of rows"),
+    ([[1, 2], [1]], ": ragged rows"),
+    ([[1, 2], [1.5]], " has a non-integer entry 1.5"),
+    ([[1.5]], " has a non-integer entry 1.5"),
+    ([[0.0]], " has a non-integer entry 0.0"),
+    ([[True]], " has a non-integer entry true"),
+    ([[False]], " has a non-integer entry false"),
+    ([[None]], " has a non-integer entry null"),
+    ([["1"]], ' has a non-integer entry "1"'),
+    ([[[1]]], " has a non-integer entry [1]"),
+]
+
+
+@pytest.mark.parametrize("matrix, message", MALFORMED_MATRICES,
+                         ids=["not-a-list", "row-not-a-list", "one-row-not-a-list", "ragged",
+                              "ragged-and-1.5", "1.5", "0.0", "true", "false", "null",
+                              "string", "list"])
+@pytest.mark.parametrize("command, field, doc", [
+    ("homology", "differential '1'",
+     lambda m: {"min": 0, "max": 1, "ranks": {"0": 1, "1": 1}, "d": {"1": m}}),
+    ("bar", "face '1,1'",
+     lambda m: {"D": 1, "ranks": {"0": 1, "1": 1}, "face": {"1,0": [[1]], "1,1": m},
+                "degen": {"0,0": [[1]]}}),
+], ids=["chain-complex", "simplicial-group"])
+def test_a_malformed_matrix_exits_2_naming_its_field(command, field, doc, matrix, message,
+                                                     capsys, tmp_path):
+    """Every entry is type-checked, the zeros 0.0 and false included, and
+    the message names the document field; ragged rows are refused after
+    the entries are checked."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc(matrix)))
+    assert main([command, "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s: %s%s\n" % (path, field, message)
+
+
 READS = {
     "homology": {"--in", "--out"},
     "space-homology": {"--in", "--out"},

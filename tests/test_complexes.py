@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -68,6 +69,21 @@ def test_lists_with_an_entry_that_is_not_an_int_are_rejected():
     c = single(1, 0)
     with pytest.raises(ValueError, match=r"^entry \(0, 0\) is True, not an int$"):
         ChainMap(c, c, {0: [[True]]})
+
+
+@pytest.mark.parametrize("ranks, degree, value", [
+    ({0: 1.9, 1: True}, 0, 1.9),
+    ({0: 1, 1: True}, 1, True),
+    ({0: "1", 1: "1"}, 0, "1"),
+    ({0: 1, 1: 1.0}, 1, 1.0),
+    ({0: 1, 1: False}, 1, False),
+])
+def test_a_rank_that_is_not_an_int_is_rejected(ranks, degree, value):
+    """Ranks are not converted with int(): 1.9 is not read as 1 (which
+    would report H_0 = Z/2), nor True as 1 or "1" as 1."""
+    with pytest.raises(ValidationError, match=r"^rank in degree %d is %s, not an int$"
+                       % (degree, re.escape(repr(value)))):
+        ChainComplex(0, 1, ranks, {1: [[2]]})
 
 
 def test_homology_mod2():

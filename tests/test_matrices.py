@@ -96,6 +96,44 @@ def test_from_rows_rejects_an_entry_that_is_not_an_int(rows, where, value):
         IntMatrix.from_rows(rows)
 
 
+def test_from_rows_rejects_ragged_rows():
+    with pytest.raises(ValueError, match="^ragged rows$"):
+        IntMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(ValueError, match="^ragged rows$"):
+        IntMatrix.from_rows(((), (0,)))
+
+
+def test_from_rows_reads_tuples_and_leaves_the_rows_alone():
+    """Rows may be tuples, and so may the sequence of rows; the caller's
+    lists are neither changed nor kept, so changing them afterwards does
+    not change the matrix."""
+    rows = [[0, 2, 0], [-1, 0, 3]]
+    m = IntMatrix.from_rows(rows)
+    assert rows == [[0, 2, 0], [-1, 0, 3]]
+    assert m.nonzeros == (((1,), (2,)), ((0, 2), (-1, 3)))
+    assert IntMatrix.from_rows(tuple(map(tuple, rows))) == m
+    assert IntMatrix.from_rows(list(map(tuple, rows))) == m
+    assert IntMatrix.from_rows(tuple(rows)) == m
+    rows[1][0] = 7
+    rows.append([1, 1, 1])
+    assert m.to_lists() == [[0, 2, 0], [-1, 0, 3]]
+    assert IntMatrix.from_rows((), cols=3) == IntMatrix.zero(0, 3)
+    assert IntMatrix.from_rows([[], []]) == IntMatrix.zero(2, 0)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_from_rows_equals_from_entries(seed):
+    """Dense rows with zero rows, zero columns and large entries store
+    what `from_entries` builds from their nonzero (i, j, value) entries."""
+    rng = random.Random(seed)
+    r, c = rng.randint(0, 7), rng.randint(0, 7)
+    dense = [[rng.choice((0, 0, 0, 1, -1, rng.randint(-10**20, 10**20))) for _ in range(c)]
+             for _ in range(r)]
+    entries = [(i, j, x) for i, row in enumerate(dense) for j, x in enumerate(row) if x]
+    rng.shuffle(entries)
+    assert IntMatrix.from_rows(dense, cols=c) == IntMatrix.from_entries(r, c, entries)
+
+
 def test_snf_empty_shapes():
     for r, c in [(0, 0), (0, 3), (3, 0)]:
         m = IntMatrix.zero(r, c)

@@ -564,11 +564,10 @@ def test_dold_kan_visits_only_the_summands_that_exist(monkeypatch):
     k = dold_kan_K(c, top)
     assert visited == {n: n + 1 for n in range(top + 1)}
     assert k.ranks() == tuple(n + 1 for n in range(top + 1))
-    # the N K round trip: K, then the identity-summand offsets in the
-    # degrees 0..1 of C
+    # the N K round trip: K alone, since the identity summand is the last
     visited.clear()
     nk_roundtrip_iso(c, 4)
-    assert visited == {n: (n + 1) * (2 if n <= 1 else 1) for n in range(5)}
+    assert visited == {n: n + 1 for n in range(5)}
     # the K N round trip: N(K(C)) is C again, so K of it and the counit
     # visit n + 1 summands each
     a = dold_kan_K(c, 4)
@@ -622,6 +621,21 @@ def test_a_negative_truncation_is_rejected(build):
     negative truncation dimension as the constructor does."""
     with pytest.raises(ValidationError, match="^truncation dimension must be nonnegative$"):
         build()
+
+
+@pytest.mark.parametrize("ranks, level, value", [
+    ([1.2, "1"], 0, 1.2),
+    ([1, "1"], 1, "1"),
+    ([1, True], 1, True),
+    ({0: 1, 1: 1.0}, 1, 1.0),
+    ({"0": False, 1: 1}, 0, False),
+])
+def test_a_rank_that_is_not_an_int_is_rejected(ranks, level, value):
+    """Level ranks, in a list or a dict, are not converted with int()."""
+    face = {(1, 0): [[1]], (1, 1): [[1]]}
+    with pytest.raises(ValidationError, match=r"^rank of level %d is %s, not an int$"
+                       % (level, re.escape(repr(value)))):
+        SimplicialAbGroup(1, ranks, face, {(0, 0): [[1]]})
 
 
 def test_constant_group_normalization():

@@ -69,7 +69,14 @@ It records
     homology, both as cells of the space per second: the space is built
     untimed, and each repeat times `spaces.chains(s)` or
     `spaces.chains(s).homology_all()`, so it builds (and reduces) a
-    fresh complex (factors are cached per complex).
+    fresh complex (factors are cached per complex);
+  - serialization: `parse_document` (JSON decoding, the type checks of
+    the loader and `IntMatrix.from_rows`, and the constructor's
+    validation) of two documents of the cli-corpus workload, the bar
+    construction of the free reduced Z S^2 at D = 6 (bar-zS2-D6.json)
+    and the chains of the boundary of the 8-simplex (bd8-chains.json),
+    as matrix entries per second; both texts are generated untimed by
+    perfbench's reference implementation.
 
 Each scale row also keeps every interpreter's minimum, in run order, per
 tree (`parent_run_min_s`, `change_run_min_s`), their median
@@ -158,6 +165,15 @@ SCALE = {
         "complexes",
         "s = p(p(p(spaces.sphere(2), spaces.sphere(2)), spaces.sphere(2)), spaces.sphere(2))",
         "spaces.chains(s).homology_all()", "cells"),
+    "parse_document(bar-zS2-D6.json)": (
+        "serialization",
+        "text = reference.dumps(reference.group_doc("
+        "*reference.bar_group(*reference.zsphere_group(2, 6))))",
+        "serialization.parse_document(text)", "entries"),
+    "parse_document(bd8-chains.json)": (
+        "serialization",
+        "text = reference.dumps(reference.chain_complex_doc(*reference.simplex_boundary_chains(8)))",
+        "serialization.parse_document(text)", "entries"),
 }
 # timed builds per fresh interpreter; the interpreter reports the fastest
 REPEATS = 5
@@ -166,7 +182,7 @@ BUILD = """
 import json, random, sys, time
 sys.path.insert(0, "perfbench")
 import reference
-from skernel import homotopy, simpab, spaces
+from skernel import homotopy, serialization, simpab, spaces
 from skernel.complexes import ChainComplex, sigma_tower_report
 from skernel.simplicial import SimplicialMap
 p = spaces.product
@@ -183,6 +199,10 @@ if hasattr(x, "cell_counts"):
     counts["identities"] = sum(len(x.cells(n)) * n * (n + 1) // 2 for n in x.dims() if n >= 2)
 elif "{counted}" == "cells":  # chains or homology of the untimed space s
     counts["cells"] = sum(s.cell_counts().values())
+elif "{counted}" == "entries":  # matrix entries of the document text
+    doc = json.loads(text)
+    counts["entries"] = sum(len(row) for field in ("d", "face", "degen")
+                            for rows in doc.get(field, {{}}).values() for row in rows)
 elif "{counted}" == "levels":
     counts["levels"] = len(x)
 elif "{counted}" == "verdicts":
@@ -230,7 +250,8 @@ def claim_pairs(trees: dict, workload: str, pairs: int, seconds: int, first_seed
 def scale_rows(trees: dict, runs: int) -> list:
     rows = []
     for label, (layer, setup, expr, counted) in SCALE.items():
-        name = (label if label.startswith(("homology", "chains", "moore_basis", "kn_roundtrip"))
+        name = (label if label.startswith(("homology", "chains", "moore_basis", "kn_roundtrip",
+                                          "parse_document"))
                 else "build+validate " + label)
         row = {"layer": layer, "name": name,
                "unit": counted + "/s", "better": "higher", "runs": runs,
