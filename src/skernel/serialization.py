@@ -13,9 +13,9 @@ Three object kinds travel through files:
 
 Matrices serialize row-major; a face entry like "s1 s0 v3" is the
 degeneracy word (indices strictly decreasing) applied to the base cell.
-Ranks, degrees and matrix entries must be JSON integers: strings, floats
-and booleans are refused, never coerced: `IntMatrix.from_rows` checks
-each entry once, and the loader only names the field in the message.
+Ranks, degrees and matrix entries must be JSON integers, and cell ids
+JSON strings: other values are refused, never coerced: `IntMatrix.from_rows`
+checks each entry once, and the loader only names the field in the message.
 Structural validation (d d = 0, the simplicial identities) runs at load
 time, so a parsed object is always usable.
 """
@@ -143,7 +143,10 @@ def simplicial_set_from_doc(doc: dict) -> SimplicialSet:
             raise ParseError("cell dimension key %r is not an integer" % key)
         if not isinstance(ids, list):
             raise ParseError("cells[%r] must be a list" % key)
-        cells[n] = [str(c) for c in ids]
+        if not set(map(type, ids)) <= {str}:
+            bad = next(c for c in ids if type(c) is not str)
+            raise ParseError("cells[%r] holds %s, not a cell id string" % (key, json.dumps(bad)))
+        cells[n] = ids
     faces = {}
     dim_of = {c: n for n, ids in cells.items() for c in ids}
     for cell, entries in _object(doc, "faces").items():

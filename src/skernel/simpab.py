@@ -681,6 +681,11 @@ def dold_kan_K(c: ChainComplex, trunc_dim: int) -> SimplicialAbGroup:
     run where it cancels against s_m, the differential where it reaches
     x as d_0, zero where it reaches x as another face.  One pass over a
     level's summands fills all of its face tables."""
+    return _k_levels(c, trunc_dim)[0]
+
+
+def _k_levels(c: ChainComplex, trunc_dim: int) -> tuple:
+    """`dold_kan_K(c, trunc_dim)` and the `_k_summands` of its levels."""
     c = c.truncate_good(0)
     rank = [c.rank(k) for k in range(trunc_dim + 1)]
     summands = [_k_summands(c, n) for n in range(trunc_dim + 1)]
@@ -709,7 +714,7 @@ def dold_kan_K(c: ChainComplex, trunc_dim: int) -> SimplicialAbGroup:
     for n in range(trunc_dim):
         for j in range(n + 1):
             degen[(n, j)] = _k_degen(rank, summands[n], offsets[n + 1], j)
-    return SimplicialAbGroup._of_tables(trunc_dim, ranks, face, degen)
+    return SimplicialAbGroup._of_tables(trunc_dim, ranks, face, degen), summands
 
 
 def unnormalized_complex(a: SimplicialAbGroup) -> ChainComplex:
@@ -1008,16 +1013,16 @@ def nk_roundtrip_iso(c: ChainComplex, trunc_dim: int):
     return out
 
 
-def _counit(a: SimplicialAbGroup, na: ChainComplex, bases: dict) -> dict:
+def _counit(a: SimplicialAbGroup, summands: list, bases: dict) -> dict:
     """Per level n, the (table, general) pair of the counit K(N(A))_n ->
     A_n: on the summand s_m N_k it is s_m applied to the Moore basis of
     level k, its degeneracies taken in the ascending order of m's bits
     and composed on column tables; the summands sit side by side in the
-    order of `_k_summands`.  bases are as `_moore_bases` gives them."""
+    order of summands[n], from `_k_levels`.  bases are from `_moore_bases`."""
     psi = {}
     for n in range(a.D + 1):
         table, general = [], False
-        for k, m in _k_summands(na, n):
+        for k, m in summands[n]:
             jumps = [b for b in range(n) if m >> b & 1]
             t, g = _degeneracy_composite(a, k, jumps, bases[k][1])
             table += t[:-1]
@@ -1033,10 +1038,10 @@ def kn_roundtrip_ok(a: SimplicialAbGroup) -> bool:
     tables."""
     bases = _moore_bases(a)
     na = _normalize(a, bases)
-    kna = dold_kan_K(na, a.D)
+    kna, summands = _k_levels(na, a.D)
     if kna.ranks() != a.ranks():
         return False
-    psi = _counit(a, na, bases)
+    psi = _counit(a, summands, bases)
     for n in range(a.D + 1):
         if not is_unimodular(_matrix(psi[n], a.rank(n))):
             return False

@@ -40,15 +40,16 @@ and every map's commutation with every face, exactly.  Which face
 operators cancel against s_mask, and at which index the others reach the
 base, depends only on the mask and the dimension, so that face pattern
 (`_face_pattern`, a bounded cache) is computed once per (mask, n) and
-read against each base's row.  The faces of a cell's faces form a square
-table rows[j][i] = d_i d_j; its transpose holds d_{j-1} d_i in row j - 1,
-so each j is one slice compare.
+read against each base's row.  A cell's faces of faces are laid end to
+end, flat[j * n + i] = d_i d_j, and two getters built once per n pick all
+d_i d_j and all d_{j-1} d_i from that list: one compare per cell.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter
 from typing import NamedTuple
 
 from .complexes import ValidationError
@@ -123,6 +124,15 @@ def _face_pattern(mask: int, n: int) -> tuple:
     return tuple([mask_face(mask, i) for i in range(n)])
 
 
+@lru_cache(maxsize=64)
+def _identity_pickers(n: int) -> tuple:
+    """Getters of all d_i d_j and all d_{j-1} d_i (i < j, by j then i) from
+    an n-cell's faces of faces laid end to end, flat[j * n + i] = d_i d_j."""
+    pairs = [(i, j) for j in range(1, n + 1) for i in range(j)]
+    return (itemgetter(*[j * n + i for i, j in pairs]),
+            itemgetter(*[i * n + j - 1 for i, j in pairs]))
+
+
 def mask_insert(mask: int, j: int) -> int:
     """s_j applied after s_mask."""
     return (mask & ((1 << j) - 1)) | (1 << j) | (mask >> j << (j + 1))
@@ -170,23 +180,24 @@ class SimplicialSet:
 
     def __init__(self, cells: dict, faces, pointed: bool = False,
                  basepoint: str | None = None):
-        self._cells = {}
-        self._index = {}
-        self._ids = []
-        self._cdim = []
+        self._cells, self._ids, self._cdim = {}, [], []
         for n in sorted(int(k) for k in cells):
             ids = tuple(cells[n] if n in cells else cells[str(n)])
             if not ids:
                 continue
             if n < 0:
                 raise ValidationError("cell %r has negative dimension %d" % (ids[0], n))
+            if not set(map(type, ids)) <= {str}:
+                bad = next(c for c in ids if type(c) is not str)
+                raise ValidationError("cell identifier %r is not a string" % (bad,))
             self._cells[n] = ids
-            for c in ids:
-                if c in self._index:
-                    raise ValidationError("duplicate cell identifier %r" % c)
-                self._index[c] = len(self._ids)
-                self._ids.append(c)
-                self._cdim.append(n)
+            self._ids += ids
+            self._cdim += [n] * len(ids)
+        self._index = dict(zip(self._ids, range(len(self._ids))))
+        if len(self._index) != len(self._ids):
+            seen = set()
+            dup = next(c for c in self._ids if c in seen or seen.add(c))
+            raise ValidationError("duplicate cell identifier %r" % dup)
         self.pointed = bool(pointed)
         self.basepoint = basepoint
         if self.pointed:
@@ -356,7 +367,8 @@ class SimplicialSet:
 
     def _validate(self):
         """Check every row of the face table, then every identity
-        d_i d_j = d_{j-1} d_i on every cell of dimension >= 2."""
+        d_i d_j = d_{j-1} d_i on every cell of dimension >= 2, in one
+        compare per cell of its faces of faces (`_identity_pickers`)."""
         table, ids, cdim = self._table, self._ids, self._cdim
         if len(table) != len(ids):
             raise ValidationError("face table has %d rows for %d cells" % (len(table), len(ids)))
@@ -377,25 +389,22 @@ class SimplicialSet:
             n = len(row) - 1
             if n < 2:
                 continue
-            # rows[j][i] = d_i d_j c; a nondegenerate face's faces are its row
-            rows = []
+            # flat[j * n + i] = d_i d_j c; a nondegenerate face's faces are its row
+            flat = []
             for entry in row:
                 mask, base = entry
                 if not mask:
-                    rows.append(table[base])
+                    flat += table[base]
                     continue
                 found = faces_of.get(entry)
                 if found is None:
                     found = faces_of[entry] = face_row(mask, base, n - 1)
-                rows.append(found)
-            # cols[j - 1][i] = d_{j-1} d_i c
-            cols = tuple(zip(*rows))
-            for j in range(1, n + 1):
-                if rows[j][:j] != cols[j - 1][:j]:
-                    i = next(i for i in range(j) if rows[j][i] != rows[i][j - 1])
-                    raise ValidationError(
-                        "simplicial identity d_%d d_%d failed on %r" % (i, j, ids[c])
-                    )
+                flat += found
+            lhs, rhs = _identity_pickers(n)
+            if lhs(flat) != rhs(flat):
+                i, j = next((i, j) for j in range(1, n + 1) for i in range(j)
+                            if flat[j * n + i] != flat[i * n + j - 1])
+                raise ValidationError("simplicial identity d_%d d_%d failed on %r" % (i, j, ids[c]))
 
     def __repr__(self) -> str:
         counts = ",".join("%d:%d" % (n, len(ids)) for n, ids in sorted(self._cells.items()))

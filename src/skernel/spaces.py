@@ -53,25 +53,24 @@ from .simplicial import (
 # standard spaces
 
 
-def _subset_id(vs) -> str:
-    return ".".join(str(v) for v in vs)
-
-
-def _simplex_cells(n: int, include_top: bool, skip: tuple = ()) -> tuple:
-    """Cells and face table of the n-simplex's vertex subsets, without
-    the top one unless include_top and without those in skip."""
+def _simplex_cells(n: int, include_top: bool, skip: int = 0) -> tuple:
+    """Cells and face table of the n-simplex's vertex subsets but the top
+    one unless include_top and the one of bitmask skip, numbered by their
+    bitmasks: the face of `bits` that drops vertex v is number[bits ^ 1 << v]."""
+    names = [str(v) for v in range(n + 1)]
+    number = [0] * (2 << n)
     cells = {}
     table = []
-    number = {}
     for size in range(1, n + 2 if include_top else n + 1):
         ids = []
         for vs in combinations(range(n + 1), size):
-            if vs in skip:
+            masks = [1 << v for v in vs]
+            bits = sum(masks)
+            if bits == skip:
                 continue
-            number[vs] = len(table)
-            ids.append(_subset_id(vs))
-            table.append(tuple((0, number[vs[:i] + vs[i + 1:]]) for i in range(size))
-                         if size > 1 else ())
+            number[bits] = len(table)
+            ids.append(".".join([names[v] for v in vs]))
+            table.append(tuple([(0, number[bits ^ m]) for m in masks]) if size > 1 else ())
         if ids:
             cells[size - 1] = ids
     return cells, table
@@ -100,8 +99,7 @@ def horn(n: int, k: int) -> SimplicialSet:
     """
     if not (0 <= k <= n):
         raise ValueError("horn indices must satisfy 0 <= k <= n")
-    opposite = tuple(v for v in range(n + 1) if v != k)
-    cells, faces = _simplex_cells(n, include_top=False, skip=(opposite,))
+    cells, faces = _simplex_cells(n, include_top=False, skip=((2 << n) - 1) ^ (1 << k))
     return SimplicialSet(cells, faces)
 
 
@@ -151,11 +149,11 @@ def pair_id(ra: SimplexRef, rb: SimplexRef) -> str:
 
 def _id_and_faces(x: SimplicialSet, mask: int, cell: int) -> tuple:
     """The dimension n and compact id of the simplex s_mask cell of x, and
-    its faces d_0 .. d_n as (mask, cell) codes."""
+    its faces d_0 .. d_n as (mask, cell) codes, from one cached face
+    pattern read against cell's row (`SimplicialSet._face_row`)."""
     ref = x.ref(mask, cell)
     n = x.dim(ref)
-    faces = tuple(x.face_code(mask, cell, i) for i in range(n + 1)) if n else ()
-    return n, _compact(ref), faces
+    return n, _compact(ref), x._face_row(mask, cell, n)
 
 
 def _disjoint_masks(n: int, p: int, q: int) -> list:

@@ -18,8 +18,11 @@ of the stacked face matrices and as a product of `IntMatrix` factors
 applied to the nondegenerate generators, the Moore projection as that
 product and the K o N counit as side-by-side blocks.  K(C) is kept as
 it was built on surjection value tuples, before it moved onto
-degeneracy masks, with its structure maps given as matrices.  Last,
-the few builders that only tests use.
+degeneracy masks, with its structure maps given as matrices.  The
+simplices' vertex subsets are kept as they were numbered under vertex
+tuples, before they moved onto bitmasks, and the check of
+d_i d_j = d_{j-1} d_i as it compared one slice per j, before each cell
+became one compare.  Last, the few builders that only tests use.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from skernel.complexes import (ChainComplex, ChainMap, HomologyGroup, TowerRepor
 from skernel.matrices import IntMatrix, hstack, kernel_basis, solve_exact, vstack
 from skernel.simpab import SimplicialAbGroup
 from skernel.simplicial import (BisimplicialSet, SimplexRef, SimplicialMap, SimplicialSet,
-                                mask_delete, mask_of, word_of)
+                                mask_compose, mask_delete, mask_face, mask_of, word_of)
 from skernel.spaces import (_chain_basis, interval_pointed, pair_id, point, product, product_pairs,
                             pushout_map, quotient, smash, wedge)
 
@@ -640,6 +643,60 @@ def named_cylinder_object(k):
     projection = pushout_map(legs, SimplicialMap(sm.collapse.source, k, to_k),
                              SimplicialMap(pt, k, {"*": SimplexRef((), k.basepoint)}))
     return end_map("0"), end_map("1"), projection
+
+
+def tuple_simplex_cells(n: int, include_top: bool, skip: tuple = ()) -> tuple:
+    """Cells and face table of the n-simplex's vertex subsets as they were
+    built on vertex tuples: each subset numbered under its tuple, its face
+    i the tuple with vertex i sliced out, without the top subset unless
+    include_top and without the tuples in skip."""
+    cells = {}
+    table = []
+    number = {}
+    for size in range(1, n + 2 if include_top else n + 1):
+        ids = []
+        for vs in combinations(range(n + 1), size):
+            if vs in skip:
+                continue
+            number[vs] = len(table)
+            ids.append(".".join(str(v) for v in vs))
+            table.append(tuple((0, number[vs[:i] + vs[i + 1:]]) for i in range(size))
+                         if size > 1 else ())
+        if ids:
+            cells[size - 1] = ids
+    return cells, table
+
+
+def slice_identity_failure(ids: list, table: list):
+    """The message naming the first identity d_i d_j = d_{j-1} d_i that
+    fails, cells in number order, as it was found with one slice compare
+    per j between the table rows[j][i] = d_i d_j of a cell's faces of
+    faces and its transpose; None when all hold.  The faces of a face
+    s_mask b come from `mask_face` one index at a time, b's row read where
+    the operator reaches b.  The rows are assumed to have passed the
+    constructor's row checks."""
+    def faces(mask, base, m):
+        out = []
+        for i in range(m + 1):
+            prefix, k = mask_face(mask, i)
+            if k is None:
+                out.append((prefix, base))
+            else:
+                fmask, fbase = table[base][k]
+                out.append((mask_compose(prefix, fmask), fbase))
+        return tuple(out)
+
+    for c, row in enumerate(table):
+        n = len(row) - 1
+        if n < 2:
+            continue
+        rows = [faces(mask, base, n - 1) for mask, base in row]
+        cols = tuple(zip(*rows))
+        for j in range(1, n + 1):
+            if rows[j][:j] != cols[j - 1][:j]:
+                i = next(i for i in range(j) if rows[j][i] != rows[i][j - 1])
+                return "simplicial identity d_%d d_%d failed on %r" % (i, j, ids[c])
+    return None
 
 
 def block_diag(blocks) -> IntMatrix:

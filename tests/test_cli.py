@@ -429,6 +429,20 @@ def test_a_malformed_matrix_exits_2_naming_its_field(command, field, doc, matrix
     assert captured.err == "error: %s: %s%s\n" % (path, field, message)
 
 
+@pytest.mark.parametrize("bad", [1, 1.5, True, None, ["x"]],
+                         ids=["int", "float", "true", "null", "list"])
+def test_a_cell_id_that_is_not_a_string_exits_2(bad, capsys, tmp_path):
+    """Cell ids are never coerced with str(): the value is refused, and
+    the message names the cells field."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"cells": {"0": ["a", bad]}, "faces": {}}))
+    assert main(["space-homology", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s: cells['0'] holds %s, not a cell id string\n" % (
+        path, json.dumps(bad))
+
+
 READS = {
     "homology": {"--in", "--out"},
     "space-homology": {"--in", "--out"},

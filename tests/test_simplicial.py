@@ -26,10 +26,11 @@ from skernel.spaces import (
     simplex,
     smash,
     sphere,
+    suspension,
     wedge,
 )
 
-from helpers import NamedMap, naive_rewrite_degeneracy
+from helpers import NamedMap, naive_rewrite_degeneracy, slice_identity_failure
 
 
 def insert_word(word, j):
@@ -330,6 +331,82 @@ def test_validation_rejects_broken_faces():
         SimplicialSet({0: ["a", "a"]}, {})
     with pytest.raises(ValidationError, match="negative dimension"):
         SimplicialSet({-1: ["v"], 0: ["a"]}, {})
+
+
+@pytest.mark.parametrize("cells, dup", [
+    ({0: ["a", "a"]}, "a"),
+    ({0: ["a", "b", "b", "a"]}, "b"),
+    ({0: ["a", "b"], 1: ["c", "b", "a"]}, "b"),
+    ({0: ["v"], 2: ["t", "v"]}, "v"),
+], ids=["one-dimension", "first-repeat", "across-dimensions", "across-a-gap"])
+def test_a_duplicate_cell_identifier_is_named(cells, dup):
+    """The first id, in declaration order, that repeats an earlier one."""
+    with pytest.raises(ValidationError) as err:
+        SimplicialSet(cells, {})
+    assert str(err.value) == "duplicate cell identifier %r" % dup
+
+
+@pytest.mark.parametrize("bad", [1, ("e",), None], ids=["int", "tuple", "None"])
+def test_a_cell_identifier_that_is_not_a_string_is_rejected(bad):
+    with pytest.raises(ValidationError) as err:
+        SimplicialSet({0: ["a", bad]}, {})
+    assert str(err.value) == "cell identifier %r is not a string" % (bad,)
+    with pytest.raises(ValidationError) as err:
+        SimplicialSet({0: ["a"], 1: [bad]}, {(bad, 0): ((), "a"), (bad, 1): ((), "a")})
+    assert str(err.value) == "cell identifier %r is not a string" % (bad,)
+
+
+def _identity_mutations(x, rng, count):
+    """count face tables of x, each with one face of one cell of positive
+    dimension replaced by another simplex of its dimension or, half the
+    time and whenever that face has no other simplex of its dimension,
+    with two faces of the cell swapped."""
+    table = x.face_table()
+    cells = [c for c, row in enumerate(table) if row]
+    simplices = {n: x.simplex_codes(n) for n in range(x.top_dim())}
+    for _ in range(count):
+        c = rng.choice(cells)
+        row = list(table[c])
+        i = rng.randrange(len(row))
+        others = [code for code in simplices[len(row) - 2] if code != row[i]]
+        if others and rng.random() < 0.5:
+            row[i] = rng.choice(others)
+        else:
+            i, j = rng.sample(range(len(row)), 2)
+            row[i], row[j] = row[j], row[i]
+        mutated = list(table)
+        mutated[c] = tuple(row)
+        yield mutated
+
+
+def test_the_flattened_identity_check_names_what_the_slice_check_named():
+    """On seeded mutations of the face tables of seven spaces, the one
+    compare per cell fails exactly where the old per-j slice compare
+    (`helpers.slice_identity_failure`) failed, naming the same (i, j) and
+    cell."""
+    t2 = product(sphere(1), sphere(1))
+    spaces = [boundary(4), boundary(5), boundary(6), product(boundary(2), boundary(3)), t2,
+              smash(sphere(2), sphere(1)).space, suspension(t2, 1)]
+    rng = random.Random(30)
+    checked = failed = 0
+    for x in spaces:
+        cells = {n: list(x.cells(n)) for n in x.dims()}
+        ids = [x.cell_id(c) for c in range(len(x.face_table()))]
+        for table in _identity_mutations(x, rng, 300):
+            want = slice_identity_failure(ids, table)
+            try:
+                SimplicialSet(cells, table, pointed=x.pointed, basepoint=x.basepoint)
+                got = None
+            except ValidationError as exc:
+                got = str(exc)
+            assert got == want
+            checked += 1
+            failed += want is not None
+    # most mutations break an identity; those that break none swap two
+    # equal faces, or change a 2-cell of T^2 or a 3-cell of S^2 ^ S^1,
+    # whose faces' faces are all degeneracies of the one vertex
+    assert checked == 2100
+    assert 1000 <= failed < checked
 
 
 def test_validation_rejects_identity_violation():

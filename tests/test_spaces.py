@@ -32,11 +32,28 @@ from skernel.spaces import (
     wedge,
 )
 
-from helpers import constant_vertical
+from helpers import constant_vertical, tuple_simplex_cells
 
 Z = HomologyGroup(1)
 Z2 = HomologyGroup(0, (2,))
 TRIV = HomologyGroup(0)
+
+
+def _cells_and_table(x):
+    return {n: list(x.cells(n)) for n in x.dims()}, x.face_table()
+
+
+def test_standard_spaces_keep_the_tuple_numbering():
+    """Simplices, boundaries and horns numbered by vertex bitmask have the
+    ids, order and face table they had when numbered by vertex tuple."""
+    for n in range(10):
+        assert _cells_and_table(simplex(n)) == tuple_simplex_cells(n, True), n
+        assert _cells_and_table(boundary(n)) == tuple_simplex_cells(n, False), n
+    for n in range(8):
+        for k in range(n + 1):
+            opposite = tuple(v for v in range(n + 1) if v != k)
+            want = tuple_simplex_cells(n, False, (opposite,))
+            assert _cells_and_table(horn(n, k)) == want, (n, k)
 
 
 def inclusion(sub, big):

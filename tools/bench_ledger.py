@@ -16,8 +16,10 @@ It records
 - claim pairs: `perfbench/run.py --workload WORKLOAD` run in each tree,
   alternating which tree goes first, one pair per seed (seeds
   --first-seed, --first-seed + 1, ...: pick seeds that were not used
-  while the change was written); each run reports
-  ops_per_kcu (throughput in calibration units) and peak_rss_mb;
+  while the change was written); each run reports every end-to-end
+  metric that `perfbench/run.py --trace 0` prints: ops_per_kcu
+  (throughput in calibration units), latency_p50_cu, latency_p90_cu,
+  setup_s, verified_ratio and peak_rss_mb;
 - scale rows over --runs fresh interpreters per tree (default 7: at 3,
   rows of a few milliseconds swung 10-15% between ledgers of the same
   code on a 2-core box), alternating which tree builds first, so that
@@ -33,9 +35,12 @@ It records
     S^2 x S^2 x S^2 x S^2, as cells per second, with the deterministic
     counts of cells and identities d_i d_j = d_{j-1} d_i checked
     (n(n+1)/2 per n-cell);
-  - spaces: build + validate of the smash of T^3 with itself and of the
-    3-fold suspension of S^2 x S^2, as cells per second; the factors are
-    built untimed;
+  - spaces: build + validate of the smash of T^3 with itself, of the
+    3-fold suspension of S^2 x S^2 and of the product of the boundary of
+    the 4-simplex with itself, as cells per second; the factors are built
+    untimed; the last is the one product whose factors have only
+    nondegenerate faces, so each factor simplex's faces come from its
+    face pattern read against its base's row;
   - simpab: build + validate of the Dold-Kan K of a rank-12 torsion
     complex, of the free reduced Z S^2 and of the bar construction of
     the free reduced Z S^2, all truncated at D = 10, and of the K of
@@ -113,6 +118,8 @@ SCALE = {
     "suspension(S2xS2,3)": (
         "spaces", "q = p(spaces.sphere(2), spaces.sphere(2))", "spaces.suspension(q, 3)",
         "cells"),
+    "boundary(4)xboundary(4)": (
+        "spaces", "b4 = spaces.boundary(4)", "p(b4, b4)", "cells"),
     "dold_kan_K(torsion rank 12, D=10)": (
         "simpab",
         "ranks, d, _ = reference.torsion_complex(random.Random(1), 3, 12); "
@@ -239,8 +246,7 @@ def claim_pairs(trees: dict, workload: str, pairs: int, seconds: int, first_seed
             res = _run(trees[name], [sys.executable, "perfbench/run.py", "--workload",
                                      workload, "--seed", str(seed), "--seconds",
                                      str(seconds), "--trace", "0"])
-            row[name] = {m: res["metrics"][m]["value"] for m in ("ops_per_kcu", "peak_rss_mb")}
-            row[name]["verified_ratio"] = res["metrics"]["verified_ratio"]["value"]
+            row[name] = {m: v["value"] for m, v in res["metrics"].items()}
         row["ratio"] = row["change"]["ops_per_kcu"] / row["parent"]["ops_per_kcu"]
         rows.append(row)
         print("pair %d: %.3fx" % (seed, row["ratio"]), file=sys.stderr)
