@@ -19,7 +19,9 @@ without the columns p spans the same lattice.
 
 d(n) @ d(n+1) = 0 is checked at construction for every adjacent pair, in
 degree order, by `matrices._product_vanishes`: every row of the product
-is tested, exactly, without building it.
+is tested, exactly, without building it.  Each differential is split
+into its +1 and -1 columns once (`matrices._signed_rows`): d(n+1), split
+as the right factor of one pair, is the left factor of the next.
 
 Kernel bases and exact solves, which need the Smith transforms, are
 computed only where a caller consumes the basis itself (truncations and
@@ -34,8 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .matrices import (IntMatrix, _product_vanishes, _reduce, hstack, invariant_factors, kernel_basis,
-                       solve_exact, vstack)
+from .matrices import (IntMatrix, _product_vanishes, _reduce, _signed_rows, hstack, invariant_factors,
+                       kernel_basis, solve_exact, vstack)
 
 
 class ValidationError(ValueError):
@@ -132,10 +134,14 @@ class ChainComplex:
         self._factors = {}
         # the next degree to reduce, top-down, and the rows paired above it
         self._pending = (max_deg, frozenset())
-        # a product with an absent (zero) differential is zero
+        # a product with an absent (zero) differential is zero; left is the
+        # split of d(n) made when it was the right factor of the pair below
+        left = None
         for n in sorted(diffs):
-            if n + 1 in diffs and not _product_vanishes(diffs[n], diffs[n + 1]):
+            right = _signed_rows(diffs[n + 1]) if n + 1 in diffs else None
+            if right is not None and not _product_vanishes(diffs[n], diffs[n + 1], left, right):
                 raise ValidationError("d(%d) @ d(%d) is nonzero" % (n, n + 1))
+            left = right
 
     @property
     def min_deg(self) -> int:

@@ -24,19 +24,20 @@ Kernels, invariants and exact solves eliminate sparsely too.
 `invariant_factors` (homology, cokernels, unimodularity), `kernel_basis`
 (cycles) and `solve_exact` (normalized differentials, Moore projections,
 good truncations) share one unit-pivot elimination, `_eliminate`, on
-dict-of-rows storage; a solve runs it on [a | b] with pivots in a's
-columns.  The rows come from a matrix's nonzeros, except for the Moore
-bases of `simpab`, which read them straight off the column tables of
-the faces and call `_kernel` (elimination, then back-substitution) with
-no matrix built.  A complex's homology runs the elimination on each
-differential without the columns that the one above paired, and reads
-back its pivot rows.  Only the residue without a +-1 entry reaches the
-dense Smith loop, which computes no transform for the factors, V for a
-kernel and U and V for a solve.  The dense `smith_normal_form` of a
-whole matrix, on its list workspace, is left to the suite's check of the Smith
-decomposition and to the random complexes in `generators`, which take
-their kernels from the dense Smith V directly: a fixed recipe, so
-changing the elimination never re-seeds an instance the suite checks.
+stored rows: a coreduction pivots on each row left with one entry, +-1,
+from counts alone, and a column heap eliminates the rows still left as
+dicts.  A solve runs it on [a | b] with pivots in a's columns, and the
+Moore bases of `simpab` read the rows off the column tables of the faces
+and call `_kernel` (elimination, then back-substitution) with no matrix
+built.  A complex's homology runs the elimination on each differential
+without the columns that the one above paired, and reads back its pivot
+rows.  Only the residue without a +-1 entry reaches the dense Smith
+loop, which computes no transform for the factors, V for a kernel and U
+and V for a solve.  The dense `smith_normal_form` of a whole matrix is
+left to the suite's check of the Smith decomposition and to the random
+complexes in `generators`, which take their kernels from the dense Smith
+V directly: a fixed recipe, so changing the elimination never re-seeds
+an instance the suite checks.
 
 A complex checks d(n) @ d(n+1) = 0 through `_product_vanishes`, which
 tests every row of the product without storing it.  Where a row's
@@ -44,8 +45,9 @@ coefficients and the rows of d(n+1) they select are all +-1, as in every
 chain complex of a simplicial set, each selected entry adds +1 or -1 to
 its column, so the row vanishes exactly when the columns hit with +1 and
 those hit with -1, listed with multiplicity, are equal once sorted: a
-C-level extend and sort instead of a dict update per entry.  Any other
-row is summed exactly, as `__matmul__` sums it.
+C-level extend and sort instead of a dict update per entry.  Each
+differential is split into its +1 and -1 columns once, for both pairs
+it is a factor of.  Any other row is summed exactly.
 """
 
 from __future__ import annotations
@@ -53,14 +55,17 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, repeat
-from operator import gt, lt
+from itertools import accumulate, chain, compress, filterfalse, repeat
+from operator import gt, itemgetter, lt
 from typing import Iterable, Sequence
 
 # the stored form of a row without nonzero entries
 _EMPTY = ((), ())
 # an endless supply of zeros to compare entries with
 _ZEROS = repeat(0)
+# the one type an entry may have, and the value of an (i, j, value) entry
+_INT = frozenset((int,))
+_VALUE = itemgetter(2)
 
 
 def _sparse_row(acc: dict) -> tuple:
@@ -116,6 +121,7 @@ class IntMatrix:
     def from_entries(cls, rows: int, cols: int, entries: Iterable) -> "IntMatrix":
         """The rows x cols matrix with the given (i, j, value) entries;
         values at a repeated position add up, and zero sums are dropped.
+        A value that is not an int is rejected, not converted.
 
         One sort puts the entries in row-major order; a linear pass then
         merges repeated positions and cuts the rows."""
@@ -123,6 +129,9 @@ class IntMatrix:
         ents = sorted(entries)
         if not ents:
             return cls(rows, cols, tuple(out))
+        if not _INT.issuperset(map(type, map(_VALUE, ents))):
+            i, j, x = next(e for e in ents if type(e[2]) is not int)
+            raise ValueError("entry (%d, %d) is %r, not an int" % (i, j, x))
         for i in (ents[0][0], ents[-1][0]):
             if not 0 <= i < rows:
                 raise ValueError("entry in row %d outside a %dx%d matrix" % (i, rows, cols))
@@ -144,7 +153,7 @@ class IntMatrix:
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
         """The matrix of the dense rows, checked in one pass (a non-int entry
         is rejected, not converted); cols is the width when there are none."""
-        if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        if not _INT.issuperset(map(type, chain.from_iterable(rows))):
             i, j, x = next((i, j, x) for i, r in enumerate(rows)
                            for j, x in enumerate(r) if type(x) is not int)
             raise ValueError("entry (%d, %d) is %r, not an int" % (i, j, x))
@@ -316,7 +325,7 @@ def _signed_rows(m: IntMatrix) -> list:
     return out
 
 
-def _product_vanishes(a: IntMatrix, b: IntMatrix) -> bool:
+def _product_vanishes(a: IntMatrix, b: IntMatrix, left=None, right=None) -> bool:
     """Whether a @ b is the zero matrix, tested row by row without
     storing the product; exact, and every row is tested.
 
@@ -325,32 +334,41 @@ def _product_vanishes(a: IntMatrix, b: IntMatrix) -> bool:
     the rows of b they select are all +-1, each selected entry adds +1
     or -1 to its column, so the row of the product is zero exactly when
     the columns hit with +1 and those hit with -1, each listed with
-    multiplicity, are equal once sorted.  Any other row is summed as
-    `__matmul__` sums it.
+    multiplicity, are equal once sorted: both factors are split by
+    `_signed_rows` for that, unless their splits are given as left and
+    right.  Any other row is summed as `__matmul__` sums it.
     """
     if a.cols != b.rows:
         raise ValueError("shape mismatch in product: %r @ %r" % (a.shape, b.shape))
     brows = b.nonzeros
-    signed = _signed_rows(b)
-    for ts, cs in a.nonzeros:
+    left = _signed_rows(a) if left is None else left
+    right = _signed_rows(b) if right is None else right
+    for (ts, cs), split in zip(a.nonzeros, left):
         if len(ts) < 2:
             if ts and brows[ts[0]][0]:
                 return False
             continue
-        if cs.count(1) + cs.count(-1) == len(cs):
+        if split is not None:
             plus, minus = [], []
-            for t, c in zip(ts, cs):
-                s = signed[t]
+            for t in split[0]:
+                s = right[t]
                 if s is None:  # that row of b is not all +-1: sum this row
                     break
-                plus.extend(s[c < 0])
-                minus.extend(s[c > 0])
+                plus += s[0]
+                minus += s[1]
             else:
-                plus.sort()
-                minus.sort()
-                if plus != minus:
-                    return False
-                continue
+                for t in split[1]:
+                    s = right[t]
+                    if s is None:
+                        break
+                    plus += s[1]
+                    minus += s[0]
+                else:
+                    plus.sort()
+                    minus.sort()
+                    if plus != minus:
+                        return False
+                    continue
         acc = {}
         for t, c in zip(ts, cs):
             js, ys = brows[t]
@@ -486,47 +504,73 @@ def diagonal_of(d: IntMatrix) -> list:
     return [d.at(i, i) for i in range(min(d.rows, d.cols))]
 
 
-def _row_dicts(m: IntMatrix, skip=()) -> dict:
-    """The nonzero rows of m, without the columns in skip, as
-    {row: {column: value}}, each row's columns ascending."""
-    rows = {}
-    for i, (js, xs) in enumerate(m.nonzeros):
-        row = {j: x for j, x in zip(js, xs) if j not in skip} if skip else dict(zip(js, xs))
-        if row:
-            rows[i] = row
-    return rows
-
-
-def _eliminate(rows: dict, limit: int):
+def _eliminate(stored: Sequence, limit: int, skip=()):
     """Sparse unit-pivot elimination by row operations (Kaczynski-Mrozek-
-    Slusarek; Dumas-Saunders-Villard).
+    Slusarek; Mrozek-Batko; Dumas-Saunders-Villard) of the stored rows
+    without the set of columns skip, in two phases.
 
-    The nonzero rows, given as {row: {col: value}} and consumed, are held
-    with a column -> rows occupancy index, and while some entry is +-1 in
-    a column below limit the sparsest such column holding one (ties:
-    lowest column index) is cleared from the other rows with the shortest
-    such row (ties: lowest row index) as pivot.  Pivot row and column are
-    then dropped.  Every choice depends on the entries alone, not on the
-    order the rows or their columns were given in.  Returns (pivots,
+    Coreduction: a row whose one entry left is +-1 in a column below
+    limit is free, and becomes a pivot with an empty rest.  Clearing its
+    column from the other rows makes no fill-in, so counts of entries per
+    row and the rows of each column suffice, and a row left with one
+    entry may be free in turn.  Free rows go first come, first served:
+    those free from the start in row order, then each as a pivot frees
+    it.  The rows left become {column: value} dicts for the heap phase,
+    which keeps the column occupancy: while some entry is +-1 in a column
+    below limit, the sparsest such column (ties: lowest index) is cleared
+    from the other rows with the shortest such row (ties: lowest index)
+    as pivot, and pivot row and column are dropped.  Returns (pivots,
     rows, cols): pivots lists (row, column, sign, rest of the pivot row)
     in elimination order, each rest naming only columns still present at
     its step; rows and cols are the residue, which holds no +-1 entry in
-    a pivot column, keyed by its nonzero rows and nonempty columns.
+    a column below limit, keyed by its nonzero rows and nonempty columns.
     """
     cols = {}
-    for i, row in rows.items():
-        for j in row:
-            cols.setdefault(j, set()).add(i)
+    count = [0] * len(stored)
+    free = []
+    for i, (js, xs) in enumerate(stored):
+        if skip and not skip.isdisjoint(js):
+            js = list(filterfalse(skip.__contains__, js))
+        for j in js:
+            occ = cols.get(j)
+            if occ is None:
+                cols[j] = {i}
+            else:
+                occ.add(i)
+        count[i] = n = len(js)
+        if n == 1 and js[0] < limit:
+            x = xs[stored[i][0].index(js[0])]
+            if x in (1, -1):
+                free.append((i, js[0], x))
     pivots = []
+    for p, q, s in free:  # the queue grows while it is read
+        occ = cols.pop(q, None)
+        if occ is None:  # a row freed before p took q, and p is empty
+            continue
+        pivots.append((p, q, s, {}))
+        for i in occ:
+            n = count[i] = count[i] - 1
+            if n == 1:
+                js, xs = stored[i]
+                for j, x in zip(js, xs):
+                    if j in cols:
+                        break
+                if j < limit and x in (1, -1):
+                    free.append((i, j, x))
+    rows = {}
+    for i in compress(range(len(count)), count):
+        js, xs = stored[i]
+        rows[i] = (dict(zip(js, xs)) if count[i] == len(js)
+                   else {j: x for j, x in zip(js, xs) if j in cols})
     # candidate columns keyed (occupancy, index); an entry is stale once
     # the column's occupancy has changed, and every pivot column whose
     # entries change is pushed again
     heap = [(len(occ), j) for j, occ in cols.items() if j < limit]
     heapq.heapify(heap)
     while heap:
-        count, q = heapq.heappop(heap)
+        size, q = heapq.heappop(heap)
         occ = cols.get(q)
-        if occ is None or len(occ) != count:
+        if occ is None or len(occ) != size:
             continue
         candidates = [(len(rows[i]), i) for i in occ if rows[i][q] in (1, -1)]
         if not candidates:
@@ -576,7 +620,7 @@ def _reduce(m: IntMatrix, skip=()) -> tuple:
     """(invariant factors, pivot rows) of m with the columns in skip
     deleted: the factors as in `invariant_factors`, and the set of rows
     that held a unit pivot."""
-    pivots, rows, cols = _eliminate(_row_dicts(m, skip), m.cols)
+    pivots, rows, cols = _eliminate(m.nonzeros, m.cols, skip)
     units = (1,) * len(pivots)
     paired = frozenset(p for p, _, _, _ in pivots)
     if not rows:
@@ -600,12 +644,12 @@ def invariant_factors(m: IntMatrix) -> tuple:
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Basis of the integer kernel lattice of m, as columns: `_kernel`
     of the rows of m."""
-    return _kernel(_row_dicts(m), m.cols)
+    return _kernel(m.nonzeros, m.cols)
 
 
-def _kernel(rows: dict, ncols: int) -> IntMatrix:
+def _kernel(stored: Sequence, ncols: int) -> IntMatrix:
     """Basis of the integer kernel lattice of the ncols-column matrix
-    whose nonzero rows are given as for `_eliminate`, as columns.
+    whose rows are given stored, as for `_eliminate`, as columns.
 
     Row operations keep the kernel.  After `_eliminate`, each pivot row
     fixes its pivot coordinate in terms of coordinates pivoted later or
@@ -619,7 +663,7 @@ def _kernel(rows: dict, ncols: int) -> IntMatrix:
     back-substitution.  Those images form a saturated basis, so this one
     generates the kernel exactly (not a finite-index sublattice).
     """
-    pivots, rows, cols = _eliminate(rows, ncols)
+    pivots, rows, cols = _eliminate(stored, ncols)
     pivoted = {q for _, q, _, _ in pivots}
     vectors = [{j: 1} for j in range(ncols) if j not in pivoted and j not in cols]
     if rows:
@@ -655,10 +699,9 @@ def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     if a.rows != b.rows:
         raise ValueError("shape mismatch in solve: %r vs %r" % (a.shape, b.shape))
     n = a.cols
-    augmented = IntMatrix(a.rows, n + b.cols, tuple(
-        (ja + tuple(n + j for j in jb), xa + xb)
-        for (ja, xa), (jb, xb) in zip(a.nonzeros, b.nonzeros)))
-    pivots, rows, cols = _eliminate(_row_dicts(augmented), n)
+    augmented = [(ja + tuple(n + j for j in jb), xa + xb)
+                 for (ja, xa), (jb, xb) in zip(a.nonzeros, b.nonzeros)]
+    pivots, rows, cols = _eliminate(augmented, n)
     x = {}  # coordinate -> {column of b: value}
     if rows:
         keep = sorted(j for j in cols if j < n)

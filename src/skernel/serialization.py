@@ -13,9 +13,10 @@ Three object kinds travel through files:
 
 Matrices serialize row-major; a face entry like "s1 s0 v3" is the
 degeneracy word (indices strictly decreasing) applied to the base cell.
-Ranks, degrees and matrix entries must be JSON integers, and cell ids
-JSON strings: other values are refused, never coerced: `IntMatrix.from_rows`
-checks each entry once, and the loader only names the field in the message.
+Ranks, degrees and matrix entries must be JSON integers, and cell ids and
+face entries JSON strings: other values are refused, never coerced:
+`IntMatrix.from_rows` checks each entry once, and the loader only names
+the field in the message.
 Structural validation (d d = 0, the simplicial identities) runs at load
 time, so a parsed object is always usable.
 """
@@ -156,7 +157,10 @@ def simplicial_set_from_doc(doc: dict) -> SimplicialSet:
         if not isinstance(entries, list) or len(entries) != n + 1:
             raise ParseError("cell %r needs %d face entries" % (cell, n + 1))
         for i, text in enumerate(entries):
-            faces[(cell, i)] = ref_from_text(str(text))
+            if type(text) is not str:
+                raise ParseError("faces[%r][%d] is %s, not a face entry string"
+                                 % (cell, i, json.dumps(text)))
+            faces[(cell, i)] = ref_from_text(text)
     pointed = doc.get("pointed", False)
     if type(pointed) is not bool:
         raise ParseError("pointed must be a JSON boolean, got %s" % json.dumps(pointed))

@@ -454,26 +454,26 @@ def tensor_sab(a: SimplicialAbGroup, b: SimplicialAbGroup) -> SimplicialAbGroup:
 # normalization
 
 
-def _face_rows(a: SimplicialAbGroup, n: int) -> dict:
-    """The nonzero rows of the faces d_1, ..., d_n out of level n
-    stacked, as {row: {column: value}} and numbered as `vstack` numbers
-    them: row r of d_i is row (i - 1) * rank(n - 1) + r.  Read off the
-    column tables, columns in order, so each row's columns ascend."""
-    rows = {}
+def _face_rows(a: SimplicialAbGroup, n: int) -> list:
+    """The stored rows of the faces d_1, ..., d_n out of level n
+    stacked, numbered as `vstack` numbers them: row r of d_i is row
+    (i - 1) * rank(n - 1) + r.  Read off the column tables, columns in
+    order, so each row's columns ascend."""
+    size = a.rank(n - 1)
+    js = [[] for _ in range(n * size)]
+    xs = [[] for _ in range(n * size)]
     for i in range(1, n + 1):
-        off = (i - 1) * a.rank(n - 1)
+        off = (i - 1) * size
         for j, c in enumerate(a._ft[(n, i)][0][:-1]):
             if c.__class__ is int:
                 if c >= 0:
-                    row = rows.get(off + c)
-                    if row is None:
-                        rows[off + c] = {j: 1}
-                    else:
-                        row[j] = 1
+                    js[off + c].append(j)
+                    xs[off + c].append(1)
             else:
                 for r, x in zip(*c):
-                    rows.setdefault(off + r, {})[j] = x
-    return rows
+                    js[off + r].append(j)
+                    xs[off + r].append(x)
+    return list(zip(js, xs))
 
 
 def _nondegenerate(a: SimplicialAbGroup, n: int) -> list | None:

@@ -22,11 +22,14 @@ degeneracy masks, with its structure maps given as matrices.  The
 simplices' vertex subsets are kept as they were numbered under vertex
 tuples, before they moved onto bitmasks, and the check of
 d_i d_j = d_{j-1} d_i as it compared one slice per j, before each cell
-became one compare.  Last, the few builders that only tests use.
+became one compare.  The unit-pivot elimination is kept as it ran before
+its coreduction phase: every row a {column: value} dict, every pivot
+chosen by the column heap.  Last, the few builders that only tests use.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from itertools import accumulate, combinations
 from math import gcd
@@ -764,6 +767,76 @@ def surjection_K(c: ChainComplex, trunc_dim: int) -> SimplicialAbGroup:
     degen = {(n, j): operator(n, n + 1, tuple(v if v <= j else v - 1 for v in range(n + 2)))
              for n in range(trunc_dim) for j in range(n + 1)}
     return SimplicialAbGroup(trunc_dim, ranks, face, degen)
+
+
+def row_dicts(stored, skip=()) -> dict:
+    """The nonzero stored rows without the columns in skip, as
+    {row: {column: value}}, each row's columns ascending."""
+    rows = {}
+    for i, (js, xs) in enumerate(stored):
+        row = {j: x for j, x in zip(js, xs) if j not in skip} if skip else dict(zip(js, xs))
+        if row:
+            rows[i] = row
+    return rows
+
+
+def heap_eliminate(rows: dict, limit: int):
+    """`matrices._eliminate` without its coreduction phase, on rows given
+    as {row: {column: value}} and consumed: while some entry is +-1 in a
+    column below limit, the sparsest such column (ties: lowest index) is
+    cleared with the shortest such row (ties: lowest index) as pivot.
+    Returns (pivots, rows, cols) as `_eliminate` does."""
+    cols = {}
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    pivots = []
+    heap = [(len(occ), j) for j, occ in cols.items() if j < limit]
+    heapq.heapify(heap)
+    while heap:
+        count, q = heapq.heappop(heap)
+        occ = cols.get(q)
+        if occ is None or len(occ) != count:
+            continue
+        candidates = [(len(rows[i]), i) for i in occ if rows[i][q] in (1, -1)]
+        if not candidates:
+            continue
+        p = min(candidates)[1]
+        prow = rows.pop(p)
+        s = prow.pop(q)
+        del cols[q]
+        for j in prow:
+            cols[j].discard(p)
+        for i in occ:
+            if i == p:
+                continue
+            row = rows[i]
+            f = row.pop(q) * s
+            for j, x in prow.items():
+                y = row.get(j, 0) - f * x
+                if y:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = y
+                elif j in row:
+                    del row[j]
+                    cols[j].discard(i)
+            if not row:
+                del rows[i]
+        for j in prow:
+            if cols[j]:
+                if j < limit:
+                    heapq.heappush(heap, (len(cols[j]), j))
+            else:
+                del cols[j]
+        pivots.append((p, q, s, prow))
+    return pivots, rows, cols
+
+
+def heap_only_eliminate(stored, limit: int, skip=()):
+    """`heap_eliminate` with `matrices._eliminate`'s signature, to stand
+    in for it."""
+    return heap_eliminate(row_dicts(stored, skip), limit)
 
 
 def level_summands(n: int):

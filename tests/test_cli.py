@@ -443,6 +443,22 @@ def test_a_cell_id_that_is_not_a_string_exits_2(bad, capsys, tmp_path):
         path, json.dumps(bad))
 
 
+@pytest.mark.parametrize("bad", [5, 1.5, True, None, ["a"]],
+                         ids=["int", "float", "true", "null", "list"])
+def test_a_face_entry_that_is_not_a_string_exits_2(bad, capsys, tmp_path):
+    """Face entries are never coerced with str() either: 5 does not name
+    the cell "5", true does not name "True", and the message names the
+    cell and the face index."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"cells": {"0": ["a", "5", "True", "None"], "1": ["e"]},
+                                "faces": {"e": ["a", bad]}}))
+    assert main(["space-homology", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s: faces['e'][1] is %s, not a face entry string\n" % (
+        path, json.dumps(bad))
+
+
 READS = {
     "homology": {"--in", "--out"},
     "space-homology": {"--in", "--out"},

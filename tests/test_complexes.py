@@ -401,9 +401,9 @@ def test_complex_without_differentials_multiplies_nothing(monkeypatch):
     calls = []
     original = skernel.complexes._product_vanishes
 
-    def counting(a, b):
+    def counting(a, b, *splits):
         calls.append((a.shape, b.shape))
-        return original(a, b)
+        return original(a, b, *splits)
 
     monkeypatch.setattr(skernel.complexes, "_product_vanishes", counting)
     c = ChainComplex(0, 1, {0: 30000, 1: 30000}, {})
@@ -432,6 +432,35 @@ def test_dd_check_sees_multiplicity_and_non_unit_entries():
     ChainComplex(0, 2, {0: 1, 1: 4, 2: 1}, {1: [[1, 1, -1, -1]], 2: [[1], [1], [1], [1]]})
     ChainComplex(0, 2, {0: 1, 1: 2, 2: 1}, {1: [[1, 2]], 2: [[2], [-1]]})
     ChainComplex(0, 2, {0: 1, 1: 2, 2: 1}, {1: [[3, 3]], 2: [[1], [-1]]})
+
+
+@pytest.mark.parametrize("space", [lambda: spaces.boundary(6),
+                                   lambda: spaces.product(spaces.sphere(2), spaces.sphere(2))],
+                         ids=["boundary(6)", "S2xS2"])
+def test_every_single_sign_flip_names_the_first_nonzero_product(space):
+    """Each differential is split into its +1 and -1 columns once and the
+    split serves both pairs it is a factor of; with any one entry of any
+    differential negated, the check names the first pair in degree order
+    whose product, computed by `@`, is nonzero, and a flip that leaves
+    every product zero still builds."""
+    c = spaces.chains(space())
+    ranks = {n: c.rank(n) for n in c.degrees()}
+    flips = entries = 0
+    for n in c.degrees():
+        m = c.d(n)
+        for i, j, x in m.entries():
+            entries += 1
+            flipped = m + IntMatrix.from_entries(m.rows, m.cols, [(i, j, -2 * x)])
+            d = {k: flipped if k == n else c.d(k) for k in c.degrees()}
+            bad = [k for k in c.degrees() if not (d[k] @ d.get(k + 1, c.d(k + 1))).is_zero()]
+            if not bad:
+                ChainComplex(c.min_deg, c.max_deg, ranks, d)
+                continue
+            with pytest.raises(ValidationError, match=r"^d\(%d\) @ d\(%d\) is nonzero$"
+                               % (bad[0], bad[0] + 1)):
+                ChainComplex(c.min_deg, c.max_deg, ranks, d)
+            flips += 1
+    assert flips >= entries * 3 // 4
 
 
 def test_cone_detects_quasi_iso(rng):

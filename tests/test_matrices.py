@@ -8,6 +8,7 @@ import skernel.matrices
 from skernel.complexes import ChainComplex, HomologyGroup, group_from_presentation
 from skernel.matrices import (
     IntMatrix,
+    _eliminate,
     _product_vanishes,
     diagonal_of,
     hstack,
@@ -20,9 +21,10 @@ from skernel.matrices import (
 )
 from skernel.generators import random_pointed_space
 from skernel.simpab import bar_B, dold_kan_K, free_reduced_Z, moore_basis
-from skernel.spaces import chains, product, sphere
+from skernel.spaces import boundary, chains, product, sphere
 
-from helpers import block_diag, naive_snf_diagonal, random_complex
+from helpers import (block_diag, conjugated_torsion_complex, heap_only_eliminate, naive_snf_diagonal,
+                     random_complex)
 
 
 def M(rows):
@@ -94,6 +96,19 @@ def test_from_rows_rejects_an_entry_that_is_not_an_int(rows, where, value):
     with pytest.raises(ValueError, match="^entry \\(%d, %d\\) is %s, not an int$"
                        % (*where, re.escape(repr(value)))):
         IntMatrix.from_rows(rows)
+
+
+@pytest.mark.parametrize("value", [2.5, True, 1.0, 0.0])
+def test_from_entries_rejects_an_entry_that_is_not_an_int(value):
+    """`from_entries` refuses what `from_rows` refuses, with its message,
+    before positions are summed: a float zero is refused, not dropped,
+    and True is not read as 1, even where it would cancel."""
+    where = re.escape("entry (1, 2) is %r, not an int" % value)
+    for entries in ([(1, 2, value)], [(0, 0, 1), (1, 2, value), (1, 2, -1), (2, 0, 3)]):
+        with pytest.raises(ValueError, match="^%s$" % where):
+            IntMatrix.from_entries(3, 3, entries)
+    with pytest.raises(ValueError, match="^%s$" % where):
+        M([[1, 0, 0], [0, 0, 1]]) + IntMatrix(2, 3, (((), ()), ((2,), (value,))))
 
 
 def test_from_rows_rejects_ragged_rows():
@@ -482,6 +497,116 @@ def test_product_vanishes_exactly_when_the_product_is_zero(rng):
     assert zero >= 300 and nonzero >= 300
     with pytest.raises(ValueError, match="shape mismatch"):
         _product_vanishes(M([[1, 2]]), M([[1, 2]]))
+
+
+def _elimination_cases(rng):
+    """Matrices for the coreduction against the heap-only elimination:
+    seeded sparse +-1 and general ones, and the differentials of the
+    chains of the boundaries of simplices up to the 8-simplex, of
+    products and of conjugated torsion complexes; the complexes are
+    returned too."""
+    ms = []
+    for _ in range(150):
+        values = rng.choice(((-1, 1), (-1, 1, 2), (-3, -2, -1, 1, 2, 3)))
+        ms.append(_sparse_matrix(rng, rng.randint(0, 9), rng.randint(0, 9),
+                                 rng.choice((0.15, 0.3, 0.6)), values))
+    complexes = [chains(boundary(n)) for n in range(2, 9)]
+    complexes += [chains(product(sphere(1), sphere(1))), chains(product(sphere(2), sphere(1))),
+                  chains(product(boundary(2), boundary(3)))]
+    complexes += [conjugated_torsion_complex(rng, 3, 6)[0] for _ in range(6)]
+    ms += [c.d(n) for c in complexes for n in c.degrees()]
+    return ms, complexes
+
+
+def _check_elimination(stored, limit, skip=()):
+    """`_eliminate`'s result on stored rows, with its promises checked:
+    the residue's rows are nonzero and hold no +-1 entry below limit, cols
+    is exactly their occupancy, and pivot rows and columns are gone."""
+    pivots, rows, cols = _eliminate(stored, limit, skip)
+    assert all(rows.values())
+    occupancy = {}
+    for i, row in rows.items():
+        assert not any(x in (1, -1) for j, x in row.items() if j < limit)
+        for j in row:
+            occupancy.setdefault(j, set()).add(i)
+    assert cols == occupancy
+    assert not {p for p, _, _, _ in pivots} & set(rows)
+    assert not {q for _, q, _, _ in pivots} & set(cols)
+    return pivots, rows, cols
+
+
+def test_coreduction_matches_the_heap_only_elimination(monkeypatch, rng):
+    """Invariant factors, kernels, solves and homology with the
+    coreduction phase against `helpers.heap_only_eliminate` in its place:
+    the same factors, kernel bases that span each other's lattice, every
+    solution a true one and None exactly where the oracle's is."""
+    ms, complexes = _elimination_cases(rng)
+
+    def answers(m, bs):
+        return invariant_factors(m), kernel_basis(m), [solve_exact(m, b) for b in bs]
+
+    for m in ms:
+        _check_elimination(m.nonzeros, m.cols)
+        bs = [m @ _sparse_matrix(rng, m.cols, 2, 0.5, (-1, 1, 2)),
+              _sparse_matrix(rng, m.rows, 2, 0.3, (-1, 1, 2))]
+        factors, k, xs = answers(m, bs)
+        with monkeypatch.context() as patch:
+            patch.setattr(skernel.matrices, "_eliminate", heap_only_eliminate)
+            want_factors, want_k, want_xs = answers(m, bs)
+        assert factors == want_factors, m.to_lists()
+        assert k.shape == want_k.shape and (m @ k).is_zero()
+        assert solve_exact(k, want_k) is not None and solve_exact(want_k, k) is not None
+        for b, x, want in zip(bs, xs, want_xs):
+            assert (x is None) == (want is None), (m.to_lists(), b.to_lists())
+            assert x is None or m @ x == b
+    for c in complexes:
+        got = _fresh_complex(c).homology_all()
+        with monkeypatch.context() as patch:
+            patch.setattr(skernel.matrices, "_eliminate", heap_only_eliminate)
+            assert _fresh_complex(c).homology_all() == got
+
+
+def _fresh_complex(c):
+    return ChainComplex(c.min_deg, c.max_deg, {n: c.rank(n) for n in c.degrees()},
+                        {n: c.d(n) for n in c.degrees()})
+
+
+def test_coreduction_edge_cases():
+    """A singleton 2 is not free, nor is a singleton in a column of b in
+    a solve; of two rows free in one column only the first pivots, and a
+    row freed and then emptied before its turn is passed over."""
+    assert invariant_factors(M([[2, 0], [1, 1]])) == (1, 2)
+    assert solve_exact(M([[2]]), M([[1]])) is None
+    assert solve_exact(M([[2, 0], [1, 1]]), M([[2], [3]])) == M([[1], [2]])
+    assert solve_exact(M([[1], [0]]), M([[1], [1]])) is None
+    assert solve_exact(M([[1, 1], [0, 0]]), M([[1], [-1]])) is None
+    assert _check_elimination(M([[2]]).nonzeros, 1) == ([], {0: {0: 2}}, {0: {0}})
+    assert _check_elimination(M([[0, 1]]).nonzeros, 1) == ([], {0: {1: 1}}, {1: {0}})
+    for rows, order in [([[1, 0], [-1, 0], [1, 1]], [(0, 0, 1), (2, 1, 1)]),
+                        ([[0, 1], [1, 1], [1, 0]], [(0, 1, 1), (2, 0, 1)]),
+                        ([[0, 0, 1], [1, -1, 1], [0, 1, 0]], [(0, 2, 1), (2, 1, 1), (1, 0, 1)])]:
+        pivots, left, _ = _check_elimination(M(rows).nonzeros, 3)
+        assert [(p, q, s) for p, q, s, _ in pivots] == order and not left
+        assert all(rest == {} for _, _, _, rest in pivots)
+    # the columns in skip are gone before any row is counted
+    pivots, left, _ = _check_elimination(M([[1, 1], [0, 1], [2, 1]]).nonzeros, 2, frozenset({1}))
+    assert [(p, q, s) for p, q, s, _ in pivots] == [(0, 0, 1)] and not left
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_boundaries_of_simplices_coreduce_below_the_top(n):
+    """Reduced top-down as a complex reduces them, every differential of
+    the chains of the boundary of the n-simplex but the top one is
+    cleared by coreduction alone: no pivot has a rest and nothing is
+    left for the dense Smith loop."""
+    c = chains(boundary(n))
+    paired = frozenset()
+    for k in range(c.max_deg, 0, -1):
+        m = c.d(k)
+        pivots, rows, _ = _check_elimination(m.nonzeros, m.cols, paired)
+        assert not rows
+        assert k == c.max_deg or all(rest == {} for _, _, _, rest in pivots)
+        paired = frozenset(p for p, _, _, _ in pivots)
 
 
 def _assert_canonical(m):

@@ -403,8 +403,9 @@ def test_a_wrong_builder_table_is_rejected(monkeypatch, builder, build, edit, me
 @pytest.mark.parametrize("key, value", [("face", 1.0), ("face", True), ("degeneracy", 1.0)])
 def test_validation_rejects_an_entry_that_is_not_an_int(key, value):
     """1.0 == 1 and True == 1, but neither is stored: the face or
-    degeneracy that holds one is named."""
-    odd = IntMatrix.from_entries(1, 1, [(0, 0, value)])
+    degeneracy that holds one is named.  `from_entries` refuses such an
+    entry itself, so the matrix is built from its storage."""
+    odd = IntMatrix(1, 1, (((0,), (value,)),))
     one = IntMatrix.identity(1)
     face = {(1, 0): one, (1, 1): odd if key == "face" else one}
     degen = {(0, 0): odd if key == "degeneracy" else one}

@@ -75,6 +75,11 @@ It records
     untimed, and each repeat times `spaces.chains(s)` or
     `spaces.chains(s).homology_all()`, so it builds (and reduces) a
     fresh complex (factors are cached per complex);
+  - matrices: `matrices.kernel_basis` of d(6) of the chains of the
+    boundary of the 12-simplex (1716 x 1716, no row with one entry), as
+    columns per second; the matrix is built untimed, so the row times
+    the elimination and back-substitution apart from `chains`, which the
+    homology rows include;
   - serialization: `parse_document` (JSON decoding, the type checks of
     the loader and `IntMatrix.from_rows`, and the constructor's
     validation) of two documents of the cli-corpus workload, the bar
@@ -172,6 +177,9 @@ SCALE = {
         "complexes",
         "s = p(p(p(spaces.sphere(2), spaces.sphere(2)), spaces.sphere(2)), spaces.sphere(2))",
         "spaces.chains(s).homology_all()", "cells"),
+    "kernel_basis(d(6) of chains(boundary(12)))": (
+        "matrices", "m = spaces.chains(spaces.boundary(12)).d(6)", "matrices.kernel_basis(m)",
+        "columns"),
     "parse_document(bar-zS2-D6.json)": (
         "serialization",
         "text = reference.dumps(reference.group_doc("
@@ -189,7 +197,7 @@ BUILD = """
 import json, random, sys, time
 sys.path.insert(0, "perfbench")
 import reference
-from skernel import homotopy, serialization, simpab, spaces
+from skernel import homotopy, matrices, serialization, simpab, spaces
 from skernel.complexes import ChainComplex, sigma_tower_report
 from skernel.simplicial import SimplicialMap
 p = spaces.product
@@ -201,7 +209,9 @@ for _ in range({repeats}):
     x = {expr}
     seconds.append(time.perf_counter() - t)
 counts = {{}}
-if hasattr(x, "cell_counts"):
+if "{counted}" == "columns":  # of the untimed matrix m
+    counts["columns"] = m.cols
+elif hasattr(x, "cell_counts"):
     counts["cells"] = sum(x.cell_counts().values())
     counts["identities"] = sum(len(x.cells(n)) * n * (n + 1) // 2 for n in x.dims() if n >= 2)
 elif "{counted}" == "cells":  # chains or homology of the untimed space s
@@ -257,7 +267,7 @@ def scale_rows(trees: dict, runs: int) -> list:
     rows = []
     for label, (layer, setup, expr, counted) in SCALE.items():
         name = (label if label.startswith(("homology", "chains", "moore_basis", "kn_roundtrip",
-                                          "parse_document"))
+                                          "parse_document", "kernel_basis"))
                 else "build+validate " + label)
         row = {"layer": layer, "name": name,
                "unit": counted + "/s", "better": "higher", "runs": runs,
