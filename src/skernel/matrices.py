@@ -31,13 +31,16 @@ Moore bases of `simpab` read the rows off the column tables of the faces
 and call `_kernel` (elimination, then back-substitution) with no matrix
 built.  A complex's homology runs the elimination on each differential
 without the columns that the one above paired, and reads back its pivot
-rows.  Only the residue without a +-1 entry reaches the dense Smith
-loop, which computes no transform for the factors, V for a kernel and U
-and V for a solve.  The dense `smith_normal_form` of a whole matrix is
-left to the suite's check of the Smith decomposition and to the random
-complexes in `generators`, which take their kernels from the dense Smith
-V directly: a fixed recipe, so changing the elimination never re-seeds
-an instance the suite checks.
+rows.  The residue left without a +-1 entry has its invariant factors
+computed by `_residue_factors`, block by block and modulo a nonzero
+minor of each block, so that no entry grows past half that minor however
+the residue is mixed.  A kernel and a solve still take the residue
+through the dense Smith loop, for V, and U and V, whose entries are not
+bounded.  The dense `smith_normal_form` of a whole matrix is left to the
+suite's check of the Smith decomposition and to the random complexes in
+`generators`, which take their kernels from the dense Smith V directly:
+a fixed recipe, so changing the elimination never re-seeds an instance
+the suite checks.
 
 A complex checks d(n) @ d(n+1) = 0 through `_product_vanishes`, which
 tests every row of the product without storing it.  Where a row's
@@ -55,8 +58,9 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, filterfalse, repeat
-from operator import gt, itemgetter, lt
+from itertools import accumulate, chain, compress, filterfalse, islice, repeat
+from math import gcd
+from operator import gt, itemgetter, lt, mod
 from typing import Iterable, Sequence
 
 # the stored form of a row without nonzero entries
@@ -66,6 +70,8 @@ _ZEROS = repeat(0)
 # the one type an entry may have, and the value of an (i, j, value) entry
 _INT = frozenset((int,))
 _VALUE = itemgetter(2)
+# the values of a coordinate that no vector holds
+_NONE = {}
 
 
 def _sparse_row(acc: dict) -> tuple:
@@ -618,15 +624,182 @@ def _residue(rows: dict, keep) -> IntMatrix:
 
 def _reduce(m: IntMatrix, skip=()) -> tuple:
     """(invariant factors, pivot rows) of m with the columns in skip
-    deleted: the factors as in `invariant_factors`, and the set of rows
-    that held a unit pivot."""
+    deleted: the factors as in `invariant_factors`, a 1 per unit pivot of
+    `_eliminate` and then `_residue_factors` of what it leaves, and the
+    set of rows that held a unit pivot."""
     pivots, rows, cols = _eliminate(m.nonzeros, m.cols, skip)
     units = (1,) * len(pivots)
     paired = frozenset(p for p, _, _, _ in pivots)
-    if not rows:
-        return units, paired
-    _, d, _ = smith_normal_form(_residue(rows, sorted(cols)), want_u=False, want_v=False)
-    return units + tuple(x for x in diagonal_of(d) if x), paired
+    return (units + _residue_factors(rows, cols) if rows else units), paired
+
+
+def _residue_factors(rows: dict, cols: dict) -> tuple:
+    """The invariant factors of the residue of `_eliminate`, its rows as
+    {row: {column: value}} and cols the rows of each column; every entry
+    stays bounded by a minor of the residue.
+
+    Rows that share a column form a block, reduced alone.  A block with
+    one row or one column has one factor, the gcd g of its entries, and a
+    2 x 2 block has g and |det| / g.  Any other block A of rank r has a
+    nonzero r x r minor M (`_bareiss`).  Each factor d_i of A divides
+    d_1 ... d_r, the gcd of the r x r minors, and so divides M.  So the
+    lattice spanned by the columns of A and by M times the unit vectors
+    has the factors d_1, ..., d_r, M, ..., M, one per row of A.
+    `_diagonal_mod` reads one order per row off a diagonal form of A
+    modulo M, and the first r of their chain are A's (all of them when A
+    has r rows).  The factors of all blocks are chained once more
+    (Domich, Kannan and Trotter 1987; Hafner and McCurley 1991).
+    """
+    factors = []
+    seen = set()
+    for i in rows:
+        if i in seen:
+            continue
+        block, at = [i], {}
+        seen.add(i)
+        for k in block:  # the block grows while it is read
+            for j in rows[k]:
+                if j not in at:
+                    at[j] = len(at)
+                    new = cols[j] - seen
+                    seen |= new
+                    block += new
+        if len(block) == 1 or len(at) == 1:
+            factors.append(gcd(*chain.from_iterable(rows[k].values() for k in block)))
+            continue
+        a = []
+        for k in block:
+            row = [0] * len(at)
+            for j, x in rows[k].items():
+                row[at[j]] = x
+            a.append(row)
+        if len(a) == 2 == len(at):  # d_1 = g and d_1 d_2 = |det|
+            (w, x), (y, z) = a
+            g, det = gcd(w, x, y, z), abs(w * z - x * y)
+            factors += (g, det // g) if det else (g,)
+            continue
+        r, minor = _bareiss(a)
+        orders = _diagonal_mod(a, minor)
+        factors += orders if r == len(orders) else _chain(orders)[:r]
+    return tuple(_chain(factors))
+
+
+def _bareiss(block: list) -> tuple:
+    """(rank, |a nonzero rank x rank minor|) of the dense rows block, by
+    fraction-free elimination on a copy, from which each pivot's row and
+    column leave.  Every pivot is a minor of the block, so each division
+    is exact (Bareiss 1968)."""
+    a = [row[:] for row in block]
+    prev = 1
+    rank = 0
+    while a:
+        i = next((i for i, row in enumerate(a) if any(row)), None)
+        if i is None:
+            break
+        top = a.pop(i)
+        j = next(j for j, x in enumerate(top) if x)
+        p = top.pop(j)
+        rest = []
+        for row in a:
+            f = row.pop(j)
+            rest.append([(p * x - f * y) // prev for x, y in zip(row, top)])
+        a = rest
+        prev = p
+        rank += 1
+    return rank, abs(prev)
+
+
+def _diagonal_mod(block: list, m: int) -> list:
+    """The orders of the lattice spanned by the columns of the dense rows
+    block and by m times the unit vectors, one per row and not yet a
+    chain: gcd(e, m) for each diagonal entry e of a diagonal form of the
+    block modulo m, and m for each row without one.
+
+    Adding a multiple of m to an entry keeps that lattice, and so do row
+    and column operations.  So a copy a of the block, every entry of it
+    held in (-m/2, m/2], is diagonalized by min-pivot Euclidean steps with
+    no divisibility fix-up; each finished pivot's row and column leave a.
+    """
+    h = m // 2
+    a = [[y - m if y > h else y for y in (x % m for x in row)] for row in block]
+    orders = []
+    while a and a[0]:
+        v = m  # larger than every entry
+        for k, row in enumerate(a):
+            for l, x in enumerate(row):
+                if x and -v < x < v:
+                    v, i, j = abs(x), k, l
+        if v == m:
+            break
+        a[0], a[i] = a[i], a[0]
+        while True:
+            if j:
+                for row in a:
+                    row[0], row[j] = row[j], row[0]
+            top = a[0]
+            p = top[0]
+            v, i = m, 0
+            for k in range(1, len(a)):
+                row = a[k]
+                if row[0]:
+                    q = row[0] // p
+                    row[:] = [y - m if y > h else y
+                              for y in ((x - q * z) % m for x, z in zip(row, top))]
+                    if row[0] and -v < row[0] < v:
+                        v, i = abs(row[0]), k
+            if i:  # a smaller remainder in the column is the new pivot
+                a[0], a[i] = a[i], a[0]
+                j = 0
+                continue
+            # the column is clear below the pivot, so column steps change the row alone
+            v, j = m, 0
+            for l in range(1, len(top)):
+                x = top[l] = top[l] % p
+                if x and -v < x < v:
+                    v, j = abs(x), l
+            if not j:
+                break
+        orders.append(gcd(p, m))
+        a = [row[1:] for row in a[1:]]
+    return orders + [m] * len(a)
+
+
+def _chain(orders: list) -> list:
+    """The invariant factors d_1 | d_2 | ... of the diagonal matrix with
+    the positive entries orders, ascending.
+
+    Sorted orders that already divide each other are the chain.
+    Otherwise each order x is inserted into the chain of those before it,
+    kept as runs of equal values: x and each value d in turn become
+    gcd(d, x) and lcm(d, x).  After the first copy of a run x is a
+    multiple of d, so only that copy changes, and an insertion costs one
+    step per run, not per order; none at all when the last value, and so
+    every value, divides x."""
+    orders.sort()
+    if not any(map(mod, islice(orders, 1, None), orders)):
+        return orders
+    runs = []  # [value, count], values ascending and each dividing the next
+    for x in orders:
+        if runs and x % runs[-1][0]:
+            new = []
+            for d, k in runs:
+                if x % d:
+                    g = gcd(d, x)
+                    x = x // g * d
+                    _extend(new, g, 1)
+                    k -= 1
+                _extend(new, d, k)
+            runs = new
+        _extend(runs, x, 1)
+    return [d for d, k in runs for _ in range(k)]
+
+
+def _extend(runs: list, d: int, k: int):
+    """Append k copies of d to the runs."""
+    if runs and runs[-1][0] == d:
+        runs[-1][1] += k
+    elif k:
+        runs.append([d, k])
 
 
 def invariant_factors(m: IntMatrix) -> tuple:
@@ -636,7 +809,7 @@ def invariant_factors(m: IntMatrix) -> tuple:
     Each unit pivot of `_eliminate` counts one factor 1.  Every step is
     unimodular and SNF(diag(I_k, R)) = diag(I_k, SNF(R)), so only the
     residue R left without a unit entry, typically empty or small, goes
-    through the dense `smith_normal_form`.
+    to `_residue_factors`, which bounds its entries by minors of R.
     """
     return _reduce(m)[0]
 
@@ -662,24 +835,33 @@ def _kernel(stored: Sequence, ncols: int) -> IntMatrix:
     the dense Smith V of R over its zero diagonal, each completed by
     back-substitution.  Those images form a saturated basis, so this one
     generates the kernel exactly (not a finite-index sublattice).
+
+    All vectors are back-substituted together, as `solve_exact` does:
+    each pivot's rest is read once, and only the coordinates that some
+    vector holds are visited.
     """
     pivots, rows, cols = _eliminate(stored, ncols)
     pivoted = {q for _, q, _, _ in pivots}
-    vectors = [{j: 1} for j in range(ncols) if j not in pivoted and j not in cols]
+    x = {}  # coordinate -> {vector: value}
+    for j in range(ncols):
+        if j not in pivoted and j not in cols:
+            x[j] = {len(x): 1}
+    n = len(x)
     if rows:
         keep = sorted(cols)
         _, d, v = smith_normal_form(_residue(rows, keep), want_u=False)
-        r = sum(1 for x in diagonal_of(d) if x)
-        for js, ys in v.transpose().nonzeros[r:]:
-            vectors.append({keep[j]: y for j, y in zip(js, ys)})
-    for x in vectors:
-        for _, q, s, prow in reversed(pivots):
-            y = -s * sum(x.get(j, 0) * c for j, c in prow.items())
-            if y:
-                x[q] = y
+        r = sum(1 for t in diagonal_of(d) if t)
+        for j, (ts, ys) in zip(keep, v.nonzeros):
+            x[j] = {n + t - r: y for t, y in zip(ts, ys) if t >= r}
+        n += len(keep) - r
+    for _, q, s, prow in reversed(pivots):
+        acc = {}
+        for j, c in prow.items():
+            for t, y in x.get(j, _NONE).items():
+                acc[t] = acc.get(t, 0) - c * y
+        x[q] = {t: s * y for t, y in acc.items() if y}
     return IntMatrix.from_entries(
-        ncols, len(vectors), ((j, t, y) for t, x in enumerate(vectors) for j, y in x.items())
-    )
+        ncols, n, ((j, t, y) for j, col in x.items() for t, y in col.items()))
 
 
 def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:

@@ -24,7 +24,8 @@ tuples, before they moved onto bitmasks, and the check of
 d_i d_j = d_{j-1} d_i as it compared one slice per j, before each cell
 became one compare.  The unit-pivot elimination is kept as it ran before
 its coreduction phase: every row a {column: value} dict, every pivot
-chosen by the column heap.  Last, the few builders that only tests use.
+chosen by the column heap, and the kernel basis as it was back-substituted
+one vector at a time.  Last, the few builders that only tests use.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from typing import NamedTuple
 
 from skernel.complexes import (ChainComplex, ChainMap, HomologyGroup, TowerReport,
                                check_quasi_iso, zero_complex)
-from skernel.matrices import IntMatrix, hstack, kernel_basis, solve_exact, vstack
+from skernel.matrices import (IntMatrix, _eliminate, _residue, diagonal_of, hstack, kernel_basis,
+                              smith_normal_form, solve_exact, vstack)
 from skernel.simpab import SimplicialAbGroup
 from skernel.simplicial import (BisimplicialSet, SimplexRef, SimplicialMap, SimplicialSet,
                                 mask_compose, mask_delete, mask_face, mask_of, word_of)
@@ -837,6 +839,27 @@ def heap_only_eliminate(stored, limit: int, skip=()):
     """`heap_eliminate` with `matrices._eliminate`'s signature, to stand
     in for it."""
     return heap_eliminate(row_dicts(stored, skip), limit)
+
+
+def per_vector_kernel(m: IntMatrix) -> IntMatrix:
+    """`matrices.kernel_basis` as it back-substituted each kernel vector
+    through every pivot on its own."""
+    pivots, rows, cols = _eliminate(m.nonzeros, m.cols)
+    pivoted = {q for _, q, _, _ in pivots}
+    vectors = [{j: 1} for j in range(m.cols) if j not in pivoted and j not in cols]
+    if rows:
+        keep = sorted(cols)
+        _, d, v = smith_normal_form(_residue(rows, keep), want_u=False)
+        r = sum(1 for x in diagonal_of(d) if x)
+        for js, ys in v.transpose().nonzeros[r:]:
+            vectors.append({keep[j]: y for j, y in zip(js, ys)})
+    for x in vectors:
+        for _, q, s, prow in reversed(pivots):
+            y = -s * sum(x.get(j, 0) * c for j, c in prow.items())
+            if y:
+                x[q] = y
+    return IntMatrix.from_entries(
+        m.cols, len(vectors), ((j, t, y) for t, x in enumerate(vectors) for j, y in x.items()))
 
 
 def level_summands(n: int):

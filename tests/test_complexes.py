@@ -378,15 +378,21 @@ def test_each_differential_skips_the_rows_paired_above(rng, monkeypatch):
 
 def test_unit_heavy_homology_needs_no_dense_smith_reduction(monkeypatch):
     """Boundary matrices of simplices and of S2 x S2 x S2 reduce to
-    nothing by unit pivots, so the dense Smith loop never runs."""
+    nothing by unit pivots, so no residue is left for `_residue_factors`
+    and the dense Smith loop never runs."""
     calls = []
-    original = skernel.matrices.smith_normal_form
+    residue, dense = skernel.matrices._residue_factors, skernel.matrices.smith_normal_form
 
-    def counting(m, want_u=True, want_v=True):
+    def counting_residue(rows, cols):
+        calls.append((len(rows), len(cols)))
+        return residue(rows, cols)
+
+    def counting_dense(m, want_u=True, want_v=True):
         calls.append(m.shape)
-        return original(m, want_u, want_v)
+        return dense(m, want_u, want_v)
 
-    monkeypatch.setattr(skernel.matrices, "smith_normal_form", counting)
+    monkeypatch.setattr(skernel.matrices, "_residue_factors", counting_residue)
+    monkeypatch.setattr(skernel.matrices, "smith_normal_form", counting_dense)
     s2 = spaces.sphere(2)
     cases = [(spaces.boundary(n), {0: Z, n - 1: Z}) for n in range(2, 9)]
     s2_cubed = spaces.product(spaces.product(s2, s2), s2)

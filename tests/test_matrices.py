@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ import skernel.matrices
 from skernel.complexes import ChainComplex, HomologyGroup, group_from_presentation
 from skernel.matrices import (
     IntMatrix,
+    _chain,
     _eliminate,
     _product_vanishes,
     diagonal_of,
@@ -23,8 +25,8 @@ from skernel.generators import random_pointed_space
 from skernel.simpab import bar_B, dold_kan_K, free_reduced_Z, moore_basis
 from skernel.spaces import boundary, chains, product, sphere
 
-from helpers import (block_diag, conjugated_torsion_complex, heap_only_eliminate, naive_snf_diagonal,
-                     random_complex)
+from helpers import (block_diag, conjugated_torsion_complex, group_of_divisors, heap_only_eliminate,
+                     naive_snf_diagonal, per_vector_kernel, random_complex, unimodular_pair)
 
 
 def M(rows):
@@ -300,12 +302,25 @@ def _count_dense_calls(monkeypatch):
     return calls
 
 
+def _count_residue_calls(monkeypatch):
+    """The shapes of the residues that reach `_residue_factors`."""
+    calls = []
+    original = skernel.matrices._residue_factors
+
+    def counting(rows, cols):
+        calls.append((len(rows), len(cols)))
+        return original(rows, cols)
+
+    monkeypatch.setattr(skernel.matrices, "_residue_factors", counting)
+    return calls
+
+
 def test_invariant_factors_match_naive_oracle(monkeypatch):
     """Sparse unit-pivot elimination against the naive gcd oracle, with
-    the dense Smith calls it makes counted per family: none when the
-    unit pivots clear everything, at least one when a factor above 1 or
-    a unit-free residue is left."""
-    dense = _count_dense_calls(monkeypatch)
+    the residues it leaves counted per family: none when the unit pivots
+    clear everything, at least one when a factor above 1 or a unit-free
+    residue is left."""
+    dense = _count_residue_calls(monkeypatch)
     rng = random.Random(2024)
     checked = 0
 
@@ -607,6 +622,130 @@ def test_boundaries_of_simplices_coreduce_below_the_top(n):
         assert not rows
         assert k == c.max_deg or all(rest == {} for _, _, _, rest in pivots)
         paired = frozenset(p for p, _, _, _ in pivots)
+
+
+def test_kernel_basis_matches_the_per_vector_back_substitution(rng):
+    """Kernel vectors back-substituted together give, on the families of
+    the coreduction test, the very basis that back-substituting each
+    vector through every pivot on its own gives."""
+    ms, _ = _elimination_cases(rng)
+    ms += [chains(boundary(9)).d(n) for n in (4, 5)]
+    for m in ms:
+        assert kernel_basis(m) == per_vector_kernel(m), m.to_lists()
+
+
+def _bounded_diagonal_forms(run):
+    """Calls run() and returns, per call of `_diagonal_mod` it makes, the
+    modulus m and the largest |entry| that the local a held at any line
+    of the call, read by a trace function."""
+    code = skernel.matrices._diagonal_mod.__code__
+    seen = []
+
+    def local(frame, event, arg):
+        a = frame.f_locals.get("a")
+        if a is not None:
+            seen[-1][1] = max([seen[-1][1]] + [abs(x) for row in a for x in row])
+        return local
+
+    def calls(frame, event, arg):
+        if frame.f_code is code:
+            seen.append([frame.f_locals["m"], 0])
+            return local
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return seen
+
+
+def _residue_cases(rng):
+    """Seeded matrices whose residue is not cleared by unit pivots:
+    rectangular ones with entries up to 40 in absolute value, rank
+    deficient ones (a row or a column a combination of two others), and
+    P D Q for a diagonal D of small torsion conjugated by unimodular P
+    and Q with large entries, so that entries far exceed the minors."""
+    values = [x for x in range(-40, 41) if x not in (-1, 0, 1)]
+    ms = []
+    for _ in range(150):
+        rows = [[rng.choice(values) if rng.random() < 0.6 else 0 for _ in range(rng.randint(1, 7))]]
+        rows += [[rng.choice(values) if rng.random() < 0.6 else 0 for _ in rows[0]]
+                 for _ in range(rng.randint(0, 6))]
+        if len(rows) > 2 and rng.random() < 0.5:
+            rows[-1] = [2 * x - 3 * y for x, y in zip(rows[0], rows[1])]
+        if len(rows[0]) > 2 and rng.random() < 0.5:
+            for row in rows:
+                row[-1] = 5 * row[0] + row[1]
+        ms.append(M(rows))
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        diag = sorted(rng.choice((2, 3, 4, 6, 12, 0)) for _ in range(n))
+        d = M([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        p, _ = unimodular_pair(rng, n, 4 * n)
+        _, q = unimodular_pair(rng, n, 4 * n)
+        ms.append(p @ d @ q)
+    return ms
+
+
+def test_residue_factors_match_naive_oracle(rng):
+    """Invariant factors of residues left without unit entries, against
+    the naive gcd oracle: rectangular, rank deficient and conjugated
+    diagonal matrices, and block sums whose blocks' orders must be
+    chained again (Z/2 + Z/3 is Z/6, Z/4 + Z/6 is Z/2 + Z/12)."""
+    ms = _residue_cases(rng)
+    ms += [block_diag(rng.sample(ms, rng.randint(2, 4))) for _ in range(40)]
+    for m in ms:
+        assert invariant_factors(m) == tuple(x for x in naive_snf_diagonal(m) if x), m.to_lists()
+    assert invariant_factors(block_diag([M([[2]]), M([[3]])])) == (1, 6)
+    assert invariant_factors(block_diag([M([[4]]), M([[6]])])) == (2, 12)
+    assert invariant_factors(block_diag([M([[4, 8], [6, 4]]), M([[6, 0, 9]]), M([[10]])])) == (
+        1, 2, 2, 240)
+    assert invariant_factors(M([[2, 4, 6], [4, 8, 12]])) == (2,)
+    assert invariant_factors(M([[6, 4], [9, 6], [3, 2]])) == (1,)
+
+
+def test_residue_chain_matches_prime_factorization(rng):
+    """`_chain` against `group_of_divisors`, which sorts the exponents of
+    each prime: seeded lists, and 6,000 orders of Z/2 and Z/3 whose
+    chain is 3,000 ones and 3,000 sixes."""
+    values = (1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 16, 18, 25, 30, 36, 60, 72)
+    for _ in range(400):
+        orders = [rng.choice(values) for _ in range(rng.randint(1, 14))]
+        got = _chain(list(orders))
+        assert len(got) == len(orders) and all(b % a == 0 for a, b in zip(got, got[1:]))
+        assert tuple(x for x in got if x > 1) == group_of_divisors(orders).torsion, orders
+    mixed = [2, 3] * 3000
+    rng.shuffle(mixed)
+    assert _chain(mixed) == [1] * 3000 + [6] * 3000
+    assert _chain([2] * 5000 + [4]) == [2] * 5000 + [4]
+
+
+def test_residue_diagonal_form_holds_entries_within_half_the_minor(rng):
+    """Every entry the diagonal form holds, at every line it runs, lies
+    in (-M/2, M/2] for the minor M it reduces by, on the residue cases
+    and on conjugated torsion complexes."""
+    ms = _residue_cases(rng)
+    complexes = [conjugated_torsion_complex(rng, 3, 8, moves)[0]
+                 for moves in (2, 4) for _ in range(4)]
+    seen = _bounded_diagonal_forms(lambda: ([invariant_factors(m) for m in ms],
+                                            [_fresh_complex(c).homology_all() for c in complexes]))
+    assert len(seen) >= 100
+    assert all(2 * top <= m for m, top in seen), max(seen, key=lambda s: s[1] / s[0])
+    assert sum(top > 1 for _, top in seen) >= 50  # the bound is not vacuous
+
+
+@pytest.mark.parametrize("moves", [2, 4])
+def test_conjugated_torsion_complexes_have_their_known_homology(moves):
+    """The unit-free residues of torsion complexes whose bases are mixed
+    by `moves` elementary operations per generator: every degree's
+    homology is the one the pieces were built with."""
+    rng = random.Random(3200 + moves)
+    for top, per in [(2, 6), (3, 8), (2, 16), (4, 12), (2, 33)]:
+        c, want = conjugated_torsion_complex(rng, top, per, moves)
+        assert c.homology_all() == want, (top, per)
 
 
 def _assert_canonical(m):

@@ -19,7 +19,10 @@ It records
   while the change was written); each run reports every end-to-end
   metric that `perfbench/run.py --trace 0` prints: ops_per_kcu
   (throughput in calibration units), latency_p50_cu, latency_p90_cu,
-  setup_s, verified_ratio and peak_rss_mb;
+  setup_s, verified_ratio and peak_rss_mb; the claim is made for
+  --metric (default ops_per_kcu), and its wins, median gain and the
+  parent's interquartile range count in that metric's better direction
+  (lower for latencies, setup_s and peak_rss_mb);
 - scale rows over --runs fresh interpreters per tree (default 7: at 3,
   rows of a few milliseconds swung 10-15% between ledgers of the same
   code on a 2-core box), alternating which tree builds first, so that
@@ -75,6 +78,13 @@ It records
     untimed, and each repeat times `spaces.chains(s)` or
     `spaces.chains(s).homology_all()`, so it builds (and reduces) a
     fresh complex (factors are cached per complex);
+  - complexes, too: the homology of the torsion complexes
+    `reference.torsion_complex(random.Random(7), 2, RANK,
+    moves_per_rank=2.0)` at RANK 100 and 320, whose bases are mixed by
+    two elementary operations per generator, so that their unit-free
+    residues have entries far above their minors, as generators per
+    second; the ranks and differentials are generated untimed, and each
+    repeat builds a fresh `ChainComplex` (its d d = 0 check included);
   - matrices: `matrices.kernel_basis` of d(6) of the chains of the
     boundary of the 12-simplex (1716 x 1716, no row with one entry), as
     columns per second; the matrix is built untimed, so the row times
@@ -95,6 +105,13 @@ ratio come, and their minimum (`parent_min_s`, `change_min_s`).  Ledgers
 up to BENCH_20.json have no `row_statistic` field: their rates and
 ratios come from the overall minimum, so compare their rows with the
 `*_min_s` fields of a newer ledger, not with its rates.
+
+A scale row's interpreter that runs longer than --timeout seconds
+(default 120) is stopped, and the row records that tree as timed out
+(`parent_timed_out`, `change_timed_out`: the runs stopped, with no rate
+and no ratio when every run stopped); a tree is not run again on a row
+once it has timed out there, so a row that hangs on one tree costs one
+timeout and does not stall the ledger.
 
 Only the standard library is used; each measurement runs in its own
 subprocess with PYTHONPATH set to the tree's `src`.
@@ -177,6 +194,14 @@ SCALE = {
         "complexes",
         "s = p(p(p(spaces.sphere(2), spaces.sphere(2)), spaces.sphere(2)), spaces.sphere(2))",
         "spaces.chains(s).homology_all()", "cells"),
+    "homology_all(torsion rank 100, 2 moves per generator)": (
+        "complexes",
+        "ranks, d, _ = reference.torsion_complex(random.Random(7), 2, 100, moves_per_rank=2.0)",
+        "ChainComplex(0, 2, ranks, d).homology_all()", "generators"),
+    "homology_all(torsion rank 320, 2 moves per generator)": (
+        "complexes",
+        "ranks, d, _ = reference.torsion_complex(random.Random(7), 2, 320, moves_per_rank=2.0)",
+        "ChainComplex(0, 2, ranks, d).homology_all()", "generators"),
     "kernel_basis(d(6) of chains(boundary(12)))": (
         "matrices", "m = spaces.chains(spaces.boundary(12)).d(6)", "matrices.kernel_basis(m)",
         "columns"),
@@ -220,6 +245,8 @@ elif "{counted}" == "entries":  # matrix entries of the document text
     doc = json.loads(text)
     counts["entries"] = sum(len(row) for field in ("d", "face", "degen")
                             for rows in doc.get(field, {{}}).values() for row in rows)
+elif "{counted}" == "generators" and isinstance(x, dict):  # homology of the untimed ranks
+    counts["generators"] = sum(ranks.values())
 elif "{counted}" == "levels":
     counts["levels"] = len(x)
 elif "{counted}" == "verdicts":
@@ -239,14 +266,19 @@ print(json.dumps(dict(counts, seconds=min(seconds))))
 """
 
 
-def _run(tree: str, argv: list, cwd: str | None = None) -> dict:
+# metrics of perfbench/run.py for which a lower value is better
+LOWER_IS_BETTER = ("setup_s", "latency_p50_cu", "latency_p90_cu", "peak_rss_mb")
+
+
+def _run(tree: str, argv: list, timeout: float = 1800) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    out = subprocess.run(argv, cwd=cwd or tree, env=env, capture_output=True, text=True,
-                         check=True, timeout=1800)
+    out = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True,
+                         check=True, timeout=timeout)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def claim_pairs(trees: dict, workload: str, pairs: int, seconds: int, first_seed: int) -> list:
+def claim_pairs(trees: dict, workload: str, pairs: int, seconds: int, first_seed: int,
+                metric: str) -> list:
     rows = []
     for k in range(pairs):
         seed = first_seed + k
@@ -257,13 +289,13 @@ def claim_pairs(trees: dict, workload: str, pairs: int, seconds: int, first_seed
                                      workload, "--seed", str(seed), "--seconds",
                                      str(seconds), "--trace", "0"])
             row[name] = {m: v["value"] for m, v in res["metrics"].items()}
-        row["ratio"] = row["change"]["ops_per_kcu"] / row["parent"]["ops_per_kcu"]
+        row["ratio"] = row["change"][metric] / row["parent"][metric]
         rows.append(row)
         print("pair %d: %.3fx" % (seed, row["ratio"]), file=sys.stderr)
     return rows
 
 
-def scale_rows(trees: dict, runs: int) -> list:
+def scale_rows(trees: dict, runs: int, timeout: float) -> list:
     rows = []
     for label, (layer, setup, expr, counted) in SCALE.items():
         name = (label if label.startswith(("homology", "chains", "moore_basis", "kn_roundtrip",
@@ -274,20 +306,35 @@ def scale_rows(trees: dict, runs: int) -> list:
                "repeats": REPEATS, "row_statistic": "median of per-run minima"}
         code = BUILD.format(setup=setup, expr=expr, repeats=REPEATS, counted=counted)
         seconds = {"parent": [], "change": []}
+        stopped = {"parent": 0, "change": 0}
         for k in range(runs):
             for name in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-                res = _run(trees[name], [sys.executable, "-c", code])
+                if stopped[name]:
+                    stopped[name] += 1
+                    continue
+                try:
+                    res = _run(trees[name], [sys.executable, "-c", code], timeout)
+                except subprocess.TimeoutExpired:
+                    stopped[name] = 1
+                    continue
                 seconds[name].append(res.pop("seconds"))
                 row.update(res)
         for name, times in seconds.items():
+            if stopped[name]:
+                row[name + "_timed_out"] = {"runs": stopped[name], "after_s": timeout}
+            if not times:
+                row[name] = None
+                continue
             median = statistics.median(times)
             row[name] = round(row[counted] / median, 1)
             row[name + "_median_s"] = round(median, 4)
             row[name + "_min_s"] = round(min(times), 4)
             row[name + "_run_min_s"] = [round(t, 4) for t in times]
-        row["ratio"] = round(row["change"] / row["parent"], 3)
+        row["ratio"] = (round(row["change"] / row["parent"], 3)
+                        if row["parent"] and row["change"] else None)
         rows.append(row)
-        print("%s: %.2fx" % (label, row["ratio"]), file=sys.stderr)
+        print("%s: %s" % (label, "%.2fx" % row["ratio"] if row["ratio"] else "timed out"),
+              file=sys.stderr)
     return rows
 
 
@@ -300,27 +347,35 @@ def main() -> int:
     ap.add_argument("--runs", type=int, default=7)
     ap.add_argument("--seconds", type=int, default=20)
     ap.add_argument("--first-seed", type=int, default=1)
+    ap.add_argument("--metric", default="ops_per_kcu", help="the end-to-end metric of the claim",
+                    choices=("ops_per_kcu", "verified_ratio") + LOWER_IS_BETTER)
+    ap.add_argument("--timeout", type=float, default=120,
+                    help="seconds after which a scale row's interpreter is stopped")
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    pairs = claim_pairs(trees, args.workload, args.pairs, args.seconds, args.first_seed) if args.pairs else []
+    metric = args.metric
+    pairs = (claim_pairs(trees, args.workload, args.pairs, args.seconds, args.first_seed, metric)
+             if args.pairs else [])
+    sign = -1 if metric in LOWER_IS_BETTER else 1  # a gain is a move in the better direction
     ratios = [p["ratio"] for p in pairs]
-    parent = [p["parent"]["ops_per_kcu"] for p in pairs]
+    parent = [p["parent"][metric] for p in pairs]
     ledger = {
         "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
                  "machine": platform.machine()},
         "claim": {
-            "workload": args.workload, "metric": "ops_per_kcu", "better": "higher",
+            "workload": args.workload, "metric": metric,
+            "better": "lower" if sign < 0 else "higher",
             "seconds_per_run": args.seconds, "pairs": pairs,
-            "wins": sum(r > 1 for r in ratios),
+            "wins": sum(sign * (r - 1) > 0 for r in ratios),
             "median_ratio": round(statistics.median(ratios), 3) if ratios else None,
-            "median_gain": (round(statistics.median(p["change"]["ops_per_kcu"] for p in pairs)
-                                  - statistics.median(parent), 2) if pairs else None),
+            "median_gain": (round(sign * (statistics.median(p["change"][metric] for p in pairs)
+                                          - statistics.median(parent)), 4) if pairs else None),
             "parent_iqr": (round(statistics.quantiles(parent, n=4)[2]
-                                 - statistics.quantiles(parent, n=4)[0], 2)
+                                 - statistics.quantiles(parent, n=4)[0], 4)
                            if len(parent) > 1 else None),
         },
-        "rows": scale_rows(trees, args.runs),
+        "rows": scale_rows(trees, args.runs, args.timeout),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(ledger, fh, indent=2)
