@@ -34,8 +34,6 @@ builder, `_tensor_window`, writes every tensor and Hom differential.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .matrices import (IntMatrix, _product_vanishes, _reduce, _signed_rows, hstack, invariant_factors,
                        kernel_basis, solve_exact, vstack)
 
@@ -44,22 +42,49 @@ class ValidationError(ValueError):
     """Structurally invalid input data (broken d*d = 0, bad shapes, ...)."""
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
+class _Record:
+    """An immutable record: the attributes named in `_fields`, set once
+    by the constructor, make its repr, its == (with records of the same
+    class only) and its hash, as in a frozen dataclass."""
+
+    _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__,
+                           ", ".join("%s=%r" % f for f in zip(self._fields, self._values())))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
+class HomologyGroup(_Record):
     """A finitely generated abelian group Z^free_rank + Z/t1 + Z/t2 + ...
 
     Torsion coefficients are >= 2 and each divides the next; units are
     never recorded.
     """
 
-    free_rank: int
-    torsion: tuple = ()
+    _fields = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion: tuple = ()):
+        if free_rank < 0:
             raise ValueError("negative free rank")
-        ts = tuple(int(t) for t in self.torsion)
-        object.__setattr__(self, "torsion", ts)
+        ts = tuple(int(t) for t in torsion)
+        self.__dict__.update(free_rank=free_rank, torsion=ts)
         for t in ts:
             if t < 2:
                 raise ValueError("torsion coefficients must be >= 2")
@@ -363,12 +388,13 @@ def cone(f: ChainMap) -> ChainComplex:
     return ChainComplex(lo, hi, ranks, d)
 
 
-@dataclass(frozen=True)
-class DegreeVerdict:
-    source_group: HomologyGroup
-    target_group: HomologyGroup
-    groups_agree: bool
-    surjective: bool
+class DegreeVerdict(_Record):
+    _fields = ("source_group", "target_group", "groups_agree", "surjective")
+
+    def __init__(self, source_group: HomologyGroup, target_group: HomologyGroup,
+                 groups_agree: bool, surjective: bool):
+        self.__dict__.update(source_group=source_group, target_group=target_group,
+                             groups_agree=groups_agree, surjective=surjective)
 
     @property
     def isomorphism(self) -> bool:
@@ -384,10 +410,12 @@ class _Verdicts(dict):
         return DegreeVerdict(ZERO_GROUP, ZERO_GROUP, True, True)
 
 
-@dataclass(frozen=True)
-class QuasiIsoReport:
-    verdicts: dict  # answers every degree
-    is_quasi_iso: bool
+class QuasiIsoReport(_Record):
+    _fields = ("verdicts", "is_quasi_iso")
+
+    def __init__(self, verdicts: dict, is_quasi_iso: bool):
+        # verdicts answers every degree
+        self.__dict__.update(verdicts=verdicts, is_quasi_iso=is_quasi_iso)
 
 
 def _degree_verdict(f: ChainMap, n: int) -> DegreeVerdict:
@@ -491,8 +519,7 @@ def homotopy_class_group(k: ChainComplex, l: ChainComplex) -> HomologyGroup:
     return _tensor_window(l, k.dual(), -1, 1).homology(0)
 
 
-@dataclass(frozen=True)
-class TowerReport:
+class TowerReport(_Record):
     """Outcome of the hard-truncation tower of Hom groups.
 
     `tower` lists (n, H_0 Hom(sigma_{<=n} K, L)) for n over the degrees
@@ -506,12 +533,14 @@ class TowerReport:
     yet.
     """
 
-    stabilization_index: int
-    limit_group: HomologyGroup
-    lim1_vanishes: bool
-    hom_full: HomologyGroup
-    exactness_verified: bool
-    tower: tuple = field(default_factory=tuple)
+    _fields = ("stabilization_index", "limit_group", "lim1_vanishes", "hom_full",
+               "exactness_verified", "tower")
+
+    def __init__(self, stabilization_index: int, limit_group: HomologyGroup, lim1_vanishes: bool,
+                 hom_full: HomologyGroup, exactness_verified: bool, tower: tuple = ()):
+        self.__dict__.update(stabilization_index=stabilization_index, limit_group=limit_group,
+                             lim1_vanishes=lim1_vanishes, hom_full=hom_full,
+                             exactness_verified=exactness_verified, tower=tower)
 
 
 def sigma_tower_report(k: ChainComplex, l: ChainComplex) -> TowerReport:

@@ -15,11 +15,10 @@ smash's product cells.  Cell ids are only ever minted, never read apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
-from .complexes import ValidationError, cone
+from .complexes import ValidationError, _Record, cone
 from .simplicial import BisimplicialSet, SimplexRef, SimplicialMap, SimplicialSet
 from .spaces import (
     _compact,
@@ -108,11 +107,12 @@ def _iterated_face(x: SimplicialSet, code: tuple, n: int, keep: tuple) -> tuple:
     return code
 
 
-@dataclass(frozen=True)
-class SkeletonPushoutReport:
-    holds: bool
-    expected_counts: dict
-    pushout_counts: dict
+class SkeletonPushoutReport(_Record):
+    _fields = ("holds", "expected_counts", "pushout_counts")
+
+    def __init__(self, holds: bool, expected_counts: dict, pushout_counts: dict):
+        self.__dict__.update(holds=holds, expected_counts=expected_counts,
+                             pushout_counts=pushout_counts)
 
 
 def skeleton_pushout_check(x: SimplicialSet, n: int, trunc_dim: int) -> SkeletonPushoutReport:
@@ -457,8 +457,7 @@ def groupoid_comparison(f: SimplicialMap) -> str:
     return "abelianized"
 
 
-@dataclass(frozen=True)
-class WeqCertificate:
+class WeqCertificate(_Record):
     """Desk-scale evidence that a map is a weak equivalence: a bijection
     on components, vanishing mapping-cone homology through the stated
     range, fundamental-groupoid evidence, and counts of homomorphisms
@@ -468,12 +467,16 @@ class WeqCertificate:
     groups it is strictly weaker than a genuine weak equivalence.
     """
 
-    range: int
-    pi0_bijective: bool
-    homology_iso: dict
-    groupoid_match: str  # equal | abelianized | skipped
-    finite_quotient_counts: dict
-    contradiction: str | None = None
+    _fields = ("range", "pi0_bijective", "homology_iso", "groupoid_match",
+               "finite_quotient_counts", "contradiction")
+
+    def __init__(self, range: int, pi0_bijective: bool, homology_iso: dict, groupoid_match: str,
+                 finite_quotient_counts: dict, contradiction: str | None = None):
+        # groupoid_match: equal | abelianized | skipped
+        self.__dict__.update(range=range, pi0_bijective=pi0_bijective, homology_iso=homology_iso,
+                             groupoid_match=groupoid_match,
+                             finite_quotient_counts=finite_quotient_counts,
+                             contradiction=contradiction)
 
     @property
     def passed(self) -> bool:

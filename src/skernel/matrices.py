@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate, chain, compress, filterfalse, islice, repeat
 from math import gcd
 from operator import gt, itemgetter, lt, mod
@@ -72,6 +71,8 @@ _INT = frozenset((int,))
 _VALUE = itemgetter(2)
 # the values of a coordinate that no vector holds
 _NONE = {}
+# sets a slot of a new IntMatrix, whose own __setattr__ refuses
+_set = object.__setattr__
 
 
 def _sparse_row(acc: dict) -> tuple:
@@ -103,7 +104,6 @@ def _dense_to_sparse(dense: list) -> tuple:
     return (js, tuple(filter(None, dense))) if js else _EMPTY
 
 
-@dataclass(frozen=True, slots=True)
 class IntMatrix:
     """An immutable rows x cols integer matrix.
 
@@ -113,15 +113,36 @@ class IntMatrix:
     `identity` or `zero` unless the storage is already in it.
     """
 
-    rows: int
-    cols: int
-    nonzeros: tuple
+    __slots__ = ("rows", "cols", "nonzeros")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, nonzeros: tuple):
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.nonzeros) != self.rows:
-            raise ValueError("expected %d rows, got %d" % (self.rows, len(self.nonzeros)))
+        if len(nonzeros) != rows:
+            raise ValueError("expected %d rows, got %d" % (rows, len(nonzeros)))
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "nonzeros", nonzeros)
+
+    def __repr__(self) -> str:
+        return "IntMatrix(rows=%r, cols=%r, nonzeros=%r)" % (self.rows, self.cols, self.nonzeros)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows, self.cols, self.nonzeros) == (other.rows, other.cols, other.nonzeros)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.nonzeros))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return IntMatrix, (self.rows, self.cols, self.nonzeros)
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries: Iterable) -> "IntMatrix":

@@ -11,6 +11,9 @@ with no matrix product.  Where every degeneracy sends generators to
 generators, s s and d_j s_j = d_{j+1} s_j = 1, the other faces of each
 degenerate generator once, and d d on the nondegenerate generators
 prove them all by induction on the level, so the work grows with N_n.
+Each level lays the two sides of those comparisons end to end in two
+lists, by C-level lookups, compares them once, and records the level's
+nondegenerate generators, which normalization reads.
 Nearly every column of a face or degeneracy is a unit vector e_r (all
 of Z~X and of the bar and tensor constructions on it, and K(C) outside
 its differential blocks), and composing with one is a lookup; only the
@@ -51,10 +54,11 @@ exact solve or a unimodularity check needs one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations, filterfalse
+from operator import itemgetter
 
-from .complexes import ChainComplex, ChainMap, HomologyGroup, ValidationError, _tensor_window
+from .complexes import (ChainComplex, ChainMap, HomologyGroup, ValidationError, _Record,
+                        _tensor_window)
 from .matrices import IntMatrix, _kernel, hstack, is_unimodular, solve_exact, vstack
 from .simplicial import SimplicialSet, _face_pattern, mask_insert
 from .spaces import _chain_basis, smash
@@ -167,13 +171,23 @@ def _apply(f: tuple, v, rows: int) -> tuple:
     return tuple(acc.get(r, 0) for r in range(rows))
 
 
+def _image(t: list, items, general: bool):
+    """The images under the column table t of the table items: a lazy
+    lookup where no item is a general column (general False)."""
+    if not general:
+        return map(t.__getitem__, items)
+    return [t[c] if c.__class__ is int else _combine(t, c) for c in items]
+
+
+def _picker(items: list):
+    """The function t -> (t[c] for c in items), as a tuple; items is
+    not empty."""
+    return itemgetter(*items) if len(items) > 1 else lambda t, c=items[0]: (t[c],)
+
+
 def _compose(f: tuple, g: tuple) -> list:
     """The column table of f o g from the (table, general) pairs of f and g."""
-    ft = f[0]
-    gt, general = g
-    if not general:
-        return list(map(ft.__getitem__, gt))
-    return [ft[c] if c.__class__ is int else _combine(ft, c) for c in gt]
+    return list(_image(f[0], *g))
 
 
 def _composite(ops: dict, keys, f: tuple) -> tuple:
@@ -185,15 +199,23 @@ def _composite(ops: dict, keys, f: tuple) -> tuple:
     return f
 
 
-def _select(f: tuple, cols) -> tuple:
-    """The (table, general) pair f on the columns cols only, in order."""
-    return list(map(f[0].__getitem__, cols)), f[1]
-
-
 def _same(lhs: list, rhs: list) -> bool:
     """Whether two column tables are the same map: the encoding is
     canonical, so the lists compare item by item."""
     return lhs == rhs
+
+
+def _unit_levels_fit(levels: list, ranks: tuple, shift: int) -> bool:
+    """Whether every (table, general) pair of levels, levels[n] out of
+    A_n, is a unit table with one item per generator of A_n and a
+    trailing item, each a row of A_{n + shift} or -1: one min and one
+    max pass per level."""
+    for n, level in enumerate(levels):
+        tables = [t for t, general in level if not general]
+        if level and (len(tables) < len(level) or set(map(len, tables)) != {ranks[n] + 1}
+                      or min(map(min, tables)) < -1 or max(map(max, tables)) >= ranks[n + shift]):
+            return False
+    return True
 
 
 def _broken_operator(cols: dict, source: "SimplicialAbGroup", target: "SimplicialAbGroup"):
@@ -219,10 +241,9 @@ class SimplicialAbGroup:
     degen(n, j) the j-th degeneracy A_n -> A_{n+1} (defined for n < D).
     Each is stored only as a (column table, has a general column) pair,
     and its matrix is built on each read.  Construction proves every d d,
-    s s and d s identity up to D by composing the tables: where every
-    degeneracy is a unit table, by the comparisons of `_certificate`,
-    which imply the rest; otherwise, or when one of those fails, by
-    comparing each identity once, naming the first that fails.
+    s s and d s identity up to D by composing the tables (`_validate`)
+    and records in `_keep` the generators of each level that no
+    degeneracy hits.
     """
 
     def __init__(self, trunc_dim: int, ranks, face: dict, degen: dict):
@@ -298,64 +319,22 @@ class SimplicialAbGroup:
             raise ValueError("vector length mismatch")
         return _apply(self._ft[(n, i)], v, self.rank(n - 1))
 
-    def _validate(self):
-        for kind, tables, shift in (("face", self._ft, -1), ("degeneracy", self._st, 1)):
-            for (n, i), (t, general) in tables.items():
-                shape = (self.rank(n + shift), self.rank(n))
-                rows = [r for c in t for r in ((c,) if c.__class__ is int
-                                               else (c[0][0], c[0][-1]))] if general else t
-                if len(t) != shape[1] + 1 or min(rows) < -1 or max(rows) >= shape[0]:
-                    raise ValidationError("%s (%d, %d) does not fit its shape %r"
-                                          % (kind, n, i, shape))
-        if any(g for _, g in self._st.values()) or not all(
-                _same(lhs, rhs) for lhs, rhs, _ in self._certificate()):
-            for lhs, rhs, name in self._identities():
-                if not _same(lhs, rhs):
-                    raise ValidationError("identity %s_%d %s_%d failed at level %d" % name)
-
-    def _face_pairs(self, n: int, faces: list):
-        """d_i d_j = d_{j-1} d_i (i < j) on the columns of faces, the pairs
-        of d_0, ..., d_n out of level n or their selections, as (lhs, rhs,
-        name) triples of column tables."""
-        ft = self._ft
-        for j in range(1, len(faces)):
-            for i in range(j):
-                yield (_compose(ft[(n - 1, i)], faces[j]),
-                       _compose(ft[(n - 1, j - 1)], faces[i]), ("d", i, "d", j, n))
-
-    def _degeneracy_pairs(self):
-        """s_i s_j = s_{j+1} s_i (i <= j) on every level, as triples."""
-        st = self._st
-        for n in range(self.D - 1):
-            for j in range(n + 1):
-                for i in range(j + 1):
-                    yield (_compose(st[(n + 1, i)], st[(n, j)]),
-                           _compose(st[(n + 1, j + 1)], st[(n, i)]), ("s", i, "s", j, n))
-
-    def _moved(self, n: int, i: int, j: int) -> tuple:
-        """(s, d) with d_i s_j = s d on A_n, for i < j or i > j + 1."""
-        if i < j:
-            return self._st[(n - 1, j - 1)], self._ft[(n, i)]
-        return self._st[(n - 1, j)], self._ft[(n, i - 1)]
-
-    def _identities(self):
-        """Every d d, s s and d s identity up to D, each once on all of
-        its level, as triples."""
+    def _levels(self) -> tuple:
+        """The (table, general) pairs of the faces and the degeneracies
+        by level: faces[m][i] = d_i out of A_m (faces[0] is empty) and
+        degens[n][j] = s_j out of A_n."""
         ft, st = self._ft, self._st
-        for n in range(2, self.D + 1):
-            yield from self._face_pairs(n, [ft[(n, i)] for i in range(n + 1)])
-        yield from self._degeneracy_pairs()
-        for n in range(0, self.D):
-            ident = _identity(self.rank(n))[0]
-            for j in range(n + 1):
-                for i in range(n + 2):
-                    expected = ident if j <= i <= j + 1 else _compose(*self._moved(n, i, j))
-                    yield _compose(ft[(n + 1, i)], st[(n, j)]), expected, ("d", i, "s", j, n)
+        faces = [[]] + [[ft[(m, i)] for i in range(m + 1)] for m in range(1, self.D + 1)]
+        return faces, [[st[(n, j)] for j in range(n + 1)] for n in range(self.D)]
 
-    def _certificate(self):
-        """Triples that prove every identity of a group whose degeneracies
-        are unit tables (May, Simplicial Objects in Algebraic Topology,
-        Section 8), each an instance of one:
+    def _validate(self):
+        """Check the shape of every table, prove every d d, s s and d s
+        identity up to D, and record in `_keep` the generators of each
+        level that no degeneracy hits.
+
+        Where every degeneracy is a unit table, `_certified` compares
+        these instances of the identities (May, Simplicial Objects in
+        Algebraic Topology, Section 8):
 
         (SS)  s_i s_j = s_{j+1} s_i on every generator;
         (DS0) d_j s_j = d_{j+1} s_j = 1, so each s_j is injective on
@@ -369,28 +348,113 @@ class SimplicialAbGroup:
         with j < k, then b' = d_j z = s_{k-1} d_j b (DS0, DS1), so
         z = s_k s_j d_j b (SS) and b = s_j d_j b (s_k injective), and each
         d_i s_j b' rewrites by d s one level down and SS to a checked face
-        of z.  d_i d_j s_k y rewrites by d s to d d one level down."""
-        ft, st = self._ft, self._st
-        yield from self._degeneracy_pairs()
+        of z.  d_i d_j s_k y rewrites by d s to d d one level down.
+
+        Any other group, or one whose certificate fails, runs the full
+        loop `_identities`, which compares each identity once and names
+        the first that fails."""
+        faces, degens = self._levels()
+        ranks = self._ranks
+        for kind, levels, shift, maps in (("face", faces, -1, self._ft),
+                                          ("degeneracy", degens, 1, self._st)):
+            if _unit_levels_fit(levels, ranks, shift):
+                continue
+            for (n, i), (t, general) in maps.items():
+                shape = (self.rank(n + shift), self.rank(n))
+                rows = [r for c in t for r in ((c,) if c.__class__ is int
+                                               else (c[0][0], c[0][-1]))] if general else t
+                if len(t) != shape[1] + 1 or min(rows) < -1 or max(rows) >= shape[0]:
+                    raise ValidationError("%s (%d, %d) does not fit its shape %r"
+                                          % (kind, n, i, shape))
+        if any(g for level in degens for _, g in level) or not self._certified(faces, degens):
+            for lhs, rhs, name in self._identities():
+                if not _same(lhs, rhs):
+                    raise ValidationError("identity %s_%d %s_%d failed at level %d" % name)
+            self._keep = [_nondegenerate(self, n) for n in range(self.D + 1)]
+
+    def _certified(self, faces: list, degens: list, names: list | None = None) -> bool:
+        """Whether the comparisons (SS), (DS0), (DS1) and (DD) of
+        `_validate` hold on the tables `_levels` gives, all degeneracies
+        unit tables.  Level m lays the left sides of those into A_m end
+        to end in one list, the right sides in another, and compares the
+        lists once; the generators of A_m that no degeneracy hits go to
+        `_keep`.  A list `names` collects (end, name) of each comparison
+        of a level, and is left holding the first failed name."""
+        ranks, keep = self._ranks, []
+        picks = [[_picker(s) for s, _ in level] for level in degens]
         for m in range(self.D + 1):
-            n, seen = m - 1, set()
-            ident = _identity(self.rank(n))[0]
+            n, lhs, rhs, seen = m - 1, [], [], {-1}
+            if names is not None:
+                names.clear()
+            for j in range(n):
+                for i in range(j + 1):
+                    lhs += picks[m - 2][j](degens[n][i][0])
+                    rhs += picks[m - 2][i](degens[n][j + 1][0])
+                    if names is not None:
+                        names.append((len(lhs), ("s", i, "s", j, m - 2)))
+            up, ident = faces[m], (list(range(ranks[n])) + [-1]) * 2 if m else []
             for k in range(n, -1, -1):
-                s = st[(n, k)]
-                yield _compose(ft[(m, k)], s), ident, ("d", k, "s", k, n)
-                yield _compose(ft[(m, k + 1)], s), ident, ("d", k + 1, "s", k, n)
-                inv = dict(zip(s[0], range(self.rank(n))))
-                zs = list(inv.keys() - seen)
-                seen.update(zs)
-                bs = list(map(inv.__getitem__, zs))
-                for i in range(m + 1) if zs else ():
-                    if i < k or i > k + 1:
-                        t, f = self._moved(n, i, k)
-                        yield (list(map(ft[(m, i)][0].__getitem__, zs)),
-                               _compose(t, _select(f, bs)), ("d", i, "s", k, n))
-            keep = _nondegenerate(self, m)
-            if m > 1 and keep:
-                yield from self._face_pairs(m, [_select(ft[(m, i)], keep) for i in range(m + 1)])
+                for i in (k, k + 1):
+                    lhs += picks[n][k](up[i][0])
+                    if names is not None:
+                        names.append((len(lhs), ("d", i, "s", k, n)))
+                rhs += ident
+                zs = set(degens[n][k][0]) - seen
+                if not zs:
+                    continue
+                seen |= zs
+                pick = _picker(list(zs))
+                # where d_k s_k = 1 holds, d_k z is the b with z = s_k b;
+                # where it fails, so does this level's compare
+                bs, gk = pick(up[k][0]), up[k][1]
+                for i in chain(range(k), range(k + 2, m + 1)):
+                    t, (f, g) = ((degens[n - 1][k - 1][0], faces[n][i]) if i < k
+                                 else (degens[n - 1][k][0], faces[n][i - 1]))
+                    lhs += pick(up[i][0])
+                    rhs += (_image(t, _image(f, bs, gk), True) if g or gk
+                            else map(t.__getitem__, map(f.__getitem__, bs)))
+                    if names is not None:
+                        names.append((len(lhs), ("d", i, "s", k, n)))
+            keep.append(list(filterfalse(seen.__contains__, range(ranks[m]))))
+            if m > 1 and keep[m]:
+                sel = [(list(map(t.__getitem__, keep[m])), g) for t, g in up]
+                for j in range(1, m + 1):
+                    for i in range(j):
+                        lhs += _image(faces[n][i][0], *sel[j])
+                        rhs += _image(faces[n][j - 1][0], *sel[i])
+                        if names is not None:
+                            names.append((len(lhs), ("d", i, "d", j, m)))
+            if not _same(lhs, rhs):
+                if names is not None:
+                    at = next(p for p, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+                    names[:] = [next(name for end, name in names if end > at)]
+                return False
+        self._keep = keep
+        return True
+
+    def _identities(self):
+        """Every d d, s s and d s identity up to D, each once on all of
+        its level, as (lhs, rhs, name) triples of column tables."""
+        ft, st = self._ft, self._st
+        for n in range(2, self.D + 1):
+            for j in range(1, n + 1):
+                for i in range(j):
+                    yield (_compose(ft[(n - 1, i)], ft[(n, j)]),
+                           _compose(ft[(n - 1, j - 1)], ft[(n, i)]), ("d", i, "d", j, n))
+        for n in range(self.D - 1):
+            for j in range(n + 1):
+                for i in range(j + 1):
+                    yield (_compose(st[(n + 1, i)], st[(n, j)]),
+                           _compose(st[(n + 1, j + 1)], st[(n, i)]), ("s", i, "s", j, n))
+        for n in range(self.D):
+            ident = _identity(self.rank(n))[0]
+            for j in range(n + 1):
+                for i in range(n + 2):
+                    # d_i s_j = s_{j-1} d_i (i < j), = 1 (i = j, j + 1), = s_j d_{i-1} (i > j + 1)
+                    expected = (ident if j <= i <= j + 1
+                                else _compose(st[(n - 1, j - 1)], ft[(n, i)]) if i < j
+                                else _compose(st[(n - 1, j)], ft[(n, i - 1)]))
+                    yield _compose(ft[(n + 1, i)], st[(n, j)]), expected, ("d", i, "s", j, n)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialAbGroup):
@@ -480,7 +544,8 @@ def _nondegenerate(a: SimplicialAbGroup, n: int) -> list | None:
     """The generators of A_n that no degeneracy s_j: A_{n-1} -> A_n hits,
     ascending, or None when one of those degeneracies has a general
     column.  In the first case the degenerate part D_n is spanned by the
-    generators hit, so the generators listed span a complement of it."""
+    generators hit, so the generators listed span a complement of it.
+    `_validate` records these lists in `_keep`."""
     hit = set()
     for j in range(n):
         table, general = a._st[(n - 1, j)]
@@ -544,13 +609,13 @@ def _split_basis(a: SimplicialAbGroup, n: int, keep: list) -> tuple:
 
 
 def _moore_bases(a: SimplicialAbGroup) -> dict:
-    """Per level n, (keep, basis): the generators `_nondegenerate` gives,
-    and the (table, general) pair of a Moore basis.  A level that keep
-    splits gets `_split_basis`, with no elimination; any other gets the
+    """Per level n, (keep, basis): the generators that no degeneracy
+    hits, as `_validate` recorded them (`_nondegenerate`), and the
+    (table, general) pair of a Moore basis.  A level that keep splits
+    gets `_split_basis`, with no elimination; any other gets the
     `matrices._kernel` of the stacked face rows (`_face_rows`)."""
     out = {}
-    for n in range(a.D + 1):
-        keep = _nondegenerate(a, n)
+    for n, keep in enumerate(a._keep):
         if keep is None:
             out[n] = None, _columns(_kernel(_face_rows(a, n), a.rank(n)), "Moore basis %d" % n)
         else:
@@ -639,7 +704,7 @@ def moore_projection(a: SimplicialAbGroup, bases: dict, n: int) -> IntMatrix:
     On a level split by its nondegenerate generators the coordinates are
     the selection of P_n's rows at those generators, checked by one
     product; elsewhere they are one exact solve."""
-    return _projection(a, (_nondegenerate(a, n), _columns(bases[n], "Moore basis %d" % n)), n)
+    return _projection(a, (a._keep[n], _columns(bases[n], "Moore basis %d" % n)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -844,14 +909,15 @@ def bar_B(a: SimplicialAbGroup) -> SimplicialAbGroup:
 # Eilenberg-Zilber comparison maps
 
 
-@dataclass(frozen=True)
-class EZPair:
+class EZPair(_Record):
     """The shuffle and Alexander-Whitney chain maps between
     N(A) ox N(B) (hard-truncated at D) and N(A ox B); their composite
     aw o shuffle is the identity on the nose."""
 
-    shuffle: ChainMap
-    aw: ChainMap
+    _fields = ("shuffle", "aw")
+
+    def __init__(self, shuffle: ChainMap, aw: ChainMap):
+        self.__dict__.update(shuffle=shuffle, aw=aw)
 
     def strict_identity_ok(self) -> bool:
         comp = self.aw.compose(self.shuffle)

@@ -29,13 +29,13 @@ under the degeneracies the two masks share, with those bits deleted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
-from .complexes import ChainComplex, ChainMap, HomologyGroup, ValidationError, group_from_presentation
+from .complexes import (ChainComplex, ChainMap, HomologyGroup, ValidationError, _Record,
+                        group_from_presentation)
 from .matrices import IntMatrix, _stored_row
 from .simplicial import (
     BisimplicialSet,
@@ -542,8 +542,7 @@ def arrow_of(ref: SimplexRef) -> Arrow:
     return ("gen", ref.base)
 
 
-@dataclass(frozen=True)
-class GroupoidPresentation:
+class GroupoidPresentation(_Record):
     """Generators and relations of the fundamental groupoid.
 
     Objects are the 0-cells; each nondegenerate edge e is a generator
@@ -552,9 +551,12 @@ class GroupoidPresentation:
     identity arrows.
     """
 
-    objects: tuple
-    generators: dict  # edge -> (source vertex, target vertex)
-    relations: tuple  # triples (d1 arrow, d0 arrow, d2 arrow)
+    _fields = ("objects", "generators", "relations")
+
+    def __init__(self, objects: tuple, generators: dict, relations: tuple):
+        # generators: edge -> (source vertex, target vertex);
+        # relations: triples (d1 arrow, d0 arrow, d2 arrow)
+        self.__dict__.update(objects=objects, generators=generators, relations=relations)
 
     def normalized_relations(self) -> frozenset:
         return normalize_relations(self.relations)
@@ -589,13 +591,14 @@ def groupoid_presentation(x: SimplicialSet) -> GroupoidPresentation:
     return GroupoidPresentation(tuple(x.cells(0)), generators, tuple(relations))
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(_Record):
     """A finite group presentation; relators are words of (generator,
     exponent) pairs with exponent +1 or -1."""
 
-    generators: tuple
-    relators: tuple
+    _fields = ("generators", "relators")
+
+    def __init__(self, generators: tuple, relators: tuple):
+        self.__dict__.update(generators=generators, relators=relators)
 
     def abelianization(self) -> HomologyGroup:
         """Z^generators modulo the relators, computed once per

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 import re
 
@@ -6,7 +8,10 @@ import pytest
 from skernel.complexes import (
     ChainComplex,
     ChainMap,
+    DegreeVerdict,
     HomologyGroup,
+    QuasiIsoReport,
+    TowerReport,
     ValidationError,
     check_quasi_iso,
     cone,
@@ -19,7 +24,10 @@ from skernel.complexes import (
 import skernel.complexes
 import skernel.matrices
 from skernel import spaces
+from skernel.homotopy import SkeletonPushoutReport, WeqCertificate
 from skernel.matrices import IntMatrix
+from skernel.simpab import EZPair
+from skernel.spaces import GroupoidPresentation, GroupPresentation
 
 from helpers import (conjugated_torsion_complex, homology_by_presentation, kron_hom_complex,
                      kron_tensor, kron_tower_report, kunneth_homology, random_complex)
@@ -581,3 +589,54 @@ def test_tower_builds_one_window_per_distinct_stage(rng, monkeypatch):
     del builds[:]
     homotopy_class_group(gapped, single(1, 0))
     assert [(lo, hi) for lo, hi, _ in builds] == [(-1, 1)]
+
+
+def _record_cases():
+    """One instance's arguments for each record class of the package."""
+    ident = ChainMap.identity(mod2_complex())
+    verdict = DegreeVerdict(Z, Z2, False, True)
+    return [
+        (HomologyGroup, (2, (2, 4))),
+        (DegreeVerdict, (Z, Z2, False, True)),
+        (QuasiIsoReport, ({0: verdict}, False)),
+        (TowerReport, (3, Z, True, Z2, True, ((0, Z), (1, Z2)))),
+        (IntMatrix, (2, 3, (((0, 2), (1, -4)), ((), ())))),
+        (EZPair, (ident, ident)),
+        (GroupoidPresentation, (("v",), {"e": ("v", "v")}, ((("gen", "e"),) * 3,))),
+        (GroupPresentation, (("a", "b"), ((("a", 1), ("b", -1)),))),
+        (SkeletonPushoutReport, (True, {0: 1}, {0: 1})),
+        (WeqCertificate, (3, True, {0: True}, "equal", {2: (1, 1)}, "none")),
+    ]
+
+
+@pytest.mark.parametrize("cls, args", _record_cases(), ids=lambda x: getattr(x, "__name__", ""))
+def test_records_behave_as_frozen_dataclasses(cls, args):
+    """The package's records are written by hand, without `dataclasses`,
+    and keep the behaviour of the frozen dataclasses they replace: the
+    same repr, == only with a record of the same class, the hash of the
+    field tuple, no assignment or deletion of an attribute, and a pickle
+    round trip."""
+    fields = cls.__slots__ if cls is IntMatrix else cls._fields
+    twin = dataclasses.make_dataclass(cls.__name__, fields, frozen=True)(*args)
+    a, b = cls(*args), cls(*args)
+    assert repr(a) == repr(twin)
+    assert a == b and not a != b and a != twin and twin != a
+    try:
+        expected = hash(twin)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == expected
+    for name in (fields[0], "other"):
+        with pytest.raises(AttributeError, match="^cannot assign to field '%s'$" % name):
+            setattr(a, name, 1)
+        with pytest.raises(AttributeError, match="^cannot delete field '%s'$" % name):
+            delattr(a, name)
+    assert a == b == pickle.loads(pickle.dumps(a))
+
+
+def test_record_defaults_are_kept():
+    assert HomologyGroup(1).torsion == ()
+    assert TowerReport(3, Z, True, Z2, True).tower == ()
+    assert WeqCertificate(3, True, {}, "skipped", {}).contradiction is None

@@ -1,9 +1,10 @@
 """Static hygiene of the package: every import sits at module level and
-is used, no module-level function, class or method goes unreferenced,
-and only `spaces._leg_id` knows how a pushout prefixes the cells of its
-legs."""
+is used, `dataclasses` is not imported, no module-level function, class
+or method goes unreferenced, and only `spaces._leg_id` knows how a
+pushout prefixes the cells of its legs."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,16 @@ def test_no_unused_module_imports(path):
     unused = ["%s (line %d)" % (name, line) for name, line in _imported_names(tree)
               if name not in used]
     assert not unused, "unused imports in %s: %s" % (path.name, ", ".join(unused))
+
+
+def test_no_module_imports_dataclasses():
+    """`dataclasses` imports `inspect`, which costs a fresh interpreter
+    more than a tenth of the package's own import time; the records are
+    written by hand."""
+    importing = [path.name for path in sorted(SRC.glob("*.py"))
+                 if re.search(r"^(from|import) dataclasses\b", path.read_text(encoding="utf-8"),
+                              re.MULTILINE)]
+    assert not importing, "dataclasses imported by %s" % ", ".join(importing)
 
 
 def _is_dunder(name: str) -> bool:

@@ -5,6 +5,7 @@ import pytest
 
 import skernel.matrices
 import skernel.simpab
+from skernel import generators
 from skernel.complexes import ChainComplex, HomologyGroup, ValidationError, single, zero_complex
 from skernel.matrices import IntMatrix, is_unimodular, solve_exact
 from skernel.simpab import (
@@ -14,6 +15,7 @@ from skernel.simpab import (
     _k_levels,
     _matrix,
     _moore_bases,
+    _nondegenerate,
     _normalize,
     SimplicialAbGroup,
     bar_B,
@@ -144,16 +146,17 @@ def test_validation_names_the_identity_a_flipped_degeneracy_entry_breaks():
 
 def test_validation_compares_every_identity_once(monkeypatch):
     """Where every degeneracy is a unit table, a validation makes the
-    comparisons of the certificate (`SimplicialAbGroup._certificate`).
-    For bar_B(Z~S^2, 5), ranks 0, 0, 2, 9, 24, 50: 20 s_i s_j, 30
-    d_j s_j = d_{j+1} s_j = 1, 34 faces of degenerate generators (one
-    comparison per face i not in {k, k + 1} for each k that is the last
-    degeneracy of some generator) and 9 d_i d_j on the nondegenerate
-    generators of levels 2 and 3: 93 comparisons of 784 table items.
-    The same tables with one degeneracy marked general take the full
-    loop, which compares each identity up to D once: d_i d_j (i < j <= n,
-    2 <= n <= D), s_i s_j (i <= j <= n, n <= D - 2) and d_i s_j (j <= n,
-    i <= n + 1, n <= D - 1), 124 comparisons of 2,200 items."""
+    comparisons of the certificate (`SimplicialAbGroup._certified`), one
+    flat compare per level.  For bar_B(Z~S^2, 5), ranks 0, 0, 2, 9, 24,
+    50: 20 s_i s_j, 30 d_j s_j = d_{j+1} s_j = 1, 34 faces of degenerate
+    generators (one comparison per face i not in {k, k + 1} for each k
+    that is the last degeneracy of some generator) and 9 d_i d_j on the
+    nondegenerate generators of levels 2 and 3: 784 table items in 6
+    compares, one per level 0..5.  The same tables with one degeneracy
+    marked general take the full loop, which compares each identity up
+    to D once: d_i d_j (i < j <= n, 2 <= n <= D), s_i s_j (i <= j <= n,
+    n <= D - 2) and d_i s_j (j <= n, i <= n + 1, n <= D - 1), 124
+    comparisons of 2,200 items."""
     b = bar_B(free_reduced_Z(sphere(2), 5))
     faces, degen = _structure_maps(b)
     compared = items = 0
@@ -167,11 +170,11 @@ def test_validation_compares_every_identity_once(monkeypatch):
 
     monkeypatch.setattr(skernel.simpab, "_same", counting)
     SimplicialAbGroup(b.D, b.ranks(), faces, degen)
-    assert (compared, items) == (20 + 30 + 34 + 9, 784)
+    assert (compared, items) == (6, 784)
     # the builders' tables take the same path: once for Z~S^2, once for B
     compared = items = 0
     assert bar_B(free_reduced_Z(sphere(2), 5)) == b
-    assert (compared, items) == (80 + 93, 243 + 784)
+    assert (compared, items) == (6 + 6, 243 + 784)
     D = 5
     for key in ((0, 0), (4, 2)):
         st = dict(b._st)
@@ -197,6 +200,13 @@ def _first_broken(triples):
     return next((name for lhs, rhs, name in triples if lhs != rhs), None)
 
 
+def _certificate_failure(a):
+    """The name of the first comparison of the flat certificate that
+    fails on the group a, or None when it holds."""
+    names = []
+    return None if a._certified(*a._levels(), names) else names[0]
+
+
 MUTATED = {
     "zS2-D6": lambda: free_reduced_Z(sphere(2), 6),
     "bar-zS1-D5": lambda: bar_B(free_reduced_Z(sphere(1), 5)),
@@ -206,20 +216,15 @@ MUTATED = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(MUTATED))
-def test_the_certificate_and_the_full_loop_agree_on_mutations(name):
-    """Seeded single-column mutations of one face or degeneracy: a face
+def _mutations(g, rng, count):
+    """count seeded single-column mutations of one face or degeneracy of
+    g, each as (face tables, degeneracy tables, what changed): a face
     entry x flipped to 1 - x, or a face column moved down by k rows; a
     degeneracy's unit column zeroed, or moved down by k rows, so that
-    every degeneracy stays a unit table.  The certificate holds exactly
-    when every identity does, and the constructor names the identity the
-    full loop finds first."""
-    g = MUTATED[name]()
-    rng = random.Random(name)
+    every degeneracy stays a unit table."""
     keys = ([(True, k) for k in g._ft if g.rank(k[0] - 1)]
             + [(False, k) for k in g._st if g.rank(k[0])])
-    verdicts = {True: 0, False: 0}
-    for _ in range(700):
+    for _ in range(count if keys else 0):
         is_face, key = rng.choice(keys)
         m = g.face(*key) if is_face else g.degen(*key)
         c = rng.randrange(m.cols)
@@ -235,10 +240,21 @@ def test_the_certificate_and_the_full_loop_agree_on_mutations(name):
         table = _columns(_with_column(m, c, [(r, x) for r, x in column.items() if x]), "mutated")
         ft, st = dict(g._ft), dict(g._st)
         (ft if is_face else st)[key] = table
+        yield ft, st, (key, c, column)
+
+
+@pytest.mark.parametrize("name", sorted(MUTATED))
+def test_the_certificate_and_the_full_loop_agree_on_mutations(name):
+    """The seeded `_mutations`: the flat certificate holds exactly when
+    every identity does, and the constructor names the identity the full
+    loop finds first."""
+    g = MUTATED[name]()
+    verdicts = {True: 0, False: 0}
+    for ft, st, what in _mutations(g, random.Random(name), 700):
         assert not any(general for _, general in st.values())
-        certified = _first_broken(_unvalidated(g.D, g.ranks(), ft, st)._certificate()) is None
+        certified = _certificate_failure(_unvalidated(g.D, g.ranks(), ft, st)) is None
         broken = _first_broken(_unvalidated(g.D, g.ranks(), ft, st)._identities())
-        assert certified == (broken is None), (key, c, column)
+        assert certified == (broken is None), what
         if broken:
             with pytest.raises(ValidationError,
                                match="^identity %s_%d %s_%d failed at level %d$" % broken):
@@ -247,11 +263,87 @@ def test_the_certificate_and_the_full_loop_agree_on_mutations(name):
     assert verdicts[True] and verdicts[False]
 
 
+def test_the_flat_check_accepts_what_the_full_loop_accepts_on_random_groups():
+    """`generators.random_sab` groups of seeds 0..11 at D = 4 (K of a
+    random complex, Z~ of a sphere, a tensor product or a bar
+    construction) and 60 `_mutations` of each: the flat certificate
+    accepts a group exactly when `_identities` finds no failed identity,
+    and records the generators `_nondegenerate` lists."""
+    verdicts = {True: 0, False: 0}
+    for seed in range(12):
+        rng = random.Random(seed)
+        g = generators.random_sab(rng, 4)
+        assert g._keep == [_nondegenerate(g, n) for n in range(g.D + 1)]
+        for ft, st, what in _mutations(g, rng, 60):
+            a = _unvalidated(g.D, g.ranks(), ft, st)
+            certified = a._certified(*a._levels())
+            assert certified == (_first_broken(a._identities()) is None), (seed, what)
+            if certified:
+                assert a._keep == [_nondegenerate(a, n) for n in range(a.D + 1)]
+            verdicts[certified] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+@pytest.mark.parametrize("kind, key, column, message", [
+    ("face", (3, 1), 2, "face (3, 1) does not fit its shape (2, 9)"),
+    ("face", (5, 2), -2, "face (5, 2) does not fit its shape (24, 50)"),
+    ("face", (4, 0), ((0, 9), (1, 1)), "face (4, 0) does not fit its shape (9, 24)"),
+    ("degeneracy", (2, 2), 9, "degeneracy (2, 2) does not fit its shape (9, 2)"),
+    ("degeneracy", (5, 0), -3, "degeneracy (5, 0) does not fit its shape (90, 50)"),
+    ("degeneracy", (4, 1), None, "degeneracy (4, 1) does not fit its shape (50, 24)"),
+])
+def test_an_entry_outside_its_shape_is_named(kind, key, column, message):
+    """In bar_B(Z~S^2, 6), ranks 0, 0, 2, 9, 24, 50, 90, one column of
+    one table set to a row just past the last, a row below -1 or a
+    general column reaching past the last row, or a table without its
+    trailing item (None), is named with the shape the table must fit."""
+    b = bar_B(free_reduced_Z(sphere(2), 6))
+    tables = {"face": dict(b._ft), "degeneracy": dict(b._st)}
+    table, general = tables[kind][key]
+    if column is None:
+        table = table[:-1]
+    else:
+        table = [column] + table[1:]
+        general = general or column.__class__ is not int
+    tables[kind][key] = table, general
+    with pytest.raises(ValidationError, match="^%s$" % re.escape(message)):
+        SimplicialAbGroup._of_tables(b.D, b.ranks(), tables["face"], tables["degeneracy"])
+
+
+RECORDED = {
+    "K-mixed": lambda: dold_kan_K(MIXED, 5),
+    "K-torsion": lambda: dold_kan_K(TORSION, 5),
+    "bar-K-mixed": lambda: bar_B(dold_kan_K(MIXED, 5)),
+    "zS1-tensor-K-mixed": lambda: tensor_sab(free_reduced_Z(sphere(1), 5), dold_kan_K(MIXED, 5)),
+    "bar-bar-zS1": lambda: bar_B(bar_B(free_reduced_Z(sphere(1), 5))),
+    "conjugated-zS2": lambda: conjugated_group(free_reduced_Z(sphere(2), 4), random.Random(1), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED))
+def test_moore_bases_from_the_recorded_generators_are_todays(name):
+    """The generators `_validate` records for each level are the ones
+    `_nondegenerate` lists, also on the levels of K(C) whose faces have
+    general columns and on the conjugated sphere, whose general
+    degeneracies take the full loop; so the Moore bases built from them
+    are the split bases of those generators, and the bases of the
+    stacked-face recipe where there are none."""
+    a = RECORDED[name]()
+    assert any(general for _, general in a._ft.values()) == (name != "bar-bar-zS1")
+    tables = _moore_bases(a)
+    for n, (keep, basis) in tables.items():
+        assert keep == _nondegenerate(a, n)
+        if keep is not None:
+            assert basis == skernel.simpab._split_basis(a, n, keep)
+    assert None in a._keep if name == "conjugated-zS2" else None not in a._keep
+    assert moore_basis(a) == product_moore_basis(a)
+
+
 def _first_failures(d, ranks, face, degen):
-    """The name of the first comparison of the certificate that fails on
-    the given matrices, and the constructor's message."""
+    """The name of the first comparison of the flat certificate that
+    fails on the given matrices, and the constructor's message."""
     tables = [{k: _columns(m, "map") for k, m in maps.items()} for maps in (face, degen)]
-    failed = _first_broken(_unvalidated(d, ranks, *tables)._certificate())
+    failed = _certificate_failure(_unvalidated(d, ranks, *tables))
     with pytest.raises(ValidationError) as exc:
         SimplicialAbGroup(d, ranks, face, degen)
     return failed, str(exc.value)
@@ -310,10 +402,10 @@ def test_a_general_degeneracy_takes_the_full_loop(monkeypatch):
     degen[(1, 0)] = _with_column(degen[(1, 0)], 0, [(r, -x) for r, j, x in degen[(1, 0)].entries()
                                                    if j == 0])
 
-    def no_certificate(self):
+    def no_certificate(self, *levels):
         raise AssertionError("the certificate ran")
 
-    monkeypatch.setattr(SimplicialAbGroup, "_certificate", no_certificate)
+    monkeypatch.setattr(SimplicialAbGroup, "_certified", no_certificate)
     c = conjugated_group(z2, random.Random(3), 2)
     assert any(general for _, general in c._st.values())
     with pytest.raises(ValidationError, match=IDENTITY_FAILED):
@@ -951,15 +1043,17 @@ def test_a_moore_basis_without_one_factor_fails_its_self_check(monkeypatch, drop
 
 def test_a_moore_basis_over_a_degenerate_generator_fails_its_self_check(monkeypatch):
     """With the first degenerate generator of each level added to the
-    nondegenerate ones, the projection kills it, so the basis is no
-    longer the identity on those generators, which its check reports."""
-    original = skernel.simpab._nondegenerate
+    nondegenerate ones that the validation records, the projection kills
+    it, so the basis is no longer the identity on those generators, which
+    its check reports."""
+    original = SimplicialAbGroup._validate
 
-    def widened(a, n):
-        keep = original(a, n)
-        return sorted(keep + [c for c in range(a.rank(n)) if c not in keep][:1])
+    def widened(a):
+        original(a)
+        a._keep = [sorted(keep + [c for c in range(a.rank(n)) if c not in keep][:1])
+                   for n, keep in enumerate(a._keep)]
 
-    monkeypatch.setattr(skernel.simpab, "_nondegenerate", widened)
+    monkeypatch.setattr(SimplicialAbGroup, "_validate", widened)
     zs2 = free_reduced_Z(sphere(2), 4)
     for a in (free_reduced_Z(sphere(1), 3), zs2, bar_B(zs2), dold_kan_K(TORSION, 3),
               tensor_sab(zs2, zs2)):

@@ -62,7 +62,12 @@ It records
     of the bar construction of the free reduced Z S^2 at D = 10, as
     levels per second, and the K o N round trip of the same bar
     construction at D = 6, as verdicts per second (a verdict other than
-    True stops the row), their groups built untimed;
+    True stops the row), their groups built untimed; and the validation
+    alone of the tables of the bar construction of the bar construction
+    of the free reduced Z S^2 at D = 6 and of the Dold-Kan K of a rank-30
+    torsion complex at D = 7: `SimplicialAbGroup._of_tables` on the
+    tables of a group built untimed, as simplicial identities proved per
+    second;
   - homotopy: build + validate of the wrapped S^2 x S^2 truncated at 5,
     with its counit, and of the mapping cylinder of the identity of
     S^2 x S^2, with its three maps, as cells per second; S^2 x S^2 is
@@ -161,6 +166,14 @@ SCALE = {
     "ez_maps(free_reduced_Z(S1), free_reduced_Z(S1), D=7)": (
         "simpab", "s1 = spaces.sphere(1)",
         "simpab.ez_maps(simpab.free_reduced_Z(s1, 7), simpab.free_reduced_Z(s1, 7))", "pairs"),
+    "validate bar_B(bar_B(free_reduced_Z(S2, D=6)))": (
+        "simpab", "g = simpab.bar_B(simpab.bar_B(simpab.free_reduced_Z(spaces.sphere(2), 6)))",
+        "simpab.SimplicialAbGroup._of_tables(g.D, g.ranks(), g._ft, g._st)", "identities"),
+    "validate dold_kan_K(torsion rank 30, D=7)": (
+        "simpab",
+        "ranks, d, _ = reference.torsion_complex(random.Random(1), 3, 30); "
+        "g = simpab.dold_kan_K(ChainComplex(0, 3, ranks, d), 7)",
+        "simpab.SimplicialAbGroup._of_tables(g.D, g.ranks(), g._ft, g._st)", "identities"),
     "moore_basis(bar_B(free_reduced_Z(S2, D=10)))": (
         "simpab", "z = simpab.bar_B(simpab.free_reduced_Z(spaces.sphere(2), 10))",
         "simpab.moore_basis(z)", "levels"),
@@ -299,7 +312,7 @@ def scale_rows(trees: dict, runs: int, timeout: float) -> list:
     rows = []
     for label, (layer, setup, expr, counted) in SCALE.items():
         name = (label if label.startswith(("homology", "chains", "moore_basis", "kn_roundtrip",
-                                          "parse_document", "kernel_basis"))
+                                          "parse_document", "kernel_basis", "validate"))
                 else "build+validate " + label)
         row = {"layer": layer, "name": name,
                "unit": counted + "/s", "better": "higher", "runs": runs,
