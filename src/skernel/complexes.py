@@ -75,17 +75,22 @@ class HomologyGroup(_Record):
     """A finitely generated abelian group Z^free_rank + Z/t1 + Z/t2 + ...
 
     Torsion coefficients are >= 2 and each divides the next; units are
-    never recorded.
+    never recorded.  A rank or coefficient that is not an int (a float,
+    a bool) is rejected, not converted.
     """
 
     _fields = ("free_rank", "torsion")
 
     def __init__(self, free_rank: int, torsion: tuple = ()):
+        if free_rank.__class__ is not int:
+            raise ValueError("free rank %r is not an int" % (free_rank,))
         if free_rank < 0:
             raise ValueError("negative free rank")
-        ts = tuple(int(t) for t in torsion)
+        ts = tuple(torsion)
         self.__dict__.update(free_rank=free_rank, torsion=ts)
         for t in ts:
+            if t.__class__ is not int:
+                raise ValueError("torsion coefficient %r is not an int" % (t,))
             if t < 2:
                 raise ValueError("torsion coefficients must be >= 2")
         for a, b in zip(ts, ts[1:]):

@@ -26,21 +26,20 @@ Kernels, invariants and exact solves eliminate sparsely too.
 good truncations) share one unit-pivot elimination, `_eliminate`, on
 stored rows: a coreduction pivots on each row left with one entry, +-1,
 from counts alone, and a column heap eliminates the rows still left as
-dicts.  A solve runs it on [a | b] with pivots in a's columns, and the
-Moore bases of `simpab` read the rows off the column tables of the faces
-and call `_kernel` (elimination, then back-substitution) with no matrix
-built.  A complex's homology runs the elimination on each differential
-without the columns that the one above paired, and reads back its pivot
-rows.  The residue left without a +-1 entry has its invariant factors
-computed by `_residue_factors`, block by block and modulo a nonzero
-minor of each block, so that no entry grows past half that minor however
-the residue is mixed.  A kernel and a solve still take the residue
-through the dense Smith loop, for V, and U and V, whose entries are not
-bounded.  The dense `smith_normal_form` of a whole matrix is left to the
-suite's check of the Smith decomposition and to the random complexes in
-`generators`, which take their kernels from the dense Smith V directly:
-a fixed recipe, so changing the elimination never re-seeds an instance
-the suite checks.
+dicts.  A complex's homology runs it on each differential without the
+columns that the one above paired, and reads back its pivot rows.  The
+residue left without a +-1 entry has its invariant factors computed by
+`_residue_factors`, block by block and modulo a nonzero minor of each
+block, so that no entry grows past half that minor however the residue
+is mixed.  Kernels and solves are one function, `_solve`, on the rows of
+[A | B], which `kernel_basis`, `solve_exact` and the Moore bases of
+`simpab` call: one elimination, one dense Smith step on the residue,
+whose entries are not yet bounded, and one back-substitution.  The dense
+`smith_normal_form` of a whole matrix is left to the suite's check of
+the Smith decomposition and to the random complexes in `generators`,
+which take their kernels from the dense Smith V directly: a fixed
+recipe, so changing the elimination never re-seeds an instance the
+suite checks.
 
 A complex checks d(n) @ d(n+1) = 0 through `_product_vanishes`, which
 tests every row of the product without storing it.  Where a row's
@@ -59,7 +58,7 @@ import heapq
 from bisect import bisect_left
 from itertools import accumulate, chain, compress, filterfalse, islice, repeat
 from math import gcd
-from operator import gt, itemgetter, lt, mod
+from operator import gt, invert, itemgetter, lt, mod
 from typing import Iterable, Sequence
 
 # the stored form of a row without nonzero entries
@@ -836,105 +835,82 @@ def invariant_factors(m: IntMatrix) -> tuple:
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Basis of the integer kernel lattice of m, as columns: `_kernel`
-    of the rows of m."""
-    return _kernel(m.nonzeros, m.cols)
-
-
-def _kernel(stored: Sequence, ncols: int) -> IntMatrix:
-    """Basis of the integer kernel lattice of the ncols-column matrix
-    whose rows are given stored, as for `_eliminate`, as columns.
-
-    Row operations keep the kernel.  After `_eliminate`, each pivot row
-    fixes its pivot coordinate in terms of coordinates pivoted later or
-    not at all, and the residue R constrains only non-pivot ones.  So
-    projecting the kernel onto the non-pivot coordinates is an
-    isomorphism onto ker(R) times the coordinates no residue row
-    touches; its inverse is back-substitution through the pivot rows in
-    reverse order, integral because the pivots are +-1.  The basis is
-    the unit vectors of the untouched coordinates, then the columns of
-    the dense Smith V of R over its zero diagonal, each completed by
-    back-substitution.  Those images form a saturated basis, so this one
-    generates the kernel exactly (not a finite-index sublattice).
-
-    All vectors are back-substituted together, as `solve_exact` does:
-    each pivot's rest is read once, and only the coordinates that some
-    vector holds are visited.
-    """
-    pivots, rows, cols = _eliminate(stored, ncols)
-    pivoted = {q for _, q, _, _ in pivots}
-    x = {}  # coordinate -> {vector: value}
-    for j in range(ncols):
-        if j not in pivoted and j not in cols:
-            x[j] = {len(x): 1}
-    n = len(x)
-    if rows:
-        keep = sorted(cols)
-        _, d, v = smith_normal_form(_residue(rows, keep), want_u=False)
-        r = sum(1 for t in diagonal_of(d) if t)
-        for j, (ts, ys) in zip(keep, v.nonzeros):
-            x[j] = {n + t - r: y for t, y in zip(ts, ys) if t >= r}
-        n += len(keep) - r
-    for _, q, s, prow in reversed(pivots):
-        acc = {}
-        for j, c in prow.items():
-            for t, y in x.get(j, _NONE).items():
-                acc[t] = acc.get(t, 0) - c * y
-        x[q] = {t: s * y for t, y in acc.items() if y}
-    return IntMatrix.from_entries(
-        ncols, n, ((j, t, y) for j, col in x.items() for t, y in col.items()))
+    """Basis of the integer kernel lattice of m, as columns: the K of
+    `_solve` on the rows of m with nothing beside them."""
+    return _solve(m.nonzeros, m.cols, 0)[0]
 
 
 def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
-    """An integer solution X of a @ X = b, or None if there is none.
-
-    Row operations keep the solutions, so `_eliminate` runs on the rows
-    of the augmented matrix [a | b], taking pivots in a's columns only.  The
-    residue [R | R_b] constrains only non-pivot coordinates, and the
-    dense `smith_normal_form` U R V = D solves it.  Each pivot row then
-    fixes its pivot coordinate in terms of the right-hand side and of
-    coordinates solved before it, by back-substitution in reverse order,
-    integral because the pivots are +-1.  Non-pivot coordinates that no
-    residue row touches are free and set to 0.  When a has full column
-    rank, as every caller's saturated kernel basis does, there are none
-    and the solution is the unique one.
-    """
+    """An integer solution X of a @ X = b, or None if there is none: the
+    X of `_solve` on the rows of the augmented matrix [a | b].  Free
+    coordinates are 0, so when a has full column rank, as every caller's
+    saturated kernel basis does, the solution is the unique one."""
     if a.rows != b.rows:
         raise ValueError("shape mismatch in solve: %r vs %r" % (a.shape, b.shape))
     n = a.cols
     augmented = [(ja + tuple(n + j for j in jb), xa + xb)
                  for (ja, xa), (jb, xb) in zip(a.nonzeros, b.nonzeros)]
-    pivots, rows, cols = _eliminate(augmented, n)
-    x = {}  # coordinate -> {column of b: value}
-    if rows:
-        keep = sorted(j for j in cols if j < n)
-        if not keep:
-            return None  # a residue row reads 0 = a nonzero entry of b
-        u, d, v = smith_normal_form(_residue(rows, keep))
+    return _solve(augmented, n, b.cols)[1]
+
+
+def _solve(stored: Sequence, n: int, nb: int) -> tuple:
+    """(K, X) for the stored rows, as for `_eliminate`, of [A | B], with n
+    columns in A and nb in B: K a basis of the integer kernel of A, as
+    columns, and X an integer solution of A X = B, or None if none.
+
+    Row operations keep both, so `_eliminate` runs once, with pivots in
+    A's columns.  Each pivot row fixes its pivot coordinate in terms of B
+    and of coordinates pivoted later or not at all; the residue [R | R_B]
+    constrains the others.  In U R V = D (`smith_normal_form`, U only
+    when nb > 0) the columns of V over D's zero diagonal span ker(R), and
+    X = V Y on R's coordinates, where D Y = U R_B has a solution; each
+    coordinate no residue row touches is a unit kernel vector, and 0 in
+    X.  One reverse back-substitution through the +-1 pivots completes
+    the kernel vectors (keyed 0, 1, ...) and the columns of X (keyed -1,
+    -2, ...) together, reading each pivot's rest once.  Projecting ker(A)
+    onto the non-pivot coordinates is an isomorphism onto ker(R) times
+    the free ones, and V is unimodular, so K is saturated.
+    """
+    pivots, rows, cols = _eliminate(stored, n)
+    pivoted = {q for _, q, _, _ in pivots}
+    x = {}  # coordinate -> {kernel vector t or column ~t of B: value}
+    for j in range(n):
+        if j not in pivoted and j not in cols:
+            x[j] = {len(x): 1}
+    k = len(x)
+    keep = sorted(j for j in cols if j < n)
+    solved = bool(keep) or not rows  # else a residue row reads 0 = an entry of B
+    if keep:
+        u, d, v = smith_normal_form(_residue(rows, keep), want_u=nb > 0)
         diag = diagonal_of(d)
         r = sum(1 for t in diag if t)
-        y = []
-        for i, j, t in (u @ _residue(rows, range(n, n + b.cols))).entries():
-            if i >= r:
-                return None
-            q, rem = divmod(t, diag[i])
-            if rem:
-                return None
-            y.append((i, j, q))
-        for t, (js, ys) in enumerate((v @ IntMatrix.from_entries(len(keep), b.cols, y)).nonzeros):
-            if js:
-                x[keep[t]] = dict(zip(js, ys))
+        for j, (ts, ys) in zip(keep, v.nonzeros):
+            x[j] = {k + t - r: y for t, y in zip(ts, ys) if t >= r}
+        k += len(keep) - r
+        if nb:
+            y = []
+            for i, j, t in (u @ _residue(rows, range(n, n + nb))).entries():
+                if i >= r or t % diag[i]:
+                    solved = False
+                    break
+                y.append((i, j, t // diag[i]))
+            if solved:
+                for j, (ts, ys) in zip(keep, (v @ IntMatrix.from_entries(len(keep), nb, y)).nonzeros):
+                    x[j].update(zip(map(invert, ts), ys))
     for _, q, s, prow in reversed(pivots):
         acc = {}
         for j, c in prow.items():
-            if j >= n:
-                acc[j - n] = acc.get(j - n, 0) + c
-            else:
-                for t, y in x.get(j, {}).items():
+            if j < n:
+                for t, y in x.get(j, _NONE).items():
                     acc[t] = acc.get(t, 0) - c * y
+            else:
+                acc[n + ~j] = acc.get(n + ~j, 0) + c
         x[q] = {t: s * y for t, y in acc.items() if y}
-    return IntMatrix.from_entries(
-        n, b.cols, ((q, t, y) for q, row in x.items() for t, y in row.items()))
+    entries = [(j, t, y) for j, col in x.items() for t, y in col.items()]
+    kernel = IntMatrix.from_entries(n, k, (e for e in entries if e[1] >= 0))
+    if not solved:
+        return kernel, None
+    return kernel, IntMatrix.from_entries(n, nb, ((j, ~t, y) for j, t, y in entries if t < 0))
 
 
 def is_unimodular(m: IntMatrix) -> bool:

@@ -39,11 +39,11 @@ of the other generators is a basis of N_n whose rows at those generators
 are the identity.  Coordinates in that basis are then a restriction to
 those rows, checked by one product, and no elimination runs; the basis
 checks itself, and a level with a general degeneracy falls back to the
-kernel of the stacked faces and exact solves.  The shuffle of
-normalized chains is normalized (Eilenberg and Mac Lane, On the groups
-H(Pi, n), I, 1953), so the shuffle map is expressed in the Moore basis
-of A ox B, not projected.  Each verifier computes an object's Moore
-bases and normalized complex once.
+kernel of the stacked faces and exact solves, both `matrices._solve`.
+The shuffle of normalized chains is normalized (Eilenberg and Mac Lane,
+On the groups H(Pi, n), I, 1953), so the shuffle map is expressed in
+the Moore basis of A ox B, not projected.  Each verifier computes an
+object's Moore bases and normalized complex once.
 
 Normalization runs on the tables too: the Moore bases, the projection's
 factors, the normalized differentials, the K o N counit and the
@@ -59,7 +59,7 @@ from operator import itemgetter
 
 from .complexes import (ChainComplex, ChainMap, HomologyGroup, ValidationError, _Record,
                         _tensor_window)
-from .matrices import IntMatrix, _kernel, hstack, is_unimodular, solve_exact, vstack
+from .matrices import IntMatrix, _solve, hstack, is_unimodular, solve_exact, vstack
 from .simplicial import SimplicialSet, _face_pattern, mask_insert
 from .spaces import _chain_basis, smash
 
@@ -518,28 +518,6 @@ def tensor_sab(a: SimplicialAbGroup, b: SimplicialAbGroup) -> SimplicialAbGroup:
 # normalization
 
 
-def _face_rows(a: SimplicialAbGroup, n: int) -> list:
-    """The stored rows of the faces d_1, ..., d_n out of level n
-    stacked, numbered as `vstack` numbers them: row r of d_i is row
-    (i - 1) * rank(n - 1) + r.  Read off the column tables, columns in
-    order, so each row's columns ascend."""
-    size = a.rank(n - 1)
-    js = [[] for _ in range(n * size)]
-    xs = [[] for _ in range(n * size)]
-    for i in range(1, n + 1):
-        off = (i - 1) * size
-        for j, c in enumerate(a._ft[(n, i)][0][:-1]):
-            if c.__class__ is int:
-                if c >= 0:
-                    js[off + c].append(j)
-                    xs[off + c].append(1)
-            else:
-                for r, x in zip(*c):
-                    js[off + r].append(j)
-                    xs[off + r].append(x)
-    return list(zip(js, xs))
-
-
 def _nondegenerate(a: SimplicialAbGroup, n: int) -> list | None:
     """The generators of A_n that no degeneracy s_j: A_{n-1} -> A_n hits,
     ascending, or None when one of those degeneracies has a general
@@ -612,12 +590,14 @@ def _moore_bases(a: SimplicialAbGroup) -> dict:
     """Per level n, (keep, basis): the generators that no degeneracy
     hits, as `_validate` recorded them (`_nondegenerate`), and the
     (table, general) pair of a Moore basis.  A level that keep splits
-    gets `_split_basis`, with no elimination; any other gets the
-    `matrices._kernel` of the stacked face rows (`_face_rows`)."""
+    gets `_split_basis`, with no elimination; any other gets the kernel
+    that `matrices._solve` finds from the rows of d_1, ..., d_n stacked."""
     out = {}
     for n, keep in enumerate(a._keep):
         if keep is None:
-            out[n] = None, _columns(_kernel(_face_rows(a, n), a.rank(n)), "Moore basis %d" % n)
+            faces = tuple(chain.from_iterable(_matrix(a._ft[(n, i)], a.rank(n - 1)).nonzeros
+                                              for i in range(1, n + 1)))
+            out[n] = None, _columns(_solve(faces, a.rank(n), 0)[0], "Moore basis %d" % n)
         else:
             out[n] = keep, _split_basis(a, n, keep)
     return out
@@ -1005,7 +985,8 @@ def horn_filler(a: SimplicialAbGroup, n: int, k: int, faces) -> tuple:
 
     `faces` lists n+1 vectors in A_{n-1} with entry k ignored; the result
     x satisfies d_i x = faces[i] for every i != k.  Incompatible input is
-    rejected with the first violated matching identity named.
+    rejected with the first violated matching identity named, and an
+    entry that is not an int (a float, a bool) with its face named.
     """
     if not (1 <= n <= a.D):
         raise ValueError("horn dimension %d outside [1, %d]" % (n, a.D))
@@ -1018,7 +999,10 @@ def horn_filler(a: SimplicialAbGroup, n: int, k: int, faces) -> tuple:
     for i in range(n + 1):
         if i == k:
             continue
-        v = tuple(int(t) for t in faces[i])
+        v = tuple(faces[i])
+        for j, t in enumerate(v):
+            if t.__class__ is not int:
+                raise ValueError("face %d: entry %d is %r, not an int" % (i, j, t))
         if len(v) != a.rank(n - 1):
             raise ValueError("face %d has length %d, expected %d" % (i, len(v), a.rank(n - 1)))
         vecs[i] = v

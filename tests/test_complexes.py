@@ -79,6 +79,21 @@ def test_lists_with_an_entry_that_is_not_an_int_are_rejected():
         ChainMap(c, c, {0: [[True]]})
 
 
+@pytest.mark.parametrize("args, message", [
+    ((0, (2.5,)), "torsion coefficient 2.5 is not an int"),
+    ((1.5,), "free rank 1.5 is not an int"),
+    ((True, (2,)), "free rank True is not an int"),
+    ((0, (2, 4.0)), "torsion coefficient 4.0 is not an int"),
+    ((0, (False,)), "torsion coefficient False is not an int"),
+])
+def test_homology_group_rejects_a_rank_or_coefficient_that_is_not_an_int(args, message):
+    """Neither part of a group is converted: Z/2.5 does not print as
+    Z/2, nor a free rank of 1.5 as Z^1."""
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        HomologyGroup(*args)
+    assert str(HomologyGroup(1, [2, 4])) == "Z + Z/2 + Z/4"
+
+
 @pytest.mark.parametrize("ranks, degree, value", [
     ({0: 1.9, 1: True}, 0, 1.9),
     ({0: 1, 1: True}, 1, True),

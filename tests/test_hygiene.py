@@ -1,7 +1,8 @@
 """Static hygiene of the package: every import sits at module level and
 is used, `dataclasses` is not imported, no module-level function, class
-or method goes unreferenced, and only `spaces._leg_id` knows how a
-pushout prefixes the cells of its legs."""
+or method goes unreferenced, only `spaces._leg_id` knows how a
+pushout prefixes the cells of its legs, and only three functions call
+the dense Smith loop."""
 
 import ast
 import re
@@ -109,3 +110,19 @@ def test_pushout_leg_prefixes_stay_in_pushout_inj():
                    if isinstance(n, ast.Constant) and n.value in ("x:", "y:")
                    and id(n) not in allowed]
     assert not strays, "leg prefixes outside spaces._leg_id: %s" % ", ".join(strays)
+
+
+def test_only_three_places_call_the_dense_smith_loop():
+    """The dense `smith_normal_form`, whose entries are not bounded, is
+    named in the package only by `matrices._solve`, for the residue of a
+    kernel or a solve, by the suite's check of the decomposition and by
+    the fixed recipe of `generators.random_complex`: a second residue
+    solver would have to be bounded a second time."""
+    callers = ["%s.%s" % (path.stem, getattr(top, "name", "line %d" % top.lineno))
+               for path in sorted(SRC.glob("*.py"))
+               for top in ast.parse(path.read_text(encoding="utf-8")).body
+               for n in ast.walk(top)
+               if isinstance(n, ast.Name) and n.id == "smith_normal_form"
+               or isinstance(n, ast.Attribute) and n.attr == "smith_normal_form"]
+    assert sorted(callers) == ["generators.random_complex", "matrices._solve",
+                               "suite.check_smith_normal_form"], callers

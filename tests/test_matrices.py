@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 import sys
@@ -164,6 +165,7 @@ def test_kernel_basis_is_exact():
     k = kernel_basis(m)
     assert (m @ k).is_zero()
     assert k.cols == 2
+    assert kernel_basis(M([[1, 1], [0, 0]])) == M([[-1], [1]])
     # saturation: solving for a kernel vector must succeed integrally
     v = M([[1], [1], [-1]])
     assert (m @ v).is_zero()
@@ -253,6 +255,10 @@ def test_solve_exact_edge_cases():
     assert _check_solve(M([[1, 0], [0, 1], [1, 1]]), M([[1], [1], [0]])) is None
     assert _check_solve(M([[2], [4]]), M([[2], [3]])) is None
     assert _check_solve(M([[1], [2]]), M([[0], [1]])) is None
+    assert _check_solve(M([[1, 1], [0, 0]]), M([[1], [1]])) is None
+    # rank-deficient: a coordinate that no residue row touches stays 0
+    assert _check_solve(M([[1, 1], [0, 0]]), M([[1], [0]])) == M([[1], [0]])
+    assert _check_solve(M([[0, 2, 2]]), M([[4]])) == M([[0], [2], [0]])
     # no rows, no columns, no right-hand side
     assert _check_solve(IntMatrix.zero(0, 3), IntMatrix.zero(0, 2)) == IntMatrix.zero(3, 2)
     assert _check_solve(IntMatrix.zero(2, 0), IntMatrix.zero(2, 1)) == IntMatrix.zero(0, 1)
@@ -260,6 +266,57 @@ def test_solve_exact_edge_cases():
     assert _check_solve(M([[1, 2]]), IntMatrix.zero(1, 0)) == IntMatrix.zero(2, 0)
     with pytest.raises(ValueError):
         solve_exact(M([[1]]), M([[1], [1]]))
+
+
+def _kernel_solve_lines():
+    """One line per kernel basis and exact solve over seeded families:
+    mixed entries, unit-free residues, rank-deficient matrices with free
+    coordinates (zero and repeated columns), conjugated diagonals,
+    conjugated torsion complexes and the stacked faces of simplicial
+    groups, each solved for a reachable and a random right-hand side."""
+    rng = random.Random(3535)
+    cases = [M([[1, 1], [0, 0]]), M([[2, 2], [3, 3]]), M([[0, 1, 1], [0, 2, 2]]),
+             IntMatrix.zero(2, 3), IntMatrix.zero(0, 2), IntMatrix.zero(2, 0)]
+    for values in ((-2, -1, 1, 2, 3), (-6, -4, -3, -2, 2, 3, 4, 6)):
+        for _ in range(60):
+            cases.append(_sparse_matrix(rng, rng.randint(0, 6), rng.randint(0, 6),
+                                        rng.choice((0.2, 0.5, 0.8, 1.0)), values))
+    for _ in range(40):
+        a = _sparse_matrix(rng, rng.randint(1, 6), rng.randint(1, 4), 0.6, (-3, -2, -1, 1, 2, 4))
+        cols = [a.col(j) for j in range(a.cols)]
+        cols += [rng.choice(cols) if rng.random() < 0.6 else (0,) * a.rows
+                 for _ in range(rng.randint(1, 3))]
+        rng.shuffle(cols)
+        cases.append(IntMatrix.from_rows([list(r) for r in zip(*cols)]))
+    for _ in range(30):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        diag = sorted(rng.choice((1, 2, 3, 6)) for _ in range(rng.randint(0, min(rows, cols))))
+        d = M([[diag[i] if i == j and i < len(diag) else 0 for j in range(cols)]
+               for i in range(rows)])
+        cases.append(_random_unimodular(rng, rows) @ d @ _random_unimodular(rng, cols))
+    for _ in range(3):
+        c = conjugated_torsion_complex(rng, 3, 5, 1)[0]
+        cases += [c.d(n) for n in range(1, 4)]
+    for a in (free_reduced_Z(sphere(2), 4), bar_B(free_reduced_Z(sphere(1), 4)),
+              dold_kan_K(random_complex(rng, max_deg=3, max_rank=2, span=2), 3)):
+        cases += _stacked_faces(a)
+    for a in cases:
+        yield "K %r" % (kernel_basis(a),)
+        k = rng.randint(0, 3)
+        for b in (a @ _sparse_matrix(rng, a.cols, k, 0.6, range(-3, 4)),
+                  _sparse_matrix(rng, a.rows, k, 0.5, range(-3, 4))):
+            yield "X %r" % (solve_exact(a, b),)
+
+
+# SHA-256 of every line `_kernel_solve_lines` yields
+KERNEL_SOLVE_DIGEST = "b57d49354d5cf3abcd0b6d248b73e51bd5cf24ccb2bc6017e8135d00ce5f63e1"
+
+
+def test_kernel_and_solve_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for line in _kernel_solve_lines():
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == KERNEL_SOLVE_DIGEST
 
 
 def test_cokernel_invariants():

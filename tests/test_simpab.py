@@ -945,6 +945,20 @@ def test_horn_filler_rejects_incompatible():
         horn_filler(a, 3, 0, [None, (1,), (2,), (1,)])
 
 
+@pytest.mark.parametrize("faces, message", [
+    ([(0.9,), None, (0.9,)], "face 0: entry 0 is 0.9, not an int"),
+    ([(1,), None, (True,)], "face 2: entry 0 is True, not an int"),
+    ([(1.0,), None, (1,)], "face 0: entry 0 is 1.0, not an int"),
+])
+def test_horn_filler_rejects_an_entry_that_is_not_an_int(faces, message):
+    """Face entries are not converted with int(): 0.9 is not read as 0,
+    which would fill a different horn."""
+    a = free_reduced_Z(sphere(1), 3)
+    assert horn_filler(a, 2, 1, [(1,), None, (1,)]) == (1, 1)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        horn_filler(a, 2, 1, faces)
+
+
 def test_horn_filler_random(rng):
     for _ in range(10):
         a = random_sab(rng, trunc=3)
