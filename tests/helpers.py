@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from skernel.complexes import (ChainComplex, ChainMap, HomologyGroup, TowerReport,
                                check_quasi_iso, zero_complex)
-from skernel.matrices import (IntMatrix, _eliminate, _residue, diagonal_of, hstack, kernel_basis,
+from skernel.matrices import (IntMatrix, _eliminate, diagonal_of, hstack, kernel_basis,
                               smith_normal_form, solve_exact, vstack)
 from skernel.simpab import SimplicialAbGroup
 from skernel.simplicial import (BisimplicialSet, SimplexRef, SimplicialMap, SimplicialSet,
@@ -839,6 +839,15 @@ def heap_only_eliminate(stored, limit: int, skip=()):
     """`heap_eliminate` with `matrices._eliminate`'s signature, to stand
     in for it."""
     return heap_eliminate(row_dicts(stored, skip), limit)
+
+
+def _residue(rows: dict, keep) -> IntMatrix:
+    """The residue rows, in order, restricted to the columns in keep."""
+    at = {j: t for t, j in enumerate(keep)}
+    return IntMatrix.from_entries(
+        len(rows), len(at),
+        ((r, at[j], x) for r, i in enumerate(sorted(rows)) for j, x in rows[i].items() if j in at),
+    )
 
 
 def per_vector_kernel(m: IntMatrix) -> IntMatrix:

@@ -404,18 +404,18 @@ def test_unit_heavy_homology_needs_no_dense_smith_reduction(monkeypatch):
     nothing by unit pivots, so no residue is left for `_residue_factors`
     and the dense Smith loop never runs."""
     calls = []
-    residue, dense = skernel.matrices._residue_factors, skernel.matrices.smith_normal_form
+    residue, dense = skernel.matrices._residue_factors, skernel.matrices._smith
 
     def counting_residue(rows, cols):
         calls.append((len(rows), len(cols)))
         return residue(rows, cols)
 
-    def counting_dense(m, want_u=True, want_v=True):
-        calls.append(m.shape)
-        return dense(m, want_u, want_v)
+    def counting_dense(a, nr, nc):
+        calls.append((nr, nc))
+        return dense(a, nr, nc)
 
     monkeypatch.setattr(skernel.matrices, "_residue_factors", counting_residue)
-    monkeypatch.setattr(skernel.matrices, "smith_normal_form", counting_dense)
+    monkeypatch.setattr(skernel.matrices, "_smith", counting_dense)
     s2 = spaces.sphere(2)
     cases = [(spaces.boundary(n), {0: Z, n - 1: Z}) for n in range(2, 9)]
     s2_cubed = spaces.product(spaces.product(s2, s2), s2)

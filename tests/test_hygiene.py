@@ -112,17 +112,23 @@ def test_pushout_leg_prefixes_stay_in_pushout_inj():
     assert not strays, "leg prefixes outside spaces._leg_id: %s" % ", ".join(strays)
 
 
+def _named_by(name: str) -> list:
+    """The top-level definitions in `src/` whose code names name."""
+    return sorted("%s.%s" % (path.stem, getattr(top, "name", "line %d" % top.lineno))
+                  for path in sorted(SRC.glob("*.py"))
+                  for top in ast.parse(path.read_text(encoding="utf-8")).body
+                  for n in ast.walk(top)
+                  if isinstance(n, ast.Name) and n.id == name
+                  or isinstance(n, ast.Attribute) and n.attr == name)
+
+
 def test_only_three_places_call_the_dense_smith_loop():
-    """The dense `smith_normal_form`, whose entries are not bounded, is
-    named in the package only by `matrices._solve`, for the residue of a
-    kernel or a solve, by the suite's check of the decomposition and by
-    the fixed recipe of `generators.random_complex`: a second residue
-    solver would have to be bounded a second time."""
-    callers = ["%s.%s" % (path.stem, getattr(top, "name", "line %d" % top.lineno))
-               for path in sorted(SRC.glob("*.py"))
-               for top in ast.parse(path.read_text(encoding="utf-8")).body
-               for n in ast.walk(top)
-               if isinstance(n, ast.Name) and n.id == "smith_normal_form"
-               or isinstance(n, ast.Attribute) and n.attr == "smith_normal_form"]
-    assert sorted(callers) == ["generators.random_complex", "matrices._solve",
-                               "suite.check_smith_normal_form"], callers
+    """The dense Smith loop `matrices._smith`, whose entries are not
+    bounded, is named in the package only by `matrices._solve`, for the
+    residue of a kernel or a solve, and by `smith_normal_form`; that is
+    named only by the suite's check of the decomposition and by the fixed
+    recipe of `generators.random_complex`.  A second residue solver would
+    have to be bounded a second time."""
+    assert _named_by("_smith") == ["matrices._solve", "matrices.smith_normal_form"]
+    assert _named_by("smith_normal_form") == ["generators.random_complex",
+                                              "suite.check_smith_normal_form"]

@@ -22,7 +22,7 @@ from skernel.matrices import (
     solve_exact,
     vstack,
 )
-from skernel.generators import random_pointed_space
+from skernel.generators import random_matrix, random_pointed_space
 from skernel.simpab import bar_B, dold_kan_K, free_reduced_Z, moore_basis
 from skernel.spaces import boundary, chains, product, sphere
 
@@ -319,6 +319,44 @@ def test_kernel_and_solve_outputs_are_pinned():
     assert digest.hexdigest() == KERNEL_SOLVE_DIGEST
 
 
+def _smith_lines():
+    """One line per `smith_normal_form` call, for all four choices of
+    want_u and want_v, over seeded families: empty and zero matrices,
+    rank-deficient matrices with repeated and zero columns, matrices
+    with no +-1 entry, and `generators.random_matrix` up to 6 x 6.  The
+    lines are reprs, so an int turned float would show."""
+    rng = random.Random(3636)
+    cases = [IntMatrix.zero(r, c) for r in range(4) for c in range(4)]
+    for _ in range(40):
+        a = _sparse_matrix(rng, rng.randint(1, 6), rng.randint(1, 3), 0.7, (-3, -2, -1, 1, 2, 4))
+        cols = [a.col(j) for j in range(a.cols)]
+        cols += [rng.choice(cols) if rng.random() < 0.6 else (0,) * a.rows
+                 for _ in range(rng.randint(1, 3))]
+        rng.shuffle(cols)
+        cases.append(IntMatrix.from_rows([list(r) for r in zip(*cols)]))
+    for _ in range(50):
+        cases.append(_sparse_matrix(rng, rng.randint(1, 6), rng.randint(1, 6),
+                                    rng.choice((0.3, 0.6, 1.0)), (-6, -4, -3, -2, 2, 3, 4, 6)))
+    for _ in range(94):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        cases.append(random_matrix(rng, rows, cols, span=rng.choice((2, 5, 9))))
+    for a in cases:
+        for want_u in (True, False):
+            for want_v in (True, False):
+                yield "S %r" % (smith_normal_form(a, want_u, want_v),)
+
+
+# SHA-256 of every line `_smith_lines` yields
+SMITH_DIGEST = "afaa91c9a6c4baccbfcea4e044e27c1b52d657f584c991768586d9668e8731a6"
+
+
+def test_smith_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for line in _smith_lines():
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == SMITH_DIGEST
+
+
 def test_cokernel_invariants():
     assert invariant_factors(M([[2, 0], [0, 3]])) == (1, 6)
     assert group_from_presentation(2, M([[2, 0], [0, 3]])) == HomologyGroup(0, (6,))
@@ -348,14 +386,18 @@ def _sparse_matrix(rng, rows, cols, density, values):
 
 
 def _count_dense_calls(monkeypatch):
+    """The (rows, columns) of each block that `matrices._solve` hands to
+    the dense Smith loop; the calls the reference `_dense_solve` makes
+    through `smith_normal_form` are not counted."""
     calls = []
-    original = skernel.matrices.smith_normal_form
+    original = skernel.matrices._smith
 
-    def counting(m, want_u=True, want_v=True):
-        calls.append(m.shape)
-        return original(m, want_u, want_v)
+    def counting(a, nr, nc):
+        if sys._getframe(1).f_code.co_name == "_solve":
+            calls.append((nr, nc))
+        return original(a, nr, nc)
 
-    monkeypatch.setattr(skernel.matrices, "smith_normal_form", counting)
+    monkeypatch.setattr(skernel.matrices, "_smith", counting)
     return calls
 
 

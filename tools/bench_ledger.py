@@ -94,7 +94,13 @@ It records
     boundary of the 12-simplex (1716 x 1716, no row with one entry), as
     columns per second; the matrix is built untimed, so the row times
     the elimination and back-substitution apart from `chains`, which the
-    homology rows include;
+    homology rows include; `matrices.smith_normal_form`, with U and V,
+    of 400 suite-size matrices (`generators.random_matrix`, up to 5 x 5,
+    entries in [-9, 9]), and `matrices.solve_exact` of 60 dense 7 x 9
+    matrices with entries in {0, +-2, +-3, +-4, +-6}, so that no unit
+    pivot exists and the whole matrix is the dense Smith loop's residue,
+    each with a reachable 2-column right-hand side; both as calls per
+    second, the matrices built untimed;
   - serialization: `parse_document` (JSON decoding, the type checks of
     the loader and `IntMatrix.from_rows`, and the constructor's
     validation) of two documents of the cli-corpus workload, the bar
@@ -218,6 +224,18 @@ SCALE = {
     "kernel_basis(d(6) of chains(boundary(12)))": (
         "matrices", "m = spaces.chains(spaces.boundary(12)).d(6)", "matrices.kernel_basis(m)",
         "columns"),
+    "smith_normal_form(400 matrices up to 5x5, span 9)": (
+        "matrices",
+        "rng = random.Random(36); cases = [generators.random_matrix("
+        "rng, rng.randint(1, 5), rng.randint(1, 5)) for _ in range(400)]",
+        "[matrices.smith_normal_form(m) for m in cases]", "calls"),
+    "solve_exact(60 unit-free 7x9, 2-column right-hand side)": (
+        "matrices",
+        "rng = random.Random(36); rows = lambda r, c, vals: matrices.IntMatrix.from_rows("
+        "[[rng.choice(vals) for _ in range(c)] for _ in range(r)]); "
+        "cases = [(a, a @ rows(9, 2, range(-3, 4))) for a in "
+        "(rows(7, 9, (-6, -4, -3, -2, 0, 2, 3, 4, 6)) for _ in range(60))]",
+        "[matrices.solve_exact(a, b) for a, b in cases]", "calls"),
     "parse_document(bar-zS2-D6.json)": (
         "serialization",
         "text = reference.dumps(reference.group_doc("
@@ -235,7 +253,7 @@ BUILD = """
 import json, random, sys, time
 sys.path.insert(0, "perfbench")
 import reference
-from skernel import homotopy, matrices, serialization, simpab, spaces
+from skernel import generators, homotopy, matrices, serialization, simpab, spaces
 from skernel.complexes import ChainComplex, sigma_tower_report
 from skernel.simplicial import SimplicialMap
 p = spaces.product
@@ -249,6 +267,8 @@ for _ in range({repeats}):
 counts = {{}}
 if "{counted}" == "columns":  # of the untimed matrix m
     counts["columns"] = m.cols
+elif "{counted}" == "calls":  # one per untimed case
+    counts["calls"] = len(cases)
 elif hasattr(x, "cell_counts"):
     counts["cells"] = sum(x.cell_counts().values())
     counts["identities"] = sum(len(x.cells(n)) * n * (n + 1) // 2 for n in x.dims() if n >= 2)
@@ -312,7 +332,8 @@ def scale_rows(trees: dict, runs: int, timeout: float) -> list:
     rows = []
     for label, (layer, setup, expr, counted) in SCALE.items():
         name = (label if label.startswith(("homology", "chains", "moore_basis", "kn_roundtrip",
-                                          "parse_document", "kernel_basis", "validate"))
+                                          "parse_document", "kernel_basis", "validate",
+                                          "smith_normal_form", "solve_exact"))
                 else "build+validate " + label)
         row = {"layer": layer, "name": name,
                "unit": counted + "/s", "better": "higher", "runs": runs,
