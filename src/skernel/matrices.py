@@ -290,8 +290,13 @@ class IntMatrix:
         return IntMatrix(self.rows, other.cols, tuple(out))
 
     def mul_vec(self, v: Sequence[int]) -> tuple:
+        """The product with the vector v; an entry of v that is not an
+        int is rejected, not converted."""
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
+        if not _INT.issuperset(map(type, v)):
+            j, x = next((j, x) for j, x in enumerate(v) if type(x) is not int)
+            raise ValueError("entry %d is %r, not an int" % (j, x))
         return tuple(sum(x * v[j] for j, x in zip(js, xs)) for js, xs in self.nonzeros)
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":

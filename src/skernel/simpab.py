@@ -47,7 +47,7 @@ object's Moore bases and normalized complex once.
 
 Normalization runs on the tables too: the Moore bases, the projection's
 factors, the normalized differentials, the K o N counit and the
-Eilenberg-Zilber degeneracy and face composites are composed as tables.
+Eilenberg-Zilber maps are composed as tables.
 An integer matrix is built only where a chain complex, a chain map, an
 exact solve or a unimodularity check needs one.
 """
@@ -59,7 +59,7 @@ from operator import itemgetter
 
 from .complexes import (ChainComplex, ChainMap, HomologyGroup, ValidationError, _Record,
                         _tensor_window)
-from .matrices import IntMatrix, _solve, hstack, is_unimodular, solve_exact, vstack
+from .matrices import IntMatrix, _solve, is_unimodular, solve_exact, vstack
 from .simplicial import SimplicialSet, _face_pattern, mask_insert
 from .spaces import _chain_basis, smash
 
@@ -205,19 +205,6 @@ def _same(lhs: list, rhs: list) -> bool:
     return lhs == rhs
 
 
-def _unit_levels_fit(levels: list, ranks: tuple, shift: int) -> bool:
-    """Whether every (table, general) pair of levels, levels[n] out of
-    A_n, is a unit table with one item per generator of A_n and a
-    trailing item, each a row of A_{n + shift} or -1: one min and one
-    max pass per level."""
-    for n, level in enumerate(levels):
-        tables = [t for t, general in level if not general]
-        if level and (len(tables) < len(level) or set(map(len, tables)) != {ranks[n] + 1}
-                      or min(map(min, tables)) < -1 or max(map(max, tables)) >= ranks[n + shift]):
-            return False
-    return True
-
-
 def _broken_operator(cols: dict, source: "SimplicialAbGroup", target: "SimplicialAbGroup"):
     """The first structure map that the levelwise map psi: source ->
     target, given by the (table, general) pair cols[n] of each level,
@@ -312,11 +299,15 @@ class SimplicialAbGroup:
 
     def face_vec(self, n: int, i: int, v) -> tuple:
         """d_i v for a vector v in A_n, read off the column table, so no
-        matrix is built."""
+        matrix is built.  An entry that is not an int (a float, a bool)
+        is refused, not converted."""
         if not (1 <= n <= self.D and 0 <= i <= n):
             raise ValueError("face (%d, %d) out of range" % (n, i))
         if len(v) != self.rank(n):
             raise ValueError("vector length mismatch")
+        for j, x in enumerate(v):
+            if x.__class__ is not int:
+                raise ValueError("entry %d is %r, not an int" % (j, x))
         return _apply(self._ft[(n, i)], v, self.rank(n - 1))
 
     def _levels(self) -> tuple:
@@ -330,7 +321,9 @@ class SimplicialAbGroup:
     def _validate(self):
         """Check the shape of every table, prove every d d, s s and d s
         identity up to D, and record in `_keep` the generators of each
-        level that no degeneracy hits.
+        level that no degeneracy hits.  The shapes come first, in one loop:
+        each table's length, and min and max of its rows (of a unit table,
+        or of a general one's flattened rows).
 
         Where every degeneracy is a unit table, `_certified` compares
         these instances of the identities (May, Simplicial Objects in
@@ -353,19 +346,15 @@ class SimplicialAbGroup:
         Any other group, or one whose certificate fails, runs the full
         loop `_identities`, which compares each identity once and names
         the first that fails."""
-        faces, degens = self._levels()
-        ranks = self._ranks
-        for kind, levels, shift, maps in (("face", faces, -1, self._ft),
-                                          ("degeneracy", degens, 1, self._st)):
-            if _unit_levels_fit(levels, ranks, shift):
-                continue
+        for kind, shift, maps in (("face", -1, self._ft), ("degeneracy", 1, self._st)):
             for (n, i), (t, general) in maps.items():
                 shape = (self.rank(n + shift), self.rank(n))
-                rows = [r for c in t for r in ((c,) if c.__class__ is int
-                                               else (c[0][0], c[0][-1]))] if general else t
+                rows = t if not general else [r for c in t
+                                              for r in ((c,) if c.__class__ is int else c[0])]
                 if len(t) != shape[1] + 1 or min(rows) < -1 or max(rows) >= shape[0]:
                     raise ValidationError("%s (%d, %d) does not fit its shape %r"
                                           % (kind, n, i, shape))
+        faces, degens = self._levels()
         if any(g for level in degens for _, g in level) or not self._certified(faces, degens):
             for lhs, rhs, name in self._identities():
                 if not _same(lhs, rhs):
@@ -549,6 +538,7 @@ def _projection_factor(a: SimplicialAbGroup, n: int, j: int, f: tuple) -> tuple:
     s_j d_{j+1}."""
     d = a._ft[(n, j + 1)]
     image = _compose(a._st[(n - 1, j)], (_compose(d, f), d[1] or f[1]))
+    # the zero image is needed, not a shortcut: `_difference` takes a nonzero y
     return [x if y == -1 else _difference(x, y) for x, y in zip(f[0], image)], True
 
 
@@ -910,16 +900,20 @@ def _degeneracy_composite(a: SimplicialAbGroup, start: int, indices, f: tuple) -
     return _composite(a._st, ((start + t, j) for t, j in enumerate(indices)), f)
 
 
-def _face_composite(a: SimplicialAbGroup, n: int, p: int, front: bool) -> IntMatrix:
-    """The front face A_n -> A_p (d_lvl at each level) or, with front
-    False, the back face (d_0 at each level)."""
+def _face_composite(a: SimplicialAbGroup, n: int, p: int, front: bool) -> tuple:
+    """The (table, general) pair of the front face A_n -> A_p (d_lvl at
+    each level) or, with front False, of the back face (d_0 at each
+    level)."""
     keys = ((lvl, lvl if front else 0) for lvl in range(n, p, -1))
-    return _matrix(_composite(a._ft, keys, _identity(a.rank(n))), a.rank(p))
+    return _composite(a._ft, keys, _identity(a.rank(n)))
 
 
 def ez_maps(a: SimplicialAbGroup, b: SimplicialAbGroup) -> EZPair:
     """The shuffle map with its signs, and the front-face/back-face
-    Alexander-Whitney map, as honest chain maps in degrees <= D."""
+    Alexander-Whitney map, as honest chain maps in degrees <= D, both
+    composed on column tables: a shuffle block sums the signed Kronecker
+    tables of degeneracy composites column by column, and an AW block
+    is a matrix only to be stacked."""
     if a.D != b.D:
         raise ValueError("truncation dimensions differ")
     d = a.D
@@ -932,48 +926,39 @@ def ez_maps(a: SimplicialAbGroup, b: SimplicialAbGroup) -> EZPair:
     nab = _normalize(ab, nab_bases)
     t = _tensor_window(na, nb, 0, d)
 
-    shuffle_comps = {}
+    pa = {p: _columns(_projection(a, na_bases[p], p), "projection %d" % p)
+          for p in range(d + 1) if na.rank(p)}
+    pb = {q: _columns(_projection(b, nb_bases[q], q), "projection %d" % q)
+          for q in range(d + 1) if nb.rank(q)}
+    shuffle_comps, aw_comps = {}, {}
     for n in range(d + 1):
-        cols = []
+        table, rows = [], []
         for p in range(n + 1):
             q = n - p
             if na.rank(p) == 0 or nb.rank(q) == 0:
                 continue
-            ka, kb = na_bases[p][1], nb_bases[q][1]
-            block = IntMatrix.zero(ab.rank(n), na.rank(p) * nb.rank(q))
+            size = na.rank(p) * nb.rank(q)
+            block = [{} for _ in range(size)]
             for mu in combinations(range(n), p):
                 nu = tuple(s for s in range(n) if s not in mu)
                 sign = (-1) ** sum(1 for m in mu for x in nu if m > x)
-                ma = _matrix(_degeneracy_composite(a, p, nu, ka), a.rank(n))
-                mb = _matrix(_degeneracy_composite(b, q, mu, kb), b.rank(n))
-                term = ma.kron(mb)
-                block = block + (term if sign > 0 else term.scale(-1))
-            cols.append(block)
-        if cols:
-            comp = _coordinates(*nab_bases[n], _columns(hstack(cols), "shuffle %d" % n), ab.rank(n))
-            if comp is None:
-                raise ValidationError("the shuffle leaves the normalized part at level %d" % n)
-            shuffle_comps[n] = comp
-    shuffle = ChainMap(t, nab, shuffle_comps)
-
-    aw_comps = {}
-    pa = {p: _projection(a, na_bases[p], p) for p in range(d + 1) if na.rank(p)}
-    pb = {q: _projection(b, nb_bases[q], q) for q in range(d + 1) if nb.rank(q)}
-    for n in range(d + 1):
-        if t.rank(n) == 0 or nab.rank(n) == 0:
+                term = _kron_table(_degeneracy_composite(a, p, nu, na_bases[p][1]),
+                                   _degeneracy_composite(b, q, mu, nb_bases[q][1]), b.rank(n))[0]
+                for acc, c in zip(block, term):
+                    _add(acc, c, sign)
+            table += map(_column, block)
+            fa, fb = _face_composite(a, n, p, front=True), _face_composite(b, n, q, front=False)
+            aw = _kron_table((_compose(pa[p], fa), True), (_compose(pb[q], fb), True), nb.rank(q))
+            rows.append(_matrix((_compose(aw, nab_bases[n][1]), True), size))
+        if not table:
             continue
-        rows = []
-        basis = _matrix(nab_bases[n][1], ab.rank(n))
-        for p in range(n + 1):
-            q = n - p
-            if na.rank(p) == 0 or nb.rank(q) == 0:
-                continue
-            block = (pa[p] @ _face_composite(a, n, p, front=True)).kron(
-                pb[q] @ _face_composite(b, n, q, front=False))
-            rows.append(block @ basis)
+        # t_n is not zero here, so neither is N(A ox B)_n: the shuffle is injective
+        comp = _coordinates(*nab_bases[n], (table + [-1], True), ab.rank(n))
+        if comp is None:
+            raise ValidationError("the shuffle leaves the normalized part at level %d" % n)
+        shuffle_comps[n] = comp
         aw_comps[n] = vstack(rows)
-    aw = ChainMap(nab, t, aw_comps)
-    return EZPair(shuffle, aw)
+    return EZPair(ChainMap(t, nab, shuffle_comps), ChainMap(nab, t, aw_comps))
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,8 @@ class SimplicialSet:
         cell) pairs: the cell's own row when mask is 0, else the row that
         `_face_pattern(mask, n + 1)` reads off it."""
         row = self._table[cell]
+        # needed, not a shortcut: a vertex's row is empty, and the face
+        # pattern of mask 0 would index it
         if not mask:
             return row
         return tuple([(prefix, cell) if k is None else (mask_compose(prefix, row[k][0]), row[k][1])

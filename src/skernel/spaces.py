@@ -517,9 +517,8 @@ def pi0(x: SimplicialSet):
     comps = {}
     for v in verts:
         comps.setdefault(find(v), []).append(v)
-    return [tuple(members) for _, members in sorted(
-        comps.items(), key=lambda kv: verts.index(kv[1][0])
-    )]
+    # vertices go in order, so each component enters comps at its first vertex
+    return list(map(tuple, comps.values()))
 
 
 def component_map(x: SimplicialSet) -> dict:

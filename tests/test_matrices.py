@@ -566,6 +566,22 @@ def test_products_match_a_naive_triple_loop():
         M([[1, 2]]).mul_vec([1])
 
 
+@pytest.mark.parametrize("v, message", [
+    ((0.5, True), "entry 0 is 0.5, not an int"),
+    ((1, True), "entry 1 is True, not an int"),
+    ((2.0, 1), "entry 0 is 2.0, not an int"),
+])
+def test_mul_vec_rejects_an_entry_that_is_not_an_int(v, message):
+    """A float or a bool is refused, not multiplied as the number it
+    equals; int vectors give the products they gave."""
+    a = M([[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        a.mul_vec(v)
+    assert a.mul_vec((1, -2)) == (-3, -5)
+    assert a.mul_vec([0, 0]) == (0, 0)
+    assert M([[0, 7]]).mul_vec((10**30, 3)) == (21,)
+
+
 def _vanishing_cases(rng):
     """Seeded (a, b) pairs for `_product_vanishes`: sparse +-1 matrices,
     ones with +-2 and +-3 entries, rows with one entry or none, zero

@@ -310,6 +310,27 @@ def test_an_entry_outside_its_shape_is_named(kind, key, column, message):
         SimplicialAbGroup._of_tables(b.D, b.ranks(), tables["face"], tables["degeneracy"])
 
 
+@pytest.mark.parametrize("key, at, column, message", [
+    ((3, 1), 0, 9, "face (3, 1) does not fit its shape (9, 14)"),
+    ((2, 0), 5, ((0, 5), (1, 2)), "face (2, 0) does not fit its shape (5, 9)"),
+    ((2, 0), 0, 5, "face (2, 0) does not fit its shape (5, 9)"),
+    ((1, 0), 2, ((-2, 1), (1, 2)), "face (1, 0) does not fit its shape (2, 5)"),
+])
+def test_an_entry_outside_its_shape_is_named_on_k(key, at, column, message):
+    """In dold_kan_K(MIXED, 5), ranks 2, 5, 9, 14, 20, 27, whose d_0
+    tables are general (the differential blocks) and whose other faces
+    are unit tables, a misfit in a unit table, or in a general table at
+    a general or a unit column, is named with the shape the table must
+    fit."""
+    k = dold_kan_K(MIXED, 5)
+    faces = dict(k._ft)
+    table, general = faces[key]
+    assert general == (key[1] == 0)
+    faces[key] = table[:at] + [column] + table[at + 1:], general
+    with pytest.raises(ValidationError, match="^%s$" % re.escape(message)):
+        SimplicialAbGroup._of_tables(k.D, k.ranks(), faces, k._st)
+
+
 RECORDED = {
     "K-mixed": lambda: dold_kan_K(MIXED, 5),
     "K-torsion": lambda: dold_kan_K(TORSION, 5),
@@ -957,6 +978,23 @@ def test_horn_filler_rejects_an_entry_that_is_not_an_int(faces, message):
     assert horn_filler(a, 2, 1, [(1,), None, (1,)]) == (1, 1)
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
         horn_filler(a, 2, 1, faces)
+
+
+@pytest.mark.parametrize("v, message", [
+    ((True, 2.0, 0), "entry 0 is True, not an int"),
+    ((1, 2.0, 0), "entry 1 is 2.0, not an int"),
+    ((0, 0, 0.0), "entry 2 is 0.0, not an int"),
+])
+def test_face_vec_rejects_an_entry_that_is_not_an_int(v, message):
+    """A float or a bool is refused, not read as the int it equals; int
+    vectors give the face the matrix gives."""
+    a = free_reduced_Z(sphere(2), 3)
+    assert a.rank(3) == 3
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        a.face_vec(3, 1, v)
+    for w in ((1, 2, 0), (0, -3, 5), (0, 0, 0)):
+        for i in range(4):
+            assert a.face_vec(3, i, w) == a.face(3, i).mul_vec(w)
 
 
 def test_horn_filler_random(rng):

@@ -395,6 +395,21 @@ def test_pi0_examples():
     assert pi0(SimplicialSet({}, {})) == []
 
 
+def test_pi0_lists_components_by_first_vertex():
+    """The union-find root of {a, b} is b, declared after c, and that of
+    {c, d} is d; components and their members still come in declaration
+    order of the vertices."""
+
+    def edges(ends):
+        """Faces of edges named by their (target, source) vertices."""
+        return {(e, i): SimplexRef((), v) for e, pair in ends.items() for i, v in enumerate(pair)}
+
+    x = SimplicialSet({0: ["a", "c", "b", "d"], 1: ["e", "f"]}, edges({"e": "ab", "f": "cd"}))
+    assert pi0(x) == [("a", "b"), ("c", "d")]
+    x = SimplicialSet({0: ["d", "a", "c", "b"], 1: ["e"]}, edges({"e": "ab"}))
+    assert pi0(x) == [("d",), ("a", "b"), ("c",)]
+
+
 def test_pi0_h0_consistency(rng):
     for _ in range(5):
         x = random_pointed_space(rng)
